@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DomainMismatchError, NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
                       inner_q0, norm_q0, restrict_B, solve_forward,
                       transport_terms)
 from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
-                   inner_l2h, norm_h, norm_l2h, norm_ct_h, norm_l2v,
-                   norm_vstar, norm_wv, measure_embedding_constant)
+                   norm_h, norm_l2h, norm_ct_h, norm_l2v, norm_vstar, norm_wv,
+                   measure_embedding_constant)
 from .helmholtz import get_operator
 from .tangent_adjoint import (AdjointState, TangentState,
                               adjoint_equation_residual,
@@ -146,14 +146,12 @@ def _constraint_residuals(problem: TrackingProblem, omega, Y):
     domain, tg, p = problem.domain, problem.tg, problem.model
     Y = as_trajectory(domain, tg, Y)
     bq = apply_B(problem.window, omega)
-    op = get_operator(domain)
-    e1 = np.empty((tg.n_steps, domain.n_interior))
-    for n in range(tg.n_steps):
-        y = Y[n]
-        u, ux, _ = op.velocity(y)
-        mdt_next = Y[n + 1] - tg.dt * p.epsilon * d2(domain, Y[n + 1])
-        e1[n] = ((mdt_next - y) / tg.dt
-                 + transport_terms(domain, y, u, ux, p.k) - bq[n])
+    y, y_next = Y[:-1], Y[1:]
+    u = get_operator(domain).kernel.solve(y.T).T
+    ux = d1(domain, u)
+    mdt_next = y_next - tg.dt * p.epsilon * d2(domain, y_next)
+    e1 = ((mdt_next - y) / tg.dt
+          + transport_terms(domain, y, u, ux, p.k) - bq[:-1])
     e2 = Y[0] - problem.y0
     return e1, e2
 
@@ -162,9 +160,15 @@ def residual_y_norm(problem: TrackingProblem, e1, e2) -> float:
     """Y-norm: dual space norm, left-endpoint in time, plus the H-size of
     the initial defect."""
     domain, tg = problem.domain, problem.tg
-    acc = sum(tg.dt * norm_vstar(domain, e1[n]) ** 2
-              for n in range(tg.n_steps))
-    return math.sqrt(acc + norm_h(domain, e2) ** 2)
+    e1 = np.asarray(e1, dtype=float)
+    if e1.shape != (tg.n_steps, domain.n_interior):
+        raise DomainMismatchError(
+            f"step residual has shape {e1.shape}, expected "
+            f"({tg.n_steps}, {domain.n_interior})")
+    riesz = get_operator(domain).kernel.solve(e1.T)
+    # per-step (e1, A^-1 e1) >= 0 exactly; tolerate roundoff at zero
+    vstar_sq = np.maximum(domain.h * np.einsum("in,in->n", e1.T, riesz), 0.0)
+    return math.sqrt(tg.dt * float(vstar_sq.sum()) + norm_h(domain, e2) ** 2)
 
 
 def state_equation_residual(problem: TrackingProblem, omega, Y) -> float:

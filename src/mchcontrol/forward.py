@@ -2,8 +2,8 @@
 
 State is the momentum y = u - u_xx on the Dirichlet grid; the velocity is
 recovered through the Helmholtz solve each step. Time stepping is IMEX Euler:
-diffusion eps*y_xx implicit (banded SPD solve), transport/reaction/slope and
-the control explicit at the old level:
+diffusion eps*y_xx implicit (tridiagonal SPD solve), transport/reaction/slope
+and the control explicit at the old level:
 
     y_t = eps*y_xx - (u^2 - u_x^2)*y_x - 2*u_x*y^2 - k*u_x + B(omega)
 
@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
-from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1, d2, inner_h
-from .helmholtz import HelmholtzOperator, ShiftedLaplacianSolver, get_operator
+from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1, inner_h
+from .helmholtz import ShiftedLaplacianSolver, get_operator
 
 CFL_SAFETY = 0.5
 
@@ -115,29 +115,6 @@ def transport_terms(domain: Domain1D, y, u, ux, k: float) -> np.ndarray:
     return (u * u - ux * ux) * d1(domain, y) + 2.0 * ux * y * y + k * ux
 
 
-def rhs(op: HelmholtzOperator, y, omega_t, p: ModelParams) -> np.ndarray:
-    """Semi-discrete right-hand side eps*d2(y) - transport + forcing."""
-    domain = op.domain
-    y = as_field(domain, y)
-    omega_t = as_field(domain, omega_t)
-    u, ux, _ = op.velocity(y)
-    return p.epsilon * d2(domain, y) - transport_terms(domain, y, u, ux, p.k) + omega_t
-
-
-def step(op: HelmholtzOperator, dsolver: ShiftedLaplacianSolver, y, omega_t,
-         p: ModelParams, dt: float, include_transport: bool = True) -> np.ndarray:
-    """One IMEX Euler step. include_transport=False is a diagnostic hook
-    that reduces the update to the pure implicit diffusion solve."""
-    domain = op.domain
-    y = as_field(domain, y)
-    omega_t = as_field(domain, omega_t)
-    expl = np.zeros_like(y)
-    if include_transport:
-        u, ux, _ = op.velocity(y)
-        expl = -transport_terms(domain, y, u, ux, p.k)
-    return dsolver.solve(y + dt * (expl + omega_t))
-
-
 def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
                   omega=None, include_transport: bool = True,
                   check_cfl: bool = True) -> ForwardTrajectory:
@@ -153,8 +130,8 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     if omega is None:
         omega = np.zeros((N + 1, n))
     omega = as_trajectory(domain, tg, omega)
-    op = get_operator(domain)
-    dsolver = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon)
+    vsolve = get_operator(domain).kernel.solve
+    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
 
     Y = np.empty((N + 1, n))
     U = np.empty_like(Y)
@@ -163,7 +140,7 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     warned = False
     for nstep in range(N):
         y = Y[nstep]
-        u = op.solve(y)
+        u = vsolve(y)
         ux = d1(domain, u)
         U[nstep], UX[nstep] = u, ux
         if check_cfl and not warned:
@@ -174,22 +151,18 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
                     f"{CFL_SAFETY * domain.h / speed:.3e} at step {nstep}",
                     StabilityWarning, stacklevel=2)
                 warned = True
-        expl = np.zeros_like(y)
         # blow-up is reported as NumericsError, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
+            expl = omega[nstep]
             if include_transport:
-                expl = -transport_terms(domain, y, u, ux, p.k)
-            rhs_n = y + tg.dt * (expl + omega[nstep])
-        if not np.all(np.isfinite(rhs_n)):
-            raise NumericsError(
-                f"non-finite state at step {nstep + 1}/{N}", nstep + 1)
-        ynew = dsolver.solve(rhs_n)
+                expl = expl - transport_terms(domain, y, u, ux, p.k)
+            ynew = dsolve(y + tg.dt * expl)
         if not np.all(np.isfinite(ynew)):
             raise NumericsError(
-                f"forward state lost finiteness at step {nstep + 1}",
+                f"forward state lost finiteness at step {nstep + 1}/{N}",
                 time_index=nstep + 1)
         Y[nstep + 1] = ynew
-    U[N] = op.solve(Y[N])
+    U[N] = vsolve(Y[N])
     UX[N] = d1(domain, U[N])
     return ForwardTrajectory(domain, tg, Y, U, UX)
 
@@ -223,7 +196,7 @@ def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams,
         omega = np.zeros_like(ftraj.y)
     omega = as_trajectory(domain, tg, omega)
     etas = dirichlet_modes(domain, n_modes)
-    detas = np.array([d1(domain, e) for e in etas])
+    detas = d1(domain, etas)
     worst = 0.0
     for n in range(1, tg.n_steps):
         ydot = (ftraj.y[n + 1] - ftraj.y[n - 1]) / (2.0 * tg.dt)
@@ -243,10 +216,6 @@ def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams,
 
 # ---------------------------------------------------------------------------
 # trajectory file round trip
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
@@ -270,12 +239,13 @@ def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
     with open(csv_path, "w", newline="\n") as f:
         f.write(f"# config_sha256={config_hash}\n")
         f.write("t,x," + ",".join(value_names) + "\n")
-        for n in range(tg.n_steps + 1):
-            tval = _fmt(tg.t[n])
-            for i in range(domain.n_interior):
-                row = [tval, _fmt(domain.x[i])]
-                row.extend(_fmt(c[n, i]) for c in cols)
-                f.write(",".join(row) + "\n")
+        xs = [repr(x) for x in domain.x.tolist()]
+        # one frame formatted at a time keeps memory at one frame
+        for n, tval in enumerate(tg.t.tolist()):
+            head = repr(tval) + ","
+            vals = [map(repr, c[n].tolist()) for c in cols]
+            f.write("".join(head + ",".join(row) + "\n"
+                            for row in zip(xs, *vals)))
     with open(str(csv_path).rsplit(".", 1)[0] + ".json", "w", newline="\n") as f:
         json.dump(sidecar, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -311,5 +281,4 @@ def trajectory_from_arrays(domain: Domain1D, tg: TimeGrid, y, u) -> ForwardTraje
     """Rebuild a ForwardTrajectory from imported y and u columns."""
     y = as_trajectory(domain, tg, y)
     u = as_trajectory(domain, tg, u)
-    ux = np.array([d1(domain, u[n]) for n in range(tg.n_steps + 1)])
-    return ForwardTrajectory(domain, tg, y, u, ux)
+    return ForwardTrajectory(domain, tg, y, u, d1(domain, u))

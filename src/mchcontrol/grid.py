@@ -87,24 +87,35 @@ def as_trajectory(domain: Domain1D, tg: TimeGrid, Y) -> np.ndarray:
     return Y
 
 
+def _stencil_input(domain: Domain1D, f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != (domain.n_interior,):
+        raise DomainMismatchError(
+            f"field has shape {f.shape}, expected (..., {domain.n_interior})"
+        )
+    return f
+
+
 def d1(domain: Domain1D, f) -> np.ndarray:
-    """Centered first difference with zero extension at the boundary."""
-    f = as_field(domain, f)
+    """Centered first difference along the last axis, zero extension at the
+    boundary; f is one field or a stack of frames."""
+    f = _stencil_input(domain, f)
     g = np.empty_like(f)
-    g[1:-1] = f[2:] - f[:-2]
-    g[0] = f[1]
-    g[-1] = -f[-2]
+    g[..., 1:-1] = f[..., 2:] - f[..., :-2]
+    g[..., 0] = f[..., 1]
+    g[..., -1] = -f[..., -2]
     g /= 2.0 * domain.h
     return g
 
 
 def d2(domain: Domain1D, f) -> np.ndarray:
-    """Centered second difference with zero extension at the boundary."""
-    f = as_field(domain, f)
+    """Centered second difference along the last axis, zero extension at the
+    boundary; f is one field or a stack of frames."""
+    f = _stencil_input(domain, f)
     g = np.empty_like(f)
-    g[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    g[0] = f[1] - 2.0 * f[0]
-    g[-1] = f[-2] - 2.0 * f[-1]
+    g[..., 1:-1] = f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
+    g[..., 0] = f[..., 1] - 2.0 * f[..., 0]
+    g[..., -1] = f[..., -2] - 2.0 * f[..., -1]
     g /= domain.h ** 2
     return g
 

@@ -1,22 +1,27 @@
-"""Dirichlet Helmholtz operator (1 - dxx) and banded SPD solves.
+"""Dirichlet Helmholtz operator (1 - dxx) and the tridiagonal SPD kernel.
 
 The operator is the tridiagonal matrix I - D2 on interior nodes. Both it and
-the implicit-diffusion matrix I - c*D2 share one prefactored banded Cholesky
-representation, so apply(solve(y)) returns y to solver precision and the
-solve is its own transpose.
+the implicit-diffusion matrix I - c*D2 are factored once as LDL^T (LAPACK
+pttrf), and every solve is one pttrs call on a 1-D field or on an (n, k)
+stack of right-hand sides, so apply(solve(y)) returns y to solver precision
+and the solve is its own transpose.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import DomainMismatchError
-from .grid import Domain1D, as_field, d2
+from .grid import Domain1D, as_field, d1, d2
 
 
 class ShiftedLaplacianSolver:
-    """Prefactored Cholesky of (I - c * D2), c >= 0, on interior nodes."""
+    """Prefactored LDL^T of (I - c * D2), c >= 0, on interior nodes.
+
+    solve takes an (n,) field or an (n, k) array of k right-hand sides and
+    checks neither shape nor finiteness: callers validate at their own entry
+    points, and a non-finite right-hand side comes back non-finite.
+    """
 
     def __init__(self, domain: Domain1D, c: float):
         if c < 0:
@@ -25,14 +30,13 @@ class ShiftedLaplacianSolver:
         self.c = c
         n = domain.n_interior
         r = c / domain.h ** 2
-        band = np.zeros((2, n))
-        band[0, 1:] = -r          # superdiagonal
-        band[1, :] = 1.0 + 2.0 * r
-        self._factor = (cholesky_banded(band), False)
+        d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
+        if info != 0:
+            raise ValueError(f"pttrf failed with info={info}")
+        self._d, self._e = d, e
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = as_field(self.domain, b)
-        return cho_solve_banded(self._factor, b)
+        return dpttrs(self._d, self._e, b)[0]
 
 
 class HelmholtzOperator:
@@ -40,20 +44,17 @@ class HelmholtzOperator:
 
     def __init__(self, domain: Domain1D):
         self.domain = domain
-        self._solver = ShiftedLaplacianSolver(domain, 1.0)
+        self.kernel = ShiftedLaplacianSolver(domain, 1.0)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = as_field(self.domain, u)
         return u - d2(self.domain, u)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        y = as_field(self.domain, y)
-        return self._solver.solve(y)
+        return self.kernel.solve(as_field(self.domain, y))
 
     def velocity(self, y: np.ndarray):
         """Velocity u, its derivative, and u_xx = u - y (exact identity)."""
-        from .grid import d1
-
         u = self.solve(y)
         return u, d1(self.domain, u), u - y
 

@@ -20,16 +20,13 @@ an alternative published term list that differs by lower-order commutators
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
-from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
-                      transport_terms)
-from .grid import (Domain1D, TimeGrid, as_field, as_trajectory, d1, d2,
-                   norm_h)
+from .forward import ControlWindow, ForwardTrajectory, ModelParams, apply_B
+from .grid import Domain1D, as_trajectory, d1, d2, norm_h
 from .helmholtz import ShiftedLaplacianSolver, get_operator
 
 
@@ -56,10 +53,9 @@ class AdjointState:
             raise ValueError("mu must equal the initial adjoint frame")
 
 
-def _base_frame(ftraj: ForwardTrajectory, n: int):
-    """Base quantities (y, u, ux, y_x) cached for step n."""
-    domain = ftraj.domain
-    return ftraj.y[n], ftraj.u[n], ftraj.ux[n], d1(domain, ftraj.y[n])
+def _base_frames(ftraj: ForwardTrajectory):
+    """Base stacks (y, u, ux, y_x) over all frames; frame n is one row."""
+    return ftraj.y, ftraj.u, ftraj.ux, d1(ftraj.domain, ftraj.y)
 
 
 def linearized_transport(domain: Domain1D, frame, m, v, vx, k: float) -> np.ndarray:
@@ -68,19 +64,6 @@ def linearized_transport(domain: Domain1D, frame, m, v, vx, k: float) -> np.ndar
     return ((2.0 * u * v - 2.0 * ux * vx) * ydx
             + (u * u - ux * ux) * d1(domain, m)
             + 2.0 * vx * y * y + 4.0 * ux * y * m + k * vx)
-
-
-def tangent_rhs(op, y, m, q_t, p: ModelParams) -> np.ndarray:
-    """Semi-discrete linearized right-hand side about the state y."""
-    domain = op.domain
-    y = as_field(domain, y)
-    m = as_field(domain, m)
-    u, ux, _ = op.velocity(y)
-    v = op.solve(m)
-    frame = (y, u, ux, d1(domain, y))
-    return (p.epsilon * d2(domain, m)
-            - linearized_transport(domain, frame, m, v, d1(domain, v), p.k)
-            + as_field(domain, q_t))
 
 
 def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
@@ -92,22 +75,23 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
     """
     domain, tg = ftraj.domain, ftraj.tg
     bq = apply_B(window, q)
-    op = get_operator(domain)
-    dsolver = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon)
+    vsolve = get_operator(domain).kernel.solve
+    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
+    base = _base_frames(ftraj)
     N = tg.n_steps
     M = np.zeros((N + 1, domain.n_interior))
     V = np.zeros_like(M)
     for n in range(N):
-        frame = _base_frame(ftraj, n)
         m = M[n]
-        v = op.solve(m)
+        v = vsolve(m)
         V[n] = v
+        frame = tuple(b[n] for b in base)
         dexpl = -linearized_transport(domain, frame, m, v, d1(domain, v), p.k)
-        M[n + 1] = dsolver.solve(m + tg.dt * (dexpl + bq[n]))
+        M[n + 1] = dsolve(m + tg.dt * (dexpl + bq[n]))
         if not np.all(np.isfinite(M[n + 1])):
             raise NumericsError(f"tangent state lost finiteness at step {n + 1}",
                                 time_index=n + 1)
-    V[N] = op.solve(M[N])
+    V[N] = vsolve(M[N])
     return TangentState(M, V)
 
 
@@ -124,7 +108,7 @@ def transposed_transport(domain: Domain1D, frame, prev, k: float,
              + d1(domain, 2.0 * ux * ydx * prev)
              - d1(domain, 2.0 * y * y * prev)
              - k * d1(domain, prev))
-    return outer + op.solve(inner)
+    return outer + op.kernel.solve(inner)
 
 
 def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
@@ -135,21 +119,29 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     and any window. For the tracking-control multiplier, source with
     z_d - G y (the negated misfit), which makes the reduced gradient
     delta*omega - lambda|_Q0 and gives lambda = delta*omega at optima.
+    Raises NumericsError with the frame index on NaN/Inf.
     """
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
     op = get_operator(domain)
-    dsolver = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon)
+    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
+    base = _base_frames(ftraj)
     N = tg.n_steps
     h = domain.h
     w = tg.weights  # trapezoid, shared with the trajectory pairing
     lam = np.zeros((N + 1, domain.n_interior))
-    phi = dsolver.solve(w[N] * h * source[N])
-    lam[N - 1] = phi / h
-    for n in range(N - 1, 0, -1):
-        frame = _base_frame(ftraj, n)
-        gt = phi + tg.dt * (-transposed_transport(domain, frame, phi, p.k, op))
-        phi = dsolver.solve(w[n] * h * source[n] + gt)
+    phi = np.zeros(domain.n_interior)
+    for n in range(N, 0, -1):
+        rhs = w[n] * h * source[n]
+        if n < N:
+            frame = tuple(b[n] for b in base)
+            rhs = rhs + (phi - tg.dt * transposed_transport(domain, frame, phi,
+                                                            p.k, op))
+        phi = dsolve(rhs)
+        if not np.all(np.isfinite(phi)):
+            raise NumericsError(
+                f"adjoint state lost finiteness at frame {n - 1}",
+                time_index=n - 1)
         lam[n - 1] = phi / h
     return AdjointState(lam, lam[0].copy())
 
@@ -167,7 +159,7 @@ def _adjoint_transport(domain: Domain1D, frame, rho, k: float, op,
         uxx = u - y
         inner = (-2.0 * u * y * rx + 2.0 * uxx * y * rx
                  + 2.0 * ux * ydx * rx + 2.0 * ux * y * rxx + k * rx)
-        return (u * u - ux * ux) * rx + op.solve(inner)
+        return (u * u - ux * ux) * rx + op.kernel.solve(inner)
     raise ValueError(f"unknown adjoint variant {variant!r}")
 
 
@@ -182,16 +174,17 @@ def solve_adjoint_continuous(ftraj: ForwardTrajectory, source, p: ModelParams,
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
     op = get_operator(domain)
-    dsolver = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon)
+    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
     N = tg.n_steps
     lam = np.zeros((N + 1, domain.n_interior))
     rho = np.zeros(domain.n_interior)
+    base = _base_frames(ftraj)
     for j in range(N):
         nbase = N - j
-        frame = _base_frame(ftraj, nbase)
+        frame = tuple(b[nbase] for b in base)
         expl = source[nbase] + _adjoint_transport(domain, frame, rho, p.k, op,
                                                   variant)
-        rho = dsolver.solve(rho + tg.dt * expl)
+        rho = dsolve(rho + tg.dt * expl)
         if not np.all(np.isfinite(rho)):
             raise NumericsError(f"adjoint state lost finiteness at step {j + 1}",
                                 time_index=j + 1)
@@ -216,8 +209,9 @@ def adjoint_equation_residual(ftraj: ForwardTrajectory, lam, source,
     op = get_operator(domain)
     worst = 0.0
     scale = max(norm_h(domain, lam[n]) for n in range(tg.n_steps + 1))
+    base = _base_frames(ftraj)
     for n in range(1, tg.n_steps - 1):
-        frame = _base_frame(ftraj, n)
+        frame = tuple(b[n] for b in base)
         ldot = (lam[n + 1] - lam[n - 1]) / (2.0 * tg.dt)
         r = (ldot + p.epsilon * d2(domain, lam[n]) + source[n]
              - transposed_transport(domain, frame, lam[n], p.k, op))
@@ -229,7 +223,7 @@ def adjoint_equation_residual(ftraj: ForwardTrajectory, lam, source,
 def pairing_defect(ftraj: ForwardTrajectory, window: ControlWindow, q, source,
                    p: ModelParams) -> float:
     """Relative defect of the transpose identity for one (q, source) pair."""
-    from .forward import inner_q0
+    from .forward import inner_q0, norm_q0
     from .grid import inner_l2h, norm_l2h
 
     domain, tg = ftraj.domain, ftraj.tg
@@ -237,13 +231,7 @@ def pairing_defect(ftraj: ForwardTrajectory, window: ControlWindow, q, source,
     adj = solve_adjoint_discrete(ftraj, source, p)
     lhs = inner_l2h(domain, tg, tan.m, source)
     rhs = inner_q0(window, q, adj.lam)
-    qn = norm_q0_safe(window, q)
+    qn = norm_q0(window, q)
     sn = norm_l2h(domain, tg, source)
     denom = max(qn * sn, 1e-300)
     return abs(lhs - rhs) / denom
-
-
-def norm_q0_safe(window: ControlWindow, q) -> float:
-    from .forward import norm_q0
-
-    return norm_q0(window, q)

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import bump_control, twin_problem
 from mchcontrol.errors import ConfigError
-from mchcontrol.grid import Domain1D, TimeGrid, norm_h
+from mchcontrol.grid import Domain1D, TimeGrid, d2, norm_h, norm_vstar
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
-                                restrict_B, inner_q0, norm_q0, solve_forward)
+                                restrict_B, inner_q0, norm_q0, solve_forward,
+                                transport_terms)
+from mchcontrol.helmholtz import get_operator
 from mchcontrol.control import (TrackingProblem, OptimOptions, cost, misfit,
                                 reduced_gradient, optimize, lagrangian,
                                 state_equation_residual,
@@ -100,6 +102,31 @@ def test_state_equation_residual_zero_on_solution(twin_small):
     ft = prob.solve(om_true)
     r = state_equation_residual(prob, om_true, ft)
     assert r <= 1e-12 * (1.0 + float(np.max(np.abs(ft.y))))
+
+
+def state_residual_oracle(prob, omega, Y):
+    """Frame-by-frame Y-norm of the step residual and the initial defect."""
+    dom, tg, p = prob.domain, prob.tg, prob.model
+    op = get_operator(dom)
+    bq = apply_B(prob.window, omega)
+    acc = 0.0
+    for n in range(tg.n_steps):
+        u, ux, _ = op.velocity(Y[n])
+        mdt_next = Y[n + 1] - tg.dt * p.epsilon * d2(dom, Y[n + 1])
+        e1 = ((mdt_next - Y[n]) / tg.dt
+              + transport_terms(dom, Y[n], u, ux, p.k) - bq[n])
+        acc += tg.dt * norm_vstar(dom, e1) ** 2
+    return math.sqrt(acc + norm_h(dom, Y[0] - prob.y0) ** 2)
+
+
+def test_state_equation_residual_matches_frame_oracle(twin_small, rng):
+    prob, om_true = twin_small
+    Y = prob.solve(om_true).y + 0.05 * rng.standard_normal(prob.z_d.shape)
+    omega = prob.window.random_control(rng)
+    want = state_residual_oracle(prob, omega, Y)
+    assert want > 1.0  # far from feasible
+    assert state_equation_residual(prob, omega, Y) == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_optimize_recovers(twin_small):

@@ -7,9 +7,9 @@ from conftest import bump_control
 from mchcontrol.errors import NumericsError, StabilityWarning
 from mchcontrol.grid import Domain1D, TimeGrid, d1, inner_h
 from mchcontrol.helmholtz import get_operator
-from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
-                                restrict_B, inner_q0, norm_q0, solve_forward,
-                                weak_residual, dirichlet_modes,
+from mchcontrol.forward import (ModelParams, ControlWindow, ForwardTrajectory,
+                                apply_B, restrict_B, inner_q0, norm_q0,
+                                solve_forward, weak_residual, dirichlet_modes,
                                 transport_terms, trajectory_from_arrays,
                                 export_trajectory_csv, import_trajectory_csv)
 
@@ -204,6 +204,25 @@ def test_export_deterministic(tmp_path, small_setup):
     export_trajectory_csv(a, ft, {}, "x")
     export_trajectory_csv(b, ft, {}, "x")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_export_golden_bytes(tmp_path):
+    dom = Domain1D(0.3, 3)
+    tg = TimeGrid(0.7, 1)
+    y = np.array([[1.0, -2.5, 1.0 / 3.0], [0.1, 1e-300, -0.0]])
+    u = np.array([[2.0, 0.0, -1e20], [7.0, 1.0 / 7.0, 5e-324]])
+    path = tmp_path / "g.csv"
+    export_trajectory_csv(path, ForwardTrajectory(dom, tg, y, u, 0.0 * u),
+                          {}, "abc")
+    assert path.read_bytes() == (
+        b"# config_sha256=abc\n"
+        b"t,x,y,u\n"
+        b"0.0,0.075,1.0,2.0\n"
+        b"0.0,0.15,-2.5,0.0\n"
+        b"0.0,0.22499999999999998,0.3333333333333333,-1e+20\n"
+        b"0.7,0.075,0.1,7.0\n"
+        b"0.7,0.15,1e-300,0.14285714285714285\n"
+        b"0.7,0.22499999999999998,-0.0,5e-324\n")
 
 
 def test_transport_terms_formula(rng):

@@ -73,6 +73,17 @@ def test_d1_d2_accuracy():
         assert order > 1.9
 
 
+def test_stencils_act_on_frame_stacks(rng):
+    dom = Domain1D(1.3, 17)
+    stack = rng.standard_normal((2, 5, 17))
+    for op in (d1, d2):
+        whole = op(dom, stack)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(whole[idx], op(dom, stack[idx]))
+        with pytest.raises(DomainMismatchError):
+            op(dom, np.zeros((17, 4)))
+
+
 def test_d2_eigenmode_exact():
     dom = Domain1D(1.0, 33)
     for m in (1, 2, 5):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mchcontrol.grid import Domain1D, inner_h
+from mchcontrol.grid import Domain1D, d2, inner_h
 from mchcontrol.helmholtz import (ShiftedLaplacianSolver, HelmholtzOperator,
                                   get_operator)
 
@@ -56,6 +56,24 @@ def test_shift_zero_is_identity(rng):
     assert np.allclose(s.solve(b), b, atol=1e-14)
     with pytest.raises(ValueError):
         ShiftedLaplacianSolver(dom, -0.1)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.8 / 240 * 0.08, 0.0])
+def test_multi_rhs_solve_matches_column_solves(rng, c):
+    dom = Domain1D(2.0, 48)
+    s = ShiftedLaplacianSolver(dom, c)
+    frames = rng.standard_normal((9, 48))
+    for B in (frames.T, np.ascontiguousarray(frames.T)):
+        X = s.solve(B)
+        assert X.shape == (48, 9)
+        for j in range(9):
+            col = s.solve(B[:, j])
+            assert np.max(np.abs(X[:, j] - col)) <= 1e-14 * np.max(np.abs(col))
+        # each column solves (I - c D2) x = b
+        resid = X - c * d2(dom, X.T).T - B
+        assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(B))
+        if c == 0.0:
+            assert np.array_equal(X, B)
 
 
 def test_velocity_identity(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_control
+from mchcontrol.errors import NumericsError
 from mchcontrol.grid import Domain1D, TimeGrid, norm_l2h
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward, norm_q0)
@@ -87,6 +88,15 @@ def test_adjoint_state_invariants():
         AdjointState(bad, bad[0])
     with pytest.raises(ValueError):
         AdjointState(lam, np.ones(4))
+
+
+def test_adjoint_rejects_non_finite_source(rng):
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    source[37, 5] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        solve_adjoint_discrete(ft, source, p)
+    assert exc.value.time_index == 36
 
 
 def test_continuous_variants(rng):
