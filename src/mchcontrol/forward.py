@@ -7,6 +7,9 @@ and the control explicit at the old level:
 
     y_t = eps*y_xx - (u^2 - u_x^2)*y_x - 2*u_x*y^2 - k*u_x + B(omega)
 
+The step loop keeps frames in zero-padded rows (the pads are the Dirichlet
+walls), so each centred difference is one slice subtraction.
+
 Controls live on the full node-time lattice with support in a window Q0;
 their L2(Q0) quadrature is the left-endpoint rule in time (weight dt on steps
 0..N-1, none on the final slice), which keeps the discrete adjoint uniformly
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
-from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1, inner_h
+from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1
 from .helmholtz import ShiftedLaplacianSolver, get_operator
 
 CFL_SAFETY = 0.5
@@ -61,6 +64,10 @@ class ControlWindow:
         if not self.time_mask[:-1].any():
             raise ValueError("ControlWindow: no time step starts inside [t0, t1]")
         self.mask = np.outer(self.time_mask, self.space_mask).astype(float)
+        # x and t are monotone, so Q0 is a box: its weighted frames (the
+        # final frame has none) and its nodes as slices, for inner_q0
+        self.block = tuple(slice(i[0], i[-1] + 1) for i in map(
+            np.flatnonzero, (self.time_mask[:-1], self.space_mask)))
 
     def zero_control(self) -> np.ndarray:
         return np.zeros((self.tg.n_steps + 1, self.domain.n_interior))
@@ -84,11 +91,9 @@ def restrict_B(window: ControlWindow, lam) -> np.ndarray:
 
 def inner_q0(window: ControlWindow, p, q) -> float:
     """L2(Q0) inner product, left-endpoint rule in time."""
-    p = as_trajectory(window.domain, window.tg, p)
-    q = as_trajectory(window.domain, window.tg, q)
-    m = window.mask[:-1]
-    s = np.einsum("ni,ni->", p[:-1] * m, q[:-1] * m)
-    return window.tg.dt * window.domain.h * float(s)
+    p = as_trajectory(window.domain, window.tg, p)[window.block]
+    q = as_trajectory(window.domain, window.tg, q)[window.block]
+    return window.tg.dt * window.domain.h * float(np.einsum("ni,ni->", p, q))
 
 
 def norm_q0(window: ControlWindow, q) -> float:
@@ -115,66 +120,64 @@ def transport_terms(domain: Domain1D, y, u, ux, k: float) -> np.ndarray:
     return (u * u - ux * ux) * d1(domain, y) + 2.0 * ux * y * y + k * ux
 
 
+def _warn_cfl(domain: Domain1D, tg: TimeGrid, speed2) -> None:
+    """Warn at the first frame whose u^2 - u_x^2 row breaks the CFL bound."""
+    with np.errstate(divide="ignore"):
+        bound = CFL_SAFETY * domain.h / np.abs(speed2).max(axis=1)
+    late = np.flatnonzero(tg.dt > bound)
+    if late.size:
+        warnings.warn(f"dt={tg.dt:.3e} exceeds advisory CFL bound "
+                      f"{bound[late[0]]:.3e} at step {late[0]}",
+                      StabilityWarning, stacklevel=3)
+
+
 def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
-                  omega=None, include_transport: bool = True,
-                  check_cfl: bool = True) -> ForwardTrajectory:
+                  omega=None) -> ForwardTrajectory:
     """March the IMEX scheme from y0 under the (already extended) control.
 
-    Warns once if dt exceeds the advisory transport CFL bound
-    0.5*h/max|u^2 - u_x^2|; raises NumericsError on NaN/Inf with the step
-    index.
+    Warns once, naming the first step whose frame puts dt above the advisory
+    transport CFL bound 0.5*h/max|u^2 - u_x^2| (checked after the march, or
+    before the error); raises NumericsError on NaN/Inf with the step index.
     """
     y0 = as_field(domain, y0)
-    n = domain.n_interior
-    N = tg.n_steps
-    if omega is None:
-        omega = np.zeros((N + 1, n))
-    omega = as_trajectory(domain, tg, omega)
+    n, N, dt, h2 = domain.n_interior, tg.n_steps, tg.dt, 2.0 * domain.h
+    omega = (np.zeros((N + 1, n)) if omega is None
+             else as_trajectory(domain, tg, omega))
     vsolve = get_operator(domain).kernel.solve
-    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
-
-    Y = np.empty((N + 1, n))
-    U = np.empty_like(Y)
-    UX = np.empty_like(Y)
-    Y[0] = y0
-    warned = False
-    for nstep in range(N):
-        y = Y[nstep]
-        u = vsolve(y)
-        ux = d1(domain, u)
-        U[nstep], UX[nstep] = u, ux
-        if check_cfl and not warned:
-            speed = float(np.max(np.abs(u * u - ux * ux)))
-            if speed > 0 and tg.dt > CFL_SAFETY * domain.h / speed:
-                warnings.warn(
-                    f"dt={tg.dt:.3e} exceeds advisory CFL bound "
-                    f"{CFL_SAFETY * domain.h / speed:.3e} at step {nstep}",
-                    StabilityWarning, stacklevel=2)
-                warned = True
-        # blow-up is reported as NumericsError, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            expl = omega[nstep]
-            if include_transport:
-                expl = expl - transport_terms(domain, y, u, ux, p.k)
-            ynew = dsolve(y + tg.dt * expl)
-        if not np.all(np.isfinite(ynew)):
-            raise NumericsError(
-                f"forward state lost finiteness at step {nstep + 1}/{N}",
-                time_index=nstep + 1)
-        Y[nstep + 1] = ynew
-    U[N] = vsolve(Y[N])
-    UX[N] = d1(domain, U[N])
-    return ForwardTrajectory(domain, tg, Y, U, UX)
+    dsolve = ShiftedLaplacianSolver(domain, dt * p.epsilon).solve
+    Yp, Up = np.zeros((2, N + 1, n + 2))
+    UX = np.empty((N + 1, n))
+    S = np.empty_like(UX)  # u^2 - u_x^2: transport speed and CFL input
+    Yp[0, 1:-1] = y0
+    # blow-up is reported as NumericsError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N + 1):
+            yp, up = Yp[k], Up[k]
+            y, u = yp[1:-1], up[1:-1]
+            u[:] = vsolve(y)
+            ux = np.divide(up[2:] - up[:-2], h2, out=UX[k])
+            if k == N:
+                break
+            s = np.subtract(u * u, ux * ux, out=S[k])
+            rhs = (y + dt * omega[k] - (dt / h2) * s * (yp[2:] - yp[:-2])
+                   - ((2.0 * dt) * y * y + dt * p.k) * ux)
+            Yp[k + 1, 1:-1] = dsolve(rhs)
+            if not np.isfinite(Yp[k + 1]).all():
+                _warn_cfl(domain, tg, S[:k + 1])
+                raise NumericsError(
+                    f"forward state lost finiteness at step {k + 1}/{N}",
+                    time_index=k + 1)
+    _warn_cfl(domain, tg, S[:N])
+    return ForwardTrajectory(domain, tg, Yp[:, 1:-1],
+                             Up[:, 1:-1], UX)
 
 
 def dirichlet_modes(domain: Domain1D, n_modes: int) -> np.ndarray:
     """First sampled sine modes, unit-normalized in the H norm."""
-    m_max = min(n_modes, domain.n_interior)
-    modes = np.empty((m_max, domain.n_interior))
-    for m in range(1, m_max + 1):
-        e = np.sin(m * math.pi * domain.x / domain.L)
-        modes[m - 1] = e / (math.sqrt(domain.h) * np.linalg.norm(e))
-    return modes
+    ms = np.arange(1, min(n_modes, domain.n_interior) + 1)
+    modes = np.sin(np.outer(ms, math.pi * domain.x / domain.L))
+    return modes / (math.sqrt(domain.h)
+                    * np.linalg.norm(modes, axis=1, keepdims=True))
 
 
 def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams,
@@ -191,27 +194,23 @@ def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams,
     """
     if variant not in ("y_gradient", "u_h1"):
         raise ValueError(f"unknown weak-residual variant {variant!r}")
-    domain, tg = ftraj.domain, ftraj.tg
+    domain, tg, N = ftraj.domain, ftraj.tg, ftraj.tg.n_steps
     if omega is None:
         omega = np.zeros_like(ftraj.y)
     omega = as_trajectory(domain, tg, omega)
     etas = dirichlet_modes(domain, n_modes)
     detas = d1(domain, etas)
-    worst = 0.0
-    for n in range(1, tg.n_steps):
-        ydot = (ftraj.y[n + 1] - ftraj.y[n - 1]) / (2.0 * tg.dt)
-        nl = transport_terms(domain, ftraj.y[n], ftraj.u[n], ftraj.ux[n], p.k)
-        om_bar = 0.5 * (omega[n] + omega[n - 1])
-        for e, de in zip(etas, detas):
-            if variant == "y_gradient":
-                diff = p.epsilon * inner_h(domain, d1(domain, ftraj.y[n]), de)
-            else:
-                diff = p.epsilon * (inner_h(domain, ftraj.u[n], e)
-                                    + inner_h(domain, ftraj.ux[n], de))
-            r = (inner_h(domain, ydot, e) + diff + inner_h(domain, nl, e)
-                 - inner_h(domain, om_bar, e))
-            worst = max(worst, abs(r))
-    return worst
+    # interior frames 1..N-1 as stacks; rows of r are frames, columns modes
+    y, u, ux = ftraj.y[1:N], ftraj.u[1:N], ftraj.ux[1:N]
+    strong = ((ftraj.y[2:] - ftraj.y[:N - 1]) / (2.0 * tg.dt)
+              + transport_terms(domain, y, u, ux, p.k)
+              - 0.5 * (omega[1:N] + omega[:N - 1]))
+    if variant == "y_gradient":
+        diff = d1(domain, y) @ detas.T
+    else:
+        diff = u @ etas.T + ux @ detas.T
+    r = domain.h * (strong @ etas.T + p.epsilon * diff)
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Tangent (directional derivative) and adjoint solvers for the forward map.
 
 The tangent solver is the exact derivative of the IMEX step, linearized about
-the stored base frames. The discrete adjoint is the exact transpose of the
-tangent map under the package quadratures:
+the stored base frames: with v = K m (K the Helmholtz solve) its explicit
+term is A D1m + B m + C v - E D1v, where A = u^2 - u_x^2, B = 4 u_x y,
+C = 2 u y_x and E = 2 u_x y_x - 2 y^2 - k depend on the base alone and are
+built once per march as (N+1, n) stacks. From D1^T = -D1 and K^T = K its
+transpose is -D1(A phi) + B phi + K(C phi + D1(E phi)). The discrete adjoint
+is the exact transpose of the tangent map under the package quadratures:
 
     <T q, s>_traj = <q, (B* lambda)|_Q0>_ctrl      (to roundoff)
 
@@ -20,13 +24,15 @@ an alternative published term list that differs by lower-order commutators
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
-from .forward import ControlWindow, ForwardTrajectory, ModelParams, apply_B
-from .grid import Domain1D, as_trajectory, d1, d2, norm_h
+from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
+                      inner_q0, norm_q0)
+from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_l2h
 from .helmholtz import ShiftedLaplacianSolver, get_operator
 
 
@@ -53,17 +59,29 @@ class AdjointState:
             raise ValueError("mu must equal the initial adjoint frame")
 
 
-def _base_frames(ftraj: ForwardTrajectory):
-    """Base stacks (y, u, ux, y_x) over all frames; frame n is one row."""
-    return ftraj.y, ftraj.u, ftraj.ux, d1(ftraj.domain, ftraj.y)
+def _transport_coefficients(ftraj: ForwardTrajectory, k: float) -> np.ndarray:
+    """(A, B, C, E) as one (4, N+1, n) array; coeffs[:, n] is frame n."""
+    y, u, ux = ftraj.y, ftraj.u, ftraj.ux
+    ydx = d1(ftraj.domain, y)
+    A, B, C, E = coeffs = np.empty((4,) + y.shape)
+    # B and C hold u_x^2 and y^2 first, so no stack-sized temporary is made
+    np.subtract(np.multiply(u, u, out=A), np.multiply(ux, ux, out=B), out=A)
+    np.subtract(np.multiply(ux, ydx, out=E), np.multiply(y, y, out=C), out=E)
+    E *= 2.0
+    E -= k
+    np.multiply(4.0, np.multiply(ux, y, out=B), out=B)
+    np.multiply(2.0, np.multiply(u, ydx, out=C), out=C)
+    return coeffs
 
 
-def linearized_transport(domain: Domain1D, frame, m, v, vx, k: float) -> np.ndarray:
-    """Directional derivative of the transport terms along (m, v)."""
-    y, u, ux, ydx = frame
-    return ((2.0 * u * v - 2.0 * ux * vx) * ydx
-            + (u * u - ux * ux) * d1(domain, m)
-            + 2.0 * vx * y * y + 4.0 * ux * y * m + k * vx)
+def _step_coefficients(ftraj: ForwardTrajectory, k: float) -> np.ndarray:
+    """(dt A/2h, 1 - dt B, dt C, dt E/2h): one step of tangent or adjoint."""
+    dt = ftraj.tg.dt
+    c = dt / (2.0 * ftraj.domain.h)
+    coeffs = _transport_coefficients(ftraj, k)
+    coeffs *= np.array([c, -dt, dt, c])[:, None, None]
+    coeffs[1] += 1.0
+    return coeffs
 
 
 def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
@@ -74,41 +92,35 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
     frame and applies the same implicit diffusion solve.
     """
     domain, tg = ftraj.domain, ftraj.tg
-    bq = apply_B(window, q)
+    dtq = tg.dt * apply_B(window, q)
     vsolve = get_operator(domain).kernel.solve
     dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
-    base = _base_frames(ftraj)
+    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k)
     N = tg.n_steps
-    M = np.zeros((N + 1, domain.n_interior))
-    V = np.zeros_like(M)
-    for n in range(N):
-        m = M[n]
-        v = vsolve(m)
-        V[n] = v
-        frame = tuple(b[n] for b in base)
-        dexpl = -linearized_transport(domain, frame, m, v, d1(domain, v), p.k)
-        M[n + 1] = dsolve(m + tg.dt * (dexpl + bq[n]))
-        if not np.all(np.isfinite(M[n + 1])):
-            raise NumericsError(f"tangent state lost finiteness at step {n + 1}",
-                                time_index=n + 1)
-    V[N] = vsolve(M[N])
-    return TangentState(M, V)
+    # zero-padded rows: the pads are the Dirichlet walls of D1
+    Mp, Vp = np.zeros((2, N + 1, domain.n_interior + 2))
+    for k in range(N + 1):
+        mp, vp = Mp[k], Vp[k]
+        m, v = mp[1:-1], vp[1:-1]
+        v[:] = vsolve(m)
+        if k == N:
+            break
+        rhs = (Bm[k] * m - Ad[k] * (mp[2:] - mp[:-2]) - Cd[k] * v
+               + Ed[k] * (vp[2:] - vp[:-2]) + dtq[k])
+        Mp[k + 1, 1:-1] = dsolve(rhs)
+        if not np.isfinite(Mp[k + 1]).all():
+            raise NumericsError(f"tangent state lost finiteness at step {k + 1}",
+                                time_index=k + 1)
+    return TangentState(Mp[:, 1:-1], Vp[:, 1:-1])
 
 
-def transposed_transport(domain: Domain1D, frame, prev, k: float,
-                         op) -> np.ndarray:
-    """Exact transpose of linearized_transport as an operator on prev.
-
-    Uses D1^T = -D1 (skew) and the symmetry of the Helmholtz solve, so that
-    (linearized_transport(m), p)_H = (m, transposed_transport(p))_H exactly.
-    """
-    y, u, ux, ydx = frame
-    outer = -d1(domain, (u * u - ux * ux) * prev) + 4.0 * ux * y * prev
-    inner = (2.0 * u * ydx * prev
-             + d1(domain, 2.0 * ux * ydx * prev)
-             - d1(domain, 2.0 * y * y * prev)
-             - k * d1(domain, prev))
-    return outer + op.kernel.solve(inner)
+def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
+    """-D1(A phi) + B phi + K(C phi + D1(E phi)), the exact transpose of
+    the tangent term, on one frame's rows or on a stack of frames."""
+    A, B, C, E = coeffs
+    inner = C * phi + d1(domain, E * phi)
+    return (B * phi - d1(domain, A * phi)
+            + get_operator(domain).kernel.solve(inner.T).T)
 
 
 def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
@@ -123,44 +135,30 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     """
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
-    op = get_operator(domain)
+    ksolve = get_operator(domain).kernel.solve
     dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
-    base = _base_frames(ftraj)
+    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k)
     N = tg.n_steps
-    h = domain.h
-    w = tg.weights  # trapezoid, shared with the trajectory pairing
-    lam = np.zeros((N + 1, domain.n_interior))
-    phi = np.zeros(domain.n_interior)
-    for n in range(N, 0, -1):
-        rhs = w[n] * h * source[n]
-        if n < N:
-            frame = tuple(b[n] for b in base)
-            rhs = rhs + (phi - tg.dt * transposed_transport(domain, frame, phi,
-                                                            p.k, op))
-        phi = dsolve(rhs)
-        if not np.all(np.isfinite(phi)):
+    lam = np.zeros_like(source)
+    # zero-padded work rows: the pads are the Dirichlet walls of D1
+    pa, pe = np.zeros((2, domain.n_interior + 2))
+    # the linear recursion carries psi = phi/(dt h), so the trapezoid weights
+    # (dt inside, dt/2 on the final frame) leave the source unscaled
+    rhs = 0.5 * source[N]
+    for k in range(N, 0, -1):
+        psi = dsolve(rhs)
+        if not np.isfinite(psi).all():
             raise NumericsError(
-                f"adjoint state lost finiteness at frame {n - 1}",
-                time_index=n - 1)
-        lam[n - 1] = phi / h
+                f"adjoint state lost finiteness at frame {k - 1}",
+                time_index=k - 1)
+        np.multiply(psi, tg.dt, out=lam[k - 1])
+        if k == 1:
+            break
+        np.multiply(Ad[k - 1], psi, out=pa[1:-1])
+        np.multiply(Ed[k - 1], psi, out=pe[1:-1])
+        rhs = (Bm[k - 1] * psi + (pa[2:] - pa[:-2])
+               - ksolve(Cd[k - 1] * psi + (pe[2:] - pe[:-2])) + source[k - 1])
     return AdjointState(lam, lam[0].copy())
-
-
-def _adjoint_transport(domain: Domain1D, frame, rho, k: float, op,
-                       variant: str) -> np.ndarray:
-    """Transport side of the backward equation in reversed time."""
-    y, u, ux, ydx = frame
-    if variant == "linearized":
-        # exact adjoint of the direct linearization
-        return -transposed_transport(domain, frame, rho, k, op)
-    if variant == "as_printed":
-        rx = d1(domain, rho)
-        rxx = d2(domain, rho)
-        uxx = u - y
-        inner = (-2.0 * u * y * rx + 2.0 * uxx * y * rx
-                 + 2.0 * ux * ydx * rx + 2.0 * ux * y * rxx + k * rx)
-        return (u * u - ux * ux) * rx + op.kernel.solve(inner)
-    raise ValueError(f"unknown adjoint variant {variant!r}")
 
 
 def solve_adjoint_continuous(ftraj: ForwardTrajectory, source, p: ModelParams,
@@ -171,20 +169,28 @@ def solve_adjoint_continuous(ftraj: ForwardTrajectory, source, p: ModelParams,
     solve_adjoint_discrete (source = z_d - G y for the tracking multiplier).
     Returns the lambda trajectory on the forward frames, lambda[n] = rho[N-n].
     """
+    if variant not in ("linearized", "as_printed"):
+        raise ValueError(f"unknown adjoint variant {variant!r}")
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
-    op = get_operator(domain)
+    ksolve = get_operator(domain).kernel.solve
     dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
+    coeffs = _transport_coefficients(ftraj, p.k)
     N = tg.n_steps
-    lam = np.zeros((N + 1, domain.n_interior))
+    lam = np.zeros_like(source)
     rho = np.zeros(domain.n_interior)
-    base = _base_frames(ftraj)
     for j in range(N):
-        nbase = N - j
-        frame = tuple(b[nbase] for b in base)
-        expl = source[nbase] + _adjoint_transport(domain, frame, rho, p.k, op,
-                                                  variant)
-        rho = dsolve(rho + tg.dt * expl)
+        rows = coeffs[:, N - j]
+        if variant == "linearized":
+            # exact adjoint of the direct linearization
+            expl = -transposed_transport(domain, rows, rho)
+        else:
+            # with u_xx = u - y: -2 u y + 2 u_xx y + 2 u_x y_x + k = E + 2k
+            A, B, _, E = rows
+            rx = d1(domain, rho)
+            expl = A * rx + ksolve((E + 2.0 * p.k) * rx
+                                   + 0.5 * B * d2(domain, rho))
+        rho = dsolve(rho + tg.dt * (source[N - j] + expl))
         if not np.all(np.isfinite(rho)):
             raise NumericsError(f"adjoint state lost finiteness at step {j + 1}",
                                 time_index=j + 1)
@@ -206,16 +212,14 @@ def adjoint_equation_residual(ftraj: ForwardTrajectory, lam, source,
     domain, tg = ftraj.domain, ftraj.tg
     lam = as_trajectory(domain, tg, lam)
     source = as_trajectory(domain, tg, source)
-    op = get_operator(domain)
-    worst = 0.0
-    scale = max(norm_h(domain, lam[n]) for n in range(tg.n_steps + 1))
-    base = _base_frames(ftraj)
-    for n in range(1, tg.n_steps - 1):
-        frame = tuple(b[n] for b in base)
-        ldot = (lam[n + 1] - lam[n - 1]) / (2.0 * tg.dt)
-        r = (ldot + p.epsilon * d2(domain, lam[n]) + source[n]
-             - transposed_transport(domain, frame, lam[n], p.k, op))
-        worst = max(worst, norm_h(domain, r))
+    N = tg.n_steps
+    mid = lam[1:N - 1]
+    coeffs = _transport_coefficients(ftraj, p.k)[:, 1:N - 1]
+    r = ((lam[2:N] - lam[:N - 2]) / (2.0 * tg.dt) + p.epsilon * d2(domain, mid)
+         + source[1:N - 1] - transposed_transport(domain, coeffs, mid))
+    worst = math.sqrt(domain.h) * float(
+        np.max(np.linalg.norm(r, axis=1), initial=0.0))
+    scale = math.sqrt(domain.h) * float(np.max(np.linalg.norm(lam, axis=1)))
     rel = worst / scale if scale > 0 else worst
     return {"max_h": worst, "max_h_rel": rel, "scale": scale}
 
@@ -223,9 +227,6 @@ def adjoint_equation_residual(ftraj: ForwardTrajectory, lam, source,
 def pairing_defect(ftraj: ForwardTrajectory, window: ControlWindow, q, source,
                    p: ModelParams) -> float:
     """Relative defect of the transpose identity for one (q, source) pair."""
-    from .forward import inner_q0, norm_q0
-    from .grid import inner_l2h, norm_l2h
-
     domain, tg = ftraj.domain, ftraj.tg
     tan = solve_tangent(ftraj, window, q, p)
     adj = solve_adjoint_discrete(ftraj, source, p)

@@ -6,7 +6,7 @@ import pytest
 from conftest import bump_control
 from mchcontrol.errors import NumericsError, StabilityWarning
 from mchcontrol.grid import Domain1D, TimeGrid, d1, inner_h
-from mchcontrol.helmholtz import get_operator
+from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, ForwardTrajectory,
                                 apply_B, restrict_B, inner_q0, norm_q0,
                                 solve_forward, weak_residual, dirichlet_modes,
@@ -62,6 +62,24 @@ def test_extension_restriction_adjoint(rng):
         inner_q0(w, restrict_B(w, q), s), rel=1e-15)
 
 
+@pytest.mark.parametrize("box", [(0.5, 1.5, 0.2, 0.8), (0.0, 2.0, 0.0, 1.0),
+                                 (0.3, 0.45, 0.55, 1.0)])
+def test_q0_pairing_on_window_block(rng, box):
+    """The block sum equals the masked formula; values outside Q0 and on
+    the final frame do not enter."""
+    dom = Domain1D(2.0, 16)
+    tg = TimeGrid(1.0, 10)
+    w = ControlWindow(dom, tg, *box)
+    p = rng.standard_normal((11, 16))
+    q = rng.standard_normal((11, 16))
+    m = w.mask[:-1]
+    want = tg.dt * dom.h * float(np.sum((p[:-1] * m) * (q[:-1] * m)))
+    assert inner_q0(w, p, q) == pytest.approx(want, rel=1e-13)
+    assert norm_q0(w, q) == pytest.approx(
+        math.sqrt(tg.dt * dom.h * float(np.sum((q[:-1] * m) ** 2))),
+        rel=1e-13)
+
+
 def test_zero_data_zero_trajectory(small_setup):
     dom, tg, p, window, _ = small_setup
     ft = solve_forward(dom, tg, p, np.zeros(dom.n_interior))
@@ -70,16 +88,19 @@ def test_zero_data_zero_trajectory(small_setup):
 
 
 def test_diffusion_only_eigen_decay():
-    """Transport off: each sine mode decays by the exact implicit factor."""
+    """The implicit diffusion step decays a sine mode by its exact factor."""
     dom = Domain1D(1.0, 31)
     tg = TimeGrid(0.1, 20)
     p = ModelParams(epsilon=0.3)
     lam = (2.0 - 2.0 * math.cos(math.pi * dom.h)) / dom.h ** 2
     y0 = np.sin(math.pi * dom.x)
-    ft = solve_forward(dom, tg, p, y0, include_transport=False)
+    dsolve = ShiftedLaplacianSolver(dom, tg.dt * p.epsilon).solve
     factor = 1.0 / (1.0 + tg.dt * p.epsilon * lam)
-    for n in (1, 10, 20):
-        assert np.max(np.abs(ft.y[n] - factor ** n * y0)) < 1e-12
+    y = y0
+    for n in range(1, tg.n_steps + 1):
+        y = dsolve(y)
+        if n in (1, 10, 20):
+            assert np.max(np.abs(y - factor ** n * y0)) < 1e-12
 
 
 def test_imex_step_matches_dense_oracle(small_setup):
@@ -117,8 +138,22 @@ def test_cfl_warning():
     tg = TimeGrid(1.0, 4)  # huge dt
     p = ModelParams(epsilon=0.05)
     y0 = 1.5 * np.sin(math.pi * dom.x / 2.0)
-    with pytest.warns(StabilityWarning):
+    with pytest.warns(StabilityWarning) as rec:
         solve_forward(dom, tg, p, y0)
+    assert [str(r.message) for r in rec] == [
+        "dt=2.500e-01 exceeds advisory CFL bound 3.344e-02 at step 0"]
+
+
+def test_cfl_warning_names_first_late_step():
+    """At rest until the forcing switches on: the first breach is step 5."""
+    dom = Domain1D(2.0, 32)
+    tg = TimeGrid(1.0, 8)
+    p = ModelParams(epsilon=0.05)
+    omega = np.outer(tg.t >= 0.5, 40.0 * np.sin(math.pi * dom.x / 2.0))
+    with pytest.warns(StabilityWarning) as rec:
+        solve_forward(dom, tg, p, np.zeros(dom.n_interior), omega)
+    assert [str(r.message) for r in rec] == [
+        "dt=1.250e-01 exceeds advisory CFL bound 6.180e-03 at step 5"]
 
 
 def test_blowup_raises_numerics_error():
@@ -127,9 +162,11 @@ def test_blowup_raises_numerics_error():
     p = ModelParams(epsilon=1e-4)
     y0 = 60.0 * np.sin(math.pi * dom.x / 2.0)
     with pytest.raises(NumericsError) as exc:
-        with pytest.warns(StabilityWarning):
+        with pytest.warns(StabilityWarning) as rec:
             solve_forward(dom, tg, p, y0)
-    assert exc.value.time_index is not None
+    assert exc.value.time_index == 6
+    assert [str(r.message) for r in rec] == [
+        "dt=2.500e-02 exceeds advisory CFL bound 2.781e-05 at step 0"]
 
 
 def test_dirichlet_modes_orthonormal():
@@ -174,6 +211,29 @@ def test_weak_residual_flags_corruption():
     ubad = np.array([op.solve(ybad[n]) for n in range(tg.n_steps + 1)])
     bad = weak_residual(trajectory_from_arrays(dom, tg, ybad, ubad), bq, p)
     assert bad >= 10.0 * clean
+
+
+@pytest.mark.parametrize("variant", ["y_gradient", "u_h1"])
+def test_weak_residual_matches_frame_oracle(variant):
+    """Frames x modes as one array expression equals the per-pair loop."""
+    dom, tg, p, ft, bq = weak_fixture(32, 80)
+    etas = dirichlet_modes(dom, 5)
+    worst = 0.0
+    for n in range(1, tg.n_steps):
+        ydot = (ft.y[n + 1] - ft.y[n - 1]) / (2.0 * tg.dt)
+        nl = transport_terms(dom, ft.y[n], ft.u[n], ft.ux[n], p.k)
+        om_bar = 0.5 * (bq[n] + bq[n - 1])
+        for e in etas:
+            de = d1(dom, e)
+            if variant == "y_gradient":
+                diff = inner_h(dom, d1(dom, ft.y[n]), de)
+            else:
+                diff = inner_h(dom, ft.u[n], e) + inner_h(dom, ft.ux[n], de)
+            r = (inner_h(dom, ydot, e) + p.epsilon * diff
+                 + inner_h(dom, nl, e) - inner_h(dom, om_bar, e))
+            worst = max(worst, abs(r))
+    got = weak_residual(ft, bq, p, variant=variant)
+    assert got == pytest.approx(worst, rel=1e-12)
 
 
 def test_weak_residual_variants(small_setup):

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import bump_control
 from mchcontrol.errors import NumericsError
-from mchcontrol.grid import Domain1D, TimeGrid, norm_l2h
+from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, norm_h, norm_l2h
+from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward, norm_q0)
 from mchcontrol.tangent_adjoint import (solve_tangent, solve_adjoint_discrete,
@@ -135,3 +136,132 @@ def test_adjoint_residual_refines(rng):
         assert set(eq) == {"max_h", "max_h_rel", "scale"}
         res.append(eq["max_h"])
     assert math.log2(res[0] / res[1]) >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# per-step oracles: the paper-form linearized transport and its transpose,
+# one frame at a time, independent of the coefficient stacks
+
+
+def frames(ft):
+    ydx = d1(ft.domain, ft.y)
+    return [(ft.y[n], ft.u[n], ft.ux[n], ydx[n]) for n in range(len(ft.y))]
+
+
+def linearized_transport(dom, frame, m, v, vx, k):
+    y, u, ux, ydx = frame
+    return ((2.0 * u * v - 2.0 * ux * vx) * ydx
+            + (u * u - ux * ux) * d1(dom, m)
+            + 2.0 * vx * y * y + 4.0 * ux * y * m + k * vx)
+
+
+def transposed_transport(dom, frame, prev, k):
+    y, u, ux, ydx = frame
+    outer = -d1(dom, (u * u - ux * ux) * prev) + 4.0 * ux * y * prev
+    inner = (2.0 * u * ydx * prev
+             + d1(dom, 2.0 * ux * ydx * prev)
+             - d1(dom, 2.0 * y * y * prev)
+             - k * d1(dom, prev))
+    return outer + get_operator(dom).solve(inner)
+
+
+def reference_tangent(ft, w, q, p):
+    dom, tg = ft.domain, ft.tg
+    op = get_operator(dom)
+    dsolve = ShiftedLaplacianSolver(dom, tg.dt * p.epsilon).solve
+    bq = apply_B(w, q)
+    base = frames(ft)
+    M = np.zeros_like(ft.y)
+    V = np.zeros_like(ft.y)
+    for n in range(tg.n_steps):
+        V[n] = op.solve(M[n])
+        dexpl = -linearized_transport(dom, base[n], M[n], V[n],
+                                      d1(dom, V[n]), p.k)
+        M[n + 1] = dsolve(M[n] + tg.dt * (dexpl + bq[n]))
+    V[-1] = op.solve(M[-1])
+    return M, V
+
+
+def reference_adjoint(ft, source, p):
+    dom, tg = ft.domain, ft.tg
+    dsolve = ShiftedLaplacianSolver(dom, tg.dt * p.epsilon).solve
+    base = frames(ft)
+    N, h, w = tg.n_steps, dom.h, tg.weights
+    lam = np.zeros_like(ft.y)
+    phi = np.zeros(dom.n_interior)
+    for n in range(N, 0, -1):
+        rhs = w[n] * h * source[n]
+        if n < N:
+            rhs = rhs + phi - tg.dt * transposed_transport(dom, base[n], phi,
+                                                           p.k)
+        phi = dsolve(rhs)
+        lam[n - 1] = phi / h
+    return lam
+
+
+def reference_continuous(ft, source, p, variant):
+    dom, tg = ft.domain, ft.tg
+    dsolve = ShiftedLaplacianSolver(dom, tg.dt * p.epsilon).solve
+    base = frames(ft)
+    N = tg.n_steps
+    lam = np.zeros_like(ft.y)
+    rho = np.zeros(dom.n_interior)
+    for j in range(N):
+        y, u, ux, ydx = base[N - j]
+        if variant == "linearized":
+            tr = -transposed_transport(dom, base[N - j], rho, p.k)
+        else:
+            rx = d1(dom, rho)
+            inner = (-2.0 * u * y * rx + 2.0 * (u - y) * y * rx
+                     + 2.0 * ux * ydx * rx + 2.0 * ux * y * d2(dom, rho)
+                     + p.k * rx)
+            tr = (u * u - ux * ux) * rx + get_operator(dom).solve(inner)
+        rho = dsolve(rho + tg.dt * (source[N - j] + tr))
+        lam[N - (j + 1)] = rho
+    return lam
+
+
+def assert_close(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def test_tangent_matches_step_oracle(rng):
+    dom, tg, p, w, ft = setup()
+    q = w.random_control(rng)
+    tan = solve_tangent(ft, w, q, p)
+    M, V = reference_tangent(ft, w, q, p)
+    assert_close(tan.m, M, 1e-12)
+    assert_close(tan.v, V, 1e-12)
+
+
+def test_adjoint_matches_step_oracle(rng):
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    adj = solve_adjoint_discrete(ft, source, p)
+    assert_close(adj.lam, reference_adjoint(ft, source, p), 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["linearized", "as_printed"])
+def test_continuous_matches_step_oracle(rng, variant):
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    lam = solve_adjoint_continuous(ft, source, p, variant=variant)
+    assert_close(lam, reference_continuous(ft, source, p, variant), 1e-12)
+
+
+def test_adjoint_residual_matches_frame_oracle(rng):
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    lam = solve_adjoint_discrete(ft, source, p).lam
+    base = frames(ft)
+    worst = 0.0
+    for n in range(1, tg.n_steps - 1):
+        ldot = (lam[n + 1] - lam[n - 1]) / (2.0 * tg.dt)
+        r = (ldot + p.epsilon * d2(dom, lam[n]) + source[n]
+             - transposed_transport(dom, base[n], lam[n], p.k))
+        worst = max(worst, norm_h(dom, r))
+    scale = max(norm_h(dom, f) for f in lam)
+    eq = adjoint_equation_residual(ft, lam, source, p)
+    assert eq["max_h"] == pytest.approx(worst, rel=1e-12)
+    assert eq["scale"] == pytest.approx(scale, rel=1e-12)
+    assert eq["max_h_rel"] == pytest.approx(worst / scale, rel=1e-12)
