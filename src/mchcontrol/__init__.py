@@ -19,7 +19,7 @@ from .tangent_adjoint import (TangentState, AdjointState, solve_tangent,
 from .control import (TrackingProblem, OptimOptions, OptimState, cost,
                       reduced_gradient, optimize, lagrangian,
                       first_order_residuals, constants, quadratic_form,
-                      hessian_vec, coercivity_check, SecondOrderReport)
+                      coercivity_check, SecondOrderReport)
 from .analysis import (EstimateReport, energy_identity, momentum_identity,
                        gronwall_bound, wv_bound, smallness_margin)
 from .config import resolve_config, load_config, config_hash
@@ -36,8 +36,7 @@ __all__ = [
     "solve_adjoint_discrete", "solve_adjoint_continuous",
     "TrackingProblem", "OptimOptions", "OptimState", "cost",
     "reduced_gradient", "optimize", "lagrangian", "first_order_residuals",
-    "constants", "quadratic_form", "hessian_vec", "coercivity_check",
-    "SecondOrderReport",
+    "constants", "quadratic_form", "coercivity_check", "SecondOrderReport",
     "EstimateReport", "energy_identity", "momentum_identity",
     "gronwall_bound", "wv_bound", "smallness_margin",
     "resolve_config", "load_config", "config_hash",

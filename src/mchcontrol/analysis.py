@@ -115,12 +115,11 @@ def momentum_identity(domain: Domain1D, y):
     return lhs, rhs, relerr
 
 
-def fit_growth_constant(domain: Domain1D, tg: TimeGrid, Y,
-                        floor: float = 1e-12) -> float:
-    """Largest observed one-step exponential rate of ||y||_H^2, floored
-    positive so downstream formulas stay defined."""
+def fit_growth_constant(domain: Domain1D, tg: TimeGrid, Y) -> float:
+    """Largest observed one-step exponential rate of ||y||_H^2, floored at
+    1e-12 so downstream formulas stay defined."""
     Y = as_trajectory(domain, tg, Y)
-    best = floor
+    best = 1e-12
     prev = norm_h(domain, Y[0]) ** 2
     for n in range(tg.n_steps):
         cur = norm_h(domain, Y[n + 1]) ** 2

@@ -47,7 +47,6 @@ SCHEMA = {
     },
     "cost": {
         "delta": (_NUM, False, 1e-4),
-        "observer": (_STR, False, "identity_L2H"),
         "z_d": (_STR, False, "uncontrolled"),
     },
     "initial": {
@@ -178,9 +177,6 @@ def _validate_semantics(cfg: dict):
         raise ConfigError(str(exc)) from exc
     if cfg["cost"]["delta"] <= 0:
         raise ConfigError("cost.delta must be positive")
-    if cfg["cost"]["observer"] not in ("identity_L2H", "identity_WV"):
-        raise ConfigError(f"cost.observer: unknown value "
-                          f"{cfg['cost']['observer']!r}")
     if cfg["cost"]["z_d"] not in ("zero", "uncontrolled", "twin"):
         raise ConfigError(f"cost.z_d: unknown value {cfg['cost']['z_d']!r}")
     if cfg["initial"]["kind"] not in ("zero", "sine_mix"):

@@ -1,11 +1,11 @@
 """Tracking-control layer: cost, reduced gradient, optimizer, and the
 first- and second-order optimality machinery.
 
-The reduced cost is J(omega) = misfit(G y(omega), z_d) + (delta/2)||omega||^2
-over the control window. The reduced gradient is the L2(Q0) Riesz
-representative delta*omega - lambda|_Q0, with lambda the exact discrete
-transpose sourced by z_d - G y; central finite differences of J reproduce
-<g, q> to roundoff-limited accuracy.
+The reduced cost is J(omega) = (1/2)||y(omega) - z_d||^2_L2(0,T;H)
++ (delta/2)||omega||^2 over the control window. The reduced gradient is the
+L2(Q0) Riesz representative delta*omega - lambda|_Q0, with lambda the exact
+discrete transpose sourced by z_d - y; central finite differences of J
+reproduce <g, q> to roundoff-limited accuracy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .tangent_adjoint import (AdjointState, TangentState,
                               solve_adjoint_continuous,
                               solve_adjoint_discrete, solve_tangent)
 
-OBSERVERS = ("identity_L2H", "identity_WV")
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 
 
 @dataclass
@@ -42,13 +42,10 @@ class TrackingProblem:
     y0: np.ndarray
     z_d: np.ndarray
     delta: float
-    observer: str = "identity_L2H"
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("TrackingProblem: delta must be positive")
-        if self.observer not in OBSERVERS:
-            raise ValueError(f"unknown observer {self.observer!r}")
         self.z_d = as_trajectory(self.domain, self.tg, self.z_d)
 
     def solve(self, omega) -> ForwardTrajectory:
@@ -57,11 +54,9 @@ class TrackingProblem:
 
 
 def misfit(problem: TrackingProblem, Y) -> float:
-    """0.5 * ||Y - z_d||^2 in the observer norm."""
+    """0.5 * ||Y - z_d||^2 in L2(0,T;H)."""
     diff = as_trajectory(problem.domain, problem.tg, Y) - problem.z_d
-    if problem.observer == "identity_L2H":
-        return 0.5 * norm_l2h(problem.domain, problem.tg, diff) ** 2
-    return 0.5 * norm_wv(problem.domain, problem.tg, diff) ** 2
+    return 0.5 * norm_l2h(problem.domain, problem.tg, diff) ** 2
 
 
 def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
@@ -79,14 +74,12 @@ def reduced_gradient(problem: TrackingProblem, omega,
                      scheme: str = "discrete"):
     """L2(Q0) gradient delta*omega - lambda|_Q0 and the pieces behind it.
 
-    Requires the identity_L2H observer: its adjoint is the identity with the
-    L2 pairing, so the multiplier source is simply z_d - y. scheme picks the
-    multiplier solver: "discrete" is the exact transpose (matches finite
-    differences of the cost to roundoff), "continuous" marches the adjoint
-    equation backward and agrees with it to first order in the step sizes.
+    The misfit is the L2(0,T;H) one, so the multiplier source is z_d - y.
+    scheme picks the multiplier solver: "discrete" is the exact transpose
+    (matches finite differences of the cost to roundoff), "continuous"
+    marches the adjoint equation backward and agrees with it to first order
+    in the step sizes.
     """
-    if problem.observer != "identity_L2H":
-        raise ConfigError("reduced_gradient needs the identity_L2H observer")
     if scheme not in ("discrete", "continuous"):
         raise ConfigError(f"unknown adjoint scheme {scheme!r}")
     if ftraj is None:
@@ -111,7 +104,6 @@ class OptimOptions:
     max_iters: int = 200
     method: str = "lbfgs"        # or "gd"
     memory: int = 8
-    armijo_c: float = 1e-4
     max_halvings: int = 40
     step0: float = 1.0
 
@@ -127,6 +119,10 @@ class OptimState:
     converged: bool = False
     stalled: bool = False
     message: str = ""
+    # forward trajectory, reduced gradient and adjoint at omega
+    ftraj: ForwardTrajectory = None
+    grad: np.ndarray = None
+    adjoint: AdjointState = None
 
     def log_rows(self):
         rows = []
@@ -185,7 +181,9 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
     All inner products are L2(Q0). Stops when ||g|| <= tol_g*(1 + ||g0||)
     (plus the optional absolute floor) or when max_iters is reached; a line
     search that fails after max_halvings halvings marks the state stalled
-    and reports diagnostics in the message.
+    and reports diagnostics in the message. The returned state carries the
+    trajectory, gradient and adjoint at its omega, so callers need not
+    re-solve.
     """
     opts = opts or OptimOptions()
     if opts.method not in ("lbfgs", "gd"):
@@ -194,7 +192,8 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
     omega = apply_B(win, omega0)
     ftraj = problem.solve(omega)
     J, _ = cost(problem, omega, ftraj)
-    g, _ = reduced_gradient(problem, omega, ftraj)
+    g, info = reduced_gradient(problem, omega, ftraj)
+    adj = info["adjoint"]
     gnorm = norm_q0(win, g)
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
     state = OptimState(omega=omega)
@@ -205,6 +204,7 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
     if gnorm <= threshold:
         state.converged = True
         state.message = "already optimal at the starting point"
+        state.ftraj, state.grad, state.adjoint = ftraj, g, adj
         return state
 
     mem_s, mem_y, mem_rho = [], [], []
@@ -239,7 +239,7 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
                 alpha *= 0.5
                 continue
             Jt, _ = cost(problem, trial, ftrial)
-            if Jt <= J + opts.armijo_c * alpha * slope:
+            if Jt <= J + ARMIJO_C * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
@@ -259,7 +259,7 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
             mem_rho.append(1.0 / curv)
             if len(mem_s) > opts.memory:
                 mem_s.pop(0), mem_y.pop(0), mem_rho.pop(0)
-        omega, ftraj, J, g = trial, ftrial, Jt, g_new
+        omega, ftraj, J, g, adj = trial, ftrial, Jt, g_new, info["adjoint"]
         gnorm = norm_q0(win, g)
         step_prev = min(4.0 * alpha, 1e3)
         state.costs.append(J)
@@ -273,7 +273,7 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
             state.converged = True
             state.message = f"converged: ||g||={gnorm:.3e} <= {threshold:.3e}"
             break
-    state.omega = omega
+    state.omega, state.ftraj, state.grad, state.adjoint = omega, ftraj, g, adj
     if not state.converged and not state.stalled:
         state.message = f"max_iters reached with ||g||={gnorm:.3e}"
     return state
@@ -380,27 +380,14 @@ def quadratic_form(problem: TrackingProblem, q,
                    "total": total}
 
 
-def hessian_vec(problem: TrackingProblem, omega, q, base=None):
-    """Evaluate the second-variation form at omega along q; base may carry
-    (ftraj, adjoint) to amortize repeated directions."""
-    if base is None:
-        ftraj = problem.solve(omega)
-        adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y,
-                                     problem.model)
-    else:
-        ftraj, adj = base
-    return quadratic_form(problem, q, ftraj, adj)
-
-
 def kernel_bound_check(problem: TrackingProblem, q,
-                       ftraj: ForwardTrajectory = None) -> dict:
-    """Monitor ||m||_WV^2 against c1 ||q||_Q0^2 on one direction.
+                       ftraj: ForwardTrajectory) -> dict:
+    """Monitor ||m||_WV^2 against c1 ||q||_Q0^2 on one direction about the
+    base trajectory ftraj.
 
     Also reports the L2(V) size of m; on a zero base state with k = 0 the
     tangent problem is pure diffusion and ||m||_L2(V) <= (1/eps) ||q||_Q0.
     """
-    if ftraj is None:
-        ftraj = problem.solve(problem.window.zero_control())
     _, _, c1 = constants(problem.domain, problem.tg, ftraj.y, problem.model)
     qn = norm_q0(problem.window, q)
     if qn == 0.0:

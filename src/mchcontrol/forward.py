@@ -180,36 +180,27 @@ def dirichlet_modes(domain: Domain1D, n_modes: int) -> np.ndarray:
                     * np.linalg.norm(modes, axis=1, keepdims=True))
 
 
-def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams,
-                  n_modes: int = 5, variant: str = "y_gradient") -> float:
-    """Max weak-form residual over the first Dirichlet modes and interior steps.
+def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams) -> float:
+    """Max weak-form residual over the first five Dirichlet modes and the
+    interior steps, with the diffusion paired as eps*(y_x, eta_x).
 
     The time derivative is the centered quotient, so the control (constant on
     each step, stamped at the left endpoint) is paired as the average of the
     two steps the quotient spans; evaluating it at a single step instead
-    leaves an O(1) defect wherever the window switches on or off. variant
-    "y_gradient" pairs the diffusion as eps*(y_x, eta_x); variant "u_h1"
-    instead uses the velocity H1 pairing eps*[(u, eta) + (u_x, eta_x)], which
-    measures a different (not equivalent) form and is kept for comparison.
+    leaves an O(1) defect wherever the window switches on or off.
     """
-    if variant not in ("y_gradient", "u_h1"):
-        raise ValueError(f"unknown weak-residual variant {variant!r}")
     domain, tg, N = ftraj.domain, ftraj.tg, ftraj.tg.n_steps
     if omega is None:
         omega = np.zeros_like(ftraj.y)
     omega = as_trajectory(domain, tg, omega)
-    etas = dirichlet_modes(domain, n_modes)
-    detas = d1(domain, etas)
+    etas = dirichlet_modes(domain, 5)
     # interior frames 1..N-1 as stacks; rows of r are frames, columns modes
     y, u, ux = ftraj.y[1:N], ftraj.u[1:N], ftraj.ux[1:N]
     strong = ((ftraj.y[2:] - ftraj.y[:N - 1]) / (2.0 * tg.dt)
               + transport_terms(domain, y, u, ux, p.k)
               - 0.5 * (omega[1:N] + omega[:N - 1]))
-    if variant == "y_gradient":
-        diff = d1(domain, y) @ detas.T
-    else:
-        diff = u @ etas.T + ux @ detas.T
-    r = domain.h * (strong @ etas.T + p.epsilon * diff)
+    r = domain.h * (strong @ etas.T
+                    + p.epsilon * (d1(domain, y) @ d1(domain, etas).T))
     return float(np.max(np.abs(r), initial=0.0))
 
 

@@ -220,17 +220,18 @@ def norm_wv(domain: Domain1D, tg: TimeGrid, Y) -> float:
     return norm_l2v(domain, tg, Y) + math.sqrt(acc)
 
 
-def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid, rng,
-                             n_space_modes: int = 8,
-                             n_time_modes: int = 6) -> np.ndarray:
-    """Random trajectory with decaying sine spectrum in x and cosine in t."""
-    ms = np.arange(1, min(n_space_modes, domain.n_interior) + 1)
+def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid,
+                             rng) -> np.ndarray:
+    """Random trajectory with decaying spectrum: 8 sine modes in x, each
+    with 6 cosine modes in t."""
+    ms = np.arange(1, min(8, domain.n_interior) + 1)
     sines = np.sin(np.outer(domain.x, ms * math.pi / domain.L))  # (n, M)
     tt = tg.t / tg.T
+    ks = np.arange(6)
     prof = np.zeros((tg.n_steps + 1, ms.size))
     for j, m in enumerate(ms):
-        coef = rng.standard_normal(n_time_modes) / (1.0 + np.arange(n_time_modes)) ** 2
-        phase = np.outer(tt, np.arange(n_time_modes) * math.pi)
+        coef = rng.standard_normal(ks.size) / (1.0 + ks) ** 2
+        phase = np.outer(tt, ks * math.pi)
         prof[:, j] = (np.cos(phase) @ coef) / m ** 2
     return prof @ sines.T
 

@@ -116,7 +116,7 @@ def build_problem(cfg: dict, rng):
     y0 = initial_field(cfg, domain)
     z_d, omega_true = make_target(cfg, domain, tg, p, window, y0, rng)
     problem = TrackingProblem(domain, tg, p, window, y0, z_d,
-                              cfg["cost"]["delta"], cfg["cost"]["observer"])
+                              cfg["cost"]["delta"])
     return problem, omega_true
 
 
@@ -243,8 +243,7 @@ def run_optimize(cfg: dict, out_dir) -> int:
     omega0 = control_field(cfg, problem.window, rng)
     state = optimize(problem, omega0, optim_options(cfg))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
-    ftraj = problem.solve(state.omega)
-    export_trajectory_csv(os.path.join(out, "omega.csv"), ftraj,
+    export_trajectory_csv(os.path.join(out, "omega.csv"), state.ftraj,
                           _csv_params(cfg, "optimize"), h,
                           value_names=("omega",), values=(state.omega,))
     fo = first_order_residuals(problem, state.omega)
@@ -273,25 +272,22 @@ def run_twin(cfg: dict, out_dir) -> int:
     omega_true = control_field(cfg, window, rng)
     z_d = solve_forward(domain, tg, p, y0, apply_B(window, omega_true)).y
     problem = TrackingProblem(domain, tg, p, window, y0, z_d,
-                              cfg["cost"]["delta"], cfg["cost"]["observer"])
+                              cfg["cost"]["delta"])
     state = optimize(problem, window.zero_control(), optim_options(cfg))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
 
-    ftraj = problem.solve(state.omega)
-    export_trajectory_csv(os.path.join(out, "omega_true.csv"), ftraj,
+    export_trajectory_csv(os.path.join(out, "omega_true.csv"), state.ftraj,
                           _csv_params(cfg, "twin"), h,
                           value_names=("omega_true",), values=(omega_true,))
-    export_trajectory_csv(os.path.join(out, "omega_opt.csv"), ftraj,
+    export_trajectory_csv(os.path.join(out, "omega_opt.csv"), state.ftraj,
                           _csv_params(cfg, "twin"), h,
                           value_names=("omega",), values=(state.omega,))
 
     J0, Jf = state.costs[0], state.costs[-1]
     drop = J0 / Jf if Jf > 0 else (1.0 if J0 == 0 else math.inf)
-    g, info = reduced_gradient(problem, state.omega, ftraj)
-    lam_r = restrict_B(window, info["adjoint"].lam)
-    lam_n = norm_q0(window, lam_r)
-    lam_ratio = norm_q0(window, g) / lam_n if lam_n > 0 else math.inf
-    _, parts = cost(problem, state.omega, ftraj)
+    lam_n = norm_q0(window, restrict_B(window, state.adjoint.lam))
+    lam_ratio = norm_q0(window, state.grad) / lam_n if lam_n > 0 else math.inf
+    _, parts = cost(problem, state.omega, state.ftraj)
     true_n = norm_q0(window, omega_true)
     ctrl_err = norm_q0(window, state.omega - omega_true)
     report = _report_stub(cfg, "twin")
@@ -319,8 +315,10 @@ def run_twin(cfg: dict, out_dir) -> int:
 # verification battery
 
 
-def _hard_checks(cfg, problem, omega, ftraj, rng):
-    """Exact identities and frozen oracles; these gate the exit code."""
+def _hard_checks(cfg, problem, state, fo, rng):
+    """Exact identities and frozen oracles at the optimizer's final state;
+    these gate the exit code. fo is first_order_residuals there."""
+    omega, ftraj = state.omega, state.ftraj
     domain, tg = problem.domain, problem.tg
     p, window = problem.model, problem.window
     dt, hx = tg.dt, domain.h
@@ -342,7 +340,7 @@ def _hard_checks(cfg, problem, omega, ftraj, rng):
         worst = max(worst, pairing_defect(ftraj, window, q, s, p))
     checks.append(make_report("transpose_identity", worst, 1e-10))
 
-    g, _ = reduced_gradient(problem, omega, ftraj)
+    g = state.grad
     eps_fd = cfg["gradcheck"]["fd_step"]
     worst = 0.0
     for _ in range(2):
@@ -378,7 +376,6 @@ def _hard_checks(cfg, problem, omega, ftraj, rng):
     checks.append(make_report("lagrangian_feasible", abs(L - J),
                               1e-12 * (1.0 + abs(J))))
 
-    fo = first_order_residuals(problem, omega)
     checks.append(make_report("adjoint_terminal_zero", fo["lambda_T"], 0.0))
     checks.append(make_report("multiplier_matches_lambda0",
                               fo["mu_minus_lambda0"], 0.0))
@@ -458,12 +455,11 @@ def run_verify(cfg: dict, out_dir) -> int:
 
     omega0 = control_field(cfg, window, rng)
     state = optimize(problem, omega0, optim_options(cfg))
-    omega = state.omega
-    ftraj = problem.solve(omega)
+    omega, ftraj = state.omega, state.ftraj
 
-    hard = _hard_checks(cfg, problem, omega, ftraj, rng)
-    soft = _soft_checks(cfg, problem, omega, ftraj, rng)
     fo = first_order_residuals(problem, omega)
+    hard = _hard_checks(cfg, problem, state, fo, rng)
+    soft = _soft_checks(cfg, problem, omega, ftraj, rng)
     so = coercivity_check(problem, omega, rng,
                           n_samples=cfg["verify"]["n_hessian_samples"],
                           n_embed_samples=cfg["verify"]["n_embed_samples"])

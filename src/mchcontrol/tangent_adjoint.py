@@ -16,10 +16,8 @@ rescales lambda^n = phi^{n+1}/h, which makes lambda(T) = 0 exact and keeps
 lambda uniformly consistent (O(dt)) with the continuous backward equation.
 
 solve_adjoint_continuous integrates that backward equation forward in the
-reversed time tau = T - t with the same IMEX splitting. Its default transport
-is the exact adjoint of the direct linearization; variant="as_printed" keeps
-an alternative published term list that differs by lower-order commutators
-(the two coincide on a zero-velocity base).
+reversed time tau = T - t with the same IMEX splitting: diffusion implicit,
+and the transposed tangent term explicit at each base frame.
 """
 
 from __future__ import annotations
@@ -129,7 +127,7 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
 
     Satisfies <T q, source>_traj = <q, lambda|_Q0>_ctrl for every direction q
     and any window. For the tracking-control multiplier, source with
-    z_d - G y (the negated misfit), which makes the reduced gradient
+    z_d - y (the negated misfit), which makes the reduced gradient
     delta*omega - lambda|_Q0 and gives lambda = delta*omega at optima.
     Raises NumericsError with the frame index on NaN/Inf.
     """
@@ -161,36 +159,24 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     return AdjointState(lam, lam[0].copy())
 
 
-def solve_adjoint_continuous(ftraj: ForwardTrajectory, source, p: ModelParams,
-                             variant: str = "linearized") -> np.ndarray:
+def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
+                             p: ModelParams) -> np.ndarray:
     """IMEX integration of the backward equation in tau = T - t.
 
     rho(tau=0) = 0; the source enters with the same sign convention as
-    solve_adjoint_discrete (source = z_d - G y for the tracking multiplier).
+    solve_adjoint_discrete (source = z_d - y for the tracking multiplier).
     Returns the lambda trajectory on the forward frames, lambda[n] = rho[N-n].
     """
-    if variant not in ("linearized", "as_printed"):
-        raise ValueError(f"unknown adjoint variant {variant!r}")
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
-    ksolve = get_operator(domain).kernel.solve
     dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
     coeffs = _transport_coefficients(ftraj, p.k)
     N = tg.n_steps
     lam = np.zeros_like(source)
     rho = np.zeros(domain.n_interior)
     for j in range(N):
-        rows = coeffs[:, N - j]
-        if variant == "linearized":
-            # exact adjoint of the direct linearization
-            expl = -transposed_transport(domain, rows, rho)
-        else:
-            # with u_xx = u - y: -2 u y + 2 u_xx y + 2 u_x y_x + k = E + 2k
-            A, B, _, E = rows
-            rx = d1(domain, rho)
-            expl = A * rx + ksolve((E + 2.0 * p.k) * rx
-                                   + 0.5 * B * d2(domain, rho))
-        rho = dsolve(rho + tg.dt * (source[N - j] + expl))
+        rho = dsolve(rho + tg.dt * (source[N - j] - transposed_transport(
+            domain, coeffs[:, N - j], rho)))
         if not np.all(np.isfinite(rho)):
             raise NumericsError(f"adjoint state lost finiteness at step {j + 1}",
                                 time_index=j + 1)

@@ -70,6 +70,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     unknown = write_cfg(tmp_path, "unknown.json", model={"nu": 0.1})
     assert run("forward", unknown, tmp_path / "o") == 2
     assert "'model.nu'" in capsys.readouterr().err
+    observer = write_cfg(tmp_path, "observer.json",
+                         cost={"observer": "identity_L2H"})
+    assert run("forward", observer, tmp_path / "o") == 2
+    assert "'cost.observer'" in capsys.readouterr().err
     assert run("forward", tmp_path / "absent.json", tmp_path / "o") == 2
     assert "not found" in capsys.readouterr().err
 

@@ -26,8 +26,7 @@ def minimal(**overrides):
 def test_defaults_filled():
     cfg = resolve_config(minimal())
     assert cfg["model"]["k"] == 0.0
-    assert cfg["cost"] == {"delta": 1e-4, "observer": "identity_L2H",
-                           "z_d": "uncontrolled"}
+    assert cfg["cost"] == {"delta": 1e-4, "z_d": "uncontrolled"}
     assert cfg["seed"] == 12345
     assert cfg["output"]["dir"] == "out"
     assert cfg["debug"] == {"sabotage_gradient": False,
@@ -51,6 +50,9 @@ def test_unknown_section_and_key():
         resolve_config(minimal(extra={"x": 1}))
     with pytest.raises(ConfigError, match=r"'model\.viscosity'"):
         resolve_config(minimal(model={"viscosity": 0.1}))
+    # the misfit is fixed to L2(0,T;H), so cost has no observer field
+    with pytest.raises(ConfigError, match=r"'cost\.observer'"):
+        resolve_config(minimal(cost={"observer": "identity_L2H"}))
 
 
 def test_type_checks():

@@ -213,8 +213,7 @@ def test_weak_residual_flags_corruption():
     assert bad >= 10.0 * clean
 
 
-@pytest.mark.parametrize("variant", ["y_gradient", "u_h1"])
-def test_weak_residual_matches_frame_oracle(variant):
+def test_weak_residual_matches_frame_oracle():
     """Frames x modes as one array expression equals the per-pair loop."""
     dom, tg, p, ft, bq = weak_fixture(32, 80)
     etas = dirichlet_modes(dom, 5)
@@ -224,24 +223,12 @@ def test_weak_residual_matches_frame_oracle(variant):
         nl = transport_terms(dom, ft.y[n], ft.u[n], ft.ux[n], p.k)
         om_bar = 0.5 * (bq[n] + bq[n - 1])
         for e in etas:
-            de = d1(dom, e)
-            if variant == "y_gradient":
-                diff = inner_h(dom, d1(dom, ft.y[n]), de)
-            else:
-                diff = inner_h(dom, ft.u[n], e) + inner_h(dom, ft.ux[n], de)
+            diff = inner_h(dom, d1(dom, ft.y[n]), d1(dom, e))
             r = (inner_h(dom, ydot, e) + p.epsilon * diff
                  + inner_h(dom, nl, e) - inner_h(dom, om_bar, e))
             worst = max(worst, abs(r))
-    got = weak_residual(ft, bq, p, variant=variant)
+    got = weak_residual(ft, bq, p)
     assert got == pytest.approx(worst, rel=1e-12)
-
-
-def test_weak_residual_variants(small_setup):
-    dom, tg, p, window, y0 = small_setup
-    ft = solve_forward(dom, tg, p, y0)
-    assert weak_residual(ft, None, p, variant="u_h1") > 0.0
-    with pytest.raises(ValueError):
-        weak_residual(ft, None, p, variant="bogus")
 
 
 def test_csv_round_trip(tmp_path, small_setup):

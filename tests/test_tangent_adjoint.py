@@ -100,17 +100,6 @@ def test_adjoint_rejects_non_finite_source(rng):
     assert exc.value.time_index == 36
 
 
-def test_continuous_variants(rng):
-    dom, tg, p, w, ft = setup()
-    source = rng.standard_normal((tg.n_steps + 1, dom.n_interior))
-    la = solve_adjoint_continuous(ft, source, p)
-    lb = solve_adjoint_continuous(ft, source, p, variant="as_printed")
-    assert la.shape == lb.shape == (tg.n_steps + 1, dom.n_interior)
-    assert np.any(la != lb)
-    with pytest.raises(ValueError):
-        solve_adjoint_continuous(ft, source, p, variant="nope")
-
-
 def test_continuous_approaches_discrete():
     """The two multipliers agree to first order in the step sizes."""
     gaps = []
@@ -199,7 +188,7 @@ def reference_adjoint(ft, source, p):
     return lam
 
 
-def reference_continuous(ft, source, p, variant):
+def reference_continuous(ft, source, p):
     dom, tg = ft.domain, ft.tg
     dsolve = ShiftedLaplacianSolver(dom, tg.dt * p.epsilon).solve
     base = frames(ft)
@@ -207,16 +196,8 @@ def reference_continuous(ft, source, p, variant):
     lam = np.zeros_like(ft.y)
     rho = np.zeros(dom.n_interior)
     for j in range(N):
-        y, u, ux, ydx = base[N - j]
-        if variant == "linearized":
-            tr = -transposed_transport(dom, base[N - j], rho, p.k)
-        else:
-            rx = d1(dom, rho)
-            inner = (-2.0 * u * y * rx + 2.0 * (u - y) * y * rx
-                     + 2.0 * ux * ydx * rx + 2.0 * ux * y * d2(dom, rho)
-                     + p.k * rx)
-            tr = (u * u - ux * ux) * rx + get_operator(dom).solve(inner)
-        rho = dsolve(rho + tg.dt * (source[N - j] + tr))
+        tr = transposed_transport(dom, base[N - j], rho, p.k)
+        rho = dsolve(rho + tg.dt * (source[N - j] - tr))
         lam[N - (j + 1)] = rho
     return lam
 
@@ -241,12 +222,11 @@ def test_adjoint_matches_step_oracle(rng):
     assert_close(adj.lam, reference_adjoint(ft, source, p), 1e-12)
 
 
-@pytest.mark.parametrize("variant", ["linearized", "as_printed"])
-def test_continuous_matches_step_oracle(rng, variant):
+def test_continuous_matches_step_oracle(rng):
     dom, tg, p, w, ft = setup()
     source = rng.standard_normal(ft.y.shape)
-    lam = solve_adjoint_continuous(ft, source, p, variant=variant)
-    assert_close(lam, reference_continuous(ft, source, p, variant), 1e-12)
+    lam = solve_adjoint_continuous(ft, source, p)
+    assert_close(lam, reference_continuous(ft, source, p), 1e-12)
 
 
 def test_adjoint_residual_matches_frame_oracle(rng):
