@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -103,14 +104,27 @@ def _check_type(value, types, path: str):
     if not ok:
         raise ConfigError(f"{path}: expected {'/'.join(types)}, "
                           f"got {type(value).__name__}")
+    if "float" in types and not _finite_number(value):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
     return value
+
+
+def _finite_number(v) -> bool:
+    """An int or float that converts to a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def resolve_config(raw: dict) -> dict:
     """Validate a raw dict against the schema and fill defaults.
 
     Raises ConfigError naming the offending dotted field for unknown keys,
-    missing required keys, and type mismatches.
+    missing required keys, type mismatches, non-finite numbers (json.load
+    accepts NaN and Infinity) and values out of range.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -190,16 +204,21 @@ def _validate_semantics(cfg: dict):
                           f"{cfg['optimizer']['method']!r}")
     if cfg["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
-    for key in ("coefficients",):
-        vals = cfg["initial"][key]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in vals):
-            raise ConfigError(f"initial.{key} must be a list of numbers")
-    for key in ("taylor_steps",):
-        vals = cfg["gradcheck"][key]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and v > 0 for v in vals):
-            raise ConfigError(f"gradcheck.{key} must be positive numbers")
+    opt, gc = cfg["optimizer"], cfg["gradcheck"]
+    for name, ok, rule in (
+            ("optimizer.memory", opt["memory"] >= 1, "at least 1"),
+            ("optimizer.max_iters", opt["max_iters"] >= 0, "nonnegative"),
+            ("optimizer.step0", opt["step0"] > 0, "positive"),
+            ("gradcheck.n_directions", gc["n_directions"] >= 1, "at least 1"),
+            ("gradcheck.fd_step", gc["fd_step"] > 0, "positive")):
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}")
+    if not all(map(_finite_number, cfg["initial"]["coefficients"])):
+        raise ConfigError("initial.coefficients must be a list of finite "
+                          "numbers")
+    if not all(_finite_number(v) and v > 0 for v in gc["taylor_steps"]):
+        raise ConfigError("gradcheck.taylor_steps must be positive finite "
+                          "numbers")
 
 
 def load_config(path) -> dict:

@@ -33,7 +33,12 @@ ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 
 @dataclass
 class TrackingProblem:
-    """Everything fixed during an optimization run."""
+    """Everything fixed during an optimization run.
+
+    The control is zero before the window's first step k0, so frames 0..k0
+    are the same for every control: the first successful solve keeps them
+    as the head that every later solve resumes from.
+    """
 
     domain: Domain1D
     tg: TimeGrid
@@ -42,6 +47,8 @@ class TrackingProblem:
     y0: np.ndarray
     z_d: np.ndarray
     delta: float
+    _head: ForwardTrajectory = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -49,8 +56,14 @@ class TrackingProblem:
         self.z_d = as_trajectory(self.domain, self.tg, self.z_d)
 
     def solve(self, omega) -> ForwardTrajectory:
-        return solve_forward(self.domain, self.tg, self.model, self.y0,
-                             apply_B(self.window, omega))
+        ftraj = solve_forward(self.domain, self.tg, self.model, self.y0,
+                              apply_B(self.window, omega), head=self._head)
+        if self._head is None:
+            k = self.window.block[0].start + 1
+            self._head = ForwardTrajectory(
+                self.domain, self.tg, ftraj.y[:k].copy(), ftraj.u[:k].copy(),
+                ftraj.ux[:k].copy())
+        return ftraj
 
 
 def misfit(problem: TrackingProblem, Y) -> float:
@@ -84,7 +97,6 @@ def reduced_gradient(problem: TrackingProblem, omega,
         raise ConfigError(f"unknown adjoint scheme {scheme!r}")
     if ftraj is None:
         ftraj = problem.solve(omega)
-    omega = as_trajectory(problem.domain, problem.tg, omega)
     if scheme == "discrete":
         adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y,
                                      problem.model)
@@ -92,9 +104,14 @@ def reduced_gradient(problem: TrackingProblem, omega,
         lam = solve_adjoint_continuous(ftraj, problem.z_d - ftraj.y,
                                        problem.model)
         adj = AdjointState(lam, lam[0].copy())
+    return _gradient(problem, omega, adj), {"ftraj": ftraj, "adjoint": adj}
+
+
+def _gradient(problem: TrackingProblem, omega, adj: AdjointState):
+    omega = as_trajectory(problem.domain, problem.tg, omega)
     g = restrict_B(problem.window, problem.delta * omega - adj.lam)
     g[-1] = 0.0  # final slice carries no quadrature weight
-    return g, {"ftraj": ftraj, "adjoint": adj}
+    return g
 
 
 @dataclass
@@ -303,12 +320,25 @@ def lagrangian(problem: TrackingProblem, omega, Y, lam, mu, c: float) -> float:
     return J + pair + 0.5 * c * residual_y_norm(problem, e1, e2) ** 2
 
 
-def first_order_residuals(problem: TrackingProblem, omega) -> dict:
+def _solved(problem: TrackingProblem, omega, ftraj, adj):
+    """The trajectory and tracking multiplier at omega, solving what is
+    not given; adj, when given, belongs to ftraj."""
+    if ftraj is None:
+        ftraj = problem.solve(omega)
+    if adj is None:
+        adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y,
+                                     problem.model)
+    return ftraj, adj
+
+
+def first_order_residuals(problem: TrackingProblem, omega,
+                          ftraj: ForwardTrajectory = None,
+                          adj: AdjointState = None) -> dict:
     """Stationarity diagnostics at a control: gradient norm, state residual,
-    continuous-adjoint equation residual, and the two exact identities."""
-    ftraj = problem.solve(omega)
-    g, info = reduced_gradient(problem, omega, ftraj)
-    adj = info["adjoint"]
+    continuous-adjoint equation residual, and the two exact identities.
+    Reuses a solved trajectory and multiplier when given."""
+    ftraj, adj = _solved(problem, omega, ftraj, adj)
+    g = _gradient(problem, omega, adj)
     eq = adjoint_equation_residual(ftraj, adj.lam, problem.z_d - ftraj.y,
                                    problem.model)
     return {
@@ -336,13 +366,15 @@ def constants(domain: Domain1D, tg: TimeGrid, y_traj, p: ModelParams):
     return c0, c2, c1
 
 
-def lambda_bound_check(problem: TrackingProblem, omega) -> dict:
+def lambda_bound_check(problem: TrackingProblem, omega,
+                       ftraj: ForwardTrajectory = None,
+                       adj: AdjointState = None) -> dict:
     """Both sides of the multiplier energy bound, reported as printed
-    (squared left side, unsquared right side), never asserted."""
+    (squared left side, unsquared right side), never asserted. Reuses a
+    solved trajectory and multiplier when given."""
     domain, tg = problem.domain, problem.tg
-    ftraj = problem.solve(omega)
+    ftraj, adj = _solved(problem, omega, ftraj, adj)
     source = problem.z_d - ftraj.y
-    adj = solve_adjoint_discrete(ftraj, source, problem.model)
     c0, _, _ = constants(domain, tg, ftraj.y, problem.model)
     lhs = norm_l2v(domain, tg, adj.lam) ** 2
     src = math.sqrt(float(tg.weights @ np.array(
@@ -445,8 +477,9 @@ class SecondOrderReport:
 
 
 def coercivity_check(problem: TrackingProblem, omega, rng,
-                     n_samples: int = 50,
-                     n_embed_samples: int = 32) -> SecondOrderReport:
+                     n_samples: int = 50, n_embed_samples: int = 32,
+                     ftraj: ForwardTrajectory = None,
+                     adj: AdjointState = None) -> SecondOrderReport:
     """Evaluate the sufficient-condition margins and sample the quadratic form.
 
     Condition (1) compares ||y||_C(H) * ||y - z_d||_L2(H) against
@@ -456,13 +489,13 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
     C = c_E^2; its kappa is min(delta/(2 c1) - (4 C / 3 eps) exp(c0 T) * lhs,
     delta/2). The empirical part reports the minimum of form/||(m, q)||_X^2
     over random window directions, with ||(m, q)||_X^2 = ||m||_WV^2 + ||q||_Q0^2.
+    Reuses a solved trajectory and multiplier when given.
     """
     domain, tg = problem.domain, problem.tg
     eps = problem.model.epsilon
     sigma = problem.delta
     T = tg.T
-    ftraj = problem.solve(omega)
-    adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y, problem.model)
+    ftraj, adj = _solved(problem, omega, ftraj, adj)
     c0, c2, c1 = constants(domain, tg, ftraj.y, problem.model)
     c_embed = measure_embedding_constant(domain, tg, rng, n_embed_samples)
     C = c_embed ** 2
@@ -477,7 +510,7 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
     kappa2 = min(sigma / (2.0 * c1)
                  - (4.0 * C / (3.0 * eps)) * math.exp(c0 * T) * lhs,
                  sigma / 2.0)
-    lb = lambda_bound_check(problem, omega)
+    lb = lambda_bound_check(problem, omega, ftraj, adj)
     min_ratio = math.inf
     kernel_max = 0.0
     for _ in range(n_samples):

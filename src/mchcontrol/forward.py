@@ -131,13 +131,31 @@ def _warn_cfl(domain: Domain1D, tg: TimeGrid, speed2) -> None:
                       StabilityWarning, stacklevel=3)
 
 
+def _first_nonfinite(frames, backward: bool = False):
+    """Index of the first non-finite frame of a march, or None.
+
+    Every step ends in a tridiagonal solve with nonzero off-diagonals, which
+    spreads a NaN or Inf over the whole row, and no later step can make it
+    finite again; so the last frame (frames[0] for a backward march) decides
+    and the stack is scanned only on failure.
+    """
+    if np.isfinite(frames[0 if backward else -1]).all():
+        return None
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    return int(bad[-1] if backward else bad[0])
+
+
 def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
-                  omega=None) -> ForwardTrajectory:
+                  omega=None, head: ForwardTrajectory = None
+                  ) -> ForwardTrajectory:
     """March the IMEX scheme from y0 under the (already extended) control.
 
-    Warns once, naming the first step whose frame puts dt above the advisory
-    transport CFL bound 0.5*h/max|u^2 - u_x^2| (checked after the march, or
-    before the error); raises NumericsError on NaN/Inf with the step index.
+    head, when given, holds frames 0..k0 of a march from the same y0 and
+    model under a control that vanishes on steps 0..k0-1; the march resumes
+    from a copy of it at step k0 if omega vanishes there too, and starts
+    from y0 otherwise. Warns once, naming the first step whose frame puts dt
+    above the advisory transport CFL bound 0.5*h/max|u^2 - u_x^2| (checked
+    after the march); raises NumericsError on NaN/Inf with the step index.
     """
     y0 = as_field(domain, y0)
     n, N, dt, h2 = domain.n_interior, tg.n_steps, tg.dt, 2.0 * domain.h
@@ -148,25 +166,36 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     Yp, Up = np.zeros((2, N + 1, n + 2))
     UX = np.empty((N + 1, n))
     S = np.empty_like(UX)  # u^2 - u_x^2: transport speed and CFL input
-    Yp[0, 1:-1] = y0
+    k0 = 0 if head is None else len(head.y) - 1
+    if k0 and not omega[:k0].any():
+        Yp[:k0 + 1, 1:-1], Up[:k0 + 1, 1:-1] = head.y, head.u
+        UX[:k0] = head.ux[:k0]
+        u, ux = head.u[:k0], head.ux[:k0]
+        np.subtract(u * u, ux * ux, out=S[:k0])
+    else:
+        k0 = 0
+        Yp[0, 1:-1] = y0
+        Up[0, 1:-1] = vsolve(y0)
     # blow-up is reported as NumericsError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
+        for k in range(k0, N + 1):
             yp, up = Yp[k], Up[k]
             y, u = yp[1:-1], up[1:-1]
-            u[:] = vsolve(y)
             ux = np.divide(up[2:] - up[:-2], h2, out=UX[k])
             if k == N:
                 break
             s = np.subtract(u * u, ux * ux, out=S[k])
             rhs = (y + dt * omega[k] - (dt / h2) * s * (yp[2:] - yp[:-2])
                    - ((2.0 * dt) * y * y + dt * p.k) * ux)
-            Yp[k + 1, 1:-1] = dsolve(rhs)
-            if not np.isfinite(Yp[k + 1]).all():
-                _warn_cfl(domain, tg, S[:k + 1])
-                raise NumericsError(
-                    f"forward state lost finiteness at step {k + 1}/{N}",
-                    time_index=k + 1)
+            y = Yp[k + 1, 1:-1]
+            y[:] = dsolve(rhs)
+            Up[k + 1, 1:-1] = vsolve(y)
+    bad = _first_nonfinite(Yp[1:])
+    if bad is not None:
+        bad += 1
+        _warn_cfl(domain, tg, S[:bad])
+        raise NumericsError(f"forward state lost finiteness at step {bad}/{N}",
+                            time_index=bad)
     _warn_cfl(domain, tg, S[:N])
     return ForwardTrajectory(domain, tg, Yp[:, 1:-1],
                              Up[:, 1:-1], UX)

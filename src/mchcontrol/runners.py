@@ -246,7 +246,8 @@ def run_optimize(cfg: dict, out_dir) -> int:
     export_trajectory_csv(os.path.join(out, "omega.csv"), state.ftraj,
                           _csv_params(cfg, "optimize"), h,
                           value_names=("omega",), values=(state.omega,))
-    fo = first_order_residuals(problem, state.omega)
+    fo = first_order_residuals(problem, state.omega, state.ftraj,
+                               state.adjoint)
     report = _report_stub(cfg, "optimize")
     report.update({
         "J_initial": state.costs[0],
@@ -416,8 +417,10 @@ def _constants_oracle_deviation() -> float:
     return max(dev, abs(c0_c - 8.0625))
 
 
-def _soft_checks(cfg, problem, omega, ftraj, rng):
-    """Existential-constant inequalities; reported with margins, never gating."""
+def _soft_checks(cfg, problem, state, rng):
+    """Existential-constant inequalities at the optimizer's final state;
+    reported with margins, never gating."""
+    omega, ftraj = state.omega, state.ftraj
     domain, tg = problem.domain, problem.tg
     p, window = problem.model, problem.window
     vy = cfg["verify"]
@@ -435,7 +438,7 @@ def _soft_checks(cfg, problem, omega, ftraj, rng):
     checks.append(smallness_margin(domain, tg, window, problem.y0, omega,
                                    vy["smallness_C_eps"]))
 
-    lb = lambda_bound_check(problem, omega)
+    lb = lambda_bound_check(problem, omega, ftraj, state.adjoint)
     checks.append(make_report("multiplier_energy_bound", lb["lhs"],
                               lb["rhs"], meta={"c0": lb["c0"]}))
 
@@ -455,14 +458,15 @@ def run_verify(cfg: dict, out_dir) -> int:
 
     omega0 = control_field(cfg, window, rng)
     state = optimize(problem, omega0, optim_options(cfg))
-    omega, ftraj = state.omega, state.ftraj
+    omega, ftraj, adj = state.omega, state.ftraj, state.adjoint
 
-    fo = first_order_residuals(problem, omega)
+    fo = first_order_residuals(problem, omega, ftraj, adj)
     hard = _hard_checks(cfg, problem, state, fo, rng)
-    soft = _soft_checks(cfg, problem, omega, ftraj, rng)
+    soft = _soft_checks(cfg, problem, state, rng)
     so = coercivity_check(problem, omega, rng,
                           n_samples=cfg["verify"]["n_hessian_samples"],
-                          n_embed_samples=cfg["verify"]["n_embed_samples"])
+                          n_embed_samples=cfg["verify"]["n_embed_samples"],
+                          ftraj=ftraj, adj=adj)
 
     passed = all(r.passed for r in hard)
     report = _report_stub(cfg, "verify")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
-                      inner_q0, norm_q0)
+                      _first_nonfinite, inner_q0, norm_q0)
 from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_l2h
 from .helmholtz import ShiftedLaplacianSolver, get_operator
 
@@ -97,18 +97,20 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
     N = tg.n_steps
     # zero-padded rows: the pads are the Dirichlet walls of D1
     Mp, Vp = np.zeros((2, N + 1, domain.n_interior + 2))
-    for k in range(N + 1):
-        mp, vp = Mp[k], Vp[k]
-        m, v = mp[1:-1], vp[1:-1]
-        v[:] = vsolve(m)
-        if k == N:
-            break
-        rhs = (Bm[k] * m - Ad[k] * (mp[2:] - mp[:-2]) - Cd[k] * v
-               + Ed[k] * (vp[2:] - vp[:-2]) + dtq[k])
-        Mp[k + 1, 1:-1] = dsolve(rhs)
-        if not np.isfinite(Mp[k + 1]).all():
-            raise NumericsError(f"tangent state lost finiteness at step {k + 1}",
-                                time_index=k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N + 1):
+            mp, vp = Mp[k], Vp[k]
+            m, v = mp[1:-1], vp[1:-1]
+            v[:] = vsolve(m)
+            if k == N:
+                break
+            rhs = (Bm[k] * m - Ad[k] * (mp[2:] - mp[:-2]) - Cd[k] * v
+                   + Ed[k] * (vp[2:] - vp[:-2]) + dtq[k])
+            Mp[k + 1, 1:-1] = dsolve(rhs)
+    bad = _first_nonfinite(Mp[1:])
+    if bad is not None:
+        raise NumericsError(f"tangent state lost finiteness at step {bad + 1}",
+                            time_index=bad + 1)
     return TangentState(Mp[:, 1:-1], Vp[:, 1:-1])
 
 
@@ -119,6 +121,38 @@ def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
     inner = C * phi + d1(domain, E * phi)
     return (B * phi - d1(domain, A * phi)
             + get_operator(domain).kernel.solve(inner.T).T)
+
+
+def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams,
+                last: float) -> np.ndarray:
+    """lam[N] = 0, lam[N-1] = M^-1(last * source[N]) and, for k < N,
+    lam[k-1] = M^-1((I - dt T_k) lam[k] + source[k]), where M = I - dt eps D2
+    and T_k is the transposed tangent term about base frame k.
+
+    Both adjoints are this recursion: the discrete one on the unscaled source
+    with last = 1/2, the continuous one on dt * source with last = 1.
+    """
+    domain, tg = ftraj.domain, ftraj.tg
+    ksolve = get_operator(domain).kernel.solve
+    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
+    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k)
+    N = tg.n_steps
+    lam = np.zeros_like(source)
+    # zero-padded work rows: the pads are the Dirichlet walls of D1
+    pa, pe = np.zeros((2, domain.n_interior + 2))
+    rhs = last * source[N]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N, 0, -1):
+            psi = lam[k - 1]
+            psi[:] = dsolve(rhs)
+            if k == 1:
+                break
+            np.multiply(Ad[k - 1], psi, out=pa[1:-1])
+            np.multiply(Ed[k - 1], psi, out=pe[1:-1])
+            rhs = (Bm[k - 1] * psi + (pa[2:] - pa[:-2])
+                   - ksolve(Cd[k - 1] * psi + (pe[2:] - pe[:-2]))
+                   + source[k - 1])
+    return lam
 
 
 def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
@@ -133,29 +167,15 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     """
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
-    ksolve = get_operator(domain).kernel.solve
-    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
-    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k)
+    # the recursion carries psi = phi/(dt h), so the trapezoid weights (dt
+    # inside, dt/2 on the final frame) leave the source unscaled
+    lam = _march_back(ftraj, source, p, 0.5)
     N = tg.n_steps
-    lam = np.zeros_like(source)
-    # zero-padded work rows: the pads are the Dirichlet walls of D1
-    pa, pe = np.zeros((2, domain.n_interior + 2))
-    # the linear recursion carries psi = phi/(dt h), so the trapezoid weights
-    # (dt inside, dt/2 on the final frame) leave the source unscaled
-    rhs = 0.5 * source[N]
-    for k in range(N, 0, -1):
-        psi = dsolve(rhs)
-        if not np.isfinite(psi).all():
-            raise NumericsError(
-                f"adjoint state lost finiteness at frame {k - 1}",
-                time_index=k - 1)
-        np.multiply(psi, tg.dt, out=lam[k - 1])
-        if k == 1:
-            break
-        np.multiply(Ad[k - 1], psi, out=pa[1:-1])
-        np.multiply(Ed[k - 1], psi, out=pe[1:-1])
-        rhs = (Bm[k - 1] * psi + (pa[2:] - pa[:-2])
-               - ksolve(Cd[k - 1] * psi + (pe[2:] - pe[:-2])) + source[k - 1])
+    bad = _first_nonfinite(lam[:N], backward=True)
+    if bad is not None:
+        raise NumericsError(f"adjoint state lost finiteness at frame {bad}",
+                            time_index=bad)
+    lam[:N] *= tg.dt
     return AdjointState(lam, lam[0].copy())
 
 
@@ -166,21 +186,17 @@ def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
     rho(tau=0) = 0; the source enters with the same sign convention as
     solve_adjoint_discrete (source = z_d - y for the tracking multiplier).
     Returns the lambda trajectory on the forward frames, lambda[n] = rho[N-n].
+    Raises NumericsError with the reversed-time step index on NaN/Inf.
     """
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
-    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
-    coeffs = _transport_coefficients(ftraj, p.k)
     N = tg.n_steps
-    lam = np.zeros_like(source)
-    rho = np.zeros(domain.n_interior)
-    for j in range(N):
-        rho = dsolve(rho + tg.dt * (source[N - j] - transposed_transport(
-            domain, coeffs[:, N - j], rho)))
-        if not np.all(np.isfinite(rho)):
-            raise NumericsError(f"adjoint state lost finiteness at step {j + 1}",
-                                time_index=j + 1)
-        lam[N - (j + 1)] = rho
+    lam = _march_back(ftraj, tg.dt * source, p, 1.0)
+    bad = _first_nonfinite(lam[:N], backward=True)
+    if bad is not None:
+        raise NumericsError(
+            f"adjoint state lost finiteness at step {N - bad}",
+            time_index=N - bad)
     return lam
 
 

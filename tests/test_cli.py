@@ -76,6 +76,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "'cost.observer'" in capsys.readouterr().err
     assert run("forward", tmp_path / "absent.json", tmp_path / "o") == 2
     assert "not found" in capsys.readouterr().err
+    # json.load accepts NaN and Infinity; every numeric field must be finite
+    nan, inf = float("nan"), float("inf")
+    for i, (command, field, override) in enumerate((
+            ("forward", "model.k", {"model": {"k": nan}}),
+            ("forward", "model.epsilon", {"model": {"epsilon": 10 ** 400}}),
+            ("optimize", "cost.delta", {"cost": {"delta": inf}}),
+            ("optimize", "optimizer.tol_g", {"optimizer": {"tol_g": nan}}),
+            ("forward", "control.amplitude", {"control": {"amplitude": -inf}}),
+            ("forward", "initial.coefficients",
+             {"initial": {"coefficients": [0.3, nan]}}),
+            ("gradcheck", "gradcheck.taylor_steps",
+             {"gradcheck": {"taylor_steps": [1e-2, inf]}}),
+            ("gradcheck", "gradcheck.fd_step", {"gradcheck": {"fd_step": 0.0}}),
+            ("gradcheck", "gradcheck.n_directions",
+             {"gradcheck": {"n_directions": 0}}),
+            ("optimize", "optimizer.memory", {"optimizer": {"memory": 0}}),
+            ("optimize", "optimizer.max_iters",
+             {"optimizer": {"max_iters": -1}}),
+            ("optimize", "optimizer.step0", {"optimizer": {"step0": 0.0}}))):
+        bad = write_cfg(tmp_path, f"bad{i}.json", **override)
+        assert run(command, bad, tmp_path / "o") == 2, field
+        assert field in capsys.readouterr().err
 
 
 def test_adjoint_runs(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_control, twin_problem
-from mchcontrol.errors import ConfigError
+from mchcontrol.errors import ConfigError, NumericsError, StabilityWarning
 from mchcontrol.grid import Domain1D, TimeGrid, d2, norm_h, norm_vstar
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 restrict_B, inner_q0, norm_q0, solve_forward,
@@ -212,6 +212,83 @@ def test_first_order_residuals_keys(twin_small):
     assert fo["lambda_T"] == 0.0
     assert fo["mu_minus_lambda0"] == 0.0
     assert fo["state_residual"] < 1e-11
+
+
+def test_checks_reuse_a_solved_state(twin_small, rng):
+    """Given the trajectory and multiplier, the checks report exactly what
+    they report when they solve for themselves."""
+    prob, om_true = twin_small
+    omega = 0.2 * om_true
+    g, info = reduced_gradient(prob, omega)
+    ft, adj = info["ftraj"], info["adjoint"]
+    assert (first_order_residuals(prob, omega, ft, adj)
+            == first_order_residuals(prob, omega))
+    assert (lambda_bound_check(prob, omega, ft, adj)
+            == lambda_bound_check(prob, omega))
+    seed = int(rng.integers(1 << 31))
+    reports = [coercivity_check(prob, omega, np.random.default_rng(seed),
+                                n_samples=3, n_embed_samples=3, **given)
+               for given in ({}, {"ftraj": ft, "adj": adj})]
+    assert reports[0].to_dict() == reports[1].to_dict()
+
+
+def bits(ft):
+    return [a.tobytes() for a in (ft.y, ft.u, ft.ux)]
+
+
+def fresh_solve(prob, omega):
+    return solve_forward(prob.domain, prob.tg, prob.model, prob.y0,
+                         apply_B(prob.window, omega))
+
+
+def test_problem_solve_resumes_bit_for_bit(rng):
+    """Later solves resume from the first solve's control-free head and
+    still equal a fresh march bit for bit."""
+    prob, om_true = twin_problem(n=24, n_steps=80)
+    w = prob.window
+    k0 = w.block[0].start
+    first_row = w.zero_control()
+    first_row[k0] = rng.standard_normal(w.mask.shape[1]) * w.mask[k0]
+    for omega in (om_true, w.zero_control(), first_row,
+                  w.random_control(rng), -2.0 * om_true):
+        assert bits(prob.solve(omega)) == bits(fresh_solve(prob, omega))
+    assert len(prob._head.y) == k0 + 1
+    # a NaN before the window bypasses the head and fails where it enters
+    bad = om_true.copy()
+    bad[k0 - 3, 7] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        prob.solve(bad)
+    assert exc.value.time_index == k0 - 2
+
+
+def test_problem_solve_after_failed_first_solve(rng):
+    prob, om_true = twin_problem(n=24, n_steps=80)
+    k0 = prob.window.block[0].start
+    bad = om_true.copy()
+    bad[k0 + 4, 7] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        prob.solve(bad)
+    assert exc.value.time_index == k0 + 5
+    assert prob._head is None
+    for omega in (om_true, prob.window.random_control(rng)):
+        assert bits(prob.solve(omega)) == bits(fresh_solve(prob, omega))
+
+
+def test_problem_solve_warns_like_a_fresh_march():
+    """The CFL rows of the head are rebuilt: a breach at step 0, before the
+    window (k0 = 2), is still reported by a resumed solve."""
+    dom = Domain1D(2.0, 64)
+    tg = TimeGrid(1.0, 4)
+    w = ControlWindow(dom, tg, 0.5, 1.5, 0.5, 1.0)
+    y0 = 1.5 * np.sin(math.pi * dom.x / 2.0)
+    prob = TrackingProblem(dom, tg, ModelParams(epsilon=0.05), w, y0,
+                           np.zeros((5, 64)), 1e-4)
+    for _ in range(2):
+        with pytest.warns(StabilityWarning) as rec:
+            prob.solve(w.zero_control())
+        assert [str(r.message) for r in rec] == [
+            "dt=2.500e-01 exceeds advisory CFL bound 3.344e-02 at step 0"]
+    assert len(prob._head.y) == 3
 
 
 def test_constants_unit_values():

@@ -169,6 +169,27 @@ def test_blowup_raises_numerics_error():
         "dt=2.500e-02 exceeds advisory CFL bound 2.781e-05 at step 0"]
 
 
+def test_non_finite_y0_fails_at_step_1(small_setup):
+    dom, tg, p, window, y0 = small_setup
+    bad = y0.copy()
+    bad[3] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        solve_forward(dom, tg, p, bad)
+    assert exc.value.time_index == 1
+
+
+@pytest.mark.parametrize("j", [0, 19, 20, 79])
+def test_nan_control_row_fails_at_next_step(small_setup, j):
+    """Rows 0..19 precede the window (k0 = 20), row 79 is the last step."""
+    dom, tg, p, window, y0 = small_setup
+    omega = apply_B(window, bump_control(window))
+    omega[j, 5] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        solve_forward(dom, tg, p, y0, omega)
+    assert exc.value.time_index == j + 1
+    assert f"at step {j + 1}/{tg.n_steps}" in str(exc.value)
+
+
 def test_dirichlet_modes_orthonormal():
     dom = Domain1D(2.0, 40)
     modes = dirichlet_modes(dom, 5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from mchcontrol.errors import NumericsError
 from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, norm_h, norm_l2h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
-                                solve_forward, norm_q0)
+                                solve_forward, norm_q0,
+                                trajectory_from_arrays)
 from mchcontrol.tangent_adjoint import (solve_tangent, solve_adjoint_discrete,
                                         solve_adjoint_continuous,
                                         adjoint_equation_residual,
@@ -98,6 +100,48 @@ def test_adjoint_rejects_non_finite_source(rng):
     with pytest.raises(NumericsError) as exc:
         solve_adjoint_discrete(ft, source, p)
     assert exc.value.time_index == 36
+
+
+@pytest.mark.parametrize("j", [0, 20, 59])
+def test_nan_direction_row_fails_at_next_step(j):
+    dom, tg, p, w, ft = setup()
+    q = bump_control(w)
+    q[j, 3] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        solve_tangent(ft, w, q, p)
+    assert exc.value.time_index == j + 1
+
+
+def test_nan_final_source_fails_at_first_backward_frame(rng):
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    source[-1, 2] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        solve_adjoint_discrete(ft, source, p)
+    assert exc.value.time_index == tg.n_steps - 1
+    # the continuous march counts steps of reversed time from tau = 0
+    with pytest.raises(NumericsError) as exc:
+        solve_adjoint_continuous(ft, source, p)
+    assert exc.value.time_index == 1
+
+
+def test_blowup_emits_no_runtime_warning(rng):
+    """A finite base whose coefficients are ~1e120 overflows every linear
+    march within a few steps; the overflow is a NumericsError only."""
+    dom, tg, p, w, _ = setup()
+    y = 1e60 * np.tile(np.sin(math.pi * dom.x / 2.0), (tg.n_steps + 1, 1))
+    u = get_operator(dom).kernel.solve(y.T).T
+    base = trajectory_from_arrays(dom, tg, y, u)
+    source = rng.standard_normal(y.shape)
+    marches = (lambda: solve_tangent(base, w, bump_control(w), p),
+               lambda: solve_adjoint_discrete(base, source, p),
+               lambda: solve_adjoint_continuous(base, source, p))
+    for march in marches:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericsError):
+                march()
+        assert rec == []
 
 
 def test_continuous_approaches_discrete():
