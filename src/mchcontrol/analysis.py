@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import ControlWindow, ForwardTrajectory, apply_B, norm_q0
-from .grid import (Domain1D, TimeGrid, as_field, as_trajectory, d1,
-                   grad_norm_sq, inner_h, norm_h, norm_vstar, norm_wv,
+from .grid import (Domain1D, TimeGrid, _per_frame, as_field, as_trajectory,
+                   grad_norm_sq, inner_h, norm_h_sq, norm_vstar_sq, norm_wv,
                    wall_slopes)
 from .helmholtz import get_operator
 
@@ -50,12 +50,8 @@ def make_report(name: str, lhs: float, rhs: float, tol: float = 0.0,
 def energy_series(ftraj: ForwardTrajectory):
     """Discrete energy 0.5*(||u||^2 + ||u_x||^2) per frame, with the
     gradient part quadratured to second order including wall density."""
-    domain, tg = ftraj.domain, ftraj.tg
-    E = np.empty(tg.n_steps + 1)
-    for n in range(tg.n_steps + 1):
-        E[n] = 0.5 * (norm_h(domain, ftraj.u[n]) ** 2
-                      + grad_norm_sq(domain, ftraj.u[n]))
-    return E
+    u = ftraj.u
+    return 0.5 * (norm_h_sq(ftraj.domain, u) + grad_norm_sq(ftraj.domain, u))
 
 
 def energy_identity(ftraj: ForwardTrajectory, p, omega=None,
@@ -73,60 +69,47 @@ def energy_identity(ftraj: ForwardTrajectory, p, omega=None,
     under step refinement for smooth data. Dropping the flux instead leaves
     a resolution-independent defect equal to it.
     """
-    domain, tg = ftraj.domain, ftraj.tg
-    eps = p.epsilon
-    E = energy_series(ftraj)
-    bq = None
+    domain = ftraj.domain
+    work = 0.0
+    u1 = ftraj.u[1:]  # new time level of each step
     if omega is not None:
         if window is None:
             raise ValueError("energy_identity: omega given without window")
-        bq = apply_B(window, omega)
-    r = np.empty(tg.n_steps)
-    dissipation = np.empty(tg.n_steps)
-    wall_flux = np.empty(tg.n_steps)
-    for n in range(tg.n_steps):
-        uxx1 = ftraj.u[n + 1] - ftraj.y[n + 1]
-        diss = eps * (grad_norm_sq(domain, ftraj.u[n + 1])
-                      + norm_h(domain, uxx1) ** 2)
-        s0, sL = wall_slopes(domain, ftraj.u[n + 1])
-        flux = 0.25 * (sL ** 4 - s0 ** 4)
-        work = inner_h(domain, bq[n], ftraj.u[n + 1]) if bq is not None else 0.0
-        r[n] = (E[n + 1] - E[n]) / tg.dt + diss - flux - work
-        dissipation[n] = diss
-        wall_flux[n] = flux
-    return {"residual": r, "max_abs": float(np.max(np.abs(r))) if len(r) else 0.0,
+        work = inner_h(domain, apply_B(window, omega)[:-1], u1)
+    E = energy_series(ftraj)
+    dissipation = p.epsilon * (grad_norm_sq(domain, u1)
+                               + norm_h_sq(domain, u1 - ftraj.y[1:]))
+    s0, sL = wall_slopes(domain, u1)
+    wall_flux = 0.25 * (sL ** 4 - s0 ** 4)
+    r = np.diff(E) / ftraj.tg.dt + dissipation - wall_flux - work
+    return {"residual": r, "max_abs": float(np.max(np.abs(r))),
             "energy": E, "dissipation": dissipation, "wall_flux": wall_flux}
 
 
 def momentum_identity(domain: Domain1D, y):
-    """Both sides of ||y||^2 = ||u||^2 + 2||u_x||^2 + ||u_xx||^2 on a frame.
+    """Both sides of ||y||^2 = ||u||^2 + 2||u_x||^2 + ||u_xx||^2 and their
+    relative gap, on a frame or per frame of a stack.
 
     u solves the screened Poisson problem for y and u_xx = u - y exactly;
     the gradient term uses the wall-corrected quadrature, leaving an O(h^2)
     defect from the centered first difference.
     """
-    y = as_field(domain, y)
-    op = get_operator(domain)
-    u, ux, uxx = op.velocity(y)
-    lhs = norm_h(domain, y) ** 2
-    rhs = norm_h(domain, u) ** 2 + 2.0 * grad_norm_sq(domain, u) \
-        + norm_h(domain, uxx) ** 2
-    relerr = abs(lhs - rhs) / max(lhs, np.finfo(float).tiny)
-    return lhs, rhs, relerr
+    u, _, uxx = get_operator(domain).velocity(y)
+    lhs = norm_h_sq(domain, y)
+    rhs = (norm_h_sq(domain, u) + 2.0 * grad_norm_sq(domain, u)
+           + norm_h_sq(domain, uxx))
+    relerr = np.abs(lhs - rhs) / np.maximum(lhs, np.finfo(float).tiny)
+    return lhs, rhs, _per_frame(relerr)
 
 
 def fit_growth_constant(domain: Domain1D, tg: TimeGrid, Y) -> float:
     """Largest observed one-step exponential rate of ||y||_H^2, floored at
     1e-12 so downstream formulas stay defined."""
-    Y = as_trajectory(domain, tg, Y)
-    best = 1e-12
-    prev = norm_h(domain, Y[0]) ** 2
-    for n in range(tg.n_steps):
-        cur = norm_h(domain, Y[n + 1]) ** 2
-        if prev > 0 and cur > 0:
-            best = max(best, math.log(cur / prev) / tg.dt)
-        prev = cur
-    return best
+    e = norm_h_sq(domain, as_trajectory(domain, tg, Y))
+    prev, cur = e[:-1], e[1:]
+    both = (prev > 0) & (cur > 0)
+    rates = np.log(cur[both] / prev[both]) / tg.dt
+    return float(np.max(rates, initial=1e-12))
 
 
 def gronwall_bound(domain: Domain1D, tg: TimeGrid, Y, C: float,
@@ -136,33 +119,30 @@ def gronwall_bound(domain: Domain1D, tg: TimeGrid, Y, C: float,
     A defaults to the measured ||y(0)||_H^2. The bound's denominator turns
     nonpositive at t* = ln(1 + 1/A)/(2C) for positive C and A; frames at or
     beyond t* are excluded and t* is reported in the metadata rather than
-    treated as a failure.
+    treated as a failure. The report is the valid frame with the largest
+    measured - bound, whether it passes or not.
     """
-    Y = as_trajectory(domain, tg, Y)
+    measured = norm_h_sq(domain, as_trajectory(domain, tg, Y))
     if A is None:
-        A = norm_h(domain, Y[0]) ** 2
+        A = float(measured[0])
     t_star = math.inf
     if C > 0 and A > 0:
         t_star = math.log(1.0 + 1.0 / A) / (2.0 * C)
-    worst = (0.0, 0.0, None)  # (lhs, rhs at worst frame, time)
-    first_violation = None
-    n_valid = 0
-    for n in range(tg.n_steps + 1):
-        t = tg.t[n]
-        if t >= t_star:
-            break
-        denom_sq = (1.0 - math.exp(2.0 * C * t)) * A + 1.0
-        if denom_sq <= 0:
-            break
-        bound = math.exp(C * t) * A / math.sqrt(denom_sq)
-        measured = norm_h(domain, Y[n]) ** 2
-        n_valid += 1
-        if measured - bound > worst[0] - worst[1]:
-            worst = (measured, bound, t)
-        if measured > bound and first_violation is None:
-            first_violation = t
+    t = tg.t
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom_sq = (1.0 - np.exp(2.0 * C * t)) * A + 1.0
+    # the valid frames run up to the first one at or beyond t*
+    n_valid = int(np.sum(np.logical_and.accumulate(
+        (t < t_star) & (denom_sq > 0))))
+    t, measured = t[:n_valid], measured[:n_valid]
+    bound = np.exp(C * t) * A / np.sqrt(denom_sq[:n_valid])
+    worst = (0.0, 0.0, None)  # (lhs, rhs at the tightest frame, its time)
+    if n_valid:
+        i = int(np.argmax(measured - bound))
+        worst = (measured[i], bound[i], float(t[i]))
+    late = np.flatnonzero(measured > bound)
     meta = {"t_star": t_star, "n_valid_frames": n_valid, "C": C, "A": A,
-            "first_violation_time": first_violation,
+            "first_violation_time": float(t[late[0]]) if late.size else None,
             "worst_frame_time": worst[2]}
     if t_star <= tg.T:
         meta["note"] = f"bound inapplicable beyond t*={t_star:.6g}"
@@ -180,7 +160,7 @@ def wv_bound(domain: Domain1D, tg: TimeGrid, Y, window: ControlWindow,
     """
     Y = as_trajectory(domain, tg, Y)
     lhs = norm_wv(domain, tg, Y)
-    base = math.exp(norm_h(domain, Y[0]) ** 2) + norm_q0(window, omega) ** 2 \
+    base = math.exp(norm_h_sq(domain, Y[0])) + norm_q0(window, omega) ** 2 \
         + 1.0
     implied = lhs / base
     if C is None:
@@ -201,9 +181,8 @@ def smallness_margin(domain: Domain1D, tg: TimeGrid, window: ControlWindow,
         raise ValueError("smallness_margin: C_eps must be nonnegative")
     y0 = as_field(domain, y0)
     bq = apply_B(window, omega)
-    force = sum(tg.dt * norm_vstar(domain, bq[n]) ** 2
-                for n in range(tg.n_steps))
-    lhs = norm_h(domain, y0) ** 2 + C_eps * tg.T * force
+    force = tg.dt * float(np.sum(norm_vstar_sq(domain, bq[:-1])))
+    lhs = norm_h_sq(domain, y0) + C_eps * tg.T * force
     grow = math.expm1(2.0 * C_eps * tg.T)
     rhs = math.inf if grow <= 0 else 1.0 / math.sqrt(grow)
     return make_report("smallness", lhs, rhs, tol=0.0,

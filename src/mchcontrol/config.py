@@ -204,13 +204,19 @@ def _validate_semantics(cfg: dict):
                           f"{cfg['optimizer']['method']!r}")
     if cfg["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
-    opt, gc = cfg["optimizer"], cfg["gradcheck"]
+    opt, gc, vy = cfg["optimizer"], cfg["gradcheck"], cfg["verify"]
     for name, ok, rule in (
             ("optimizer.memory", opt["memory"] >= 1, "at least 1"),
             ("optimizer.max_iters", opt["max_iters"] >= 0, "nonnegative"),
             ("optimizer.step0", opt["step0"] > 0, "positive"),
             ("gradcheck.n_directions", gc["n_directions"] >= 1, "at least 1"),
-            ("gradcheck.fd_step", gc["fd_step"] > 0, "positive")):
+            ("gradcheck.fd_step", gc["fd_step"] > 0, "positive"),
+            ("verify.n_hessian_samples", vy["n_hessian_samples"] >= 1,
+             "at least 1"),
+            ("verify.n_embed_samples", vy["n_embed_samples"] >= 1,
+             "at least 1"),
+            ("verify.smallness_C_eps", vy["smallness_C_eps"] >= 0,
+             "nonnegative")):
         if not ok:
             raise ConfigError(f"{name} must be {rule}")
     if not all(map(_finite_number, cfg["initial"]["coefficients"])):

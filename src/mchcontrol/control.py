@@ -20,8 +20,8 @@ from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
                       inner_q0, norm_q0, restrict_B, solve_forward,
                       transport_terms)
 from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
-                   norm_h, norm_l2h, norm_ct_h, norm_l2v, norm_vstar, norm_wv,
-                   measure_embedding_constant)
+                   norm_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
+                   norm_vstar_sq, norm_wv, measure_embedding_constant)
 from .helmholtz import get_operator
 from .tangent_adjoint import (AdjointState, TangentState,
                               adjoint_equation_residual,
@@ -160,8 +160,7 @@ def _constraint_residuals(problem: TrackingProblem, omega, Y):
     Y = as_trajectory(domain, tg, Y)
     bq = apply_B(problem.window, omega)
     y, y_next = Y[:-1], Y[1:]
-    u = get_operator(domain).kernel.solve(y.T).T
-    ux = d1(domain, u)
+    u, ux, _ = get_operator(domain).velocity(y)
     mdt_next = y_next - tg.dt * p.epsilon * d2(domain, y_next)
     e1 = ((mdt_next - y) / tg.dt
           + transport_terms(domain, y, u, ux, p.k) - bq[:-1])
@@ -178,10 +177,8 @@ def residual_y_norm(problem: TrackingProblem, e1, e2) -> float:
         raise DomainMismatchError(
             f"step residual has shape {e1.shape}, expected "
             f"({tg.n_steps}, {domain.n_interior})")
-    riesz = get_operator(domain).kernel.solve(e1.T)
-    # per-step (e1, A^-1 e1) >= 0 exactly; tolerate roundoff at zero
-    vstar_sq = np.maximum(domain.h * np.einsum("in,in->n", e1.T, riesz), 0.0)
-    return math.sqrt(tg.dt * float(vstar_sq.sum()) + norm_h(domain, e2) ** 2)
+    return math.sqrt(tg.dt * float(norm_vstar_sq(domain, e1).sum())
+                     + norm_h_sq(domain, e2))
 
 
 def state_equation_residual(problem: TrackingProblem, omega, Y) -> float:
@@ -314,9 +311,8 @@ def lagrangian(problem: TrackingProblem, omega, Y, lam, mu, c: float) -> float:
     J = misfit(problem, Y) + 0.5 * problem.delta * norm_q0(problem.window,
                                                            omega) ** 2
     e1, e2 = _constraint_residuals(problem, omega, Y)
-    pair = sum(tg.dt * inner_h(domain, e1[n], lam[n])
-               for n in range(tg.n_steps))
-    pair += inner_h(domain, e2, mu)
+    pair = (tg.dt * float(np.sum(inner_h(domain, e1, lam[:-1])))
+            + inner_h(domain, e2, mu))
     return J + pair + 0.5 * c * residual_y_norm(problem, e1, e2) ** 2
 
 
@@ -377,8 +373,7 @@ def lambda_bound_check(problem: TrackingProblem, omega,
     source = problem.z_d - ftraj.y
     c0, _, _ = constants(domain, tg, ftraj.y, problem.model)
     lhs = norm_l2v(domain, tg, adj.lam) ** 2
-    src = math.sqrt(float(tg.weights @ np.array(
-        [norm_vstar(domain, source[n]) ** 2 for n in range(tg.n_steps + 1)])))
+    src = math.sqrt(float(tg.weights @ norm_vstar_sq(domain, source)))
     rhs = 4.0 / (3.0 * problem.model.epsilon) * math.exp(c0 * tg.T) * src
     return {"lhs": lhs, "rhs": rhs, "passed": bool(lhs <= rhs), "c0": c0}
 
@@ -397,16 +392,12 @@ def quadratic_form(problem: TrackingProblem, q,
         tan = solve_tangent(ftraj, problem.window, q, problem.model)
     part_m = norm_wv(domain, tg, tan.m) ** 2
     part_q = problem.delta * norm_q0(problem.window, q) ** 2
-    acc = 0.0
-    for n in range(tg.n_steps + 1):
-        lx = d1(domain, adj.lam[n])
-        v = tan.v[n]
-        vx = d1(domain, v)
-        m = tan.m[n]
-        y, u, ux = ftraj.y[n], ftraj.u[n], ftraj.ux[n]
-        b = (-2.0 * v * v * y * lx - 4.0 * u * v * m * lx
-             + 2.0 * vx * vx * y * lx + 4.0 * ux * vx * m * lx)
-        acc += tg.weights[n] * domain.h * float(np.sum(b))
+    m, v, vx = tan.m, tan.v, d1(domain, tan.v)
+    y, u, ux = ftraj.y, ftraj.u, ftraj.ux
+    # b = w l_x, so its space integral is the per-frame pairing (w, l_x)
+    w = (-2.0 * v * v * y - 4.0 * u * v * m + 2.0 * vx * vx * y
+         + 4.0 * ux * vx * m)
+    acc = float(tg.weights @ inner_h(domain, w, d1(domain, adj.lam)))
     total = part_m + part_q + acc
     return total, {"m_wv_sq": part_m, "q_reg_sq": part_q, "b_integral": acc,
                    "total": total}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
-from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1
+from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1, norm_h
 from .helmholtz import ShiftedLaplacianSolver, get_operator
 
 CFL_SAFETY = 0.5
@@ -205,8 +205,7 @@ def dirichlet_modes(domain: Domain1D, n_modes: int) -> np.ndarray:
     """First sampled sine modes, unit-normalized in the H norm."""
     ms = np.arange(1, min(n_modes, domain.n_interior) + 1)
     modes = np.sin(np.outer(ms, math.pi * domain.x / domain.L))
-    return modes / (math.sqrt(domain.h)
-                    * np.linalg.norm(modes, axis=1, keepdims=True))
+    return modes / norm_h(domain, modes)[:, None]
 
 
 def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams) -> float:

@@ -4,6 +4,13 @@ Fields store interior node values only; the homogeneous boundary is implicit,
 so every difference stencil uses zero extension. Space integrals are the
 trapezoid rule (boundary terms vanish), time integrals over trajectory frames
 are the trapezoid rule in t.
+
+The stencils and the space norms act along the last axis, so they take one
+field or a stack of frames (..., n) and give one value per frame: a Python
+float for a single field. The norm primitives are squared (H, H1, the dual
+norm of V*, the wall-corrected gradient), since the space-time norms sum
+squares over frames. The trajectory norms take one trajectory or a stack of
+them (..., N+1, n).
 """
 
 from __future__ import annotations
@@ -120,119 +127,136 @@ def d2(domain: Domain1D, f) -> np.ndarray:
     return g
 
 
-def inner_h(domain: Domain1D, f, g) -> float:
-    """L2 inner product; trapezoid rule with zero boundary values."""
-    f = as_field(domain, f)
-    g = as_field(domain, g)
-    return domain.h * float(f @ g)
+def _per_frame(a):
+    """A per-frame value: a Python float for one field, an array for a
+    stack of frames."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def inner_h(domain: Domain1D, f, g):
+    """L2 inner product per frame along the last axis; trapezoid rule with
+    zero boundary values."""
+    f = _stencil_input(domain, f)
+    g = _stencil_input(domain, g)
+    return _per_frame(domain.h * np.einsum("...i,...i->...", f, g))
+
+
+def norm_h_sq(domain: Domain1D, f):
+    """Squared L2 norm per frame."""
+    return inner_h(domain, f, f)
+
+
+def norm_h(domain: Domain1D, f):
+    """L2 norm per frame."""
+    return _per_frame(np.sqrt(norm_h_sq(domain, f)))
 
 
 def wall_slopes(domain: Domain1D, f):
-    """One-sided second-order slopes of a Dirichlet field at both walls."""
-    f = as_field(domain, f)
-    s0 = (4.0 * f[0] - f[1]) / (2.0 * domain.h)
-    sL = (-4.0 * f[-1] + f[-2]) / (2.0 * domain.h)
-    return s0, sL
+    """One-sided second-order slopes of a Dirichlet field at both walls,
+    per frame."""
+    f = _stencil_input(domain, f)
+    s0 = (4.0 * f[..., 0] - f[..., 1]) / (2.0 * domain.h)
+    sL = (-4.0 * f[..., -1] + f[..., -2]) / (2.0 * domain.h)
+    return _per_frame(s0), _per_frame(sL)
 
 
-def grad_norm_sq(domain: Domain1D, f) -> float:
-    """Second-order quadrature of the squared gradient of a Dirichlet field.
+def grad_norm_sq(domain: Domain1D, f):
+    """Second-order quadrature of the squared gradient of a Dirichlet field,
+    per frame.
 
     The centered difference vanishes nowhere the integrand does: f_x^2 has
     nonzero boundary density even when f itself is zero there, so the
     interior-only sum is short by O(h). One-sided second-order slopes at the
     walls restore the trapezoid end weights.
     """
-    f = as_field(domain, f)
-    g = d1(domain, f)
     s0, sL = wall_slopes(domain, f)
-    return domain.h * float(g @ g) + 0.5 * domain.h * (s0 * s0 + sL * sL)
+    return (norm_h_sq(domain, d1(domain, f))
+            + 0.5 * domain.h * (s0 * s0 + sL * sL))
 
 
-def norm_h(domain: Domain1D, f) -> float:
-    f = as_field(domain, f)
-    return math.sqrt(domain.h) * float(np.linalg.norm(f))
+def norm_v_sq(domain: Domain1D, f):
+    """Squared H1 norm per frame: ||f||^2 + ||f_x||^2, centered difference."""
+    return norm_h_sq(domain, f) + norm_h_sq(domain, d1(domain, f))
 
 
-def norm_sup(f) -> float:
-    f = np.asarray(f, dtype=float)
-    return float(np.max(np.abs(f)))
+def norm_vstar_sq(domain: Domain1D, f):
+    """Squared dual norm per frame via the Riesz solve (1 - dxx) w = f:
+    (f, w), with one multi-RHS solve for a stack of frames.
 
-
-def norm_v(domain: Domain1D, f) -> float:
-    """H1 norm: sqrt(||f||^2 + ||f_x||^2) with the centered difference."""
-    return math.sqrt(norm_h(domain, f) ** 2 + norm_h(domain, d1(domain, f)) ** 2)
-
-
-def norm_vstar(domain: Domain1D, f) -> float:
-    """Dual norm via the Riesz solve (1 - dxx) w = f: sqrt((f, w)).
-
-    Never exceeds norm_h since the inverse has spectrum in (0, 1].
+    Never exceeds norm_h_sq since the inverse has spectrum in (0, 1].
     """
     from .helmholtz import get_operator
 
-    f = as_field(domain, f)
-    op = get_operator(domain)
-    w = op.solve(f)
-    val = inner_h(domain, f, w)
+    w = get_operator(domain).solve(f)
     # (f, A^-1 f) >= 0 exactly; tolerate roundoff at zero
-    return math.sqrt(max(val, 0.0))
+    return _per_frame(np.maximum(inner_h(domain, f, w), 0.0))
+
+
+def _trajectories(domain: Domain1D, tg: TimeGrid, Y) -> np.ndarray:
+    """A trajectory or a stack of them, shape (..., n_steps + 1, n)."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape[-2:] != (tg.n_steps + 1, domain.n_interior):
+        raise DomainMismatchError(
+            f"trajectory has shape {Y.shape}, expected "
+            f"(..., {tg.n_steps + 1}, {domain.n_interior})"
+        )
+    return Y
 
 
 def inner_l2h(domain: Domain1D, tg: TimeGrid, A, B) -> float:
     """L2(0,T;L2) inner product of two trajectories, trapezoid in time."""
     A = as_trajectory(domain, tg, A)
     B = as_trajectory(domain, tg, B)
-    per_frame = domain.h * np.einsum("ni,ni->n", A, B)
-    return float(tg.weights @ per_frame)
+    return float(tg.weights @ inner_h(domain, A, B))
 
 
 def norm_l2h(domain: Domain1D, tg: TimeGrid, Y) -> float:
     return math.sqrt(max(inner_l2h(domain, tg, Y, Y), 0.0))
 
 
-def norm_ct_h(domain: Domain1D, tg: TimeGrid, Y) -> float:
-    """C([0,T]; L2) norm: max over frames of norm_h."""
-    Y = as_trajectory(domain, tg, Y)
-    return math.sqrt(domain.h) * float(np.max(np.linalg.norm(Y, axis=1)))
+def norm_ct_h(domain: Domain1D, tg: TimeGrid, Y):
+    """C([0,T]; L2) norm: max over frames of the L2 norm; one value per
+    trajectory of a stack."""
+    Y = _trajectories(domain, tg, Y)
+    return _per_frame(np.sqrt(np.max(norm_h_sq(domain, Y), axis=-1)))
 
 
-def norm_l2v(domain: Domain1D, tg: TimeGrid, Y) -> float:
-    """L2(0,T;H1) norm by trapezoid quadrature of norm_v^2."""
-    Y = as_trajectory(domain, tg, Y)
-    vals = np.array([norm_v(domain, Y[n]) ** 2 for n in range(tg.n_steps + 1)])
-    return math.sqrt(float(tg.weights @ vals))
+def norm_l2v(domain: Domain1D, tg: TimeGrid, Y):
+    """L2(0,T;H1) norm by trapezoid quadrature of the squared H1 norm; one
+    value per trajectory of a stack."""
+    Y = _trajectories(domain, tg, Y)
+    return _per_frame(np.sqrt(norm_v_sq(domain, Y) @ tg.weights))
 
 
-def norm_wv(domain: Domain1D, tg: TimeGrid, Y) -> float:
-    """W norm: norm_l2v plus the L2-in-time dual norm of difference quotients.
+def norm_wv(domain: Domain1D, tg: TimeGrid, Y):
+    """W norm: norm_l2v plus the L2-in-time dual norm of difference
+    quotients; one value per trajectory of a stack.
 
     The time derivative is the forward quotient on each step, integrated with
     weight dt (midpoint rule on step cells). Constant-in-time trajectories
     therefore have norm_wv == norm_l2v.
     """
-    Y = as_trajectory(domain, tg, Y)
-    dt = tg.dt
-    acc = 0.0
-    for n in range(tg.n_steps):
-        q = (Y[n + 1] - Y[n]) / dt
-        acc += dt * norm_vstar(domain, q) ** 2
-    return norm_l2v(domain, tg, Y) + math.sqrt(acc)
+    Y = _trajectories(domain, tg, Y)
+    quotients = np.diff(Y, axis=-2) / tg.dt
+    dual_sq = tg.dt * np.sum(norm_vstar_sq(domain, quotients), axis=-1)
+    return _per_frame(norm_l2v(domain, tg, Y) + np.sqrt(dual_sq))
 
 
-def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid,
-                             rng) -> np.ndarray:
-    """Random trajectory with decaying spectrum: 8 sine modes in x, each
-    with 6 cosine modes in t."""
+def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid, rng,
+                             n_samples: int) -> np.ndarray:
+    """n_samples random trajectories as one (n_samples, N+1, n) stack, with
+    decaying spectrum: 8 sine modes in x, each with 6 cosine modes in t.
+
+    The coefficients come from one draw, which consumes the generator in
+    the order of n_samples draws of one trajectory each.
+    """
     ms = np.arange(1, min(8, domain.n_interior) + 1)
     sines = np.sin(np.outer(domain.x, ms * math.pi / domain.L))  # (n, M)
-    tt = tg.t / tg.T
     ks = np.arange(6)
-    prof = np.zeros((tg.n_steps + 1, ms.size))
-    for j, m in enumerate(ms):
-        coef = rng.standard_normal(ks.size) / (1.0 + ks) ** 2
-        phase = np.outer(tt, ks * math.pi)
-        prof[:, j] = (np.cos(phase) @ coef) / m ** 2
+    coef = rng.standard_normal((n_samples, ms.size, ks.size))
+    coef /= (1.0 + ks) ** 2
+    cosines = np.cos(np.outer(tg.t / tg.T, ks * math.pi))  # (N+1, K)
+    prof = cosines @ np.swapaxes(coef, -1, -2) / ms ** 2  # (n_samples, N+1, M)
     return prof @ sines.T
 
 
@@ -243,11 +267,8 @@ def measure_embedding_constant(domain: Domain1D, tg: TimeGrid, rng,
     Maximizes the ratio over random smooth trajectories; deterministic for a
     seeded generator.
     """
-    best = 0.0
-    for _ in range(n_samples):
-        Y = random_smooth_trajectory(domain, tg, rng)
-        wv = norm_wv(domain, tg, Y)
-        if wv <= 0.0:
-            continue
-        best = max(best, norm_ct_h(domain, tg, Y) / wv)
-    return best
+    Y = random_smooth_trajectory(domain, tg, rng, n_samples)
+    wv = norm_wv(domain, tg, Y)
+    seen = wv > 0.0
+    ratios = norm_ct_h(domain, tg, Y[seen]) / wv[seen]
+    return float(np.max(ratios, initial=0.0))

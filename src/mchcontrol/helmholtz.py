@@ -4,7 +4,8 @@ The operator is the tridiagonal matrix I - D2 on interior nodes. Both it and
 the implicit-diffusion matrix I - c*D2 are factored once as LDL^T (LAPACK
 pttrf), and every solve is one pttrs call on a 1-D field or on an (n, k)
 stack of right-hand sides, so apply(solve(y)) returns y to solver precision
-and the solve is its own transpose.
+and the solve is its own transpose. HelmholtzOperator takes a frame stack
+(..., n) the same way as a single field.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import Domain1D, as_field, d1, d2
+from .grid import Domain1D, _stencil_input, d1, d2
 
 
 class ShiftedLaplacianSolver:
@@ -40,18 +41,22 @@ class ShiftedLaplacianSolver:
 
 
 class HelmholtzOperator:
-    """apply(u) = u - u_xx and its inverse on the Dirichlet grid."""
+    """apply(u) = u - u_xx and its inverse on the Dirichlet grid, on a field
+    or along the last axis of a stack of frames."""
 
     def __init__(self, domain: Domain1D):
         self.domain = domain
         self.kernel = ShiftedLaplacianSolver(domain, 1.0)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        u = as_field(self.domain, u)
+        u = _stencil_input(self.domain, u)
         return u - d2(self.domain, u)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        return self.kernel.solve(as_field(self.domain, y))
+        """One kernel call with every frame as a right-hand side."""
+        y = _stencil_input(self.domain, y)
+        cols = y.reshape(-1, self.domain.n_interior).T
+        return self.kernel.solve(cols).T.reshape(y.shape)
 
     def velocity(self, y: np.ndarray):
         """Velocity u, its derivative, and u_xx = u - y (exact identity)."""

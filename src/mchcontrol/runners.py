@@ -15,8 +15,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (Domain1D, TimeGrid, inner_h, norm_h, norm_l2h, norm_vstar,
-                   as_trajectory)
+from .grid import Domain1D, TimeGrid, norm_h
 from .helmholtz import get_operator
 from .forward import (ModelParams, ControlWindow, apply_B, restrict_B,
                       norm_q0, inner_q0, solve_forward, weak_residual,
@@ -326,18 +325,14 @@ def _hard_checks(cfg, problem, state, fo, rng):
     checks = []
 
     op = get_operator(domain)
-    worst = 0.0
-    for _ in range(20):
-        y = rng.standard_normal(domain.n_interior)
-        err = np.linalg.norm(op.apply(op.solve(y)) - y) / np.linalg.norm(y)
-        worst = max(worst, float(err))
-    checks.append(make_report("helmholtz_round_trip", worst, 1e-10))
+    ys = rng.standard_normal((20, domain.n_interior))
+    err = norm_h(domain, op.apply(op.solve(ys)) - ys) / norm_h(domain, ys)
+    checks.append(make_report("helmholtz_round_trip", np.max(err), 1e-10))
 
     worst = 0.0
     for _ in range(3):
         q = window.random_control(rng)
-        s = np.array([rng.standard_normal(domain.n_interior)
-                      for _ in range(tg.n_steps + 1)])
+        s = rng.standard_normal((tg.n_steps + 1, domain.n_interior))
         worst = max(worst, pairing_defect(ftraj, window, q, s, p))
     checks.append(make_report("transpose_identity", worst, 1e-10))
 
@@ -362,7 +357,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
         # negative control: one frame perturbed, velocity kept consistent
         ybad = ftraj.y.copy()
         ybad[tg.n_steps // 2] += 1e-2
-        ubad = np.array([op.solve(ybad[n]) for n in range(tg.n_steps + 1)])
+        ubad = op.solve(ybad)
         wtraj = trajectory_from_arrays(domain, tg, ybad, ubad)
     scale = 1.0 + float(np.max(np.abs(ftraj.y))) ** 3
     wr = weak_residual(wtraj, apply_B(window, omega), p)
@@ -370,8 +365,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
                               20.0 * (dt + hx ** 2) * scale))
 
     J, _ = cost(problem, omega, ftraj)
-    lam = np.array([rng.standard_normal(domain.n_interior)
-                    for _ in range(tg.n_steps + 1)])
+    lam = rng.standard_normal((tg.n_steps + 1, domain.n_interior))
     mu = rng.standard_normal(domain.n_interior)
     L = lagrangian(problem, omega, ftraj.y, lam, mu, c=1.7)
     checks.append(make_report("lagrangian_feasible", abs(L - J),
@@ -386,8 +380,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
     dev = _constants_oracle_deviation()
     checks.append(make_report("constants_unit_values", dev, 1e-12))
 
-    worst = max(momentum_identity(domain, ftraj.y[n])[2]
-                for n in range(tg.n_steps + 1))
+    worst = np.max(momentum_identity(domain, ftraj.y)[2])
     checks.append(make_report("momentum_identity", worst, 50.0 * hx ** 2))
 
     en = energy_identity(ftraj, p, omega=omega, window=window)

@@ -22,7 +22,6 @@ and the transposed tangent term explicit at each base frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
                       _first_nonfinite, inner_q0, norm_q0)
-from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_l2h
+from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_h, norm_l2h
 from .helmholtz import ShiftedLaplacianSolver, get_operator
 
 
@@ -87,10 +86,14 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
     """Exact derivative of the forward march along the control direction q.
 
     m(0) = 0; each step linearizes the explicit terms about the stored base
-    frame and applies the same implicit diffusion solve.
+    frame and applies the same implicit diffusion solve. The frames up to
+    the first step k0 the direction acts on (the window's first step) are
+    therefore exactly zero, and the march starts at k0; a NaN row counts as
+    acting, so it still fails at its own step.
     """
     domain, tg = ftraj.domain, ftraj.tg
     dtq = tg.dt * apply_B(window, q)
+    k0 = int(np.argmax(dtq.any(axis=1)))
     vsolve = get_operator(domain).kernel.solve
     dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
     Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k)
@@ -98,7 +101,7 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
     # zero-padded rows: the pads are the Dirichlet walls of D1
     Mp, Vp = np.zeros((2, N + 1, domain.n_interior + 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
+        for k in range(k0, N + 1):
             mp, vp = Mp[k], Vp[k]
             m, v = mp[1:-1], vp[1:-1]
             v[:] = vsolve(m)
@@ -219,9 +222,8 @@ def adjoint_equation_residual(ftraj: ForwardTrajectory, lam, source,
     coeffs = _transport_coefficients(ftraj, p.k)[:, 1:N - 1]
     r = ((lam[2:N] - lam[:N - 2]) / (2.0 * tg.dt) + p.epsilon * d2(domain, mid)
          + source[1:N - 1] - transposed_transport(domain, coeffs, mid))
-    worst = math.sqrt(domain.h) * float(
-        np.max(np.linalg.norm(r, axis=1), initial=0.0))
-    scale = math.sqrt(domain.h) * float(np.max(np.linalg.norm(lam, axis=1)))
+    worst = float(np.max(norm_h(domain, r), initial=0.0))
+    scale = float(np.max(norm_h(domain, lam)))
     rel = worst / scale if scale > 0 else worst
     return {"max_h": worst, "max_h_rel": rel, "scale": scale}
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_control
-from mchcontrol.grid import (Domain1D, TimeGrid, grad_norm_sq, inner_h,
-                             norm_h, norm_wv)
+from mchcontrol.grid import Domain1D, TimeGrid, d1, norm_wv
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward)
 from mchcontrol.analysis import (EstimateReport, make_report, energy_series,
@@ -40,9 +39,14 @@ def test_energy_series_formula(free_run):
     ft = free_run
     dom = ft.domain
     E = energy_series(ft)
+    h = dom.h
     for n in (0, 7, ft.tg.n_steps):
-        direct = 0.5 * (norm_h(dom, ft.u[n]) ** 2
-                        + grad_norm_sq(dom, ft.u[n]))
+        u = ft.u[n]
+        ux = d1(dom, u)
+        s0 = (4.0 * u[0] - u[1]) / (2.0 * h)
+        sL = (-4.0 * u[-1] + u[-2]) / (2.0 * h)
+        direct = 0.5 * (h * float(u @ u) + h * float(ux @ ux)
+                        + 0.5 * h * (s0 * s0 + sL * sL))
         assert E[n] == pytest.approx(direct, rel=1e-15)
     assert E.shape == (ft.tg.n_steps + 1,)
 
@@ -55,7 +59,7 @@ def test_energy_identity_reconstructs_increment(forced_run, small_setup):
     bq = apply_B(window, omega)
     scale = 1.0 + float(np.max(np.abs(E)))
     for n in range(tg.n_steps):
-        work = inner_h(dom, bq[n], ft.u[n + 1])
+        work = dom.h * float(bq[n] @ ft.u[n + 1])
         recon = tg.dt * (r[n] - out["dissipation"][n]
                          + out["wall_flux"][n] + work)
         assert abs((E[n + 1] - E[n]) - recon) <= 1e-12 * scale
@@ -133,6 +137,36 @@ def test_gronwall_fitted_constant_passes(free_run, small_setup):
     assert rep.meta["n_valid_frames"] == tg.n_steps + 1
     assert rep.meta["first_violation_time"] is None
     assert "note" not in rep.meta
+
+
+def gronwall_gaps(dom, tg, Y, C, A):
+    """bound - measured per frame, one frame at a time."""
+    return [math.exp(C * t) * A
+            / math.sqrt((1.0 - math.exp(2.0 * C * t)) * A + 1.0)
+            - dom.h * float(Y[n] @ Y[n]) for n, t in enumerate(tg.t)]
+
+
+def test_gronwall_reports_tightest_frame(free_run, small_setup):
+    dom, tg, _, _, _ = small_setup
+    Y = free_run.y
+    # A = ||y(0)||^2 by default, so frame 0 is exactly tight
+    rep = gronwall_bound(dom, tg, Y, fit_growth_constant(dom, tg, Y))
+    assert rep.passed and rep.lhs > 0.0
+    assert rep.margin == 0.0
+    assert rep.meta["worst_frame_time"] == 0.0
+    assert min(gronwall_gaps(dom, tg, Y, rep.meta["C"], rep.meta["A"])) \
+        == pytest.approx(0.0, abs=1e-15)
+    # growth close to the bound's rate moves the tightest frame to t > 0
+    dom = Domain1D(2.0, 16)
+    tg = TimeGrid(0.5, 40)
+    Y = np.exp(tg.t)[:, None] * (0.2 * np.sin(np.pi * dom.x / 2.0))
+    A = 1.5 * dom.h * float(Y[0] @ Y[0])
+    rep = gronwall_bound(dom, tg, Y, 1.2, A=A)
+    assert rep.passed and rep.lhs > 0.0
+    assert rep.meta["n_valid_frames"] == tg.n_steps + 1
+    gaps = gronwall_gaps(dom, tg, Y, 1.2, A)
+    assert rep.margin == pytest.approx(min(gaps), rel=1e-12)
+    assert rep.meta["worst_frame_time"] == tg.t[int(np.argmin(gaps))] > 0.0
 
 
 def test_gronwall_growing_trajectory():

@@ -94,7 +94,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("optimize", "optimizer.memory", {"optimizer": {"memory": 0}}),
             ("optimize", "optimizer.max_iters",
              {"optimizer": {"max_iters": -1}}),
-            ("optimize", "optimizer.step0", {"optimizer": {"step0": 0.0}}))):
+            ("optimize", "optimizer.step0", {"optimizer": {"step0": 0.0}}),
+            ("verify", "verify.n_hessian_samples",
+             {"verify": {"n_hessian_samples": 0}}),
+            ("verify", "verify.n_embed_samples",
+             {"verify": {"n_embed_samples": 0}}),
+            ("verify", "verify.smallness_C_eps",
+             {"verify": {"smallness_C_eps": -0.5}}))):
         bad = write_cfg(tmp_path, f"bad{i}.json", **override)
         assert run(command, bad, tmp_path / "o") == 2, field
         assert field in capsys.readouterr().err

@@ -84,7 +84,10 @@ def test_semantic_checks():
                 {"window": {"a": 1.5, "b": 0.5}},
                 {"window": {"t1": 9.0}},
                 {"initial": {"coefficients": [0.1, "x"]}},
-                {"gradcheck": {"taylor_steps": [1e-2, -1e-3]}}):
+                {"gradcheck": {"taylor_steps": [1e-2, -1e-3]}},
+                {"verify": {"n_hessian_samples": 0}},
+                {"verify": {"n_embed_samples": 0}},
+                {"verify": {"smallness_C_eps": -1e-3}}):
         with pytest.raises(ConfigError):
             resolve_config(minimal(**bad))
 

@@ -5,11 +5,13 @@ import pytest
 
 from mchcontrol.errors import DomainMismatchError
 from mchcontrol.grid import (Domain1D, TimeGrid, as_field, as_trajectory,
-                             d1, d2, inner_h, norm_h, norm_v, norm_vstar,
+                             d1, d2, inner_h, norm_h, norm_h_sq, norm_v_sq,
+                             norm_vstar_sq,
                              norm_l2h, norm_ct_h, norm_l2v, norm_wv,
                              wall_slopes, grad_norm_sq,
                              random_smooth_trajectory,
                              measure_embedding_constant)
+from mchcontrol.helmholtz import get_operator
 
 
 def disc_eig(domain, m):
@@ -131,14 +133,16 @@ def test_vstar_eigenmode_oracle():
         mode = np.sin(m * math.pi * dom.x / dom.L)
         lam = disc_eig(dom, m)
         expect = norm_h(dom, mode) / math.sqrt(1.0 + lam)
-        assert norm_vstar(dom, mode) == pytest.approx(expect, rel=1e-12)
+        assert math.sqrt(norm_vstar_sq(dom, mode)) == pytest.approx(
+            expect, rel=1e-12)
 
 
 def test_vstar_below_h(rng):
     dom = Domain1D(1.0, 21)
     for _ in range(5):
         f = rng.standard_normal(21)
-        assert norm_vstar(dom, f) <= norm_h(dom, f) * (1.0 + 1e-12)
+        assert math.sqrt(norm_vstar_sq(dom, f)) <= norm_h(dom, f) * (
+            1.0 + 1e-12)
 
 
 def test_trajectory_norms(rng):
@@ -156,8 +160,9 @@ def test_trajectory_norms(rng):
 def test_norm_v_pythagoras(rng):
     dom = Domain1D(1.0, 15)
     f = rng.standard_normal(15)
-    expect = math.sqrt(norm_h(dom, f) ** 2 + norm_h(dom, d1(dom, f)) ** 2)
-    assert norm_v(dom, f) == pytest.approx(expect, rel=1e-14)
+    fx = d1(dom, f)
+    expect = dom.h * float(f @ f) + dom.h * float(fx @ fx)
+    assert norm_v_sq(dom, f) == pytest.approx(expect, rel=1e-14)
 
 
 def test_embedding_constant_deterministic():
@@ -168,5 +173,47 @@ def test_embedding_constant_deterministic():
     assert a == b
     assert a > 0.0
     # the estimate dominates the sampled trajectories by construction
-    Y = random_smooth_trajectory(dom, tg, np.random.default_rng(7))
+    Y = random_smooth_trajectory(dom, tg, np.random.default_rng(7), 1)[0]
     assert norm_ct_h(dom, tg, Y) <= a * norm_wv(dom, tg, Y) * (1.0 + 1e-12)
+
+
+# (function, number of trailing axes one value is taken over): 1 for the
+# per-frame norms and operator methods, 2 for the trajectory norms
+STACK_AWARE = {
+    "inner_h": (lambda dom, tg, f: inner_h(dom, f, np.cos(f)), 1),
+    "norm_h_sq": (lambda dom, tg, f: norm_h_sq(dom, f), 1),
+    "norm_h": (lambda dom, tg, f: norm_h(dom, f), 1),
+    "norm_v_sq": (lambda dom, tg, f: norm_v_sq(dom, f), 1),
+    "norm_vstar_sq": (lambda dom, tg, f: norm_vstar_sq(dom, f), 1),
+    "grad_norm_sq": (lambda dom, tg, f: grad_norm_sq(dom, f), 1),
+    "wall_slopes": (lambda dom, tg, f: wall_slopes(dom, f), 1),
+    "apply": (lambda dom, tg, f: get_operator(dom).apply(f), 1),
+    "solve": (lambda dom, tg, f: get_operator(dom).solve(f), 1),
+    "velocity": (lambda dom, tg, f: get_operator(dom).velocity(f), 1),
+    "norm_ct_h": (lambda dom, tg, f: norm_ct_h(dom, tg, f), 2),
+    "norm_l2v": (lambda dom, tg, f: norm_l2v(dom, tg, f), 2),
+    "norm_wv": (lambda dom, tg, f: norm_wv(dom, tg, f), 2),
+}
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["frames", "trajectories"])
+@pytest.mark.parametrize("name", sorted(STACK_AWARE))
+def test_stack_matches_per_frame(name, lead, rng):
+    """A stack (N+1, n) or (k, N+1, n) gives each frame's (or each
+    trajectory's) own value, and one field still gives Python floats."""
+    dom = Domain1D(1.3, 19)
+    tg = TimeGrid(0.6, 12)
+    fn, core = STACK_AWARE[name]
+    stack = rng.standard_normal(lead + (tg.n_steps + 1, dom.n_interior))
+
+    def parts(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    whole = parts(fn(dom, tg, stack))
+    for idx in np.ndindex(stack.shape[:stack.ndim - core]):
+        one = parts(fn(dom, tg, stack[idx]))
+        assert len(one) == len(whole)
+        for w, o in zip(whole, one):
+            assert np.ndim(o) > 0 or type(o) is float
+            err = np.max(np.abs(np.asarray(w)[idx] - o))
+            assert err <= 1e-13 * np.max(np.abs(o))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import bump_control
 from mchcontrol.errors import NumericsError
-from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, norm_h, norm_l2h
+from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, norm_l2h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward, norm_q0,
@@ -257,6 +257,11 @@ def test_tangent_matches_step_oracle(rng):
     M, V = reference_tangent(ft, w, q, p)
     assert_close(tan.m, M, 1e-12)
     assert_close(tan.v, V, 1e-12)
+    # the march starts at the window's first step; the frames before it
+    # and the one it starts from are exact zeros
+    k0 = w.block[0].start
+    assert k0 > 0
+    assert np.all(tan.m[:k0 + 1] == 0.0) and np.all(tan.v[:k0 + 1] == 0.0)
 
 
 def test_adjoint_matches_step_oracle(rng):
@@ -283,8 +288,8 @@ def test_adjoint_residual_matches_frame_oracle(rng):
         ldot = (lam[n + 1] - lam[n - 1]) / (2.0 * tg.dt)
         r = (ldot + p.epsilon * d2(dom, lam[n]) + source[n]
              - transposed_transport(dom, base[n], lam[n], p.k))
-        worst = max(worst, norm_h(dom, r))
-    scale = max(norm_h(dom, f) for f in lam)
+        worst = max(worst, math.sqrt(dom.h * float(r @ r)))
+    scale = max(math.sqrt(dom.h * float(f @ f)) for f in lam)
     eq = adjoint_equation_residual(ft, lam, source, p)
     assert eq["max_h"] == pytest.approx(worst, rel=1e-12)
     assert eq["scale"] == pytest.approx(scale, rel=1e-12)
