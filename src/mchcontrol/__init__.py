@@ -21,7 +21,7 @@ from .control import (TrackingProblem, OptimOptions, OptimState, cost,
                       first_order_residuals, constants, quadratic_form,
                       coercivity_check, SecondOrderReport)
 from .analysis import (EstimateReport, energy_identity, momentum_identity,
-                       gronwall_bound, wv_bound, smallness_margin)
+                       smallness_margin)
 from .config import resolve_config, load_config, config_hash
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "reduced_gradient", "optimize", "lagrangian", "first_order_residuals",
     "constants", "quadratic_form", "coercivity_check", "SecondOrderReport",
     "EstimateReport", "energy_identity", "momentum_identity",
-    "gronwall_bound", "wv_bound", "smallness_margin",
+    "smallness_margin",
     "resolve_config", "load_config", "config_hash",
     "__version__",
 ]

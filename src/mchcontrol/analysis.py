@@ -1,11 +1,9 @@
 """Numerical verification of the a-priori estimates: per-step energy
-identity, momentum-velocity norm identity, exponential growth bound,
-trajectory-norm bound, and the small-data margin.
+identity, momentum-velocity norm identity, and the small-data margin.
 
 Every function here is a pure evaluation returning series or reports;
-nothing raises on a failed inequality. Constants the theory leaves
-existential are caller-configurable, with calibration helpers that fit the
-smallest value consistent with a given run.
+nothing raises on a failed inequality. The one constant the theory leaves
+existential, the small-data C_eps, is caller-configurable.
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ControlWindow, ForwardTrajectory, apply_B, norm_q0
-from .grid import (Domain1D, TimeGrid, _per_frame, as_field, as_trajectory,
-                   grad_norm_sq, inner_h, norm_h_sq, norm_vstar_sq, norm_wv,
-                   wall_slopes)
+from .forward import ControlWindow, ForwardTrajectory, apply_B
+from .grid import (Domain1D, TimeGrid, _per_frame, as_field, grad_norm_sq,
+                   inner_h, norm_h_sq, norm_vstar_sq, wall_slopes)
 from .helmholtz import get_operator
 
 
@@ -100,73 +97,6 @@ def momentum_identity(domain: Domain1D, y):
            + norm_h_sq(domain, uxx))
     relerr = np.abs(lhs - rhs) / np.maximum(lhs, np.finfo(float).tiny)
     return lhs, rhs, _per_frame(relerr)
-
-
-def fit_growth_constant(domain: Domain1D, tg: TimeGrid, Y) -> float:
-    """Largest observed one-step exponential rate of ||y||_H^2, floored at
-    1e-12 so downstream formulas stay defined."""
-    e = norm_h_sq(domain, as_trajectory(domain, tg, Y))
-    prev, cur = e[:-1], e[1:]
-    both = (prev > 0) & (cur > 0)
-    rates = np.log(cur[both] / prev[both]) / tg.dt
-    return float(np.max(rates, initial=1e-12))
-
-
-def gronwall_bound(domain: Domain1D, tg: TimeGrid, Y, C: float,
-                   A: float = None) -> EstimateReport:
-    """Check ||y(t)||_H^2 against exp(C t) A / sqrt((1 - exp(2 C t)) A + 1).
-
-    A defaults to the measured ||y(0)||_H^2. The bound's denominator turns
-    nonpositive at t* = ln(1 + 1/A)/(2C) for positive C and A; frames at or
-    beyond t* are excluded and t* is reported in the metadata rather than
-    treated as a failure. The report is the valid frame with the largest
-    measured - bound, whether it passes or not.
-    """
-    measured = norm_h_sq(domain, as_trajectory(domain, tg, Y))
-    if A is None:
-        A = float(measured[0])
-    t_star = math.inf
-    if C > 0 and A > 0:
-        t_star = math.log(1.0 + 1.0 / A) / (2.0 * C)
-    t = tg.t
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom_sq = (1.0 - np.exp(2.0 * C * t)) * A + 1.0
-    # the valid frames run up to the first one at or beyond t*
-    n_valid = int(np.sum(np.logical_and.accumulate(
-        (t < t_star) & (denom_sq > 0))))
-    t, measured = t[:n_valid], measured[:n_valid]
-    bound = np.exp(C * t) * A / np.sqrt(denom_sq[:n_valid])
-    worst = (0.0, 0.0, None)  # (lhs, rhs at the tightest frame, its time)
-    if n_valid:
-        i = int(np.argmax(measured - bound))
-        worst = (measured[i], bound[i], float(t[i]))
-    late = np.flatnonzero(measured > bound)
-    meta = {"t_star": t_star, "n_valid_frames": n_valid, "C": C, "A": A,
-            "first_violation_time": float(t[late[0]]) if late.size else None,
-            "worst_frame_time": worst[2]}
-    if t_star <= tg.T:
-        meta["note"] = f"bound inapplicable beyond t*={t_star:.6g}"
-    return make_report("gronwall", worst[0], worst[1],
-                       tol=1e-12 * max(1.0, A), meta=meta)
-
-
-def wv_bound(domain: Domain1D, tg: TimeGrid, Y, window: ControlWindow,
-             omega, C: float = None) -> EstimateReport:
-    """Trajectory-norm bound ||y||_WV <= C (exp||y0||_H^2 + ||omega||_Q0^2 + 1).
-
-    With C omitted the report carries the implied minimal constant (which
-    then passes by construction); refinement and data sweeps should leave
-    that implied constant bounded.
-    """
-    Y = as_trajectory(domain, tg, Y)
-    lhs = norm_wv(domain, tg, Y)
-    base = math.exp(norm_h_sq(domain, Y[0])) + norm_q0(window, omega) ** 2 \
-        + 1.0
-    implied = lhs / base
-    if C is None:
-        C = implied
-    return make_report("wv_bound", lhs, C * base, tol=1e-12 * max(1.0, lhs),
-                       meta={"C": C, "implied_C": implied, "base": base})
 
 
 def smallness_margin(domain: Domain1D, tg: TimeGrid, window: ControlWindow,

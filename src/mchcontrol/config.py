@@ -62,7 +62,6 @@ SCHEMA = {
         "tol_g": (_NUM, False, 1e-6),
         "tol_g_abs": (_NUM, False, 0.0),
         "max_iters": (_INT, False, 200),
-        "method": (_STR, False, "lbfgs"),
         "memory": (_INT, False, 8),
         "step0": (_NUM, False, 1.0),
     },
@@ -76,7 +75,6 @@ SCHEMA = {
     "verify": {
         "n_hessian_samples": (_INT, False, 20),
         "n_embed_samples": (_INT, False, 16),
-        "gronwall_C": (_NUM, False, None),
         "smallness_C_eps": (_NUM, False, 1.0),
     },
     "seed": (_INT, False, 12345),
@@ -152,7 +150,8 @@ def resolve_config(raw: dict) -> dict:
         for key, (types, required, default) in spec.items():
             if key in got:
                 val = got[key]
-                if val is not None:
+                # null stands for "use the default", so only where that is null
+                if val is not None or default is not None or required:
                     val = _check_type(val, types, f"{section}.{key}")
                 out[key] = val
             elif required:
@@ -199,18 +198,19 @@ def _validate_semantics(cfg: dict):
     if cfg["control"]["kind"] not in ("zero", "bump", "random"):
         raise ConfigError(f"control.kind: unknown value "
                           f"{cfg['control']['kind']!r}")
-    if cfg["optimizer"]["method"] not in ("lbfgs", "gd"):
-        raise ConfigError(f"optimizer.method: unknown value "
-                          f"{cfg['optimizer']['method']!r}")
     if cfg["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
     opt, gc, vy = cfg["optimizer"], cfg["gradcheck"], cfg["verify"]
     for name, ok, rule in (
+            ("optimizer.tol_g", opt["tol_g"] >= 0, "nonnegative"),
+            ("optimizer.tol_g_abs", opt["tol_g_abs"] >= 0, "nonnegative"),
             ("optimizer.memory", opt["memory"] >= 1, "at least 1"),
             ("optimizer.max_iters", opt["max_iters"] >= 0, "nonnegative"),
             ("optimizer.step0", opt["step0"] > 0, "positive"),
             ("gradcheck.n_directions", gc["n_directions"] >= 1, "at least 1"),
             ("gradcheck.fd_step", gc["fd_step"] > 0, "positive"),
+            ("gradcheck.amplitude", gc["amplitude"] != 0, "nonzero"),
+            ("gradcheck.tol_rel", gc["tol_rel"] >= 0, "nonnegative"),
             ("verify.n_hessian_samples", vy["n_hessian_samples"] >= 1,
              "at least 1"),
             ("verify.n_embed_samples", vy["n_embed_samples"] >= 1,
@@ -225,6 +225,9 @@ def _validate_semantics(cfg: dict):
     if not all(_finite_number(v) and v > 0 for v in gc["taylor_steps"]):
         raise ConfigError("gradcheck.taylor_steps must be positive finite "
                           "numbers")
+    if len(set(gc["taylor_steps"])) < 2:
+        raise ConfigError("gradcheck.taylor_steps needs at least two distinct "
+                          "values to fit the remainder order")
 
 
 def load_config(path) -> dict:

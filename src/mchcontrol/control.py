@@ -11,7 +11,7 @@ reproduce <g, q> to roundoff-limited accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class OptimOptions:
     tol_g: float = 1e-6          # relative to 1 + ||g0||
     tol_g_abs: float = 0.0       # extra absolute floor, 0 disables
     max_iters: int = 200
-    method: str = "lbfgs"        # or "gd"
     memory: int = 8
     max_halvings: int = 40
     step0: float = 1.0
@@ -190,7 +189,7 @@ def state_equation_residual(problem: TrackingProblem, omega, Y) -> float:
 
 def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
              callback=None) -> OptimState:
-    """Descent with Armijo backtracking; two-loop L-BFGS by default.
+    """Two-loop L-BFGS descent with Armijo backtracking.
 
     All inner products are L2(Q0). Stops when ||g|| <= tol_g*(1 + ||g0||)
     (plus the optional absolute floor) or when max_iters is reached; a line
@@ -200,8 +199,6 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
     re-solve.
     """
     opts = opts or OptimOptions()
-    if opts.method not in ("lbfgs", "gd"):
-        raise ConfigError(f"unknown optimizer method {opts.method!r}")
     win = problem.window
     omega = apply_B(win, omega0)
     ftraj = problem.solve(omega)
@@ -225,7 +222,7 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
     step_prev = opts.step0
     for it in range(1, opts.max_iters + 1):
         d = -g
-        if opts.method == "lbfgs" and mem_s:
+        if mem_s:
             alpha_hist = []
             for s, yv, rho in zip(reversed(mem_s), reversed(mem_y),
                                   reversed(mem_rho)):
@@ -243,7 +240,7 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
         if slope >= 0:
             d = -g
             slope = -gnorm ** 2
-        alpha = 1.0 if (opts.method == "lbfgs" and mem_s) else step_prev
+        alpha = 1.0 if mem_s else step_prev
         accepted = False
         for _ in range(opts.max_halvings + 1):
             trial = apply_B(win, omega + alpha * d)
@@ -403,27 +400,6 @@ def quadratic_form(problem: TrackingProblem, q,
                    "total": total}
 
 
-def kernel_bound_check(problem: TrackingProblem, q,
-                       ftraj: ForwardTrajectory) -> dict:
-    """Monitor ||m||_WV^2 against c1 ||q||_Q0^2 on one direction about the
-    base trajectory ftraj.
-
-    Also reports the L2(V) size of m; on a zero base state with k = 0 the
-    tangent problem is pure diffusion and ||m||_L2(V) <= (1/eps) ||q||_Q0.
-    """
-    _, _, c1 = constants(problem.domain, problem.tg, ftraj.y, problem.model)
-    qn = norm_q0(problem.window, q)
-    if qn == 0.0:
-        return {"ratio": 0.0, "c1": c1, "passed": True, "m_l2v": 0.0,
-                "q_norm": 0.0}
-    tan = solve_tangent(ftraj, problem.window, q, problem.model)
-    m_wv2 = norm_wv(problem.domain, problem.tg, tan.m) ** 2
-    m_l2v = norm_l2v(problem.domain, problem.tg, tan.m)
-    ratio = m_wv2 / qn ** 2
-    return {"ratio": ratio, "c1": c1, "passed": bool(ratio <= c1),
-            "m_l2v": m_l2v, "q_norm": qn}
-
-
 @dataclass
 class SecondOrderReport:
     """Constants, margins, and sampled coercivity data at a stationary point."""
@@ -440,31 +416,12 @@ class SecondOrderReport:
     cond2_lhs: float
     cond2_rhs: float
     cond2_pass: bool
-    lambda_bound_lhs: float
-    lambda_bound_rhs: float
-    lambda_bound_pass: bool
     kernel_bound_ratio: float
-    kernel_bound_pass: bool
     empirical_min_ratio: float
     n_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "c0": self.c0, "c2": self.c2, "c1": self.c1,
-            "c_embed": self.c_embed,
-            "kappa1": self.kappa1, "kappa2": self.kappa2,
-            "cond1_lhs": self.cond1_lhs, "cond1_rhs": self.cond1_rhs,
-            "cond1_pass": self.cond1_pass,
-            "cond2_lhs": self.cond2_lhs, "cond2_rhs": self.cond2_rhs,
-            "cond2_pass": self.cond2_pass,
-            "lambda_bound_lhs": self.lambda_bound_lhs,
-            "lambda_bound_rhs": self.lambda_bound_rhs,
-            "lambda_bound_pass": self.lambda_bound_pass,
-            "kernel_bound_ratio": self.kernel_bound_ratio,
-            "kernel_bound_pass": self.kernel_bound_pass,
-            "empirical_min_ratio": self.empirical_min_ratio,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def coercivity_check(problem: TrackingProblem, omega, rng,
@@ -479,7 +436,9 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
     the same product against 3 delta eps / (8 C c1) exp(-c0 T) with
     C = c_E^2; its kappa is min(delta/(2 c1) - (4 C / 3 eps) exp(c0 T) * lhs,
     delta/2). The empirical part reports the minimum of form/||(m, q)||_X^2
-    over random window directions, with ||(m, q)||_X^2 = ||m||_WV^2 + ||q||_Q0^2.
+    over random window directions, with ||(m, q)||_X^2 = ||m||_WV^2 + ||q||_Q0^2,
+    and kernel_bound_ratio the maximum of ||m||_WV^2 / ||q||_Q0^2 over the
+    same directions, which the tangent kernel bound compares with c1.
     Reuses a solved trajectory and multiplier when given.
     """
     domain, tg = problem.domain, problem.tg
@@ -501,17 +460,16 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
     kappa2 = min(sigma / (2.0 * c1)
                  - (4.0 * C / (3.0 * eps)) * math.exp(c0 * T) * lhs,
                  sigma / 2.0)
-    lb = lambda_bound_check(problem, omega, ftraj, adj)
     min_ratio = math.inf
     kernel_max = 0.0
     for _ in range(n_samples):
         q = problem.window.random_control(rng)
         tan = solve_tangent(ftraj, problem.window, q, problem.model)
         total, parts = quadratic_form(problem, q, ftraj, adj, tan)
-        xnorm2 = parts["m_wv_sq"] + norm_q0(problem.window, q) ** 2
+        qn2 = norm_q0(problem.window, q) ** 2
+        xnorm2 = parts["m_wv_sq"] + qn2
         if xnorm2 > 0:
             min_ratio = min(min_ratio, total / xnorm2)
-        qn2 = norm_q0(problem.window, q) ** 2
         if qn2 > 0:
             kernel_max = max(kernel_max, parts["m_wv_sq"] / qn2)
     return SecondOrderReport(
@@ -519,9 +477,7 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
         kappa1=kappa1, kappa2=kappa2,
         cond1_lhs=lhs, cond1_rhs=cond1_rhs, cond1_pass=bool(lhs < cond1_rhs),
         cond2_lhs=lhs, cond2_rhs=cond2_rhs, cond2_pass=bool(lhs < cond2_rhs),
-        lambda_bound_lhs=lb["lhs"], lambda_bound_rhs=lb["rhs"],
-        lambda_bound_pass=lb["passed"],
-        kernel_bound_ratio=kernel_max, kernel_bound_pass=bool(kernel_max <= c1),
+        kernel_bound_ratio=kernel_max,
         empirical_min_ratio=min_ratio if min_ratio < math.inf else 0.0,
         n_samples=n_samples,
     )

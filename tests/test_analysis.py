@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import bump_control
-from mchcontrol.grid import Domain1D, TimeGrid, d1, norm_wv
+from mchcontrol.grid import Domain1D, TimeGrid, d1
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward)
 from mchcontrol.analysis import (EstimateReport, make_report, energy_series,
                                  energy_identity, momentum_identity,
-                                 fit_growth_constant, gronwall_bound,
-                                 wv_bound, smallness_margin)
+                                 smallness_margin)
 
 
 @pytest.fixture(scope="module")
@@ -118,88 +117,6 @@ def test_momentum_identity_zero_field():
     dom = Domain1D(2.0, 16)
     lhs, rhs, relerr = momentum_identity(dom, np.zeros(16))
     assert lhs == 0.0 and rhs == 0.0 and relerr == 0.0
-
-
-def test_fit_growth_constant_floor_and_rate():
-    dom = Domain1D(2.0, 16)
-    tg = TimeGrid(0.5, 20)
-    decay = np.exp(-tg.t)[:, None] * np.sin(np.pi * dom.x / 2.0)
-    assert fit_growth_constant(dom, tg, decay) == 1e-12
-    grow = np.exp(tg.t)[:, None] * np.sin(np.pi * dom.x / 2.0)
-    assert fit_growth_constant(dom, tg, grow) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_gronwall_fitted_constant_passes(free_run, small_setup):
-    dom, tg, _, _, _ = small_setup
-    C = fit_growth_constant(dom, tg, free_run.y)
-    rep = gronwall_bound(dom, tg, free_run.y, C)
-    assert rep.passed
-    assert rep.meta["n_valid_frames"] == tg.n_steps + 1
-    assert rep.meta["first_violation_time"] is None
-    assert "note" not in rep.meta
-
-
-def gronwall_gaps(dom, tg, Y, C, A):
-    """bound - measured per frame, one frame at a time."""
-    return [math.exp(C * t) * A
-            / math.sqrt((1.0 - math.exp(2.0 * C * t)) * A + 1.0)
-            - dom.h * float(Y[n] @ Y[n]) for n, t in enumerate(tg.t)]
-
-
-def test_gronwall_reports_tightest_frame(free_run, small_setup):
-    dom, tg, _, _, _ = small_setup
-    Y = free_run.y
-    # A = ||y(0)||^2 by default, so frame 0 is exactly tight
-    rep = gronwall_bound(dom, tg, Y, fit_growth_constant(dom, tg, Y))
-    assert rep.passed and rep.lhs > 0.0
-    assert rep.margin == 0.0
-    assert rep.meta["worst_frame_time"] == 0.0
-    assert min(gronwall_gaps(dom, tg, Y, rep.meta["C"], rep.meta["A"])) \
-        == pytest.approx(0.0, abs=1e-15)
-    # growth close to the bound's rate moves the tightest frame to t > 0
-    dom = Domain1D(2.0, 16)
-    tg = TimeGrid(0.5, 40)
-    Y = np.exp(tg.t)[:, None] * (0.2 * np.sin(np.pi * dom.x / 2.0))
-    A = 1.5 * dom.h * float(Y[0] @ Y[0])
-    rep = gronwall_bound(dom, tg, Y, 1.2, A=A)
-    assert rep.passed and rep.lhs > 0.0
-    assert rep.meta["n_valid_frames"] == tg.n_steps + 1
-    gaps = gronwall_gaps(dom, tg, Y, 1.2, A)
-    assert rep.margin == pytest.approx(min(gaps), rel=1e-12)
-    assert rep.meta["worst_frame_time"] == tg.t[int(np.argmin(gaps))] > 0.0
-
-
-def test_gronwall_growing_trajectory():
-    dom = Domain1D(2.0, 16)
-    tg = TimeGrid(0.5, 40)
-    Y = np.exp(tg.t)[:, None] * (0.2 * np.sin(np.pi * dom.x / 2.0))
-    C = fit_growth_constant(dom, tg, Y)
-    rep = gronwall_bound(dom, tg, Y, C)
-    assert rep.passed
-
-
-def test_gronwall_blowup_time_reported():
-    dom = Domain1D(2.0, 16)
-    tg = TimeGrid(0.5, 40)
-    Y = np.ones((41, 16)) * 0.1
-    rep = gronwall_bound(dom, tg, Y, C=1.0, A=5.0)
-    t_star = math.log(1.0 + 1.0 / 5.0) / 2.0
-    assert rep.meta["t_star"] == pytest.approx(t_star, rel=1e-12)
-    assert rep.meta["n_valid_frames"] < tg.n_steps + 1
-    assert "note" in rep.meta
-    assert rep.passed
-
-
-def test_wv_bound_implied_and_explicit(forced_run, small_setup):
-    dom, tg, _, window, _ = small_setup
-    ft, omega = forced_run
-    rep = wv_bound(dom, tg, ft.y, window, omega)
-    assert rep.passed
-    assert rep.meta["C"] == rep.meta["implied_C"]
-    assert rep.lhs == pytest.approx(norm_wv(dom, tg, ft.y), rel=1e-15)
-    tight = wv_bound(dom, tg, ft.y, window, omega,
-                     C=0.5 * rep.meta["implied_C"])
-    assert not tight.passed
 
 
 def test_smallness_margin_cases(small_setup):

@@ -95,6 +95,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("optimize", "optimizer.max_iters",
              {"optimizer": {"max_iters": -1}}),
             ("optimize", "optimizer.step0", {"optimizer": {"step0": 0.0}}),
+            ("optimize", "optimizer.tol_g", {"optimizer": {"tol_g": -1e-6}}),
+            ("optimize", "optimizer.tol_g_abs",
+             {"optimizer": {"tol_g_abs": -1e-6}}),
+            ("optimize", "optimizer.memory", {"optimizer": {"memory": None}}),
+            ("optimize", "optimizer.method", {"optimizer": {"method": "gd"}}),
+            ("gradcheck", "gradcheck.taylor_steps",
+             {"gradcheck": {"taylor_steps": []}}),
+            ("gradcheck", "gradcheck.taylor_steps",
+             {"gradcheck": {"taylor_steps": [1e-3]}}),
+            ("gradcheck", "gradcheck.taylor_steps",
+             {"gradcheck": {"taylor_steps": [1e-3, 1e-3]}}),
+            ("gradcheck", "gradcheck.tol_rel",
+             {"gradcheck": {"tol_rel": -1e-6}}),
+            ("gradcheck", "gradcheck.amplitude",
+             {"gradcheck": {"amplitude": 0.0}}),
+            ("verify", "verify.gronwall_C", {"verify": {"gronwall_C": 1.0}}),
             ("verify", "verify.n_hessian_samples",
              {"verify": {"n_hessian_samples": 0}}),
             ("verify", "verify.n_embed_samples",
@@ -167,6 +183,13 @@ def test_verify_passes_and_prints_table(tmp_path, capsys):
     assert "helmholtz_round_trip" in names
     assert "gradient_vs_fd" in names
     assert all(c["passed"] for c in report["hard"])
+    # only estimates that can fail are reported, each computed once
+    assert [c["name"] for c in report["soft"]] == [
+        "smallness", "multiplier_energy_bound", "tangent_kernel_bound"]
+    so = report["second_order"]
+    assert report["soft"][2]["lhs"] == so["kernel_bound_ratio"]
+    assert not [k for k in so
+                if k.startswith("lambda_bound_") or k == "kernel_bound_pass"]
 
 
 def test_verify_determinism(tmp_path):

@@ -53,6 +53,11 @@ def test_unknown_section_and_key():
     # the misfit is fixed to L2(0,T;H), so cost has no observer field
     with pytest.raises(ConfigError, match=r"'cost\.observer'"):
         resolve_config(minimal(cost={"observer": "identity_L2H"}))
+    # L-BFGS is the only optimizer, and verify fits no growth constant
+    with pytest.raises(ConfigError, match=r"'optimizer\.method'"):
+        resolve_config(minimal(optimizer={"method": "lbfgs"}))
+    with pytest.raises(ConfigError, match=r"'verify\.gronwall_C'"):
+        resolve_config(minimal(verify={"gronwall_C": 1.0}))
 
 
 def test_type_checks():
@@ -68,6 +73,10 @@ def test_type_checks():
         resolve_config([1, 2])
     with pytest.raises(ConfigError, match="expected an object"):
         resolve_config(minimal(model=3))
+    # null means "the default", so it passes only where the default is null
+    assert resolve_config(minimal(window={"a": None}))["window"]["a"] is None
+    with pytest.raises(ConfigError, match="optimizer.memory"):
+        resolve_config(minimal(optimizer={"memory": None}))
 
 
 def test_semantic_checks():
@@ -85,6 +94,13 @@ def test_semantic_checks():
                 {"window": {"t1": 9.0}},
                 {"initial": {"coefficients": [0.1, "x"]}},
                 {"gradcheck": {"taylor_steps": [1e-2, -1e-3]}},
+                {"gradcheck": {"taylor_steps": []}},
+                {"gradcheck": {"taylor_steps": [1e-3]}},
+                {"gradcheck": {"taylor_steps": [1e-3, 1e-3]}},
+                {"gradcheck": {"tol_rel": -1e-6}},
+                {"gradcheck": {"amplitude": 0.0}},
+                {"optimizer": {"tol_g": -1e-6}},
+                {"optimizer": {"tol_g_abs": -1e-6}},
                 {"verify": {"n_hessian_samples": 0}},
                 {"verify": {"n_embed_samples": 0}},
                 {"verify": {"smallness_C_eps": -1e-3}}):
