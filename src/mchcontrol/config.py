@@ -10,9 +10,11 @@ can be traced to the exact settings that produced them.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,91 +22,94 @@ from .errors import ConfigError
 from .forward import ControlWindow, ModelParams
 from .grid import Domain1D, TimeGrid
 
-_BOOL = ("bool",)
-_NUM = ("int", "float")
-_INT = ("int",)
-_STR = ("str",)
+_BOOL = (bool,)
+_NUM = (int, float)
+_INT = (int,)
+_STR = (str,)
+_LIST = (list,)
 
-# section -> {key: (types, required, default)}
+REQUIRED = object()  # the default of a field that every config must set
+
+# a range rule: the test a value must pass and the words of its message
+Range = namedtuple("Range", "test text")
+POSITIVE = Range(lambda v: v > 0, "positive")
+NONNEGATIVE = Range(lambda v: v >= 0, "nonnegative")
+AT_LEAST_1 = Range(lambda v: v >= 1, "at least 1")
+NONZERO = Range(lambda v: v != 0, "nonzero")
+
+# section -> {key: (types, default, rule)}; a rule is None, a Range, or the
+# tuple of allowed names
 SCHEMA = {
     "domain": {
-        "L": (_NUM, True, None),
-        "n_interior": (_INT, True, None),
+        "L": (_NUM, REQUIRED, None),
+        "n_interior": (_INT, REQUIRED, None),
     },
     "time": {
-        "T": (_NUM, True, None),
-        "n_steps": (_INT, True, None),
+        "T": (_NUM, REQUIRED, None),
+        "n_steps": (_INT, REQUIRED, None),
     },
     "model": {
-        "epsilon": (_NUM, True, None),
-        "k": (_NUM, False, 0.0),
+        "epsilon": (_NUM, REQUIRED, None),
+        "k": (_NUM, 0.0, None),
     },
     "window": {
         # None means the middle half of the respective axis
-        "a": (_NUM, False, None),
-        "b": (_NUM, False, None),
-        "t0": (_NUM, False, None),
-        "t1": (_NUM, False, None),
+        "a": (_NUM, None, None),
+        "b": (_NUM, None, None),
+        "t0": (_NUM, None, None),
+        "t1": (_NUM, None, None),
     },
     "cost": {
-        "delta": (_NUM, False, 1e-4),
-        "z_d": (_STR, False, "uncontrolled"),
+        "delta": (_NUM, 1e-4, POSITIVE),
+        "z_d": (_STR, "uncontrolled", ("zero", "uncontrolled", "twin")),
     },
     "initial": {
-        "kind": (_STR, False, "sine_mix"),
-        "coefficients": (("list",), False, [0.5, 0.2]),
+        "kind": (_STR, "sine_mix", ("zero", "sine_mix")),
+        "coefficients": (_LIST, [0.5, 0.2], None),
     },
     "control": {
-        "kind": (_STR, False, "zero"),
-        "amplitude": (_NUM, False, 1.0),
+        "kind": (_STR, "zero", ("zero", "bump", "random")),
+        "amplitude": (_NUM, 1.0, None),
     },
     "optimizer": {
-        "tol_g": (_NUM, False, 1e-6),
-        "tol_g_abs": (_NUM, False, 0.0),
-        "max_iters": (_INT, False, 200),
-        "memory": (_INT, False, 8),
-        "step0": (_NUM, False, 1.0),
+        "tol_g": (_NUM, 1e-6, NONNEGATIVE),
+        "tol_g_abs": (_NUM, 0.0, NONNEGATIVE),
+        "max_iters": (_INT, 200, NONNEGATIVE),
+        "memory": (_INT, 8, AT_LEAST_1),
+        "step0": (_NUM, 1.0, POSITIVE),
     },
     "gradcheck": {
-        "n_directions": (_INT, False, 5),
-        "fd_step": (_NUM, False, 1e-5),
-        "taylor_steps": (("list",), False, [1e-2, 1e-3, 1e-4, 1e-5]),
-        "amplitude": (_NUM, False, 1.0),
-        "tol_rel": (_NUM, False, 1e-6),
+        "n_directions": (_INT, 5, AT_LEAST_1),
+        "fd_step": (_NUM, 1e-5, POSITIVE),
+        "taylor_steps": (_LIST, [1e-2, 1e-3, 1e-4, 1e-5], None),
+        "amplitude": (_NUM, 1.0, NONZERO),
+        "tol_rel": (_NUM, 1e-6, NONNEGATIVE),
     },
     "verify": {
-        "n_hessian_samples": (_INT, False, 20),
-        "n_embed_samples": (_INT, False, 16),
-        "smallness_C_eps": (_NUM, False, 1.0),
+        "n_hessian_samples": (_INT, 20, AT_LEAST_1),
+        "n_embed_samples": (_INT, 16, AT_LEAST_1),
+        "smallness_C_eps": (_NUM, 1.0, NONNEGATIVE),
     },
-    "seed": (_INT, False, 12345),
+    "seed": (_INT, 12345, NONNEGATIVE),
     "output": {
-        "dir": (_STR, False, "out"),
+        "dir": (_STR, "out", None),
     },
     "debug": {
-        "sabotage_gradient": (_BOOL, False, False),
-        "corrupt_trajectory": (_BOOL, False, False),
+        "sabotage_gradient": (_BOOL, False, None),
+        "corrupt_trajectory": (_BOOL, False, None),
     },
 }
 
-_TYPE_MAP = {"int": int, "float": float, "str": str, "bool": bool,
-             "list": list}
-
 
 def _check_type(value, types, path: str):
-    ok = False
-    for t in types:
-        py = _TYPE_MAP[t]
-        if py is float and isinstance(value, int) and not isinstance(value, bool):
-            ok = True
-        elif isinstance(value, py) and not (py is int and isinstance(value, bool)):
-            ok = True
-    if not ok:
-        raise ConfigError(f"{path}: expected {'/'.join(types)}, "
+    # bool is a subclass of int, but a number field takes no bool
+    if (not isinstance(value, types)
+            or isinstance(value, bool) and bool not in types):
+        names = "/".join(t.__name__ for t in types)
+        raise ConfigError(f"{path}: expected {names}, "
                           f"got {type(value).__name__}")
-    if "float" in types and not _finite_number(value):
+    if float in types and not _finite_number(value):
         raise ConfigError(f"{path}: must be a finite number, got {value!r}")
-    return value
 
 
 def _finite_number(v) -> bool:
@@ -115,6 +120,27 @@ def _finite_number(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _read_field(got: dict, key: str, row, path: str):
+    """The checked value of one schema row, or the default; a copy either
+    way, so no resolved config shares a list with another or with raw."""
+    types, default, rule = row
+    if key not in got:
+        if default is REQUIRED:
+            raise ConfigError(f"missing required config field {path!r}")
+        return copy.deepcopy(default)
+    val = got[key]
+    # null stands for "use the default", so only where that is null
+    if val is None and default is None:
+        return None
+    _check_type(val, types, path)
+    if isinstance(rule, Range):
+        if not rule.test(val):
+            raise ConfigError(f"{path} must be {rule.text}")
+    elif rule is not None and val not in rule:
+        raise ConfigError(f"{path}: unknown value {val!r}")
+    return copy.deepcopy(val)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -132,13 +158,7 @@ def resolve_config(raw: dict) -> dict:
     resolved = {}
     for section, spec in SCHEMA.items():
         if not isinstance(spec, dict):  # scalar top-level entry (seed)
-            types, required, default = spec
-            if section in raw:
-                resolved[section] = _check_type(raw[section], types, section)
-            elif required:
-                raise ConfigError(f"missing required config field {section!r}")
-            else:
-                resolved[section] = default
+            resolved[section] = _read_field(raw, section, spec, section)
             continue
         got = raw.get(section, {})
         if not isinstance(got, dict):
@@ -146,20 +166,9 @@ def resolve_config(raw: dict) -> dict:
         for key in got:
             if key not in spec:
                 raise ConfigError(f"unknown config field '{section}.{key}'")
-        out = {}
-        for key, (types, required, default) in spec.items():
-            if key in got:
-                val = got[key]
-                # null stands for "use the default", so only where that is null
-                if val is not None or default is not None or required:
-                    val = _check_type(val, types, f"{section}.{key}")
-                out[key] = val
-            elif required:
-                raise ConfigError(f"missing required config field "
-                                  f"'{section}.{key}'")
-            else:
-                out[key] = default
-        resolved[section] = out
+        resolved[section] = {key: _read_field(got, key, row,
+                                              f"{section}.{key}")
+                             for key, row in spec.items()}
     _validate_semantics(resolved)
     return resolved
 
@@ -177,55 +186,20 @@ def window_coords(cfg: dict):
 
 
 def _validate_semantics(cfg: dict):
-    """Re-run the module-level invariants so bad values fail at load time."""
+    """The checks that span fields or list items: the grid, model and
+    window constructors, and the list rules."""
     try:
-        domain = Domain1D(float(cfg["domain"]["L"]),
-                          int(cfg["domain"]["n_interior"]))
-        tg = TimeGrid(float(cfg["time"]["T"]), int(cfg["time"]["n_steps"]))
-        ModelParams(float(cfg["model"]["epsilon"]), float(cfg["model"]["k"]))
-        ControlWindow(domain, tg, *window_coords(cfg))
-    except ConfigError:
-        raise
+        build_problem_pieces(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["cost"]["delta"] <= 0:
-        raise ConfigError("cost.delta must be positive")
-    if cfg["cost"]["z_d"] not in ("zero", "uncontrolled", "twin"):
-        raise ConfigError(f"cost.z_d: unknown value {cfg['cost']['z_d']!r}")
-    if cfg["initial"]["kind"] not in ("zero", "sine_mix"):
-        raise ConfigError(f"initial.kind: unknown value "
-                          f"{cfg['initial']['kind']!r}")
-    if cfg["control"]["kind"] not in ("zero", "bump", "random"):
-        raise ConfigError(f"control.kind: unknown value "
-                          f"{cfg['control']['kind']!r}")
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be nonnegative")
-    opt, gc, vy = cfg["optimizer"], cfg["gradcheck"], cfg["verify"]
-    for name, ok, rule in (
-            ("optimizer.tol_g", opt["tol_g"] >= 0, "nonnegative"),
-            ("optimizer.tol_g_abs", opt["tol_g_abs"] >= 0, "nonnegative"),
-            ("optimizer.memory", opt["memory"] >= 1, "at least 1"),
-            ("optimizer.max_iters", opt["max_iters"] >= 0, "nonnegative"),
-            ("optimizer.step0", opt["step0"] > 0, "positive"),
-            ("gradcheck.n_directions", gc["n_directions"] >= 1, "at least 1"),
-            ("gradcheck.fd_step", gc["fd_step"] > 0, "positive"),
-            ("gradcheck.amplitude", gc["amplitude"] != 0, "nonzero"),
-            ("gradcheck.tol_rel", gc["tol_rel"] >= 0, "nonnegative"),
-            ("verify.n_hessian_samples", vy["n_hessian_samples"] >= 1,
-             "at least 1"),
-            ("verify.n_embed_samples", vy["n_embed_samples"] >= 1,
-             "at least 1"),
-            ("verify.smallness_C_eps", vy["smallness_C_eps"] >= 0,
-             "nonnegative")):
-        if not ok:
-            raise ConfigError(f"{name} must be {rule}")
     if not all(map(_finite_number, cfg["initial"]["coefficients"])):
         raise ConfigError("initial.coefficients must be a list of finite "
                           "numbers")
-    if not all(_finite_number(v) and v > 0 for v in gc["taylor_steps"]):
+    steps = cfg["gradcheck"]["taylor_steps"]
+    if not all(_finite_number(v) and v > 0 for v in steps):
         raise ConfigError("gradcheck.taylor_steps must be positive finite "
                           "numbers")
-    if len(set(gc["taylor_steps"])) < 2:
+    if len(set(steps)) < 2:
         raise ConfigError("gradcheck.taylor_steps needs at least two distinct "
                           "values to fit the remainder order")
 

@@ -23,12 +23,12 @@ from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
                    norm_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant)
 from .helmholtz import get_operator
-from .tangent_adjoint import (AdjointState, TangentState,
-                              adjoint_equation_residual,
+from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
                               solve_adjoint_continuous,
                               solve_adjoint_discrete, solve_tangent)
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+MAX_HALVINGS = 40  # step halvings before the line search stalls
 
 
 @dataclass
@@ -120,7 +120,6 @@ class OptimOptions:
     tol_g_abs: float = 0.0       # extra absolute floor, 0 disables
     max_iters: int = 200
     memory: int = 8
-    max_halvings: int = 40
     step0: float = 1.0
 
 
@@ -187,13 +186,13 @@ def state_equation_residual(problem: TrackingProblem, omega, Y) -> float:
     return residual_y_norm(problem, e1, e2)
 
 
-def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
-             callback=None) -> OptimState:
+def optimize(problem: TrackingProblem, omega0,
+             opts: OptimOptions = None) -> OptimState:
     """Two-loop L-BFGS descent with Armijo backtracking.
 
     All inner products are L2(Q0). Stops when ||g|| <= tol_g*(1 + ||g0||)
     (plus the optional absolute floor) or when max_iters is reached; a line
-    search that fails after max_halvings halvings marks the state stalled
+    search that fails after MAX_HALVINGS halvings marks the state stalled
     and reports diagnostics in the message. The returned state carries the
     trajectory, gradient and adjoint at its omega, so callers need not
     re-solve.
@@ -242,7 +241,7 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
             slope = -gnorm ** 2
         alpha = 1.0 if mem_s else step_prev
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = apply_B(win, omega + alpha * d)
             try:
                 ftrial = problem.solve(trial)
@@ -278,8 +277,6 @@ def optimize(problem: TrackingProblem, omega0, opts: OptimOptions = None,
         state.steps.append(alpha)
         state.feasibility.append(state_equation_residual(problem, omega, ftraj))
         state.n_iters = it
-        if callback is not None:
-            callback(it, J, gnorm, alpha)
         if gnorm <= threshold:
             state.converged = True
             state.message = f"converged: ||g||={gnorm:.3e} <= {threshold:.3e}"
@@ -376,8 +373,7 @@ def lambda_bound_check(problem: TrackingProblem, omega,
 
 
 def quadratic_form(problem: TrackingProblem, q,
-                   ftraj: ForwardTrajectory, adj: AdjointState,
-                   tan: TangentState = None):
+                   ftraj: ForwardTrajectory, adj: AdjointState):
     """Second-variation value on a kernel direction (m, q), m = T q.
 
     Parts: the squared W(V) norm of m, delta times the squared Q0 norm of q,
@@ -385,8 +381,7 @@ def quadratic_form(problem: TrackingProblem, q,
     b = -2 v^2 y l_x - 4 u v m l_x + 2 v_x^2 y l_x + 4 u_x v_x m l_x.
     """
     domain, tg = problem.domain, problem.tg
-    if tan is None:
-        tan = solve_tangent(ftraj, problem.window, q, problem.model)
+    tan = solve_tangent(ftraj, problem.window, q, problem.model)
     part_m = norm_wv(domain, tg, tan.m) ** 2
     part_q = problem.delta * norm_q0(problem.window, q) ** 2
     m, v, vx = tan.m, tan.v, d1(domain, tan.v)
@@ -425,7 +420,7 @@ class SecondOrderReport:
 
 
 def coercivity_check(problem: TrackingProblem, omega, rng,
-                     n_samples: int = 50, n_embed_samples: int = 32,
+                     n_samples: int, n_embed_samples: int,
                      ftraj: ForwardTrajectory = None,
                      adj: AdjointState = None) -> SecondOrderReport:
     """Evaluate the sufficient-condition margins and sample the quadratic form.
@@ -464,8 +459,7 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
     kernel_max = 0.0
     for _ in range(n_samples):
         q = problem.window.random_control(rng)
-        tan = solve_tangent(ftraj, problem.window, q, problem.model)
-        total, parts = quadratic_form(problem, q, ftraj, adj, tan)
+        total, parts = quadratic_form(problem, q, ftraj, adj)
         qn2 = norm_q0(problem.window, q) ** 2
         xnorm2 = parts["m_wv_sq"] + qn2
         if xnorm2 > 0:

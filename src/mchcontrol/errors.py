@@ -21,9 +21,5 @@ class NumericsError(MchControlError, ArithmeticError):
         self.time_index = time_index
 
 
-class CheckFailure(MchControlError):
-    """A verification check did not meet its threshold."""
-
-
 class StabilityWarning(UserWarning):
     """Advisory: the explicit transport step exceeds its suggested CFL bound."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -83,10 +84,8 @@ def apply_B(window: ControlWindow, q) -> np.ndarray:
     return q * window.mask
 
 
-def restrict_B(window: ControlWindow, lam) -> np.ndarray:
-    """Adjoint of apply_B: restriction to the window."""
-    lam = as_trajectory(window.domain, window.tg, lam)
-    return lam * window.mask
+# the mask is 0/1, so the restriction to the window, B*, is B itself
+restrict_B = apply_B
 
 
 def inner_q0(window: ControlWindow, p, q) -> float:
@@ -109,10 +108,6 @@ class ForwardTrajectory:
     y: np.ndarray   # (n_steps + 1, n_interior)
     u: np.ndarray
     ux: np.ndarray
-
-    @property
-    def uxx(self) -> np.ndarray:
-        return self.u - self.y
 
 
 def transport_terms(domain: Domain1D, y, u, ux, k: float) -> np.ndarray:
@@ -264,35 +259,38 @@ def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
             vals = [map(repr, c[n].tolist()) for c in cols]
             f.write("".join(head + ",".join(row) + "\n"
                             for row in zip(xs, *vals)))
-    with open(str(csv_path).rsplit(".", 1)[0] + ".json", "w", newline="\n") as f:
+    with open(_sidecar_path(csv_path), "w", newline="\n") as f:
         json.dump(sidecar, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 def import_trajectory_csv(csv_path):
     """Read an exported file; returns (domain, tg, {name: array}, sidecar)."""
-    with open(str(csv_path).rsplit(".", 1)[0] + ".json") as f:
+    with open(_sidecar_path(csv_path)) as f:
         sidecar = json.load(f)
     domain = Domain1D(sidecar["L"], sidecar["n_interior"])
     tg = TimeGrid(sidecar["T"], sidecar["n_steps"])
     names = sidecar["columns"][2:]
     shape = (tg.n_steps + 1, domain.n_interior)
-    cols = {name: np.empty(shape) for name in names}
     with open(csv_path) as f:
-        rows = [ln for ln in f if ln.strip() and not ln.startswith("#")]
-    header = rows[0].strip().split(",")
-    if header[2:] != names:
-        raise DomainMismatchError("csv columns disagree with sidecar")
+        header = next((ln for ln in f
+                       if ln.strip() and not ln.startswith("#")), "")
+        if header.strip().split(",")[2:] != names:
+            raise DomainMismatchError("csv columns disagree with sidecar")
+        # loadtxt parses the repr floats of the exporter exactly
+        data = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
     expected = shape[0] * shape[1]
-    if len(rows) - 1 != expected:
+    if len(data) != expected:
         raise DomainMismatchError(
-            f"csv has {len(rows) - 1} data rows, expected {expected}")
-    for r, ln in enumerate(rows[1:]):
-        parts = ln.strip().split(",")
-        n, i = divmod(r, domain.n_interior)
-        for j, name in enumerate(names):
-            cols[name][n, i] = float(parts[2 + j])
+            f"csv has {len(data)} data rows, expected {expected}")
+    frames = np.ascontiguousarray(data[:, 2:].T).reshape(len(names), *shape)
+    cols = dict(zip(names, frames))
     return domain, tg, cols, sidecar
+
+
+def _sidecar_path(csv_path) -> str:
+    """The JSON sidecar next to a trajectory file: same stem, .json."""
+    return os.path.splitext(csv_path)[0] + ".json"
 
 
 def trajectory_from_arrays(domain: Domain1D, tg: TimeGrid, y, u) -> ForwardTrajectory:

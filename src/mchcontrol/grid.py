@@ -261,7 +261,7 @@ def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid, rng,
 
 
 def measure_embedding_constant(domain: Domain1D, tg: TimeGrid, rng,
-                               n_samples: int = 32) -> float:
+                               n_samples: int) -> float:
     """Empirical lower estimate of c_E in ||.||_{C(H)} <= c_E ||.||_{W(V)}.
 
     Maximizes the ratio over random smooth trajectories; deterministic for a

@@ -117,13 +117,6 @@ def build_problem(cfg: dict, rng):
     return problem, omega_true
 
 
-def optim_options(cfg: dict) -> OptimOptions:
-    o = cfg["optimizer"]
-    return OptimOptions(tol_g=o["tol_g"], tol_g_abs=o["tol_g_abs"],
-                        max_iters=o["max_iters"], memory=o["memory"],
-                        step0=o["step0"])
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners
 
@@ -235,7 +228,7 @@ def run_optimize(cfg: dict, out_dir) -> int:
     rng = np.random.default_rng(cfg["seed"])
     problem, _ = build_problem(cfg, rng)
     omega0 = control_field(cfg, problem.window, rng)
-    state = optimize(problem, omega0, optim_options(cfg))
+    state = optimize(problem, omega0, OptimOptions(**cfg["optimizer"]))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
     export_trajectory_csv(os.path.join(out, "omega.csv"), state.ftraj,
                           _csv_params(cfg, "optimize"), h,
@@ -268,7 +261,8 @@ def run_twin(cfg: dict, out_dir) -> int:
     z_d = solve_forward(domain, tg, p, y0, apply_B(window, omega_true)).y
     problem = TrackingProblem(domain, tg, p, window, y0, z_d,
                               cfg["cost"]["delta"])
-    state = optimize(problem, window.zero_control(), optim_options(cfg))
+    state = optimize(problem, window.zero_control(),
+                     OptimOptions(**cfg["optimizer"]))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
 
     export_trajectory_csv(os.path.join(out, "omega_true.csv"), state.ftraj,
@@ -355,7 +349,8 @@ def _hard_checks(cfg, problem, state, fo, rng):
         ubad = op.solve(ybad)
         wtraj = trajectory_from_arrays(domain, tg, ybad, ubad)
     scale = 1.0 + float(np.max(np.abs(ftraj.y))) ** 3
-    wr = weak_residual(wtraj, apply_B(window, omega), p)
+    bq = apply_B(window, omega)
+    wr = weak_residual(wtraj, bq, p)
     checks.append(make_report("weak_residual", wr,
                               20.0 * (dt + hx ** 2) * scale))
 
@@ -378,7 +373,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
     worst = np.max(momentum_identity(domain, ftraj.y)[2])
     checks.append(make_report("momentum_identity", worst, 50.0 * hx ** 2))
 
-    en = energy_identity(ftraj, p, omega=omega, window=window)
+    en = energy_identity(ftraj, p, bq)
     esc = 1.0 + float(np.max(en["energy"])) ** 2
     checks.append(make_report("energy_identity", en["max_abs"],
                               50.0 * (dt + hx ** 2) * esc))
@@ -427,7 +422,7 @@ def run_verify(cfg: dict, out_dir) -> int:
     window = problem.window
 
     omega0 = control_field(cfg, window, rng)
-    state = optimize(problem, omega0, optim_options(cfg))
+    state = optimize(problem, omega0, OptimOptions(**cfg["optimizer"]))
     omega, ftraj, adj = state.omega, state.ftraj, state.adjoint
 
     fo = first_order_residuals(problem, omega, ftraj, adj)

@@ -29,7 +29,8 @@ def test_make_report_semantics():
     rep = make_report("x", 1.0, 0.5)
     assert isinstance(rep, EstimateReport)
     assert rep.margin == -0.5 and not rep.passed
-    assert make_report("x", 1.0, 0.5, tol=0.6).passed
+    # the boundary passes: a check holds when its margin is exactly 0
+    assert make_report("x", 0.5, 0.5).passed
     d = rep.to_dict()
     assert d["name"] == "x" and d["meta"] == {}
 
@@ -53,21 +54,15 @@ def test_energy_series_formula(free_run):
 def test_energy_identity_reconstructs_increment(forced_run, small_setup):
     dom, tg, p, window, _ = small_setup
     ft, omega = forced_run
-    out = energy_identity(ft, p, omega, window)
-    E, r = out["energy"], out["residual"]
     bq = apply_B(window, omega)
+    out = energy_identity(ft, p, bq)
+    E, r = out["energy"], out["residual"]
     scale = 1.0 + float(np.max(np.abs(E)))
     for n in range(tg.n_steps):
         work = dom.h * float(bq[n] @ ft.u[n + 1])
         recon = tg.dt * (r[n] - out["dissipation"][n]
                          + out["wall_flux"][n] + work)
         assert abs((E[n + 1] - E[n]) - recon) <= 1e-12 * scale
-
-
-def test_energy_identity_requires_window(free_run, small_setup):
-    _, _, p, window, _ = small_setup
-    with pytest.raises(ValueError):
-        energy_identity(free_run, p, omega=window.zero_control())
 
 
 def test_energy_residual_refines_in_time():
@@ -97,7 +92,7 @@ def test_energy_decays_without_control(free_run, small_setup):
 def test_energy_identity_accounts_for_control(forced_run, small_setup):
     _, _, p, window, _ = small_setup
     ft, omega = forced_run
-    with_work = energy_identity(ft, p, omega, window)["max_abs"]
+    with_work = energy_identity(ft, p, apply_B(window, omega))["max_abs"]
     without = energy_identity(ft, p)["max_abs"]
     assert without > 5.0 * with_work
 

@@ -34,6 +34,19 @@ def test_defaults_filled():
     assert cfg["window"] == {"a": None, "b": None, "t0": None, "t1": None}
 
 
+def test_resolved_configs_share_no_lists():
+    first = resolve_config(minimal())
+    first["gradcheck"]["taylor_steps"].clear()
+    first["initial"]["coefficients"].append(0.9)
+    second = resolve_config(minimal())
+    assert second["gradcheck"]["taylor_steps"] == [1e-2, 1e-3, 1e-4, 1e-5]
+    assert second["initial"]["coefficients"] == [0.5, 0.2]
+    # a list the caller sets stays the caller's
+    raw = minimal(gradcheck={"taylor_steps": [1e-2, 1e-3]})
+    resolve_config(raw)["gradcheck"]["taylor_steps"].clear()
+    assert raw["gradcheck"]["taylor_steps"] == [1e-2, 1e-3]
+
+
 def test_missing_required_named():
     raw = minimal()
     del raw["model"]["epsilon"]
