@@ -4,7 +4,7 @@ Usage: mchcontrol COMMAND --config PATH [--out DIR] [--seed N]
 
 One JSON config file drives everything; flags exist only for the subcommand,
 paths, and a seed override. Exit codes: 0 success, 1 a check failed,
-2 config error, 3 hard numerical failure.
+2 config error or unusable output path, 3 hard numerical failure.
 """
 
 import argparse

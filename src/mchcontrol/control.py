@@ -152,13 +152,16 @@ def _constraint_residuals(problem: TrackingProblem, omega, Y):
 
     e1[n] = (M_dt Y[n+1] - Y[n])/dt + transport(Y[n]) - (B omega)[n] with
     M_dt = I - dt*eps*D2; exactly zero on solve_forward output. Velocities
-    are recomputed from Y so infeasible trajectories are handled too.
+    come from a ForwardTrajectory (u = K y per frame) and are solved from a
+    bare array Y, so infeasible trajectories are handled too.
     """
     domain, tg, p = problem.domain, problem.tg, problem.model
-    Y = as_trajectory(domain, tg, Y)
+    ftraj = Y if isinstance(Y, ForwardTrajectory) else None
+    Y = as_trajectory(domain, tg, Y if ftraj is None else ftraj.y)
     bq = apply_B(problem.window, omega)
     y, y_next = Y[:-1], Y[1:]
-    u, ux, _ = get_operator(domain).velocity(y)
+    u, ux = (get_operator(domain).velocity(y)[:2] if ftraj is None
+             else (ftraj.u[:-1], ftraj.ux[:-1]))
     mdt_next = y_next - tg.dt * p.epsilon * d2(domain, y_next)
     e1 = ((mdt_next - y) / tg.dt
           + transport_terms(domain, y, u, ux, p.k) - bq[:-1])
@@ -180,8 +183,6 @@ def residual_y_norm(problem: TrackingProblem, e1, e2) -> float:
 
 
 def state_equation_residual(problem: TrackingProblem, omega, Y) -> float:
-    if isinstance(Y, ForwardTrajectory):
-        Y = Y.y
     e1, e2 = _constraint_residuals(problem, omega, Y)
     return residual_y_norm(problem, e1, e2)
 

@@ -24,6 +24,8 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -237,10 +239,12 @@ def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
     """Write one row per (frame, node) with exact-representation floats.
 
     The JSON sidecar (same stem, .json) carries params plus the config hash;
-    the importer reproduces the arrays bit-exactly.
+    the importer reproduces the arrays bit-exactly. Each column must be an
+    (N+1, n) trajectory; all-zero rows are written from a per-node template.
     """
     domain, tg = ftraj.domain, ftraj.tg
-    cols = values if values is not None else [ftraj.y, ftraj.u]
+    cols = [as_trajectory(domain, tg, c) for c in
+            (values if values is not None else (ftraj.y, ftraj.u))]
     sidecar = dict(params)
     sidecar.setdefault("schema_version", 1)
     sidecar["config_sha256"] = config_hash
@@ -249,16 +253,28 @@ def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
     sidecar["T"] = tg.T
     sidecar["n_steps"] = tg.n_steps
     sidecar["columns"] = ["t", "x", *value_names]
+    # a value is live unless it is an exact +0.0 (-0.0 and NaN are live);
+    # each frame's live nodes lie in [lo, hi), and lo = hi when it has none
+    live = np.logical_or.reduce([(c != 0.0) | np.signbit(c) for c in cols])
+    lo = live.argmax(axis=1)
+    hi = np.where(live.any(axis=1), domain.n_interior
+                  - live[:, ::-1].argmax(axis=1), lo)
+    xs = [repr(x) for x in domain.x.tolist()]
+    zero_rows = [x + ",0.0" * len(cols) for x in xs]
     with open(csv_path, "w", newline="\n") as f:
         f.write(f"# config_sha256={config_hash}\n")
         f.write("t,x," + ",".join(value_names) + "\n")
-        xs = [repr(x) for x in domain.x.tolist()]
-        # one frame formatted at a time keeps memory at one frame
-        for n, tval in enumerate(tg.t.tolist()):
+        # one frame formatted at a time keeps memory at one frame; its rows
+        # are joined by the line break plus the next row's "t," prefix
+        for n, (tval, i0, i1) in enumerate(zip(tg.t.tolist(), lo.tolist(),
+                                               hi.tolist())):
+            rows = xs[i0:i1]
+            for c in cols:
+                rows = map(add, map(add, rows, repeat(",")),
+                           map(repr, c[n, i0:i1].tolist()))
             head = repr(tval) + ","
-            vals = [map(repr, c[n].tolist()) for c in cols]
-            f.write("".join(head + ",".join(row) + "\n"
-                            for row in zip(xs, *vals)))
+            f.write(head + ("\n" + head).join([*zero_rows[:i0], *rows,
+                                               *zero_rows[i1:]]) + "\n")
     with open(_sidecar_path(csv_path), "w", newline="\n") as f:
         json.dump(sidecar, f, indent=1, sort_keys=True)
         f.write("\n")

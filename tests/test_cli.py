@@ -235,3 +235,12 @@ def test_blowup_exits_3(tmp_path, capsys):
         code = run("forward", cfg, tmp_path / "o")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_unusable_out_path_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file, not a directory\n")
+    assert run("forward", cfg, taken) == 2
+    assert "io error" in capsys.readouterr().err
+    assert taken.read_text() == "a regular file, not a directory\n"

@@ -87,6 +87,23 @@ def test_state_equation_residual_zero_on_solution(twin_small):
     assert r <= 1e-12 * (1.0 + float(np.max(np.abs(ft.y))))
 
 
+def test_state_equation_residual_reuses_trajectory_velocities(twin_small):
+    """A solved trajectory's own velocities give the same residual, bit for
+    bit, as re-solving them from its momentum frames, on a fresh solve and
+    on one resumed from the control-free head."""
+    prob, om_true = twin_small
+    fresh = TrackingProblem(prob.domain, prob.tg, prob.model, prob.window,
+                            prob.y0, prob.z_d, prob.delta)
+    u_of = get_operator(prob.domain).velocity
+    # the first solve keeps the head, the second resumes from it
+    for omega in (om_true, 0.5 * om_true):
+        ft = fresh.solve(omega)
+        u, ux, _ = u_of(ft.y)
+        assert np.array_equal(ft.u, u) and np.array_equal(ft.ux, ux)
+        assert (state_equation_residual(fresh, omega, ft)
+                == state_equation_residual(fresh, omega, ft.y))
+
+
 def state_residual_oracle(prob, omega, Y):
     """Frame-by-frame Y-norm of the step residual and the initial defect,
     from one-column kernel solves and dot products."""

@@ -293,6 +293,70 @@ def test_export_golden_bytes(tmp_path):
         b"0.7,0.22499999999999998,-0.0,5e-324\n")
 
 
+def reference_csv(dom, tg, names, cols, config_hash):
+    """The exporter's bytes written the plain way: repr of every float,
+    one joined row per (frame, node)."""
+    text = [f"# config_sha256={config_hash}\n",
+            "t,x," + ",".join(names) + "\n"]
+    for n, t in enumerate(tg.t.tolist()):
+        for i, x in enumerate(dom.x.tolist()):
+            vals = [t, x, *(c[n].tolist()[i] for c in cols)]
+            text.append(",".join(map(repr, vals)) + "\n")
+    return "".join(text).encode()
+
+
+def test_export_zero_rows_match_plain_repr(tmp_path):
+    """Rows written from the all-zero template equal the repr of each value:
+    all-zero frames, a live span inside a row with zeros in it, -0.0 alone
+    and at a span's edge, a subnormal and a NaN."""
+    dom = Domain1D(1.4, 6)
+    tg = TimeGrid(0.6, 6)
+    window = ControlWindow(dom, tg, 0.3, 1.0, 0.1, 0.5)
+    omega = np.zeros((7, 6))
+    omega[1, 2:5] = [1.5, 0.0, -2.25]
+    omega[2, 3] = -0.0
+    omega[3, 1:4] = [-0.0, 0.3, 5e-324]
+    omega[4, 5] = 5e-324
+    omega[5, [0, 5]] = [-0.0, 1.0 / 3.0]
+    omega[6, 4] = np.nan
+    ft = ForwardTrajectory(dom, tg, omega, omega, omega)
+    path = tmp_path / "omega.csv"
+    export_trajectory_csv(path, ft, {}, "w", value_names=("omega",),
+                          values=(omega,))
+    assert path.read_bytes() == reference_csv(dom, tg, ["omega"], [omega], "w")
+    # a random window control: its masked-out entries are +0.0 or -0.0
+    q = window.random_control(np.random.default_rng(3))
+    export_trajectory_csv(path, ft, {}, "w", value_names=("omega",),
+                          values=(q,))
+    assert path.read_bytes() == reference_csv(dom, tg, ["omega"], [q], "w")
+    # two columns whose live spans differ in each frame
+    y, u = np.zeros((2, 7, 6))
+    y[1, 1], u[1, 4] = 0.25, -1e20
+    y[2, 2:4] = [-0.0, 7.0]
+    u[3, 0], y[3, 5] = 1e-300, -0.5
+    u[5, 3] = -0.0
+    export_trajectory_csv(path, ForwardTrajectory(dom, tg, y, u, 0.0 * u),
+                          {}, "yu")
+    assert path.read_bytes() == reference_csv(dom, tg, ["y", "u"], [y, u],
+                                              "yu")
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3)],
+                         ids=["narrow_column", "short_column"])
+def test_export_rejects_misshapen_values(tmp_path, shape):
+    """A value column that is not (N+1, n) is refused before any file is
+    written, instead of being truncated or failing halfway through."""
+    dom = Domain1D(1.0, 3)
+    tg = TimeGrid(0.3, 3)
+    y = np.ones((4, 3))
+    ft = ForwardTrajectory(dom, tg, y, y, y)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(DomainMismatchError, match="trajectory has shape"):
+        export_trajectory_csv(path, ft, {}, "x", value_names=("omega",),
+                              values=(np.ones(shape),))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_sidecar_next_to_dotted_path(tmp_path):
     """The sidecar takes the file's stem even when only a directory has a
     dot, and extreme floats (subnormal, -0.0, 1e+20) read back bit for bit."""
