@@ -15,7 +15,8 @@ from .forward import (ModelParams, ControlWindow, ForwardTrajectory,
                       solve_forward, weak_residual,
                       export_trajectory_csv, import_trajectory_csv)
 from .tangent_adjoint import (TangentState, AdjointState, solve_tangent,
-                              solve_adjoint_discrete, solve_adjoint_continuous)
+                              solve_adjoint_discrete, solve_adjoint_continuous,
+                              finish_adjoint)
 from .control import (TrackingProblem, OptimOptions, OptimState, cost,
                       reduced_gradient, optimize, lagrangian,
                       first_order_residuals, constants, quadratic_form,
@@ -33,7 +34,7 @@ __all__ = [
     "ModelParams", "ControlWindow", "ForwardTrajectory", "solve_forward",
     "weak_residual", "export_trajectory_csv", "import_trajectory_csv",
     "TangentState", "AdjointState", "solve_tangent",
-    "solve_adjoint_discrete", "solve_adjoint_continuous",
+    "solve_adjoint_discrete", "solve_adjoint_continuous", "finish_adjoint",
     "TrackingProblem", "OptimOptions", "OptimState", "cost",
     "reduced_gradient", "optimize", "lagrangian", "first_order_residuals",
     "constants", "quadratic_form", "coercivity_check", "SecondOrderReport",

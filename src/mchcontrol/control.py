@@ -17,14 +17,13 @@ import numpy as np
 
 from .errors import ConfigError, DomainMismatchError, NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
-                      inner_q0, norm_q0, restrict_B, solve_forward,
-                      transport_terms)
+                      inner_q0, norm_q0, solve_forward, transport_terms)
 from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
                    norm_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant)
 from .helmholtz import get_operator
 from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
-                              solve_adjoint_continuous,
+                              finish_adjoint, solve_adjoint_continuous,
                               solve_adjoint_discrete, solve_tangent)
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
@@ -84,14 +83,16 @@ def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
 
 def reduced_gradient(problem: TrackingProblem, omega,
                      ftraj: ForwardTrajectory = None,
-                     scheme: str = "discrete"):
+                     scheme: str = "discrete", stop: int = 0):
     """L2(Q0) gradient delta*omega - lambda|_Q0 and the pieces behind it.
 
     The misfit is the L2(0,T;H) one, so the multiplier source is z_d - y.
     scheme picks the multiplier solver: "discrete" is the exact transpose
     (matches finite differences of the cost to roundoff), "continuous"
     marches the adjoint equation backward and agrees with it to first order
-    in the step sizes.
+    in the step sizes. stop, at most the window's first step, lets the
+    discrete multiplier stop at that frame (see solve_adjoint_discrete);
+    the gradient reads no frame below it.
     """
     if scheme not in ("discrete", "continuous"):
         raise ConfigError(f"unknown adjoint scheme {scheme!r}")
@@ -99,7 +100,7 @@ def reduced_gradient(problem: TrackingProblem, omega,
         ftraj = problem.solve(omega)
     if scheme == "discrete":
         adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y,
-                                     problem.model)
+                                     problem.model, stop)
     else:
         lam = solve_adjoint_continuous(ftraj, problem.z_d - ftraj.y,
                                        problem.model)
@@ -108,9 +109,12 @@ def reduced_gradient(problem: TrackingProblem, omega,
 
 
 def _gradient(problem: TrackingProblem, omega, adj: AdjointState):
+    """delta*omega - lambda on the window block, exact +0.0 elsewhere (the
+    final slice carries no quadrature weight)."""
     omega = as_trajectory(problem.domain, problem.tg, omega)
-    g = restrict_B(problem.window, problem.delta * omega - adj.lam)
-    g[-1] = 0.0  # final slice carries no quadrature weight
+    blk = problem.window.block
+    g = problem.window.zero_control()
+    np.subtract(problem.delta * omega[blk], adj.lam[blk], out=g[blk])
     return g
 
 
@@ -197,13 +201,24 @@ def optimize(problem: TrackingProblem, omega0,
     and reports diagnostics in the message. The returned state carries the
     trajectory, gradient and adjoint at its omega, so callers need not
     re-solve.
+
+    Only the window block (window.block) of a control moves, so the
+    iterate update, the search direction, the gradient and the memory pairs
+    are computed on the block views of (N+1, n) buffers that are zero (or,
+    for a window ending at T, omega0's final frame) off it; the inner
+    products are inner_q0's on those views. The gradient reads no multiplier
+    frame below the window's first step k0, so each iteration's adjoint
+    stops at k0, and the returned state's adjoint is finished once from
+    there (finish_adjoint): bit for bit the full march.
     """
     opts = opts or OptimOptions()
     win = problem.window
+    blk = win.block
+    k0 = blk[0].start
     omega = apply_B(win, omega0)
     ftraj = problem.solve(omega)
     J, _ = cost(problem, omega, ftraj)
-    g, info = reduced_gradient(problem, omega, ftraj)
+    g, info = reduced_gradient(problem, omega, ftraj, stop=k0)
     adj = info["adjoint"]
     gnorm = norm_q0(win, g)
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
@@ -215,35 +230,38 @@ def optimize(problem: TrackingProblem, omega0,
     if gnorm <= threshold:
         state.converged = True
         state.message = "already optimal at the starting point"
-        state.ftraj, state.grad, state.adjoint = ftraj, g, adj
-        return state
+        return _finished(problem, state, omega, ftraj, g, adj)
 
     mem_s, mem_y, mem_rho = [], [], []
+    d = win.zero_control()
+    db = d[blk]
     step_prev = opts.step0
     for it in range(1, opts.max_iters + 1):
-        d = -g
+        np.negative(g[blk], out=db)
         if mem_s:
             alpha_hist = []
             for s, yv, rho in zip(reversed(mem_s), reversed(mem_y),
                                   reversed(mem_rho)):
                 a = rho * inner_q0(win, s, d)
                 alpha_hist.append(a)
-                d = d - a * yv
-            gamma = (inner_q0(win, mem_s[-1], mem_y[-1])
-                     / max(inner_q0(win, mem_y[-1], mem_y[-1]), 1e-300))
-            d = gamma * d
+                db -= a * yv[blk]
+            db *= (inner_q0(win, mem_s[-1], mem_y[-1])
+                   / max(inner_q0(win, mem_y[-1], mem_y[-1]), 1e-300))
             for (s, yv, rho), a in zip(zip(mem_s, mem_y, mem_rho),
                                        reversed(alpha_hist)):
                 b = rho * inner_q0(win, yv, d)
-                d = d + (a - b) * s
+                db += (a - b) * s[blk]
         slope = inner_q0(win, g, d)
         if slope >= 0:
-            d = -g
+            np.negative(g[blk], out=db)
             slope = -gnorm ** 2
         alpha = 1.0 if mem_s else step_prev
         accepted = False
+        # off the block every trial is omega: zero but for the final frame
+        trial = win.zero_control()
+        trial[-1] = omega[-1]
         for _ in range(MAX_HALVINGS + 1):
-            trial = apply_B(win, omega + alpha * d)
+            np.add(omega[blk], alpha * db, out=trial[blk])
             try:
                 ftrial = problem.solve(trial)
             except NumericsError:
@@ -260,9 +278,10 @@ def optimize(problem: TrackingProblem, omega0,
                              f"J={J:.6e}, ||g||={gnorm:.3e}, "
                              f"slope={slope:.3e}, last alpha={alpha:.3e}")
             break
-        g_new, info = reduced_gradient(problem, trial, ftrial)
-        s_vec = trial - omega
-        y_vec = g_new - g
+        g_new, info = reduced_gradient(problem, trial, ftrial, stop=k0)
+        s_vec, y_vec = win.zero_control(), win.zero_control()
+        np.subtract(trial[blk], omega[blk], out=s_vec[blk])
+        np.subtract(g_new[blk], g[blk], out=y_vec[blk])
         curv = inner_q0(win, s_vec, y_vec)
         if curv > 1e-14 * norm_q0(win, s_vec) * norm_q0(win, y_vec):
             mem_s.append(s_vec)
@@ -282,9 +301,17 @@ def optimize(problem: TrackingProblem, omega0,
             state.converged = True
             state.message = f"converged: ||g||={gnorm:.3e} <= {threshold:.3e}"
             break
-    state.omega, state.ftraj, state.grad, state.adjoint = omega, ftraj, g, adj
     if not state.converged and not state.stalled:
         state.message = f"max_iters reached with ||g||={gnorm:.3e}"
+    return _finished(problem, state, omega, ftraj, g, adj)
+
+
+def _finished(problem: TrackingProblem, state: OptimState, omega, ftraj, g,
+              adj) -> OptimState:
+    """The state with its final iterate, and that iterate's adjoint
+    resumed below the frame its march stopped at."""
+    adj = finish_adjoint(ftraj, adj, problem.z_d - ftraj.y, problem.model)
+    state.omega, state.ftraj, state.grad, state.adjoint = omega, ftraj, g, adj
     return state
 
 

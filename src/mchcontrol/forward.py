@@ -66,7 +66,11 @@ class ControlWindow:
             raise ValueError("ControlWindow: no interior node inside [a, b]")
         if not self.time_mask[:-1].any():
             raise ValueError("ControlWindow: no time step starts inside [t0, t1]")
-        self.mask = np.outer(self.time_mask, self.space_mask).astype(float)
+        inside = np.outer(self.time_mask, self.space_mask)
+        self.mask = inside.astype(float)
+        # added after the mask: -0.0 keeps every value inside (x + -0.0 is
+        # x), +0.0 turns the -0.0 of a negative value times 0 into +0.0
+        self.zero_sign = np.where(inside, -0.0, 0.0)
         # x and t are monotone, so Q0 is a box: its weighted frames (the
         # final frame has none) and its nodes as slices, for inner_q0
         self.block = tuple(slice(i[0], i[-1] + 1) for i in map(
@@ -76,17 +80,18 @@ class ControlWindow:
         return np.zeros((self.tg.n_steps + 1, self.domain.n_interior))
 
     def random_control(self, rng, amplitude: float = 1.0) -> np.ndarray:
-        q = rng.standard_normal(self.mask.shape)
-        return amplitude * q * self.mask
+        return apply_B(self, amplitude * rng.standard_normal(self.mask.shape))
 
 
 def apply_B(window: ControlWindow, q) -> np.ndarray:
-    """Zero-extension of window values to all of Q."""
-    q = as_trajectory(window.domain, window.tg, q)
-    return q * window.mask
+    """Zero-extension of window values to all of Q: the values inside, an
+    exact +0.0 outside, where a NaN or Inf still reads NaN (as 0 * Inf)."""
+    bq = as_trajectory(window.domain, window.tg, q) * window.mask
+    bq += window.zero_sign
+    return bq
 
 
-# the mask is 0/1, so the restriction to the window, B*, is B itself
+# B is the identity on the window and zero off it, so B* is B itself
 restrict_B = apply_B
 
 

@@ -44,10 +44,16 @@ class TangentState:
 @dataclass
 class AdjointState:
     """Multiplier trajectory; the final frame is identically zero and the
-    initial-condition multiplier mu is frame 0 by definition."""
+    initial-condition multiplier mu is frame 0 by definition.
+
+    rest is (stop, psi) for a march that stopped at frame stop > 0: frames
+    below stop are zero until finish_adjoint resumes the recursion from
+    psi, its unscaled frame stop.
+    """
 
     lam: np.ndarray
     mu: np.ndarray
+    rest: tuple = None
 
     def __post_init__(self):
         if np.any(self.lam[-1] != 0.0):
@@ -56,9 +62,10 @@ class AdjointState:
             raise ValueError("mu must equal the initial adjoint frame")
 
 
-def _transport_coefficients(ftraj: ForwardTrajectory, k: float) -> np.ndarray:
-    """(A, B, C, E) as one (4, N+1, n) array; coeffs[:, n] is frame n."""
-    y, u, ux = ftraj.y, ftraj.u, ftraj.ux
+def _transport_coefficients(ftraj: ForwardTrajectory, k: float,
+                            frames=slice(None)) -> np.ndarray:
+    """(A, B, C, E) on the given frames as one (4, frames, n) array."""
+    y, u, ux = ftraj.y[frames], ftraj.u[frames], ftraj.ux[frames]
     ydx = d1(ftraj.domain, y)
     A, B, C, E = coeffs = np.empty((4,) + y.shape)
     # B and C hold u_x^2 and y^2 first, so no stack-sized temporary is made
@@ -71,11 +78,12 @@ def _transport_coefficients(ftraj: ForwardTrajectory, k: float) -> np.ndarray:
     return coeffs
 
 
-def _step_coefficients(ftraj: ForwardTrajectory, k: float) -> np.ndarray:
+def _step_coefficients(ftraj: ForwardTrajectory, k: float,
+                       frames=slice(None)) -> np.ndarray:
     """(dt A/2h, 1 - dt B, dt C, dt E/2h): one step of tangent or adjoint."""
     dt = ftraj.tg.dt
     c = dt / (2.0 * ftraj.domain.h)
-    coeffs = _transport_coefficients(ftraj, k)
+    coeffs = _transport_coefficients(ftraj, k, frames)
     coeffs *= np.array([c, -dt, dt, c])[:, None, None]
     coeffs[1] += 1.0
     return coeffs
@@ -127,39 +135,62 @@ def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
 
 
 def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams,
-                last: float) -> np.ndarray:
+                last: float, stop: int = 0, resume=None) -> np.ndarray:
     """lam[N] = 0, lam[N-1] = M^-1(last * source[N]) and, for k < N,
     lam[k-1] = M^-1((I - dt T_k) lam[k] + source[k]), where M = I - dt eps D2
     and T_k is the transposed tangent term about base frame k.
 
-    Both adjoints are this recursion: the discrete one on the unscaled source
-    with last = 1/2, the continuous one on dt * source with last = 1.
+    Fills frames stop..N-1 of a zero (N+1, n) array, or, with resume =
+    (top, psi), frames stop..top-1 from psi as frame top. Both adjoints are
+    this recursion: the discrete one on the unscaled source with last = 1/2,
+    the continuous one on dt * source with last = 1.
     """
     domain, tg = ftraj.domain, ftraj.tg
     ksolve = get_operator(domain).kernel.solve
     dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
-    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k)
     N = tg.n_steps
     lam = np.zeros_like(source)
     # zero-padded work rows: the pads are the Dirichlet walls of D1
     pa, pe = np.zeros((2, domain.n_interior + 2))
-    rhs = last * source[N]
+    top, psi = (N - 1, lam[N - 1]) if resume is None else resume
+    # T_k for k = stop+1..top, at index k - stop - 1
+    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(stop + 1, top + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N, 0, -1):
+        if resume is None:
+            psi[:] = dsolve(last * source[N])
+        for k in range(top, stop, -1):
+            c = k - stop - 1
+            np.multiply(Ad[c], psi, out=pa[1:-1])
+            np.multiply(Ed[c], psi, out=pe[1:-1])
+            rhs = (Bm[c] * psi + (pa[2:] - pa[:-2])
+                   - ksolve(Cd[c] * psi + (pe[2:] - pe[:-2])) + source[k])
             psi = lam[k - 1]
             psi[:] = dsolve(rhs)
-            if k == 1:
-                break
-            np.multiply(Ad[k - 1], psi, out=pa[1:-1])
-            np.multiply(Ed[k - 1], psi, out=pe[1:-1])
-            rhs = (Bm[k - 1] * psi + (pa[2:] - pa[:-2])
-                   - ksolve(Cd[k - 1] * psi + (pe[2:] - pe[:-2]))
-                   + source[k - 1])
     return lam
 
 
+def _discrete_adjoint(ftraj: ForwardTrajectory, source, p: ModelParams,
+                      stop: int, resume=None) -> AdjointState:
+    """The discrete recursion on frames stop..N-1 (or stop..top-1 when
+    resumed), finiteness-checked and scaled."""
+    domain, tg = ftraj.domain, ftraj.tg
+    source = as_trajectory(domain, tg, source)
+    # the recursion carries psi = phi/(dt h), so the trapezoid weights (dt
+    # inside, dt/2 on the final frame) leave the source unscaled
+    lam = _march_back(ftraj, source, p, 0.5, stop, resume)
+    top = tg.n_steps if resume is None else resume[0]
+    bad = _first_nonfinite(lam[stop:top], backward=True)
+    if bad is not None:
+        raise NumericsError(
+            f"adjoint state lost finiteness at frame {bad + stop}",
+            time_index=bad + stop)
+    rest = (stop, lam[stop].copy()) if stop else None
+    lam[stop:top] *= tg.dt
+    return AdjointState(lam, lam[0].copy(), rest)
+
+
 def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
-                           p: ModelParams) -> AdjointState:
+                           p: ModelParams, stop: int = 0) -> AdjointState:
     """Exact transpose of solve_tangent for a trajectory-valued source.
 
     Satisfies <T q, source>_traj = <q, lambda|_Q0>_ctrl for every direction q
@@ -167,19 +198,27 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     z_d - y (the negated misfit), which makes the reduced gradient
     delta*omega - lambda|_Q0 and gives lambda = delta*omega at optima.
     Raises NumericsError with the frame index on NaN/Inf.
+
+    stop > 0 marches frames stop..N only, which is all the pairing needs
+    for directions that vanish on steps before stop (a window whose first
+    step is at least stop). Frames below stop, and mu, stay zero until
+    finish_adjoint resumes the march; those frames are then bit for bit the
+    ones of a march with stop = 0.
     """
-    domain, tg = ftraj.domain, ftraj.tg
-    source = as_trajectory(domain, tg, source)
-    # the recursion carries psi = phi/(dt h), so the trapezoid weights (dt
-    # inside, dt/2 on the final frame) leave the source unscaled
-    lam = _march_back(ftraj, source, p, 0.5)
-    N = tg.n_steps
-    bad = _first_nonfinite(lam[:N], backward=True)
-    if bad is not None:
-        raise NumericsError(f"adjoint state lost finiteness at frame {bad}",
-                            time_index=bad)
-    lam[:N] *= tg.dt
-    return AdjointState(lam, lam[0].copy())
+    return _discrete_adjoint(ftraj, source, p, stop)
+
+
+def finish_adjoint(ftraj: ForwardTrajectory, adj: AdjointState, source,
+                   p: ModelParams) -> AdjointState:
+    """The full multiplier of a march that stopped above frame 0, on the
+    same trajectory and source; a full one is returned as it is. Raises
+    NumericsError like solve_adjoint_discrete for a NaN/Inf below stop."""
+    if adj.rest is None:
+        return adj
+    stop = adj.rest[0]
+    full = _discrete_adjoint(ftraj, source, p, 0, adj.rest)
+    full.lam[stop:] = adj.lam[stop:]
+    return full
 
 
 def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
@@ -219,7 +258,7 @@ def adjoint_equation_residual(ftraj: ForwardTrajectory, lam, source,
     source = as_trajectory(domain, tg, source)
     N = tg.n_steps
     mid = lam[1:N - 1]
-    coeffs = _transport_coefficients(ftraj, p.k)[:, 1:N - 1]
+    coeffs = _transport_coefficients(ftraj, p.k, slice(1, N - 1))
     r = ((lam[2:N] - lam[:N - 2]) / (2.0 * tg.dt) + p.epsilon * d2(domain, mid)
          + source[1:N - 1] - transposed_transport(domain, coeffs, mid))
     worst = float(np.max(norm_h(domain, r), initial=0.0))

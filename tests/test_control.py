@@ -159,6 +159,22 @@ def test_optimize_immediate_when_optimal():
     assert_state_is_solved(prob, st)
 
 
+def test_optimize_keeps_the_final_frame_of_a_window_ending_at_T(rng):
+    """The mask holds the final frame when t1 = T, the window block does
+    not: the returned control keeps omega0's final frame bit for bit."""
+    prob, _ = twin_problem(n=24, n_steps=60)
+    w = ControlWindow(prob.domain, prob.tg, 0.5, 1.5, 0.2, prob.tg.T)
+    prob = TrackingProblem(prob.domain, prob.tg, prob.model, w, prob.y0,
+                           prob.z_d, prob.delta)
+    omega0 = rng.standard_normal(w.mask.shape)
+    final = apply_B(w, omega0)[-1]
+    assert np.count_nonzero(final) == np.count_nonzero(w.mask[-1]) > 0
+    st = optimize(prob, omega0, OptimOptions(max_iters=10))
+    assert st.n_iters > 0
+    assert st.omega[-1].tobytes() == final.tobytes()
+    assert_state_is_solved(prob, st)
+
+
 @pytest.mark.filterwarnings("ignore::mchcontrol.errors.StabilityWarning")
 def test_optimize_stall_diagnostics(twin_small, monkeypatch):
     prob, _ = twin_small

@@ -63,6 +63,26 @@ def test_extension_restriction_adjoint(rng):
         inner_q0(w, restrict_B(w, q), s), rel=1e-15)
 
 
+def test_window_extension_writes_exact_positive_zero(rng):
+    """Off the window B writes +0.0, never the -0.0 of a negative value
+    times 0; inside it keeps every value bit for bit, -0.0 included, and a
+    NaN off the window still reads NaN."""
+    dom = Domain1D(2.0, 16)
+    tg = TimeGrid(1.0, 10)
+    w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, 0.8)
+    negative = -1.0 - rng.random((11, 16))
+    negative[4, 8] = -0.0  # inside the window
+    for q in (w.random_control(rng), apply_B(w, negative),
+              restrict_B(w, negative)):
+        assert not np.any(np.signbit(q[w.mask == 0.0]))
+    bq = apply_B(w, negative)
+    inside = w.mask == 1.0
+    assert bq[inside].tobytes() == negative[inside].tobytes()
+    assert np.all(bq[~inside] == 0.0)
+    negative[0, 0] = np.nan
+    assert np.isnan(apply_B(w, negative)[0, 0])
+
+
 @pytest.mark.parametrize("box", [(0.5, 1.5, 0.2, 0.8), (0.0, 2.0, 0.0, 1.0),
                                  (0.3, 0.45, 0.55, 1.0)])
 def test_q0_pairing_on_window_block(rng, box):

@@ -11,8 +11,10 @@ from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward, norm_q0,
                                 trajectory_from_arrays)
+from mchcontrol.control import TrackingProblem, optimize
 from mchcontrol.tangent_adjoint import (solve_tangent, solve_adjoint_discrete,
                                         solve_adjoint_continuous,
+                                        finish_adjoint,
                                         adjoint_equation_residual,
                                         pairing_defect, AdjointState)
 
@@ -93,6 +95,22 @@ def test_adjoint_state_invariants():
         AdjointState(lam, np.ones(4))
 
 
+@pytest.mark.parametrize("stop", [1, 15, 36, 59])
+def test_stopped_adjoint_is_the_full_march(rng, stop):
+    """Frames stop..N of a stopped march, and the whole finished state, are
+    the full march's bit for bit; frames below stop are zero until then."""
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    full = solve_adjoint_discrete(ft, source, p)
+    part = solve_adjoint_discrete(ft, source, p, stop)
+    assert part.lam[stop:].tobytes() == full.lam[stop:].tobytes()
+    assert not part.lam[:stop].any() and not part.mu.any()
+    done = finish_adjoint(ft, part, source, p)
+    assert done.lam.tobytes() == full.lam.tobytes()
+    assert done.mu.tobytes() == full.mu.tobytes()
+    assert finish_adjoint(ft, full, source, p) is full
+
+
 def test_adjoint_rejects_non_finite_source(rng):
     dom, tg, p, w, ft = setup()
     source = rng.standard_normal(ft.y.shape)
@@ -100,6 +118,37 @@ def test_adjoint_rejects_non_finite_source(rng):
     with pytest.raises(NumericsError) as exc:
         solve_adjoint_discrete(ft, source, p)
     assert exc.value.time_index == 36
+
+
+# a NaN in source row r first reaches frame r - 1 (36 for row 37, as in the
+# full march above); rows above stop fail in the stopped march, the others
+# when it is finished
+@pytest.mark.parametrize("row, stop", [(37, 20), (37, 36), (37, 37),
+                                       (12, 15)])
+def test_stopped_adjoint_rejects_non_finite_source(rng, row, stop):
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    source[row, 5] = np.nan
+    with pytest.raises(NumericsError) as exc:
+        adj = solve_adjoint_discrete(ft, source, p, stop)
+        assert row <= stop
+        finish_adjoint(ft, adj, source, p)
+    assert exc.value.time_index == row - 1
+
+
+@pytest.mark.parametrize("row", [37, 12])
+def test_optimize_fails_at_the_first_non_finite_adjoint_frame(rng, row):
+    """A NaN target row fails optimize at frame row - 1 whether it lies in
+    the frames each iteration marches or only below the window's first step
+    k0 = 15, where the error comes when the final state is finished."""
+    dom, tg, p, w, ft = setup()
+    z_d = ft.y + 0.01 * rng.standard_normal(ft.y.shape)
+    z_d[row, 5] = np.nan
+    prob = TrackingProblem(dom, tg, p, w, ft.y[0], z_d, 1e-3)
+    assert w.block[0].start == 15
+    with pytest.raises(NumericsError) as exc:
+        optimize(prob, w.zero_control())
+    assert exc.value.time_index == row - 1
 
 
 @pytest.mark.parametrize("j", [0, 20, 59])
