@@ -129,11 +129,13 @@ class OptimOptions:
 
 @dataclass
 class OptimState:
+    """Per-iterate J, ||g|| and step, and the final state. Iterates solve the
+    state equation, so first_order_residuals checks it once, at the end."""
+
     omega: np.ndarray
     costs: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-    feasibility: list = field(default_factory=list)
     n_iters: int = 0
     converged: bool = False
     stalled: bool = False
@@ -144,28 +146,25 @@ class OptimState:
     adjoint: AdjointState = None
 
     def log_rows(self):
-        rows = []
-        for i in range(len(self.costs)):
-            rows.append((i, self.costs[i], self.grad_norms[i], self.steps[i],
-                         self.feasibility[i]))
-        return rows
+        return list(zip(range(len(self.costs)), self.costs, self.grad_norms,
+                        self.steps))
 
 
 def _constraint_residuals(problem: TrackingProblem, omega, Y):
     """Weak per-step residual of the update rule and the initial defect.
 
     e1[n] = (M_dt Y[n+1] - Y[n])/dt + transport(Y[n]) - (B omega)[n] with
-    M_dt = I - dt*eps*D2; exactly zero on solve_forward output. Velocities
-    come from a ForwardTrajectory (u = K y per frame) and are solved from a
-    bare array Y, so infeasible trajectories are handled too.
+    M_dt = I - dt*eps*D2; exactly zero on solve_forward output. Y is an
+    array or a ForwardTrajectory, read through its y; the velocities are
+    re-solved from it, so infeasible trajectories are handled too.
     """
     domain, tg, p = problem.domain, problem.tg, problem.model
-    ftraj = Y if isinstance(Y, ForwardTrajectory) else None
-    Y = as_trajectory(domain, tg, Y if ftraj is None else ftraj.y)
+    if isinstance(Y, ForwardTrajectory):
+        Y = Y.y
+    Y = as_trajectory(domain, tg, Y)
     bq = apply_B(problem.window, omega)
     y, y_next = Y[:-1], Y[1:]
-    u, ux = (get_operator(domain).velocity(y)[:2] if ftraj is None
-             else (ftraj.u[:-1], ftraj.ux[:-1]))
+    u, ux = get_operator(domain).velocity(y)[:2]
     mdt_next = y_next - tg.dt * p.epsilon * d2(domain, y_next)
     e1 = ((mdt_next - y) / tg.dt
           + transport_terms(domain, y, u, ux, p.k) - bq[:-1])
@@ -200,7 +199,8 @@ def optimize(problem: TrackingProblem, omega0,
     search that fails after MAX_HALVINGS halvings marks the state stalled
     and reports diagnostics in the message. The returned state carries the
     trajectory, gradient and adjoint at its omega, so callers need not
-    re-solve.
+    re-solve. Every iterate is a forward solve, so the log holds no state
+    residual: it is roundoff by construction.
 
     Only the window block (window.block) of a control moves, so the
     iterate update, the search direction, the gradient and the memory pairs
@@ -226,7 +226,6 @@ def optimize(problem: TrackingProblem, omega0,
     state.costs.append(J)
     state.grad_norms.append(gnorm)
     state.steps.append(0.0)
-    state.feasibility.append(state_equation_residual(problem, omega, ftraj))
     if gnorm <= threshold:
         state.converged = True
         state.message = "already optimal at the starting point"
@@ -295,7 +294,6 @@ def optimize(problem: TrackingProblem, omega0,
         state.costs.append(J)
         state.grad_norms.append(gnorm)
         state.steps.append(alpha)
-        state.feasibility.append(state_equation_residual(problem, omega, ftraj))
         state.n_iters = it
         if gnorm <= threshold:
             state.converged = True

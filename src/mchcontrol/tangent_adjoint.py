@@ -63,7 +63,7 @@ class AdjointState:
 
 
 def _transport_coefficients(ftraj: ForwardTrajectory, k: float,
-                            frames=slice(None)) -> np.ndarray:
+                            frames: slice) -> np.ndarray:
     """(A, B, C, E) on the given frames as one (4, frames, n) array."""
     y, u, ux = ftraj.y[frames], ftraj.u[frames], ftraj.ux[frames]
     ydx = d1(ftraj.domain, y)
@@ -79,7 +79,7 @@ def _transport_coefficients(ftraj: ForwardTrajectory, k: float,
 
 
 def _step_coefficients(ftraj: ForwardTrajectory, k: float,
-                       frames=slice(None)) -> np.ndarray:
+                       frames: slice) -> np.ndarray:
     """(dt A/2h, 1 - dt B, dt C, dt E/2h): one step of tangent or adjoint."""
     dt = ftraj.tg.dt
     c = dt / (2.0 * ftraj.domain.h)
@@ -104,8 +104,8 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
     k0 = int(np.argmax(dtq.any(axis=1)))
     vsolve = get_operator(domain).kernel.solve
     dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
-    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k)
     N = tg.n_steps
+    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(k0, N))
     # zero-padded rows: the pads are the Dirichlet walls of D1
     Mp, Vp = np.zeros((2, N + 1, domain.n_interior + 2))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,8 +115,9 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
             v[:] = vsolve(m)
             if k == N:
                 break
-            rhs = (Bm[k] * m - Ad[k] * (mp[2:] - mp[:-2]) - Cd[k] * v
-                   + Ed[k] * (vp[2:] - vp[:-2]) + dtq[k])
+            c = k - k0
+            rhs = (Bm[c] * m - Ad[c] * (mp[2:] - mp[:-2]) - Cd[c] * v
+                   + Ed[c] * (vp[2:] - vp[:-2]) + dtq[k])
             Mp[k + 1, 1:-1] = dsolve(rhs)
     bad = _first_nonfinite(Mp[1:])
     if bad is not None:

@@ -152,6 +152,23 @@ def test_optimize_recovers(twin_small):
     assert_state_is_solved(prob, st)
 
 
+def test_optimize_does_not_recompute_state_residual(twin_small,
+                                                    monkeypatch):
+    """Iterates solve the state equation, so optimize never evaluates its
+    residual; the run is the same without it."""
+    prob, _ = twin_small
+    opts = OptimOptions(tol_g=1e-6, max_iters=100)
+    ref = optimize(prob, prob.window.zero_control(), opts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize evaluated the state residual")
+
+    monkeypatch.setattr(control, "state_equation_residual", forbidden)
+    st = optimize(prob, prob.window.zero_control(), opts)
+    assert st.converged
+    assert st.n_iters == ref.n_iters and st.costs == ref.costs
+
+
 def test_optimize_immediate_when_optimal():
     prob, _ = twin_problem(n=24, n_steps=60, amplitude=0.0)
     st = optimize(prob, prob.window.zero_control())
