@@ -18,8 +18,9 @@ from collections import namedtuple
 
 import numpy as np
 
+from .control import OptimOptions
 from .errors import ConfigError
-from .forward import ControlWindow, ModelParams
+from .forward import ControlWindow, ModelParams, apply_B
 from .grid import Domain1D, TimeGrid
 
 _BOOL = (bool,)
@@ -72,11 +73,11 @@ SCHEMA = {
         "amplitude": (_NUM, 1.0, None),
     },
     "optimizer": {
-        "tol_g": (_NUM, 1e-6, NONNEGATIVE),
-        "tol_g_abs": (_NUM, 0.0, NONNEGATIVE),
-        "max_iters": (_INT, 200, NONNEGATIVE),
-        "memory": (_INT, 8, AT_LEAST_1),
-        "step0": (_NUM, 1.0, POSITIVE),
+        "tol_g": (_NUM, OptimOptions.tol_g, NONNEGATIVE),
+        "tol_g_abs": (_NUM, OptimOptions.tol_g_abs, NONNEGATIVE),
+        "max_iters": (_INT, OptimOptions.max_iters, NONNEGATIVE),
+        "memory": (_INT, OptimOptions.memory, AT_LEAST_1),
+        "step0": (_NUM, OptimOptions.step0, POSITIVE),
     },
     "gradcheck": {
         "n_directions": (_INT, 5, AT_LEAST_1),
@@ -258,5 +259,4 @@ def control_field(cfg: dict, window: ControlWindow,
     ts = np.clip((tg.t - t0) / max(t1 - t0, 1e-300), 0.0, 1.0)
     bump_x = np.sin(np.pi * xs) ** 2
     bump_t = np.sin(np.pi * ts) ** 2
-    from .forward import apply_B
     return apply_B(window, amp * np.outer(bump_t, bump_x))

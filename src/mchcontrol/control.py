@@ -11,13 +11,16 @@ reproduce <g, q> to roundoff-limited accuracy.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .analysis import growth
 from .errors import ConfigError, DomainMismatchError, NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
-                      inner_q0, norm_q0, solve_forward, transport_terms)
+                      inner_block, norm_q0, solve_forward, transport_terms)
 from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
                    norm_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant)
@@ -202,14 +205,15 @@ def optimize(problem: TrackingProblem, omega0,
     re-solve. Every iterate is a forward solve, so the log holds no state
     residual: it is roundoff by construction.
 
-    Only the window block (window.block) of a control moves, so the
-    iterate update, the search direction, the gradient and the memory pairs
-    are computed on the block views of (N+1, n) buffers that are zero (or,
-    for a window ending at T, omega0's final frame) off it; the inner
-    products are inner_q0's on those views. The gradient reads no multiplier
-    frame below the window's first step k0, so each iteration's adjoint
-    stops at k0, and the returned state's adjoint is finished once from
-    there (finish_adjoint): bit for bit the full march.
+    Only the window block (window.block) of a control moves, so the search
+    direction, the gradient as read (g[blk]) and the memory of (s, y, rho)
+    triples are arrays shaped like that block, paired by inner_block. A full
+    (N+1, n) lattice is built only where a control leaves the loop: each
+    line-search trial handed to problem.solve, zero off the block (or, for a
+    window ending at T, omega0's final frame), and the returned omega. The
+    gradient reads no multiplier frame below the window's first step k0, so
+    each iteration's adjoint stops at k0, and the returned state's adjoint
+    is finished once from there (finish_adjoint): bit for bit the full march.
     """
     opts = opts or OptimOptions()
     win = problem.window
@@ -231,36 +235,34 @@ def optimize(problem: TrackingProblem, omega0,
         state.message = "already optimal at the starting point"
         return _finished(problem, state, omega, ftraj, g, adj)
 
-    mem_s, mem_y, mem_rho = [], [], []
-    d = win.zero_control()
-    db = d[blk]
+    pair = partial(inner_block, win)
+    memory = deque(maxlen=opts.memory)  # (s, y, rho) block arrays
     step_prev = opts.step0
     for it in range(1, opts.max_iters + 1):
-        np.negative(g[blk], out=db)
-        if mem_s:
+        gb = g[blk]
+        d = -gb
+        if memory:
             alpha_hist = []
-            for s, yv, rho in zip(reversed(mem_s), reversed(mem_y),
-                                  reversed(mem_rho)):
-                a = rho * inner_q0(win, s, d)
+            for s, yv, rho in reversed(memory):
+                a = rho * pair(s, d)
                 alpha_hist.append(a)
-                db -= a * yv[blk]
-            db *= (inner_q0(win, mem_s[-1], mem_y[-1])
-                   / max(inner_q0(win, mem_y[-1], mem_y[-1]), 1e-300))
-            for (s, yv, rho), a in zip(zip(mem_s, mem_y, mem_rho),
-                                       reversed(alpha_hist)):
-                b = rho * inner_q0(win, yv, d)
-                db += (a - b) * s[blk]
-        slope = inner_q0(win, g, d)
+                d -= a * yv
+            s, yv, _ = memory[-1]
+            d *= pair(s, yv) / max(pair(yv, yv), 1e-300)
+            for (s, yv, rho), a in zip(memory, reversed(alpha_hist)):
+                d += (a - rho * pair(yv, d)) * s
+        slope = pair(gb, d)
         if slope >= 0:
-            np.negative(g[blk], out=db)
+            d = -gb
             slope = -gnorm ** 2
-        alpha = 1.0 if mem_s else step_prev
+        alpha = 1.0 if memory else step_prev
         accepted = False
         # off the block every trial is omega: zero but for the final frame
         trial = win.zero_control()
         trial[-1] = omega[-1]
+        ob, tb = omega[blk], trial[blk]
         for _ in range(MAX_HALVINGS + 1):
-            np.add(omega[blk], alpha * db, out=trial[blk])
+            np.add(ob, alpha * d, out=tb)
             try:
                 ftrial = problem.solve(trial)
             except NumericsError:
@@ -278,16 +280,10 @@ def optimize(problem: TrackingProblem, omega0,
                              f"slope={slope:.3e}, last alpha={alpha:.3e}")
             break
         g_new, info = reduced_gradient(problem, trial, ftrial, stop=k0)
-        s_vec, y_vec = win.zero_control(), win.zero_control()
-        np.subtract(trial[blk], omega[blk], out=s_vec[blk])
-        np.subtract(g_new[blk], g[blk], out=y_vec[blk])
-        curv = inner_q0(win, s_vec, y_vec)
-        if curv > 1e-14 * norm_q0(win, s_vec) * norm_q0(win, y_vec):
-            mem_s.append(s_vec)
-            mem_y.append(y_vec)
-            mem_rho.append(1.0 / curv)
-            if len(mem_s) > opts.memory:
-                mem_s.pop(0), mem_y.pop(0), mem_rho.pop(0)
+        s, yv = tb - ob, g_new[blk] - gb
+        curv = pair(s, yv)
+        if curv > 1e-14 * math.sqrt(pair(s, s)) * math.sqrt(pair(yv, yv)):
+            memory.append((s, yv, 1.0 / curv))
         omega, ftraj, J, g, adj = trial, ftrial, Jt, g_new, info["adjoint"]
         gnorm = norm_q0(win, g)
         step_prev = min(4.0 * alpha, 1e3)
@@ -377,8 +373,8 @@ def constants(domain: Domain1D, tg: TimeGrid, y_traj, p: ModelParams):
     eps = p.epsilon
     c0 = (8.0 + 1.0 / 16.0) / eps * M ** 4
     c2 = M ** 2 / (12.0 * eps)
-    c1 = ((eps + 6.0 * M) * (2.0 / eps) * math.exp(c2 * tg.T) + 1.0) ** 2 \
-        + (4.0 / eps ** 2) * math.exp(2.0 * c2 * tg.T)
+    a = (eps + 6.0 * M) * (2.0 / eps) * growth(math.exp, c2 * tg.T) + 1.0
+    c1 = a * a + (4.0 / eps ** 2) * growth(math.exp, 2.0 * c2 * tg.T)
     return c0, c2, c1
 
 
@@ -394,7 +390,8 @@ def lambda_bound_check(problem: TrackingProblem, omega,
     c0, _, _ = constants(domain, tg, ftraj.y, problem.model)
     lhs = norm_l2v(domain, tg, adj.lam) ** 2
     src = math.sqrt(float(tg.weights @ norm_vstar_sq(domain, source)))
-    rhs = 4.0 / (3.0 * problem.model.epsilon) * math.exp(c0 * tg.T) * src
+    rhs = (4.0 / (3.0 * problem.model.epsilon) * growth(math.exp, c0 * tg.T)
+           * src)
     return {"lhs": lhs, "rhs": rhs, "passed": bool(lhs <= rhs), "c0": c0}
 
 
@@ -477,9 +474,9 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
     cond1_rhs = 3.0 * eps / (4.0 * C1) * math.exp(-c0 * T) if C1 > 0 else math.inf
     cond2_rhs = (3.0 * sigma * eps / (8.0 * C * c1) * math.exp(-c0 * T)
                  if C > 0 else math.inf)
-    kappa1 = min(1.0 - (4.0 * C1 / (3.0 * eps)) * math.exp(c0 * T) * lhs, sigma)
-    kappa2 = min(sigma / (2.0 * c1)
-                 - (4.0 * C / (3.0 * eps)) * math.exp(c0 * T) * lhs,
+    grow = growth(math.exp, c0 * T)
+    kappa1 = min(1.0 - (4.0 * C1 / (3.0 * eps)) * grow * lhs, sigma)
+    kappa2 = min(sigma / (2.0 * c1) - (4.0 * C / (3.0 * eps)) * grow * lhs,
                  sigma / 2.0)
     min_ratio = math.inf
     kernel_max = 0.0

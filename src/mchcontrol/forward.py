@@ -24,6 +24,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from operator import add
 
@@ -95,11 +96,19 @@ def apply_B(window: ControlWindow, q) -> np.ndarray:
 restrict_B = apply_B
 
 
+def inner_block(window: ControlWindow, p, q) -> float:
+    """L2(Q0) inner product of arrays shaped like trajectory[window.block]:
+    per-frame sums added in frame order (reduce, not the compensated sum of
+    newer Pythons), the order einsum takes on block views of a trajectory."""
+    rows = np.einsum("ni,ni->n", p, q).tolist()
+    return window.tg.dt * window.domain.h * reduce(add, rows, 0.0)
+
+
 def inner_q0(window: ControlWindow, p, q) -> float:
     """L2(Q0) inner product, left-endpoint rule in time."""
     p = as_trajectory(window.domain, window.tg, p)[window.block]
     q = as_trajectory(window.domain, window.tg, q)[window.block]
-    return window.tg.dt * window.domain.h * float(np.einsum("ni,ni->", p, q))
+    return inner_block(window, p, q)
 
 
 def norm_q0(window: ControlWindow, q) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Domain1D, TimeGrid, norm_h
 from .helmholtz import get_operator
-from .forward import (ModelParams, ControlWindow, apply_B, norm_q0,
+from .forward import (ModelParams, apply_B, norm_q0,
                       inner_q0, solve_forward, weak_residual,
                       trajectory_from_arrays, export_trajectory_csv)
 from .tangent_adjoint import pairing_defect
@@ -70,6 +70,16 @@ def _report_stub(cfg: dict, command: str) -> dict:
             "command": command}
 
 
+def _optim_summary(state) -> dict:
+    """The optimizer's end points and stop reason, as optimize and twin
+    report them."""
+    return {"J_initial": state.costs[0], "J_final": state.costs[-1],
+            "grad_norm_initial": state.grad_norms[0],
+            "grad_norm_final": state.grad_norms[-1],
+            "n_iters": state.n_iters, "converged": state.converged,
+            "stalled": state.stalled, "message": state.message}
+
+
 def _prep_out(out_dir) -> str:
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -94,24 +104,19 @@ def write_log_csv(path, rows):
 # problem assembly
 
 
-def make_target(cfg: dict, domain: Domain1D, tg: TimeGrid, p: ModelParams,
-                window: ControlWindow, y0, rng):
-    """Target trajectory per cost.z_d; returns (z_d, omega_true or None)."""
-    kind = cfg["cost"]["z_d"]
-    if kind == "zero":
-        return np.zeros((tg.n_steps + 1, domain.n_interior)), None
-    if kind == "uncontrolled":
-        return solve_forward(domain, tg, p, y0).y, None
-    omega_true = control_field(cfg, window, rng)
-    ft = solve_forward(domain, tg, p, y0, apply_B(window, omega_true))
-    return ft.y, omega_true
-
-
 def build_problem(cfg: dict, rng):
-    """TrackingProblem plus the synthetic truth control when z_d is a twin."""
+    """TrackingProblem with the target per cost.z_d, plus the synthetic
+    truth control when that is a twin (None otherwise)."""
     domain, tg, p, window = build_problem_pieces(cfg)
     y0 = initial_field(cfg, domain)
-    z_d, omega_true = make_target(cfg, domain, tg, p, window, y0, rng)
+    kind, omega_true = cfg["cost"]["z_d"], None
+    if kind == "zero":
+        z_d = window.zero_control()
+    elif kind == "uncontrolled":
+        z_d = solve_forward(domain, tg, p, y0).y
+    else:
+        omega_true = control_field(cfg, window, rng)
+        z_d = solve_forward(domain, tg, p, y0, apply_B(window, omega_true)).y
     problem = TrackingProblem(domain, tg, p, window, y0, z_d,
                               cfg["cost"]["delta"])
     return problem, omega_true
@@ -236,17 +241,7 @@ def run_optimize(cfg: dict, out_dir) -> int:
     fo = first_order_residuals(problem, state.omega, state.ftraj,
                                state.adjoint)
     report = _report_stub(cfg, "optimize")
-    report.update({
-        "J_initial": state.costs[0],
-        "J_final": state.costs[-1],
-        "grad_norm_initial": state.grad_norms[0],
-        "grad_norm_final": state.grad_norms[-1],
-        "n_iters": state.n_iters,
-        "converged": state.converged,
-        "stalled": state.stalled,
-        "message": state.message,
-        "first_order": fo,
-    })
+    report.update(_optim_summary(state), first_order=fo)
     write_json(os.path.join(out, "run.json"), report)
     return 0 if state.converged else 1
 
@@ -254,13 +249,11 @@ def run_optimize(cfg: dict, out_dir) -> int:
 def run_twin(cfg: dict, out_dir) -> int:
     out = _prep_out(out_dir)
     h = config_hash(cfg)
-    domain, tg, p, window = build_problem_pieces(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    y0 = initial_field(cfg, domain)
-    omega_true = control_field(cfg, window, rng)
-    z_d = solve_forward(domain, tg, p, y0, apply_B(window, omega_true)).y
-    problem = TrackingProblem(domain, tg, p, window, y0, z_d,
-                              cfg["cost"]["delta"])
+    # twin tracks the configured control's trajectory, whatever cost.z_d is
+    cfg_twin = dict(cfg, cost=dict(cfg["cost"], z_d="twin"))
+    problem, omega_true = build_problem(cfg_twin, rng)
+    window = problem.window
     state = optimize(problem, window.zero_control(),
                      OptimOptions(**cfg["optimizer"]))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
@@ -281,22 +274,11 @@ def run_twin(cfg: dict, out_dir) -> int:
     true_n = norm_q0(window, omega_true)
     ctrl_err = norm_q0(window, state.omega - omega_true)
     report = _report_stub(cfg, "twin")
-    report.update({
-        "J_initial": J0,
-        "J_final": Jf,
-        "J_drop_factor": drop,
-        "grad_norm_initial": state.grad_norms[0],
-        "grad_norm_final": state.grad_norms[-1],
-        "n_iters": state.n_iters,
-        "converged": state.converged,
-        "stalled": state.stalled,
-        "message": state.message,
-        "tracking_error_sq": 2.0 * parts["tracking"],
-        "control_error": ctrl_err,
-        "control_error_rel": ctrl_err / true_n if true_n > 0 else 0.0,
-        "control_true_norm": true_n,
-        "lambda_ratio": lam_ratio,
-    })
+    report.update(
+        _optim_summary(state), J_drop_factor=drop,
+        tracking_error_sq=2.0 * parts["tracking"], control_error=ctrl_err,
+        control_error_rel=ctrl_err / true_n if true_n > 0 else 0.0,
+        control_true_norm=true_n, lambda_ratio=lam_ratio)
     write_json(os.path.join(out, "twin.json"), report)
     return 0 if state.converged else 1
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -216,6 +217,28 @@ def test_verify_zero_data(tmp_path):
     assert run("verify", cfg, tmp_path / "o") == 0
 
 
+@pytest.mark.parametrize("overrides, report_key, want", [
+    ({"model": {"epsilon": 1e-5}}, "second_order",
+     {"c1": "inf", "kappa1": "-inf", "kappa2": "-inf"}),
+    ({"verify": {"smallness_C_eps": 1000}}, "soft",
+     {"name": "smallness", "rhs": 0.0, "passed": False}),
+], ids=["epsilon-1e-5", "smallness-C_eps-1000"])
+def test_verify_reports_overflowing_constants(tmp_path, capsys, overrides,
+                                              report_key, want):
+    """A growth factor past the float range reads inf: only soft checks
+    read it, so verify passes instead of leaving with a traceback."""
+    cfg = write_cfg(tmp_path, **overrides)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("verify", cfg, out) == 0
+    assert capsys.readouterr().out.endswith("VERIFY PASS\n")
+    got = json.loads((out / "verify.json").read_text())[report_key]
+    if report_key == "soft":
+        got = got[0]
+    assert {k: got[k] for k in want} == want
+
+
 def test_twin_zero_control_trivial(tmp_path):
     cfg = write_cfg(tmp_path, cost={"z_d": "twin"},
                     control={"kind": "zero"})
@@ -229,7 +252,6 @@ def test_blowup_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, model={"epsilon": 1e-4},
                     initial={"coefficients": [60.0]},
                     control={"kind": "zero"})
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = run("forward", cfg, tmp_path / "o")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mchcontrol.control import OptimOptions
 from mchcontrol.errors import ConfigError
 from mchcontrol.config import (resolve_config, load_config, config_hash,
                                window_coords, build_problem_pieces,
@@ -32,6 +33,11 @@ def test_defaults_filled():
     assert cfg["debug"] == {"sabotage_gradient": False,
                             "corrupt_trajectory": False}
     assert cfg["window"] == {"a": None, "b": None, "t0": None, "t1": None}
+
+
+def test_optimizer_defaults_are_optim_options():
+    resolved = resolve_config(minimal())["optimizer"]
+    assert OptimOptions() == OptimOptions(**resolved)
 
 
 def test_resolved_configs_share_no_lists():

@@ -192,6 +192,22 @@ def test_optimize_keeps_the_final_frame_of_a_window_ending_at_T(rng):
     assert_state_is_solved(prob, st)
 
 
+@pytest.mark.parametrize("memory", [1, 2])
+def test_optimize_with_short_memory_on_a_window_ending_at_T(rng, memory):
+    """A memory of one or two (s, y, rho) triples drops its oldest once the
+    run has more iterations; it still converges, and keeps omega0's final
+    frame."""
+    prob, _ = twin_problem(n=24, n_steps=60)
+    w = ControlWindow(prob.domain, prob.tg, 0.5, 1.5, 0.2, prob.tg.T)
+    prob = TrackingProblem(prob.domain, prob.tg, prob.model, w, prob.y0,
+                           prob.z_d, prob.delta)
+    omega0 = rng.standard_normal(w.mask.shape)
+    st = optimize(prob, omega0, OptimOptions(memory=memory))
+    assert st.converged and st.n_iters > memory
+    assert st.omega[-1].tobytes() == apply_B(w, omega0)[-1].tobytes()
+    assert_state_is_solved(prob, st)
+
+
 @pytest.mark.filterwarnings("ignore::mchcontrol.errors.StabilityWarning")
 def test_optimize_stall_diagnostics(twin_small, monkeypatch):
     prob, _ = twin_small

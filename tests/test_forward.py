@@ -9,10 +9,11 @@ from mchcontrol.errors import (DomainMismatchError, NumericsError,
 from mchcontrol.grid import Domain1D, TimeGrid, d1, inner_h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, ForwardTrajectory,
-                                apply_B, restrict_B, inner_q0, norm_q0,
-                                solve_forward, weak_residual, dirichlet_modes,
-                                transport_terms, trajectory_from_arrays,
-                                export_trajectory_csv, import_trajectory_csv)
+                                apply_B, restrict_B, inner_block, inner_q0,
+                                norm_q0, solve_forward, weak_residual,
+                                dirichlet_modes, transport_terms,
+                                trajectory_from_arrays, export_trajectory_csv,
+                                import_trajectory_csv)
 
 
 def dense_ops(domain):
@@ -96,6 +97,9 @@ def test_q0_pairing_on_window_block(rng, box):
     m = w.mask[:-1]
     want = tg.dt * dom.h * float(np.sum((p[:-1] * m) * (q[:-1] * m)))
     assert inner_q0(w, p, q) == pytest.approx(want, rel=1e-13)
+    # the block pairing of contiguous copies is inner_q0 bit for bit
+    pb, qb = (np.ascontiguousarray(a[w.block]) for a in (p, q))
+    assert inner_block(w, pb, qb) == inner_q0(w, p, q)
     assert norm_q0(w, q) == pytest.approx(
         math.sqrt(tg.dt * dom.h * float(np.sum((q[:-1] * m) ** 2))),
         rel=1e-13)
