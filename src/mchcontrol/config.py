@@ -36,7 +36,6 @@ Range = namedtuple("Range", "test text")
 POSITIVE = Range(lambda v: v > 0, "positive")
 NONNEGATIVE = Range(lambda v: v >= 0, "nonnegative")
 AT_LEAST_1 = Range(lambda v: v >= 1, "at least 1")
-NONZERO = Range(lambda v: v != 0, "nonzero")
 
 # section -> {key: (types, default, rule)}; a rule is None, a Range, or the
 # tuple of allowed names
@@ -83,7 +82,6 @@ SCHEMA = {
         "n_directions": (_INT, 5, AT_LEAST_1),
         "fd_step": (_NUM, 1e-5, POSITIVE),
         "taylor_steps": (_LIST, [1e-2, 1e-3, 1e-4, 1e-5], None),
-        "amplitude": (_NUM, 1.0, NONZERO),
         "tol_rel": (_NUM, 1e-6, NONNEGATIVE),
     },
     "verify": {

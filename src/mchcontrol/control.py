@@ -18,16 +18,17 @@ from functools import partial
 import numpy as np
 
 from .analysis import growth
-from .errors import ConfigError, DomainMismatchError, NumericsError
+from .errors import DomainMismatchError, NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
-                      inner_block, norm_q0, solve_forward, transport_terms)
+                      inner_block, inner_q0, norm_q0, solve_forward,
+                      transport_terms)
 from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
                    norm_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant)
 from .helmholtz import get_operator
 from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
-                              finish_adjoint, solve_adjoint_continuous,
-                              solve_adjoint_discrete, solve_tangent)
+                              finish_adjoint, solve_adjoint_discrete,
+                              solve_tangent)
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 MAX_HALVINGS = 40  # step halvings before the line search stalls
@@ -85,40 +86,36 @@ def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
 
 
 def reduced_gradient(problem: TrackingProblem, omega,
-                     ftraj: ForwardTrajectory = None,
-                     scheme: str = "discrete", stop: int = 0):
+                     ftraj: ForwardTrajectory = None, stop: int = 0):
     """L2(Q0) gradient delta*omega - lambda|_Q0 and the pieces behind it.
 
-    The misfit is the L2(0,T;H) one, so the multiplier source is z_d - y.
-    scheme picks the multiplier solver: "discrete" is the exact transpose
-    (matches finite differences of the cost to roundoff), "continuous"
-    marches the adjoint equation backward and agrees with it to first order
-    in the step sizes. stop, at most the window's first step, lets the
-    discrete multiplier stop at that frame (see solve_adjoint_discrete);
+    The misfit is the L2(0,T;H) one, so the multiplier source is z_d - y,
+    and lambda is its exact discrete transpose, so <g, q> matches finite
+    differences of the cost to roundoff. The gradient is delta*omega -
+    lambda on the window block and an exact +0.0 elsewhere (the final slice
+    carries no quadrature weight). stop, at most the window's first step,
+    lets the multiplier stop at that frame (see solve_adjoint_discrete);
     the gradient reads no frame below it.
     """
-    if scheme not in ("discrete", "continuous"):
-        raise ConfigError(f"unknown adjoint scheme {scheme!r}")
     if ftraj is None:
         ftraj = problem.solve(omega)
-    if scheme == "discrete":
-        adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y,
-                                     problem.model, stop)
-    else:
-        lam = solve_adjoint_continuous(ftraj, problem.z_d - ftraj.y,
-                                       problem.model)
-        adj = AdjointState(lam, lam[0].copy())
-    return _gradient(problem, omega, adj), {"ftraj": ftraj, "adjoint": adj}
-
-
-def _gradient(problem: TrackingProblem, omega, adj: AdjointState):
-    """delta*omega - lambda on the window block, exact +0.0 elsewhere (the
-    final slice carries no quadrature weight)."""
+    adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y, problem.model,
+                                 stop)
     omega = as_trajectory(problem.domain, problem.tg, omega)
     blk = problem.window.block
     g = problem.window.zero_control()
     np.subtract(problem.delta * omega[blk], adj.lam[blk], out=g[blk])
-    return g
+    return g, {"ftraj": ftraj, "adjoint": adj}
+
+
+def central_difference(problem: TrackingProblem, omega, g, q, h: float):
+    """Central difference of J at omega along q with step h against the
+    directional derivative <g, q>: (fd, <g, q>, relative error)."""
+    Jp, _ = cost(problem, omega + h * q)
+    Jm, _ = cost(problem, omega - h * q)
+    fd = (Jp - Jm) / (2.0 * h)
+    dg = inner_q0(problem.window, g, q)
+    return fd, dg, abs(fd - dg) / max(abs(fd), abs(dg), 1e-300)
 
 
 @dataclass
@@ -132,8 +129,9 @@ class OptimOptions:
 
 @dataclass
 class OptimState:
-    """Per-iterate J, ||g|| and step, and the final state. Iterates solve the
-    state equation, so first_order_residuals checks it once, at the end."""
+    """Per-iterate J, ||g|| and step, and the final state: the solved state
+    that the first- and second-order checks read. Iterates solve the state
+    equation, so first_order_residuals checks it once, at the end."""
 
     omega: np.ndarray
     costs: list = field(default_factory=list)
@@ -157,13 +155,11 @@ def _constraint_residuals(problem: TrackingProblem, omega, Y):
     """Weak per-step residual of the update rule and the initial defect.
 
     e1[n] = (M_dt Y[n+1] - Y[n])/dt + transport(Y[n]) - (B omega)[n] with
-    M_dt = I - dt*eps*D2; exactly zero on solve_forward output. Y is an
-    array or a ForwardTrajectory, read through its y; the velocities are
-    re-solved from it, so infeasible trajectories are handled too.
+    M_dt = I - dt*eps*D2; exactly zero on solve_forward output. Y is a
+    momentum trajectory array; the velocities are re-solved from it, so
+    infeasible trajectories are handled too.
     """
     domain, tg, p = problem.domain, problem.tg, problem.model
-    if isinstance(Y, ForwardTrajectory):
-        Y = Y.y
     Y = as_trajectory(domain, tg, Y)
     bq = apply_B(problem.window, omega)
     y, y_next = Y[:-1], Y[1:]
@@ -332,30 +328,18 @@ def lagrangian(problem: TrackingProblem, omega, Y, lam, mu, c: float) -> float:
     return J + pair + 0.5 * c * residual_y_norm(problem, e1, e2) ** 2
 
 
-def _solved(problem: TrackingProblem, omega, ftraj, adj):
-    """The trajectory and tracking multiplier at omega, solving what is
-    not given; adj, when given, belongs to ftraj."""
-    if ftraj is None:
-        ftraj = problem.solve(omega)
-    if adj is None:
-        adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y,
-                                     problem.model)
-    return ftraj, adj
-
-
-def first_order_residuals(problem: TrackingProblem, omega,
-                          ftraj: ForwardTrajectory = None,
-                          adj: AdjointState = None) -> dict:
-    """Stationarity diagnostics at a control: gradient norm, state residual,
-    continuous-adjoint equation residual, and the two exact identities.
-    Reuses a solved trajectory and multiplier when given."""
-    ftraj, adj = _solved(problem, omega, ftraj, adj)
-    g = _gradient(problem, omega, adj)
+def first_order_residuals(problem: TrackingProblem,
+                          state: OptimState) -> dict:
+    """Stationarity diagnostics at a solved state (optimize's): gradient
+    norm, state residual, continuous-adjoint equation residual, and the two
+    exact identities. Solves nothing."""
+    ftraj, adj = state.ftraj, state.adjoint
     eq = adjoint_equation_residual(ftraj, adj.lam, problem.z_d - ftraj.y,
                                    problem.model)
     return {
-        "grad_norm": norm_q0(problem.window, g),
-        "state_residual": state_equation_residual(problem, omega, ftraj),
+        "grad_norm": norm_q0(problem.window, state.grad),
+        "state_residual": state_equation_residual(problem, state.omega,
+                                                  ftraj.y),
         "adjoint_residual": eq["max_h"],
         "adjoint_residual_rel": eq["max_h_rel"],
         "mu_minus_lambda0": float(np.max(np.abs(adj.mu - adj.lam[0]))),
@@ -370,22 +354,21 @@ def first_order_residuals(problem: TrackingProblem, omega,
 def constants(domain: Domain1D, tg: TimeGrid, y_traj, p: ModelParams):
     """Growth/coercivity constants (c0, c2, c1) from the C(H) norm of y."""
     M = norm_ct_h(domain, tg, as_trajectory(domain, tg, y_traj))
-    eps = p.epsilon
+    eps, e2 = p.epsilon, p.epsilon ** 2
     c0 = (8.0 + 1.0 / 16.0) / eps * M ** 4
     c2 = M ** 2 / (12.0 * eps)
     a = (eps + 6.0 * M) * (2.0 / eps) * growth(math.exp, c2 * tg.T) + 1.0
-    c1 = a * a + (4.0 / eps ** 2) * growth(math.exp, 2.0 * c2 * tg.T)
+    # an eps whose square underflows gives 4/eps^2 = inf
+    c1 = a * a + ((4.0 / e2 if e2 > 0 else math.inf)
+                  * growth(math.exp, 2.0 * c2 * tg.T))
     return c0, c2, c1
 
 
-def lambda_bound_check(problem: TrackingProblem, omega,
-                       ftraj: ForwardTrajectory = None,
-                       adj: AdjointState = None) -> dict:
-    """Both sides of the multiplier energy bound, reported as printed
-    (squared left side, unsquared right side), never asserted. Reuses a
-    solved trajectory and multiplier when given."""
+def lambda_bound_check(problem: TrackingProblem, state: OptimState) -> dict:
+    """Both sides of the multiplier energy bound at a solved state, reported
+    as printed (squared left side, unsquared right side), never asserted."""
     domain, tg = problem.domain, problem.tg
-    ftraj, adj = _solved(problem, omega, ftraj, adj)
+    ftraj, adj = state.ftraj, state.adjoint
     source = problem.z_d - ftraj.y
     c0, _, _ = constants(domain, tg, ftraj.y, problem.model)
     lhs = norm_l2v(domain, tg, adj.lam) ** 2
@@ -442,11 +425,10 @@ class SecondOrderReport:
         return asdict(self)
 
 
-def coercivity_check(problem: TrackingProblem, omega, rng,
-                     n_samples: int, n_embed_samples: int,
-                     ftraj: ForwardTrajectory = None,
-                     adj: AdjointState = None) -> SecondOrderReport:
-    """Evaluate the sufficient-condition margins and sample the quadratic form.
+def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
+                     n_samples: int, n_embed_samples: int) -> SecondOrderReport:
+    """Evaluate the sufficient-condition margins and sample the quadratic form
+    at a solved state.
 
     Condition (1) compares ||y||_C(H) * ||y - z_d||_L2(H) against
     (3 eps / 4 C1) exp(-c0 T) with C1 = 9 c_E^2; its kappa is
@@ -457,13 +439,12 @@ def coercivity_check(problem: TrackingProblem, omega, rng,
     over random window directions, with ||(m, q)||_X^2 = ||m||_WV^2 + ||q||_Q0^2,
     and kernel_bound_ratio the maximum of ||m||_WV^2 / ||q||_Q0^2 over the
     same directions, which the tangent kernel bound compares with c1.
-    Reuses a solved trajectory and multiplier when given.
     """
     domain, tg = problem.domain, problem.tg
     eps = problem.model.epsilon
     sigma = problem.delta
     T = tg.T
-    ftraj, adj = _solved(problem, omega, ftraj, adj)
+    ftraj, adj = state.ftraj, state.adjoint
     c0, c2, c1 = constants(domain, tg, ftraj.y, problem.model)
     c_embed = measure_embedding_constant(domain, tg, rng, n_embed_samples)
     C = c_embed ** 2

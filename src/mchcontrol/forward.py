@@ -92,10 +92,6 @@ def apply_B(window: ControlWindow, q) -> np.ndarray:
     return bq
 
 
-# B is the identity on the window and zero off it, so B* is B itself
-restrict_B = apply_B
-
-
 def inner_block(window: ControlWindow, p, q) -> float:
     """L2(Q0) inner product of arrays shaped like trajectory[window.block]:
     per-frame sums added in frame order (reduce, not the compensated sum of

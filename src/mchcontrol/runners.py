@@ -14,7 +14,6 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
 from .grid import Domain1D, TimeGrid, norm_h
 from .helmholtz import get_operator
 from .forward import (ModelParams, apply_B, norm_q0,
@@ -22,8 +21,9 @@ from .forward import (ModelParams, apply_B, norm_q0,
                       trajectory_from_arrays, export_trajectory_csv)
 from .tangent_adjoint import pairing_defect
 from .control import (TrackingProblem, OptimOptions, cost, reduced_gradient,
-                      optimize, lagrangian, first_order_residuals, constants,
-                      lambda_bound_check, coercivity_check)
+                      central_difference, optimize, lagrangian,
+                      first_order_residuals, constants, lambda_bound_check,
+                      coercivity_check)
 from .analysis import (make_report, energy_identity, momentum_identity,
                        smallness_margin)
 from .config import config_hash, build_problem_pieces, initial_field, \
@@ -176,30 +176,22 @@ def run_gradcheck(cfg: dict, out_dir) -> int:
     problem, _ = build_problem(cfg, rng)
     window = problem.window
     omega = control_field(cfg, window, rng)
-    J0, _ = cost(problem, omega)
-    g, _ = reduced_gradient(problem, omega)
+    g, info = reduced_gradient(problem, omega)
+    J0, _ = cost(problem, omega, info["ftraj"])
     if cfg["debug"]["sabotage_gradient"]:
         # negative control: bias the reported gradient so FD disagrees
         g = g + 0.1 * (1.0 + norm_q0(window, g)) * window.mask
 
     fd_rows = []
-    eps_fd = gc["fd_step"]
     directions = []
     for i in range(gc["n_directions"]):
-        q = window.random_control(rng, amplitude=gc["amplitude"])
-        qn = norm_q0(window, q)
-        if qn == 0.0:
-            raise ConfigError("gradcheck produced the degenerate direction "
-                              "q == 0; enlarge the window")
-        q = q / qn
+        q = window.random_control(rng)
+        q = q / norm_q0(window, q)
         directions.append(q)
-        Jp, _ = cost(problem, omega + eps_fd * q)
-        Jm, _ = cost(problem, omega - eps_fd * q)
-        fd = (Jp - Jm) / (2.0 * eps_fd)
-        directional = inner_q0(window, g, q)
-        denom = max(abs(fd), abs(directional), 1e-300)
+        fd, directional, rel = central_difference(problem, omega, g, q,
+                                                  gc["fd_step"])
         fd_rows.append({"direction": i, "fd": fd, "adjoint": directional,
-                        "rel_error": abs(fd - directional) / denom})
+                        "rel_error": rel})
     max_rel = max(r["rel_error"] for r in fd_rows)
 
     q0 = directions[0]
@@ -238,8 +230,7 @@ def run_optimize(cfg: dict, out_dir) -> int:
     export_trajectory_csv(os.path.join(out, "omega.csv"), state.ftraj,
                           _csv_params(cfg, "optimize"), h,
                           value_names=("omega",), values=(state.omega,))
-    fo = first_order_residuals(problem, state.omega, state.ftraj,
-                               state.adjoint)
+    fo = first_order_residuals(problem, state)
     report = _report_stub(cfg, "optimize")
     report.update(_optim_summary(state), first_order=fo)
     write_json(os.path.join(out, "run.json"), report)
@@ -308,20 +299,12 @@ def _hard_checks(cfg, problem, state, fo, rng):
         worst = max(worst, pairing_defect(ftraj, window, q, s, p))
     checks.append(make_report("transpose_identity", worst, 1e-10))
 
-    g = state.grad
-    eps_fd = cfg["gradcheck"]["fd_step"]
     worst = 0.0
     for _ in range(2):
         q = window.random_control(rng)
-        qn = norm_q0(window, q)
-        if qn == 0.0:
-            continue
-        q = q / qn
-        Jp, _ = cost(problem, omega + eps_fd * q)
-        Jm, _ = cost(problem, omega - eps_fd * q)
-        fd = (Jp - Jm) / (2.0 * eps_fd)
-        dg = inner_q0(window, g, q)
-        worst = max(worst, abs(fd - dg) / max(abs(fd), abs(dg), 1e-300))
+        q = q / norm_q0(window, q)
+        worst = max(worst, central_difference(
+            problem, omega, state.grad, q, cfg["gradcheck"]["fd_step"])[2])
     checks.append(make_report("gradient_vs_fd", worst, 1e-6))
 
     wtraj = ftraj
@@ -386,7 +369,7 @@ def _soft_checks(cfg, problem, state, so):
     """Inequalities whose constants the theory leaves existential, at the
     optimizer's final state; reported with margins, never gating. so is
     coercivity_check there."""
-    lb = lambda_bound_check(problem, state.omega, state.ftraj, state.adjoint)
+    lb = lambda_bound_check(problem, state)
     return [
         smallness_margin(problem.domain, problem.tg, problem.window,
                          problem.y0, state.omega,
@@ -405,14 +388,12 @@ def run_verify(cfg: dict, out_dir) -> int:
 
     omega0 = control_field(cfg, window, rng)
     state = optimize(problem, omega0, OptimOptions(**cfg["optimizer"]))
-    omega, ftraj, adj = state.omega, state.ftraj, state.adjoint
 
-    fo = first_order_residuals(problem, omega, ftraj, adj)
+    fo = first_order_residuals(problem, state)
     hard = _hard_checks(cfg, problem, state, fo, rng)
-    so = coercivity_check(problem, omega, rng,
+    so = coercivity_check(problem, state, rng,
                           n_samples=cfg["verify"]["n_hessian_samples"],
-                          n_embed_samples=cfg["verify"]["n_embed_samples"],
-                          ftraj=ftraj, adj=adj)
+                          n_embed_samples=cfg["verify"]["n_embed_samples"])
     soft = _soft_checks(cfg, problem, state, so)
 
     passed = all(r.passed for r in hard)

@@ -6,7 +6,7 @@ import pytest
 from mchcontrol.grid import Domain1D, TimeGrid
 from mchcontrol.forward import (ModelParams, ControlWindow, solve_forward,
                                 apply_B)
-from mchcontrol.control import TrackingProblem
+from mchcontrol.control import OptimOptions, TrackingProblem, optimize
 
 
 def bump_control(window: ControlWindow, amplitude: float = 0.8) -> np.ndarray:
@@ -36,6 +36,12 @@ def twin_problem(n: int = 48, n_steps: int = 240, epsilon: float = 0.08,
     omega_true = bump_control(window, amplitude)
     z_d = solve_forward(dom, tg, p, y0, apply_B(window, omega_true)).y
     return TrackingProblem(dom, tg, p, window, y0, z_d, delta), omega_true
+
+
+def solved_state(problem: TrackingProblem, omega):
+    """optimize's state at omega itself, with no iteration: the trajectory,
+    gradient and finished multiplier that the checks read."""
+    return optimize(problem, omega, OptimOptions(max_iters=0))
 
 
 @pytest.fixture

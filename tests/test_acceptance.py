@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bump_control, twin_problem
+from conftest import bump_control, solved_state, twin_problem
 from mchcontrol.grid import Domain1D, TimeGrid, norm_h, norm_l2h
 from mchcontrol.helmholtz import get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
-                                restrict_B, inner_q0, norm_q0, solve_forward)
+                                inner_q0, norm_q0, solve_forward)
 from mchcontrol.tangent_adjoint import (solve_tangent, solve_adjoint_discrete,
+                                        solve_adjoint_continuous,
                                         adjoint_equation_residual,
                                         pairing_defect)
 from mchcontrol.control import (TrackingProblem, OptimOptions, cost,
@@ -171,8 +172,10 @@ def test_c07_reduced_gradient_fd_and_continuous_limit():
     for n, N in ((16, 80), (32, 160), (64, 320), (128, 640)):
         p2, _ = twin_problem(n=n, n_steps=N)
         om2 = bump_control(p2.window, 0.3)
-        gd, _ = reduced_gradient(p2, om2, scheme="discrete")
-        gc, _ = reduced_gradient(p2, om2, scheme="continuous")
+        gd, info = reduced_gradient(p2, om2)
+        ft = info["ftraj"]
+        lam = solve_adjoint_continuous(ft, p2.z_d - ft.y, p2.model)
+        gc = apply_B(p2.window, p2.delta * om2 - lam)
         gaps.append(norm_q0(p2.window, gc - gd))
     slope = math.log2(gaps[0] / gaps[-1]) / 3.0
     _line(worst <= 1e-6 and slope >= 1.0, "reduced gradient",
@@ -187,7 +190,7 @@ def test_c08_twin_recovery_convergence_and_stationarity():
     fine = optimize(prob, state.omega,
                     OptimOptions(tol_g=0.0, tol_g_abs=2e-10, max_iters=400))
     g, info = reduced_gradient(prob, fine.omega)
-    lam_win = restrict_B(w, info["adjoint"].lam)
+    lam_win = apply_B(w, info["adjoint"].lam)
     ratio = norm_q0(w, g) / norm_q0(w, lam_win)
     thresh = 1e-6 * (1.0 + state.grad_norms[0])
     ok = (state.converged and state.n_iters <= 200 and drop >= 100.0
@@ -255,8 +258,8 @@ def test_c11_degenerate_second_variation_coercivity():
         xnorm2 = parts["m_wv_sq"] + norm_q0(w, q) ** 2
         coercive = coercive and total >= floor * xnorm2 * (1.0 - 1e-8)
         b_zero = b_zero and parts["b_integral"] == 0.0
-    rep = coercivity_check(prob, w.zero_control(), rng, n_samples=10,
-                           n_embed_samples=8)
+    rep = coercivity_check(prob, solved_state(prob, w.zero_control()), rng,
+                           n_samples=10, n_embed_samples=8)
     cond_ok = rep.cond2_pass and rep.cond2_lhs < rep.cond2_rhs \
         and rep.kappa2 > 0.0
     _line(coercive and b_zero and cond_ok, "degenerate coercivity",

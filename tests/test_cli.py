@@ -145,9 +145,6 @@ def test_gradcheck_pass_and_sabotage(tmp_path):
     assert run("gradcheck", bad, tmp_path / "ob") == 1
     rep = json.loads((tmp_path / "ob" / "gradcheck.json").read_text())
     assert rep["passed"] is False
-    zero = write_cfg(tmp_path, "zero.json", control={"amplitude": 0.0},
-                     gradcheck={"amplitude": 0.0})
-    assert run("gradcheck", zero, tmp_path / "oz") == 2
 
 
 def test_optimize_and_twin(tmp_path):
@@ -220,9 +217,12 @@ def test_verify_zero_data(tmp_path):
 @pytest.mark.parametrize("overrides, report_key, want", [
     ({"model": {"epsilon": 1e-5}}, "second_order",
      {"c1": "inf", "kappa1": "-inf", "kappa2": "-inf"}),
+    # eps^2 underflows to 0, so 4/eps^2 reads inf
+    ({"model": {"epsilon": 1e-200}}, "second_order",
+     {"c1": "inf", "kappa1": "-inf", "kappa2": "-inf"}),
     ({"verify": {"smallness_C_eps": 1000}}, "soft",
      {"name": "smallness", "rhs": 0.0, "passed": False}),
-], ids=["epsilon-1e-5", "smallness-C_eps-1000"])
+], ids=["epsilon-1e-5", "epsilon-1e-200", "smallness-C_eps-1000"])
 def test_verify_reports_overflowing_constants(tmp_path, capsys, overrides,
                                               report_key, want):
     """A growth factor past the float range reads inf: only soft checks

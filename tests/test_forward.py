@@ -9,7 +9,7 @@ from mchcontrol.errors import (DomainMismatchError, NumericsError,
 from mchcontrol.grid import Domain1D, TimeGrid, d1, inner_h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, ForwardTrajectory,
-                                apply_B, restrict_B, inner_block, inner_q0,
+                                apply_B, inner_block, inner_q0,
                                 norm_q0, solve_forward, weak_residual,
                                 dirichlet_modes, transport_terms,
                                 trajectory_from_arrays, export_trajectory_csv,
@@ -56,12 +56,13 @@ def test_extension_restriction_adjoint(rng):
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, 0.8)
     q = rng.standard_normal((11, 16))
     s = rng.standard_normal((11, 16))
-    # mask entries are 0/1 so the pairing identity is exact in fp
+    # B is its own adjoint; mask entries are 0/1 so the pairing identity
+    # is exact in fp
     lhs = float(np.sum(apply_B(w, q) * s))
-    rhs = float(np.sum(q * restrict_B(w, s)))
+    rhs = float(np.sum(q * apply_B(w, s)))
     assert lhs == rhs
     assert inner_q0(w, q, s) == pytest.approx(
-        inner_q0(w, restrict_B(w, q), s), rel=1e-15)
+        inner_q0(w, apply_B(w, q), s), rel=1e-15)
 
 
 def test_window_extension_writes_exact_positive_zero(rng):
@@ -73,8 +74,7 @@ def test_window_extension_writes_exact_positive_zero(rng):
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, 0.8)
     negative = -1.0 - rng.random((11, 16))
     negative[4, 8] = -0.0  # inside the window
-    for q in (w.random_control(rng), apply_B(w, negative),
-              restrict_B(w, negative)):
+    for q in (w.random_control(rng), apply_B(w, negative)):
         assert not np.any(np.signbit(q[w.mask == 0.0]))
     bq = apply_B(w, negative)
     inside = w.mask == 1.0
