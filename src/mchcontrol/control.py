@@ -31,7 +31,19 @@ from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
                               solve_tangent)
 
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
-MAX_HALVINGS = 40  # step halvings before the line search stalls
+MAX_TRIALS = 40  # backtracks after the first trial before the search stalls
+
+
+def backtrack_step(alpha: float, J: float, slope: float, Jt: float) -> float:
+    """Next step after the trial at alpha is rejected with cost Jt: the
+    minimizer of the quadratic through J, slope and Jt, clamped to
+    [0.1, 0.5]*alpha (Nocedal & Wright, 3.5); 0.5*alpha for a Jt that is not
+    finite (a failed march reads inf) or a quadratic that is not convex."""
+    curv = Jt - J - slope * alpha
+    if not (math.isfinite(Jt) and curv > 0):
+        return 0.5 * alpha
+    return min(max(-slope * alpha * alpha / (2.0 * curv), 0.1 * alpha),
+               0.5 * alpha)
 
 
 @dataclass
@@ -59,8 +71,9 @@ class TrackingProblem:
         self.z_d = as_trajectory(self.domain, self.tg, self.z_d)
 
     def solve(self, omega) -> ForwardTrajectory:
+        """March with omega as the forcing: zero off the window (apply_B)."""
         ftraj = solve_forward(self.domain, self.tg, self.model, self.y0,
-                              apply_B(self.window, omega), head=self._head)
+                              omega, head=self._head)
         if self._head is None:
             k = self.window.block[0].start + 1
             self._head = ForwardTrajectory(
@@ -78,7 +91,7 @@ def misfit(problem: TrackingProblem, Y) -> float:
 def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
     """Reduced cost and its parts; reuses a solved trajectory when given."""
     if ftraj is None:
-        ftraj = problem.solve(omega)
+        ftraj = problem.solve(apply_B(problem.window, omega))
     track = misfit(problem, ftraj.y)
     reg = 0.5 * problem.delta * norm_q0(problem.window, omega) ** 2
     return track + reg, {"tracking": track, "regularization": reg,
@@ -98,7 +111,7 @@ def reduced_gradient(problem: TrackingProblem, omega,
     the gradient reads no frame below it.
     """
     if ftraj is None:
-        ftraj = problem.solve(omega)
+        ftraj = problem.solve(apply_B(problem.window, omega))
     adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y, problem.model,
                                  stop)
     omega = as_trajectory(problem.domain, problem.tg, omega)
@@ -191,11 +204,11 @@ def state_equation_residual(problem: TrackingProblem, omega, Y) -> float:
 
 def optimize(problem: TrackingProblem, omega0,
              opts: OptimOptions = None) -> OptimState:
-    """Two-loop L-BFGS descent with Armijo backtracking.
+    """Two-loop L-BFGS with Armijo backtracking by quadratic interpolation.
 
     All inner products are L2(Q0). Stops when ||g|| <= tol_g*(1 + ||g0||)
     (plus the optional absolute floor) or when max_iters is reached; a line
-    search that fails after MAX_HALVINGS halvings marks the state stalled
+    search still rejected after MAX_TRIALS backtracks marks the state stalled
     and reports diagnostics in the message. The returned state carries the
     trajectory, gradient and adjoint at its omega, so callers need not
     re-solve. Every iterate is a forward solve, so the log holds no state
@@ -252,24 +265,21 @@ def optimize(problem: TrackingProblem, omega0,
             d = -gb
             slope = -gnorm ** 2
         alpha = 1.0 if memory else step_prev
-        accepted = False
         # off the block every trial is omega: zero but for the final frame
         trial = win.zero_control()
         trial[-1] = omega[-1]
         ob, tb = omega[blk], trial[blk]
-        for _ in range(MAX_HALVINGS + 1):
+        for _ in range(MAX_TRIALS + 1):
             np.add(ob, alpha * d, out=tb)
             try:
                 ftrial = problem.solve(trial)
+                Jt, _ = cost(problem, trial, ftrial)
             except NumericsError:
-                alpha *= 0.5
-                continue
-            Jt, _ = cost(problem, trial, ftrial)
+                Jt = math.inf
             if Jt <= J + ARMIJO_C * alpha * slope:
-                accepted = True
                 break
-            alpha *= 0.5
-        if not accepted:
+            alpha = backtrack_step(alpha, J, slope, Jt)
+        else:
             state.stalled = True
             state.message = (f"line search stalled at iter {it}: "
                              f"J={J:.6e}, ||g||={gnorm:.3e}, "

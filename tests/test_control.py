@@ -14,6 +14,7 @@ from mchcontrol.helmholtz import get_operator
 from mchcontrol import control
 from mchcontrol.control import (TrackingProblem, OptimOptions, cost,
                                 reduced_gradient, optimize, lagrangian,
+                                backtrack_step,
                                 state_equation_residual,
                                 first_order_residuals, constants,
                                 lambda_bound_check, quadratic_form,
@@ -43,6 +44,11 @@ def test_cost_parts(twin_small):
     assert parts["tracking"] == 0.0
     assert parts["regularization"] == pytest.approx(
         0.5 * prob.delta * norm_q0(prob.window, om_true) ** 2, rel=1e-15)
+    # cost and reduced_gradient extend a control by B before they march
+    off = om_true + (1.0 - prob.window.mask)
+    assert cost(prob, off)[0] == J
+    assert (reduced_gradient(prob, off)[0].tobytes()
+            == reduced_gradient(prob, om_true)[0].tobytes())
 
 
 def test_gradient_matches_fd(twin_small, rng):
@@ -207,12 +213,79 @@ def test_optimize_with_short_memory_on_a_window_ending_at_T(rng, memory):
 @pytest.mark.filterwarnings("ignore::mchcontrol.errors.StabilityWarning")
 def test_optimize_stall_diagnostics(twin_small, monkeypatch):
     prob, _ = twin_small
-    monkeypatch.setattr(control, "MAX_HALVINGS", 0)
+    monkeypatch.setattr(control, "MAX_TRIALS", 0)
     # the first iteration has no curvature memory, so it tries step0
     st = optimize(prob, prob.window.zero_control(),
                   OptimOptions(step0=1e12, max_iters=5))
     assert st.stalled and not st.converged
     assert st.message
+    assert_state_is_solved(prob, st)
+
+
+def test_backtrack_step_interpolates_within_its_safeguards():
+    """The minimizer -slope a^2 / (2 (Jt - J - slope a)) of the quadratic
+    through J, the slope and Jt, exactly when it lies in [0.1, 0.5] a;
+    clamped to that interval otherwise; 0.5 a when the quadratic has no
+    positive curvature or Jt is not finite."""
+    J, slope = 1.0, -2.0
+    for a, Jt in ((1.0, 1.5), (2.0, 3.0), (0.5, 1.5)):
+        want = -slope * a * a / (2.0 * (Jt - J - slope * a))
+        assert 0.1 * a < want < 0.5 * a
+        assert backtrack_step(a, J, slope, Jt) == want
+    # a barely rejected trial puts the minimizer above 0.5 a
+    assert backtrack_step(1.0, J, slope, J - 1e-5) == 0.5
+    # a far worse trial puts it below 0.1 a
+    assert backtrack_step(2.0, J, slope, 1e3) == 0.2
+    for Jt in (J + slope * 1.0, J + slope * 2.0, math.nan, math.inf,
+               -math.inf):
+        assert backtrack_step(1.0, J, slope, Jt) == 0.5
+
+
+class MarchSpy:
+    """Records the control of every TrackingProblem.solve call; the calls
+    listed in fail_at raise NumericsError instead of marching."""
+
+    def __init__(self, monkeypatch, fail_at=()):
+        self.controls, self.fail_at = [], set(fail_at)
+        solve = TrackingProblem.solve
+
+        def spy(problem, omega):
+            self.controls.append(omega.copy())
+            if len(self.controls) in self.fail_at:
+                raise NumericsError("forced march failure", 0)
+            return solve(problem, omega)
+        monkeypatch.setattr(TrackingProblem, "solve", spy)
+
+
+def test_optimize_spends_at_most_one_rejected_trial(twin48, monkeypatch):
+    """On the n=48, N=240 twin, halving spent four rejected marches in one
+    iteration (step 1 down to 1/16); the interpolating search reaches an
+    accepted step after one. Every trial is already zero off the window,
+    so marching it unmasked is marching apply_B of it, byte for byte."""
+    prob, _ = twin48
+    spy = MarchSpy(monkeypatch)
+    st = optimize(prob, prob.window.zero_control())
+    assert st.converged
+    assert st.n_iters + 1 <= len(spy.controls) <= st.n_iters + 2
+    for omega in spy.controls:
+        assert omega.tobytes() == apply_B(prob.window, omega).tobytes()
+
+
+def test_optimize_halves_after_a_failed_march(twin_small, monkeypatch):
+    """A trial whose march raises NumericsError is followed by one at half
+    its step, and the run still converges."""
+    prob, _ = twin_small
+    opts = OptimOptions(tol_g=1e-6, max_iters=100)
+    ref = optimize(prob, prob.window.zero_control(), opts)
+    # call 1 is the starting point, call 2 the first trial at step0 = 1
+    spy = MarchSpy(monkeypatch, fail_at={2})
+    st = optimize(prob, prob.window.zero_control(), opts)
+    blk = prob.window.block
+    first, second = spy.controls[1][blk], spy.controls[2][blk]
+    assert np.any(first != 0.0)
+    assert second.tobytes() == (0.5 * first).tobytes()
+    assert st.steps[1] == 0.5
+    assert st.converged and st.costs[-1] <= 1.01 * ref.costs[-1]
     assert_state_is_solved(prob, st)
 
 
