@@ -136,7 +136,7 @@ class OptimOptions:
     tol_g: float = 1e-6          # relative to 1 + ||g0||
     tol_g_abs: float = 0.0       # extra absolute floor, 0 disables
     max_iters: int = 200
-    memory: int = 8
+    memory: int = 16
     step0: float = 1.0
 
 
@@ -364,11 +364,11 @@ def first_order_residuals(problem: TrackingProblem,
 def constants(domain: Domain1D, tg: TimeGrid, y_traj, p: ModelParams):
     """Growth/coercivity constants (c0, c2, c1) from the C(H) norm of y."""
     M = norm_ct_h(domain, tg, as_trajectory(domain, tg, y_traj))
-    eps, e2 = p.epsilon, p.epsilon ** 2
+    eps, e2 = p.epsilon, growth(lambda e: e ** 2, p.epsilon)
     c0 = (8.0 + 1.0 / 16.0) / eps * M ** 4
     c2 = M ** 2 / (12.0 * eps)
     a = (eps + 6.0 * M) * (2.0 / eps) * growth(math.exp, c2 * tg.T) + 1.0
-    # an eps whose square underflows gives 4/eps^2 = inf
+    # eps^2 that underflows to 0 gives 4/eps^2 = inf; one that overflows, 0
     c1 = a * a + ((4.0 / e2 if e2 > 0 else math.inf)
                   * growth(math.exp, 2.0 * c2 * tg.T))
     return c0, c2, c1

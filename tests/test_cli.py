@@ -239,6 +239,21 @@ def test_verify_reports_overflowing_constants(tmp_path, capsys, overrides,
     assert {k: got[k] for k in want} == want
 
 
+def test_verify_survives_overflowing_epsilon_square(tmp_path, capsys):
+    """eps^2 past the float range reads inf (4/eps^2 = 0): verify writes its
+    report and returns its checks' verdict instead of a traceback."""
+    cfg = write_cfg(tmp_path, model={"epsilon": 1e306})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("verify", cfg, out) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "verify.json").read_text())
+    assert report["second_order"]["c1"] == 9.0
+    failed = [c["name"] for c in report["hard"] if not c["passed"]]
+    assert failed == ["weak_residual", "energy_identity"]
+
+
 def test_twin_zero_control_trivial(tmp_path):
     cfg = write_cfg(tmp_path, cost={"z_d": "twin"},
                     control={"kind": "zero"})

@@ -271,6 +271,20 @@ def test_optimize_spends_at_most_one_rejected_trial(twin48, monkeypatch):
         assert omega.tobytes() == apply_B(prob.window, omega).tobytes()
 
 
+def test_default_memory_holds_the_whole_run(twin48, monkeypatch):
+    """The default memory keeps every (s, y, rho) triple of the n=48, N=240
+    twin: the run equals one with a memory it can never fill, bit for bit,
+    and rejects no trial (one march per iterate)."""
+    prob, _ = twin48
+    ref = optimize(prob, prob.window.zero_control(), OptimOptions(memory=200))
+    spy = MarchSpy(monkeypatch)
+    st = optimize(prob, prob.window.zero_control())
+    assert st.converged and st.n_iters <= 12
+    assert st.costs == ref.costs
+    assert st.omega.tobytes() == ref.omega.tobytes()
+    assert len(spy.controls) == st.n_iters + 1
+
+
 def test_optimize_halves_after_a_failed_march(twin_small, monkeypatch):
     """A trial whose march raises NumericsError is followed by one at half
     its step, and the run still converges."""
