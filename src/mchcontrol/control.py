@@ -144,9 +144,9 @@ class OptimOptions:
 class OptimState:
     """Per-iterate J, ||g|| and step, and the final state: the solved state
     that the first- and second-order checks read. Iterates solve the state
-    equation, so first_order_residuals checks it once, at the end."""
+    equation, so first_order_residuals checks it once, at the end. optimize
+    fills the final state as it returns, so no iterate lives on in it."""
 
-    omega: np.ndarray
     costs: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     steps: list = field(default_factory=list)
@@ -154,7 +154,8 @@ class OptimState:
     converged: bool = False
     stalled: bool = False
     message: str = ""
-    # forward trajectory, reduced gradient and adjoint at omega
+    # final control, and its forward trajectory, reduced gradient and adjoint
+    omega: np.ndarray = None
     ftraj: ForwardTrajectory = None
     grad: np.ndarray = None
     adjoint: AdjointState = None
@@ -223,19 +224,25 @@ def optimize(problem: TrackingProblem, omega0,
     gradient reads no multiplier frame below the window's first step k0, so
     each iteration's adjoint stops at k0, and the returned state's adjoint
     is finished once from there (finish_adjoint): bit for bit the full march.
+
+    Only live arrays are held: omega0 goes once apply_B has copied it, a
+    rejected trial's trajectory before the next trial marches, and the
+    control, trajectory and multiplier of a superseded iterate before the
+    new adjoint runs (a stalled search returns the current iterate).
     """
     opts = opts or OptimOptions()
     win = problem.window
     blk = win.block
     k0 = blk[0].start
     omega = apply_B(win, omega0)
+    del omega0
     ftraj = problem.solve(omega)
     J, _ = cost(problem, omega, ftraj)
     g, info = reduced_gradient(problem, omega, ftraj, stop=k0)
     adj = info["adjoint"]
     gnorm = norm_q0(win, g)
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
-    state = OptimState(omega=omega)
+    state = OptimState()
     state.costs.append(J)
     state.grad_norms.append(gnorm)
     state.steps.append(0.0)
@@ -271,6 +278,7 @@ def optimize(problem: TrackingProblem, omega0,
         ob, tb = omega[blk], trial[blk]
         for _ in range(MAX_TRIALS + 1):
             np.add(ob, alpha * d, out=tb)
+            ftrial = None  # a rejected trial's trajectory is dead
             try:
                 ftrial = problem.solve(trial)
                 Jt, _ = cost(problem, trial, ftrial)
@@ -285,12 +293,16 @@ def optimize(problem: TrackingProblem, omega0,
                              f"J={J:.6e}, ||g||={gnorm:.3e}, "
                              f"slope={slope:.3e}, last alpha={alpha:.3e}")
             break
-        g_new, info = reduced_gradient(problem, trial, ftrial, stop=k0)
-        s, yv = tb - ob, g_new[blk] - gb
+        s = tb - ob
+        del ob, adj, info  # the superseded iterate, before the new adjoint
+        omega, ftraj, J = trial, ftrial, Jt
+        g, info = reduced_gradient(problem, omega, ftraj, stop=k0)
+        adj = info["adjoint"]
+        yv = g[blk] - gb
+        del gb  # the superseded gradient
         curv = pair(s, yv)
         if curv > 1e-14 * math.sqrt(pair(s, s)) * math.sqrt(pair(yv, yv)):
             memory.append((s, yv, 1.0 / curv))
-        omega, ftraj, J, g, adj = trial, ftrial, Jt, g_new, info["adjoint"]
         gnorm = norm_q0(win, g)
         step_prev = min(4.0 * alpha, 1e3)
         state.costs.append(J)

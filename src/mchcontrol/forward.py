@@ -50,7 +50,9 @@ class ModelParams:
 
 
 class ControlWindow:
-    """Space-time box [a, b] x [t0, t1] realized as a node-frame mask."""
+    """Space-time box [a, b] x [t0, t1] on the node-frame lattice, kept per
+    axis: apply_B broadcasts 0/1 factors and signed zeros over frames (a
+    column) and nodes (a row). The (N+1, n) mask is built on demand."""
 
     def __init__(self, domain: Domain1D, tg: TimeGrid,
                  a: float, b: float, t0: float, t1: float):
@@ -61,34 +63,46 @@ class ControlWindow:
         self.domain = domain
         self.tg = tg
         self.a, self.b, self.t0, self.t1 = a, b, t0, t1
+        self.shape = (tg.n_steps + 1, domain.n_interior)
         self.space_mask = (domain.x >= a) & (domain.x <= b)
         self.time_mask = (tg.t >= t0) & (tg.t <= t1)
         if not self.space_mask.any():
             raise ValueError("ControlWindow: no interior node inside [a, b]")
         if not self.time_mask[:-1].any():
             raise ValueError("ControlWindow: no time step starts inside [t0, t1]")
-        inside = np.outer(self.time_mask, self.space_mask)
-        self.mask = inside.astype(float)
-        # added after the mask: -0.0 keeps every value inside (x + -0.0 is
-        # x), +0.0 turns the -0.0 of a negative value times 0 into +0.0
-        self.zero_sign = np.where(inside, -0.0, 0.0)
+        axes = (self.time_mask[:, None], self.space_mask)
+        self.factors = tuple(m.astype(float) for m in axes)
+        # added after the factors: -0.0 on both axes keeps every value
+        # inside (x + -0.0 is x), a +0.0 on either turns the -0.0 of a
+        # negative value times 0 into +0.0
+        self.zeros = tuple(np.where(m, -0.0, 0.0) for m in axes)
         # x and t are monotone, so Q0 is a box: its weighted frames (the
         # final frame has none) and its nodes as slices, for inner_q0
         self.block = tuple(slice(i[0], i[-1] + 1) for i in map(
             np.flatnonzero, (self.time_mask[:-1], self.space_mask)))
 
+    @property
+    def mask(self) -> np.ndarray:
+        """The 0/1 node-frame mask of Q0, a new array per call."""
+        return np.outer(self.time_mask, self.space_mask).astype(float)
+
     def zero_control(self) -> np.ndarray:
-        return np.zeros((self.tg.n_steps + 1, self.domain.n_interior))
+        return np.zeros(self.shape)
 
     def random_control(self, rng, amplitude: float = 1.0) -> np.ndarray:
-        return apply_B(self, amplitude * rng.standard_normal(self.mask.shape))
+        return apply_B(self, amplitude * rng.standard_normal(self.shape))
 
 
 def apply_B(window: ControlWindow, q) -> np.ndarray:
     """Zero-extension of window values to all of Q: the values inside, an
-    exact +0.0 outside, where a NaN or Inf still reads NaN (as 0 * Inf)."""
-    bq = as_trajectory(window.domain, window.tg, q) * window.mask
-    bq += window.zero_sign
+    exact +0.0 outside, where a NaN or Inf still reads NaN (as 0 * Inf).
+    Bit for bit q * mask + (-0.0 inside, +0.0 outside): a product of 0/1
+    factors is the mask entry, and a sum of signed zeros its zero."""
+    (ft, fx), (zt, zx) = window.factors, window.zeros
+    bq = as_trajectory(window.domain, window.tg, q) * ft
+    bq *= fx
+    bq += zt
+    bq += zx
     return bq
 
 
@@ -128,9 +142,10 @@ def transport_terms(domain: Domain1D, y, u, ux, k: float) -> np.ndarray:
 
 
 def _warn_cfl(domain: Domain1D, tg: TimeGrid, speed2) -> None:
-    """Warn at the first frame whose u^2 - u_x^2 row breaks the CFL bound."""
+    """Warn at the first frame whose u^2 - u_x^2 row breaks the CFL bound.
+    Overwrites speed2 with its absolute value."""
     with np.errstate(divide="ignore"):
-        bound = CFL_SAFETY * domain.h / np.abs(speed2).max(axis=1)
+        bound = CFL_SAFETY * domain.h / np.abs(speed2, out=speed2).max(axis=1)
     late = np.flatnonzero(tg.dt > bound)
     if late.size:
         warnings.warn(f"dt={tg.dt:.3e} exceeds advisory CFL bound "

@@ -106,17 +106,20 @@ def write_log_csv(path, rows):
 
 def build_problem(cfg: dict, rng):
     """TrackingProblem with the target per cost.z_d, plus the synthetic
-    truth control when that is a twin (None otherwise)."""
+    truth control when that is a twin (None otherwise). A marched target
+    keeps a copy of its momentum frames only: its .y is a view into the
+    march's joint block with the velocities."""
     domain, tg, p, window = build_problem_pieces(cfg)
     y0 = initial_field(cfg, domain)
     kind, omega_true = cfg["cost"]["z_d"], None
     if kind == "zero":
         z_d = window.zero_control()
     elif kind == "uncontrolled":
-        z_d = solve_forward(domain, tg, p, y0).y
+        z_d = solve_forward(domain, tg, p, y0).y.copy()
     else:
         omega_true = control_field(cfg, window, rng)
-        z_d = solve_forward(domain, tg, p, y0, apply_B(window, omega_true)).y
+        z_d = solve_forward(domain, tg, p, y0,
+                            apply_B(window, omega_true)).y.copy()
     problem = TrackingProblem(domain, tg, p, window, y0, z_d,
                               cfg["cost"]["delta"])
     return problem, omega_true
@@ -224,8 +227,8 @@ def run_optimize(cfg: dict, out_dir) -> int:
     h = config_hash(cfg)
     rng = np.random.default_rng(cfg["seed"])
     problem, _ = build_problem(cfg, rng)
-    omega0 = control_field(cfg, problem.window, rng)
-    state = optimize(problem, omega0, OptimOptions(**cfg["optimizer"]))
+    state = optimize(problem, control_field(cfg, problem.window, rng),
+                     OptimOptions(**cfg["optimizer"]))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
     export_trajectory_csv(os.path.join(out, "omega.csv"), state.ftraj,
                           _csv_params(cfg, "optimize"), h,
@@ -384,10 +387,8 @@ def run_verify(cfg: dict, out_dir) -> int:
     out = _prep_out(out_dir)
     rng = np.random.default_rng(cfg["seed"])
     problem, _ = build_problem(cfg, rng)
-    window = problem.window
-
-    omega0 = control_field(cfg, window, rng)
-    state = optimize(problem, omega0, OptimOptions(**cfg["optimizer"]))
+    state = optimize(problem, control_field(cfg, problem.window, rng),
+                     OptimOptions(**cfg["optimizer"]))
 
     fo = first_order_residuals(problem, state)
     hard = _hard_checks(cfg, problem, state, fo, rng)

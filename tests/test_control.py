@@ -1,4 +1,8 @@
+import gc
+import json
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 transport_terms)
 from mchcontrol.helmholtz import get_operator
 from mchcontrol import control
+from mchcontrol.config import build_problem_pieces, resolve_config
+from mchcontrol.runners import run_twin
 from mchcontrol.control import (TrackingProblem, OptimOptions, cost,
                                 reduced_gradient, optimize, lagrangian,
                                 backtrack_step,
@@ -210,15 +216,47 @@ def test_optimize_with_short_memory_on_a_window_ending_at_T(rng, memory):
     assert_state_is_solved(prob, st)
 
 
+class IterateSpy:
+    """Weak references to every trajectory TrackingProblem.solve returns
+    and every multiplier solve_adjoint_discrete builds. At each adjoint it
+    collects garbage and records which of them are still live."""
+
+    def __init__(self, monkeypatch):
+        self.trajs, self.mults, self.seen = [], [], []
+        solve, adjoint = TrackingProblem.solve, control.solve_adjoint_discrete
+
+        def spy_solve(problem, omega):
+            ftraj = solve(problem, omega)
+            self.trajs.append(weakref.ref(ftraj))
+            return ftraj
+
+        def spy_adjoint(ftraj, source, p, stop=0):
+            gc.collect()
+            live = [r() for r in self.trajs]
+            self.seen.append((
+                [t is ftraj for t in live if t is not None],
+                sum(r() is not None for r in self.mults)))
+            del live
+            adj = adjoint(ftraj, source, p, stop)
+            self.mults.append(weakref.ref(adj))
+            return adj
+        monkeypatch.setattr(TrackingProblem, "solve", spy_solve)
+        monkeypatch.setattr(control, "solve_adjoint_discrete", spy_adjoint)
+
+
 @pytest.mark.filterwarnings("ignore::mchcontrol.errors.StabilityWarning")
 def test_optimize_stall_diagnostics(twin_small, monkeypatch):
+    """A stalled search returns the iterate it started from, with that
+    iterate's own trajectory (the first solve's, kept live) and adjoint."""
     prob, _ = twin_small
     monkeypatch.setattr(control, "MAX_TRIALS", 0)
+    spy = IterateSpy(monkeypatch)
     # the first iteration has no curvature memory, so it tries step0
     st = optimize(prob, prob.window.zero_control(),
                   OptimOptions(step0=1e12, max_iters=5))
     assert st.stalled and not st.converged
     assert st.message
+    assert spy.seen == [([True], 0)] and st.ftraj is spy.trajs[0]()
     assert_state_is_solved(prob, st)
 
 
@@ -301,6 +339,73 @@ def test_optimize_halves_after_a_failed_march(twin_small, monkeypatch):
     assert st.steps[1] == 0.5
     assert st.converged and st.costs[-1] <= 1.01 * ref.costs[-1]
     assert_state_is_solved(prob, st)
+
+
+def test_optimize_holds_one_iterate_at_each_adjoint(twin48, monkeypatch):
+    """On the n=48, N=240 twin, each gradient's adjoint runs with one
+    solved trajectory live, the one it differentiates, and with no earlier
+    multiplier: the superseded iterate is gone before the new adjoint."""
+    prob, _ = twin48
+    spy = IterateSpy(monkeypatch)
+    st = optimize(prob, prob.window.zero_control())
+    assert st.converged and len(spy.seen) == st.n_iters + 1
+    assert spy.seen == [([True], 0)] * len(spy.seen)
+
+
+README_TWIN = {
+    "domain": {"L": 2.0, "n_interior": 128},
+    "time": {"T": 0.8, "n_steps": 250},
+    "model": {"epsilon": 0.08, "k": 0.6},
+    "window": {"a": 0.5, "b": 1.5, "t0": 0.2, "t1": 0.6},
+    "initial": {"kind": "sine_mix", "coefficients": [0.35, 0.15]},
+    "control": {"kind": "bump", "amplitude": 0.8},
+    "cost": {"delta": 1e-4, "z_d": "twin"},
+    "optimizer": {"tol_g": 1e-6, "max_iters": 200},
+    "seed": 12345,
+}
+
+
+def test_twin_memory_budget(tmp_path):
+    """run_twin on the README config at n=128, N=250 peaks (tracemalloc)
+    within the arrays that must be live while a trial marches.
+
+    With L the bytes of an (N+1, n) lattice, P those of a zero-padded
+    (N+1, n+2) march array, B those of a window block and m the iterations
+    (at most m curvature pairs are kept), the live arrays are:
+
+    - the target z_d (L), the problem's head (frames 0..k0 of y, u and
+      u_x) and run_twin's true control (L);
+    - the iterate: control (L), trajectory (2P + L: padded y and u, u_x),
+      gradient (L) and multiplier (L);
+    - the search: direction and its scaled step (2B), the pairs (2mB) and
+      the trial control (L);
+    - the trial's march: padded y and u (2P), u_x (L) and u^2 - u_x^2 (L).
+      Its cost holds the misfit (L) in place of u^2 - u_x^2.
+
+    That is 9L + 4P + head + (2 + 2m)B. An accepted trial's adjoint comes
+    after the superseded control, trajectory and multiplier (3L + 2P) are
+    dropped, and adds its source and multiplier (2L) and a coefficient
+    stack with one difference, 5(N - k0)/(N + 1) L: less than those. One
+    more L covers what grows with one axis only (rows, per-frame
+    temporaries, time weights, solver factors) and interpreter objects.
+    """
+    cfg = resolve_config(README_TWIN)
+    n, N = 128, 250
+    tracemalloc.start()
+    try:
+        rc = run_twin(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    m = json.loads((tmp_path / "twin.json").read_text())["n_iters"]
+    window = build_problem_pieces(cfg)[3]
+    frames, nodes = window.block
+    k0 = frames.start
+    L, P = 8 * (N + 1) * n, 8 * (N + 1) * (n + 2)
+    B = 8 * (frames.stop - k0) * (nodes.stop - nodes.start)
+    head = 3 * 8 * (k0 + 1) * n
+    assert peak <= 10 * L + 4 * P + head + (2 + 2 * m) * B
 
 
 def test_lagrangian_on_feasible_trajectory(twin_small, rng):

@@ -65,23 +65,50 @@ def test_extension_restriction_adjoint(rng):
         inner_q0(w, apply_B(w, q), s), rel=1e-15)
 
 
-def test_window_extension_writes_exact_positive_zero(rng):
+@pytest.mark.parametrize("t1", [0.8, 1.0])
+def test_window_extension_writes_exact_positive_zero(rng, t1):
     """Off the window B writes +0.0, never the -0.0 of a negative value
-    times 0; inside it keeps every value bit for bit, -0.0 included, and a
-    NaN off the window still reads NaN."""
+    times 0; inside it keeps every value bit for bit, -0.0, +0.0 and +-inf
+    included, and a NaN or an inf off the window reads NaN. Its bytes are
+    those of the mask formula q * mask + (-0.0 inside, +0.0 outside), for a
+    window that ends before T and one that ends at T, and the window keeps
+    no (N+1, n) array to get them."""
     dom = Domain1D(2.0, 16)
     tg = TimeGrid(1.0, 10)
-    w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, 0.8)
+    w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, t1)
     negative = -1.0 - rng.random((11, 16))
-    negative[4, 8] = -0.0  # inside the window
-    for q in (w.random_control(rng), apply_B(w, negative)):
-        assert not np.any(np.signbit(q[w.mask == 0.0]))
-    bq = apply_B(w, negative)
+    # inside the window: -0.0, +0.0, +inf and -inf
+    negative[4, 8], negative[5, 9] = -0.0, 0.0
+    negative[5, 7], negative[6, 8] = np.inf, -np.inf
+    # outside it: the same four, and on the final frame, which the window
+    # holds only when it ends at T
+    negative[3, 1], negative[1, 5] = -0.0, 0.0
+    negative[1, 2], negative[2, 3] = np.inf, -np.inf
+    negative[10, 8], negative[10, 7] = -0.0, -np.inf
     inside = w.mask == 1.0
+    assert inside[10, 8] == (t1 == tg.T) and inside[4:7, 7:10].all()
+    assert not inside[:2].any() and not inside[:, :4].any()
+    # 0 * inf is NaN by design, so numpy's warning for it is silenced
+    with np.errstate(invalid="ignore"):
+        bq = apply_B(w, negative)
+    for q in (w.random_control(rng), bq):
+        out = q[~inside]
+        assert not np.any(np.signbit(out[~np.isnan(out)]))
     assert bq[inside].tobytes() == negative[inside].tobytes()
-    assert np.all(bq[~inside] == 0.0)
+    assert np.array_equal(np.isnan(bq), ~inside & np.isinf(negative))
+    assert np.all(bq[~inside & np.isfinite(negative)] == 0.0)
     negative[0, 0] = np.nan
-    assert np.isnan(apply_B(w, negative)[0, 0])
+    mask = w.mask
+    with np.errstate(invalid="ignore"):
+        bq = apply_B(w, negative)
+        want = negative * mask + np.where(mask == 1, -0.0, 0.0)
+    assert np.isnan(bq[0, 0])
+    assert bq.tobytes() == want.tobytes()
+    arrays = [a for v in vars(w).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert arrays and all(a.size <= max(tg.n_steps + 1, dom.n_interior)
+                          for a in arrays)
 
 
 @pytest.mark.parametrize("box", [(0.5, 1.5, 0.2, 0.8), (0.0, 2.0, 0.0, 1.0),
