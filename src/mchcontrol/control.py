@@ -219,11 +219,11 @@ def optimize(problem: TrackingProblem, omega0,
     direction, the gradient as read (g[blk]) and the memory of (s, y, rho)
     triples are arrays shaped like that block, paired by inner_block. A full
     (N+1, n) lattice is built only where a control leaves the loop: each
-    line-search trial handed to problem.solve, zero off the block (or, for a
-    window ending at T, omega0's final frame), and the returned omega. The
-    gradient reads no multiplier frame below the window's first step k0, so
-    each iteration's adjoint stops at k0, and the returned state's adjoint
-    is finished once from there (finish_adjoint): bit for bit the full march.
+    line-search trial handed to problem.solve, zero off the block, and the
+    returned omega. The gradient reads no multiplier frame below the
+    window's first step k0, so each iteration's adjoint stops at k0, and the
+    returned state's adjoint is finished once from there (finish_adjoint):
+    bit for bit the full march.
 
     Only live arrays are held: omega0 goes once apply_B has copied it, a
     rejected trial's trajectory before the next trial marches, and the
@@ -272,9 +272,7 @@ def optimize(problem: TrackingProblem, omega0,
             d = -gb
             slope = -gnorm ** 2
         alpha = 1.0 if memory else step_prev
-        # off the block every trial is omega: zero but for the final frame
         trial = win.zero_control()
-        trial[-1] = omega[-1]
         ob, tb = omega[blk], trial[blk]
         for _ in range(MAX_TRIALS + 1):
             np.add(ob, alpha * d, out=tb)

@@ -50,9 +50,9 @@ class ModelParams:
 
 
 class ControlWindow:
-    """Space-time box [a, b] x [t0, t1] on the node-frame lattice, kept per
-    axis: apply_B broadcasts 0/1 factors and signed zeros over frames (a
-    column) and nodes (a row). The (N+1, n) mask is built on demand."""
+    """Space-time box [a, b] x [t0, t1]; on the lattice it is Q0, the window
+    block: the steps that start in [t0, t1] (the final frame starts none)
+    and the nodes in [a, b]. x and t are monotone, so both are slices."""
 
     def __init__(self, domain: Domain1D, tg: TimeGrid,
                  a: float, b: float, t0: float, t1: float):
@@ -64,27 +64,22 @@ class ControlWindow:
         self.tg = tg
         self.a, self.b, self.t0, self.t1 = a, b, t0, t1
         self.shape = (tg.n_steps + 1, domain.n_interior)
-        self.space_mask = (domain.x >= a) & (domain.x <= b)
-        self.time_mask = (tg.t >= t0) & (tg.t <= t1)
-        if not self.space_mask.any():
+        t, x = tg.t[:-1], domain.x
+        steps = np.flatnonzero((t >= t0) & (t <= t1))
+        nodes = np.flatnonzero((x >= a) & (x <= b))
+        if not nodes.size:
             raise ValueError("ControlWindow: no interior node inside [a, b]")
-        if not self.time_mask[:-1].any():
+        if not steps.size:
             raise ValueError("ControlWindow: no time step starts inside [t0, t1]")
-        axes = (self.time_mask[:, None], self.space_mask)
-        self.factors = tuple(m.astype(float) for m in axes)
-        # added after the factors: -0.0 on both axes keeps every value
-        # inside (x + -0.0 is x), a +0.0 on either turns the -0.0 of a
-        # negative value times 0 into +0.0
-        self.zeros = tuple(np.where(m, -0.0, 0.0) for m in axes)
-        # x and t are monotone, so Q0 is a box: its weighted frames (the
-        # final frame has none) and its nodes as slices, for inner_q0
-        self.block = tuple(slice(i[0], i[-1] + 1) for i in map(
-            np.flatnonzero, (self.time_mask[:-1], self.space_mask)))
+        self.block = (slice(steps[0], steps[-1] + 1),
+                      slice(nodes[0], nodes[-1] + 1))
 
     @property
     def mask(self) -> np.ndarray:
-        """The 0/1 node-frame mask of Q0, a new array per call."""
-        return np.outer(self.time_mask, self.space_mask).astype(float)
+        """The 0/1 indicator of the window block, a new array per call."""
+        m = self.zero_control()
+        m[self.block] = 1.0
+        return m
 
     def zero_control(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -94,15 +89,10 @@ class ControlWindow:
 
 
 def apply_B(window: ControlWindow, q) -> np.ndarray:
-    """Zero-extension of window values to all of Q: the values inside, an
-    exact +0.0 outside, where a NaN or Inf still reads NaN (as 0 * Inf).
-    Bit for bit q * mask + (-0.0 inside, +0.0 outside): a product of 0/1
-    factors is the mask entry, and a sum of signed zeros its zero."""
-    (ft, fx), (zt, zx) = window.factors, window.zeros
-    bq = as_trajectory(window.domain, window.tg, q) * ft
-    bq *= fx
-    bq += zt
-    bq += zx
+    """Zero-extension of the window block: q's values there bit for bit,
+    and an exact +0.0 elsewhere, whatever q holds off the block."""
+    bq = window.zero_control()
+    bq[window.block] = as_trajectory(window.domain, window.tg, q)[window.block]
     return bq
 
 

@@ -35,6 +35,10 @@ class Domain1D:
             raise ValueError("Domain1D: L must be positive")
         if self.n_interior < 3:
             raise ValueError("Domain1D: need at least 3 interior nodes")
+        h2 = self.h * self.h
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ValueError("Domain1D: h^2 and 1/h^2 must be finite and "
+                             "nonzero")
 
     @property
     def h(self) -> float:

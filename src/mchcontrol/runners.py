@@ -16,9 +16,9 @@ import numpy as np
 
 from .grid import Domain1D, TimeGrid, norm_h
 from .helmholtz import get_operator
-from .forward import (ModelParams, apply_B, norm_q0,
-                      inner_q0, solve_forward, weak_residual,
-                      trajectory_from_arrays, export_trajectory_csv)
+from .forward import (ModelParams, norm_q0, inner_q0, solve_forward,
+                      weak_residual, trajectory_from_arrays,
+                      export_trajectory_csv)
 from .tangent_adjoint import pairing_defect
 from .control import (TrackingProblem, OptimOptions, cost, reduced_gradient,
                       central_difference, optimize, lagrangian,
@@ -118,8 +118,7 @@ def build_problem(cfg: dict, rng):
         z_d = solve_forward(domain, tg, p, y0).y.copy()
     else:
         omega_true = control_field(cfg, window, rng)
-        z_d = solve_forward(domain, tg, p, y0,
-                            apply_B(window, omega_true)).y.copy()
+        z_d = solve_forward(domain, tg, p, y0, omega_true).y.copy()
     problem = TrackingProblem(domain, tg, p, window, y0, z_d,
                               cfg["cost"]["delta"])
     return problem, omega_true
@@ -136,7 +135,7 @@ def run_forward(cfg: dict, out_dir) -> int:
     rng = np.random.default_rng(cfg["seed"])
     y0 = initial_field(cfg, domain)
     omega = control_field(cfg, window, rng)
-    ftraj = solve_forward(domain, tg, p, y0, apply_B(window, omega))
+    ftraj = solve_forward(domain, tg, p, y0, omega)
     export_trajectory_csv(os.path.join(out, "trajectory.csv"), ftraj,
                           _csv_params(cfg, "forward"), h)
     report = _report_stub(cfg, "forward")
@@ -318,8 +317,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
         ubad = op.solve(ybad)
         wtraj = trajectory_from_arrays(domain, tg, ybad, ubad)
     scale = 1.0 + float(np.max(np.abs(ftraj.y))) ** 3
-    bq = apply_B(window, omega)
-    wr = weak_residual(wtraj, bq, p)
+    wr = weak_residual(wtraj, omega, p)
     checks.append(make_report("weak_residual", wr,
                               20.0 * (dt + hx ** 2) * scale))
 
@@ -342,7 +340,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
     worst = np.max(momentum_identity(domain, ftraj.y)[2])
     checks.append(make_report("momentum_identity", worst, 50.0 * hx ** 2))
 
-    en = energy_identity(ftraj, p, bq)
+    en = energy_identity(ftraj, p, omega)
     esc = 1.0 + float(np.max(en["energy"])) ** 2
     checks.append(make_report("energy_identity", en["max_abs"],
                               50.0 * (dt + hx ** 2) * esc))

@@ -1,7 +1,12 @@
 """Shared fixtures: a small solver setup and the twin-recovery problem."""
 
+import shutil
+import tempfile
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mchcontrol.grid import Domain1D, TimeGrid
 from mchcontrol.forward import (ModelParams, ControlWindow, solve_forward,
@@ -42,6 +47,15 @@ def solved_state(problem: TrackingProblem, omega):
     """optimize's state at omega itself, with no iteration: the trajectory,
     gradient and finished multiplier that the checks read."""
     return optimize(problem, omega, OptimOptions(max_iters=0))
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it parses from the source in its
+    home directory, ./.hypothesis by default, as it collects; a run keeps
+    them in a temporary directory that it removes at exit."""
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(partial(shutil.rmtree, home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

@@ -254,6 +254,18 @@ def test_verify_survives_overflowing_epsilon_square(tmp_path, capsys):
     assert failed == ["weak_residual", "energy_identity"]
 
 
+@pytest.mark.parametrize("L", [1e308, 1e-300])
+def test_grid_spacing_out_of_float_range_exits_2(tmp_path, capsys, L):
+    """h^2 overflows at L = 1e308 and 1/h^2 at L = 1e-300: the grid is a
+    config error for every command, not a traceback in the solver."""
+    cfg = write_cfg(tmp_path, domain={"L": L})
+    for cmd in ("forward", "adjoint", "gradcheck", "optimize", "twin",
+                "verify"):
+        assert run(cmd, cfg, tmp_path / cmd) == 2, cmd
+        assert "config error: Domain1D: h^2" in capsys.readouterr().err
+        assert not (tmp_path / cmd).exists()
+
+
 def test_twin_zero_control_trivial(tmp_path):
     cfg = write_cfg(tmp_path, cost={"z_d": "twin"},
                     control={"kind": "zero"})

@@ -184,35 +184,43 @@ def test_optimize_immediate_when_optimal():
     assert_state_is_solved(prob, st)
 
 
-def test_optimize_keeps_the_final_frame_of_a_window_ending_at_T(rng):
-    """The mask holds the final frame when t1 = T, the window block does
-    not: the returned control keeps omega0's final frame bit for bit."""
+def window_to_T_problem():
+    """The twin problem of twin_problem(24, 60) on a window ending at T."""
     prob, _ = twin_problem(n=24, n_steps=60)
     w = ControlWindow(prob.domain, prob.tg, 0.5, 1.5, 0.2, prob.tg.T)
-    prob = TrackingProblem(prob.domain, prob.tg, prob.model, w, prob.y0,
+    return TrackingProblem(prob.domain, prob.tg, prob.model, w, prob.y0,
                            prob.z_d, prob.delta)
-    omega0 = rng.standard_normal(w.mask.shape)
-    final = apply_B(w, omega0)[-1]
-    assert np.count_nonzero(final) == np.count_nonzero(w.mask[-1]) > 0
+
+
+def test_optimize_zeroes_the_final_frame_of_a_window_ending_at_T(rng):
+    """The final frame starts no step, so Q0 leaves it out even when
+    t1 = T: the returned control reads +0.0 there, and the run is the run
+    from omega0 with that frame zeroed."""
+    prob = window_to_T_problem()
+    w = prob.window
+    assert w.block[0].stop == prob.tg.n_steps
+    omega0 = rng.standard_normal(w.shape)
+    zeroed = omega0.copy()
+    zeroed[-1] = 0.0
     st = optimize(prob, omega0, OptimOptions(max_iters=10))
+    ref = optimize(window_to_T_problem(), zeroed, OptimOptions(max_iters=10))
     assert st.n_iters > 0
-    assert st.omega[-1].tobytes() == final.tobytes()
+    assert st.omega[-1].tobytes() == np.zeros(w.shape[1]).tobytes()
+    assert st.costs == ref.costs
+    assert st.omega.tobytes() == ref.omega.tobytes()
     assert_state_is_solved(prob, st)
 
 
 @pytest.mark.parametrize("memory", [1, 2])
 def test_optimize_with_short_memory_on_a_window_ending_at_T(rng, memory):
     """A memory of one or two (s, y, rho) triples drops its oldest once the
-    run has more iterations; it still converges, and keeps omega0's final
-    frame."""
-    prob, _ = twin_problem(n=24, n_steps=60)
-    w = ControlWindow(prob.domain, prob.tg, 0.5, 1.5, 0.2, prob.tg.T)
-    prob = TrackingProblem(prob.domain, prob.tg, prob.model, w, prob.y0,
-                           prob.z_d, prob.delta)
-    omega0 = rng.standard_normal(w.mask.shape)
+    run has more iterations; it still converges, and the final frame of its
+    control reads +0.0."""
+    prob = window_to_T_problem()
+    omega0 = rng.standard_normal(prob.window.shape)
     st = optimize(prob, omega0, OptimOptions(memory=memory))
     assert st.converged and st.n_iters > memory
-    assert st.omega[-1].tobytes() == apply_B(w, omega0)[-1].tobytes()
+    assert st.omega[-1].tobytes() == np.zeros(omega0.shape[1]).tobytes()
     assert_state_is_solved(prob, st)
 
 

@@ -153,9 +153,20 @@ def test_optimize_fails_at_the_first_non_finite_adjoint_frame(rng, row):
 
 @pytest.mark.parametrize("j", [0, 20, 59])
 def test_nan_direction_row_fails_at_next_step(j):
-    dom, tg, p, w, ft = setup()
+    """On a window of every step, a NaN in Q0 at frame j fails the march
+    at step j + 1. A NaN, +-inf or -0.0 off Q0 (nodes 0..3 lie left of
+    a = 0.5) or on the final frame, which starts no step, does not enter:
+    the march reads the clean direction's bytes."""
+    dom, tg, p, _, ft = setup()
+    w = ControlWindow(dom, tg, 0.5, 1.5, 0.0, tg.T)
     q = bump_control(w)
-    q[j, 3] = np.nan
+    clean = solve_tangent(ft, w, q, p)
+    q[j, :4] = np.nan, np.inf, -np.inf, -0.0
+    q[-1, 8:12] = np.nan, np.inf, -np.inf, -0.0
+    tan = solve_tangent(ft, w, q, p)
+    assert tan.m.tobytes() == clean.m.tobytes()
+    assert tan.v.tobytes() == clean.v.tobytes()
+    q[j, 12] = np.nan
     with pytest.raises(NumericsError) as exc:
         solve_tangent(ft, w, q, p)
     assert exc.value.time_index == j + 1
