@@ -10,7 +10,7 @@ estimates behind it.
 from .errors import (MchControlError, DomainMismatchError, ConfigError,
                      NumericsError, StabilityWarning)
 from .grid import Domain1D, TimeGrid
-from .helmholtz import HelmholtzOperator, get_operator
+from .helmholtz import get_operator
 from .forward import (ModelParams, ControlWindow, ForwardTrajectory,
                       solve_forward, weak_residual,
                       export_trajectory_csv, import_trajectory_csv)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MchControlError", "DomainMismatchError", "ConfigError", "NumericsError",
     "StabilityWarning",
-    "Domain1D", "TimeGrid", "HelmholtzOperator", "get_operator",
+    "Domain1D", "TimeGrid", "get_operator",
     "ModelParams", "ControlWindow", "ForwardTrajectory", "solve_forward",
     "weak_residual", "export_trajectory_csv", "import_trajectory_csv",
     "TangentState", "AdjointState", "solve_tangent",

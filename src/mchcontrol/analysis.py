@@ -16,8 +16,7 @@ import numpy as np
 from .forward import ControlWindow, ForwardTrajectory, apply_B
 from .grid import (Domain1D, TimeGrid, _per_frame, as_field, as_trajectory,
                    grad_norm_sq, inner_h, norm_h_sq, norm_vstar_sq,
-                   wall_slopes)
-from .helmholtz import get_operator
+                   velocity, wall_slopes)
 
 
 @dataclass
@@ -100,7 +99,7 @@ def momentum_identity(domain: Domain1D, y):
     the gradient term uses the wall-corrected quadrature, leaving an O(h^2)
     defect from the centered first difference.
     """
-    u, _, uxx = get_operator(domain).velocity(y)
+    u, _, uxx = velocity(domain, y)
     lhs = norm_h_sq(domain, y)
     rhs = (norm_h_sq(domain, u) + 2.0 * grad_norm_sq(domain, u)
            + norm_h_sq(domain, uxx))

@@ -54,6 +54,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"config error: the grid does not fit in memory: {exc}",
+              file=sys.stderr)
+        return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

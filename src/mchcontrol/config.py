@@ -191,6 +191,8 @@ def _validate_semantics(cfg: dict):
         build_problem_pieces(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ConfigError(f"the grid does not fit in memory: {exc}") from exc
     if not all(map(_finite_number, cfg["initial"]["coefficients"])):
         raise ConfigError("initial.coefficients must be a list of finite "
                           "numbers")

@@ -24,8 +24,8 @@ from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
                       transport_terms)
 from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
                    norm_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
-                   norm_vstar_sq, norm_wv, measure_embedding_constant)
-from .helmholtz import get_operator
+                   norm_vstar_sq, norm_wv, measure_embedding_constant,
+                   velocity)
 from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
                               finish_adjoint, solve_adjoint_discrete,
                               solve_tangent)
@@ -177,7 +177,7 @@ def _constraint_residuals(problem: TrackingProblem, omega, Y):
     Y = as_trajectory(domain, tg, Y)
     bq = apply_B(problem.window, omega)
     y, y_next = Y[:-1], Y[1:]
-    u, ux = get_operator(domain).velocity(y)[:2]
+    u, ux = velocity(domain, y)[:2]
     mdt_next = y_next - tg.dt * p.epsilon * d2(domain, y_next)
     e1 = ((mdt_next - y) / tg.dt
           + transport_terms(domain, y, u, ux, p.k) - bq[:-1])

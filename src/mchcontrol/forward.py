@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
 from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1, norm_h
-from .helmholtz import ShiftedLaplacianSolver, get_operator
+from .helmholtz import get_operator
 
 CFL_SAFETY = 0.5
 
@@ -173,8 +173,8 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     n, N, dt, h2 = domain.n_interior, tg.n_steps, tg.dt, 2.0 * domain.h
     omega = (np.zeros((N + 1, n)) if omega is None
              else as_trajectory(domain, tg, omega))
-    vsolve = get_operator(domain).kernel.solve
-    dsolve = ShiftedLaplacianSolver(domain, dt * p.epsilon).solve
+    vsolve = get_operator(domain).solve
+    dsolve = get_operator(domain, dt * p.epsilon).solve
     Yp, Up = np.zeros((2, N + 1, n + 2))
     UX = np.empty((N + 1, n))
     S = np.empty_like(UX)  # u^2 - u_x^2: transport speed and CFL input

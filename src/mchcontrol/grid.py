@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError
+from .helmholtz import get_operator
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,13 @@ def d2(domain: Domain1D, f) -> np.ndarray:
     return g
 
 
+def velocity(domain: Domain1D, y):
+    """Velocity u = (1 - dxx)^-1 y, its derivative, and u_xx = u - y (an
+    exact identity), on a field or per frame of a stack."""
+    u = get_operator(domain).solve_frames(y)
+    return u, d1(domain, u), u - y
+
+
 def _per_frame(a):
     """A per-frame value: a Python float for one field, an array for a
     stack of frames."""
@@ -189,9 +197,7 @@ def norm_vstar_sq(domain: Domain1D, f):
 
     Never exceeds norm_h_sq since the inverse has spectrum in (0, 1].
     """
-    from .helmholtz import get_operator
-
-    w = get_operator(domain).solve(f)
+    w = get_operator(domain).solve_frames(f)
     # (f, A^-1 f) >= 0 exactly; tolerate roundoff at zero
     return _per_frame(np.maximum(inner_h(domain, f, w), 0.0))
 

@@ -1,11 +1,12 @@
-"""Dirichlet Helmholtz operator (1 - dxx) and the tridiagonal SPD kernel.
+"""The tridiagonal SPD kernel I - c*D2 on the interior nodes of a Dirichlet
+grid, c >= 0.
 
-The operator is the tridiagonal matrix I - D2 on interior nodes. Both it and
-the implicit-diffusion matrix I - c*D2 are factored once as LDL^T (LAPACK
-pttrf), and every solve is one pttrs call on a 1-D field or on an (n, k)
-stack of right-hand sides, so apply(solve(y)) returns y to solver precision
-and the solve is its own transpose. HelmholtzOperator takes a frame stack
-(..., n) the same way as a single field.
+Both implicit operators of the scheme are this family: the Helmholtz map
+1 - dxx that recovers the velocity from the momentum is c = 1, and the
+implicit-diffusion step is c = dt*eps. Each is factored once as LDL^T
+(LAPACK pttrf) and cached per grid and shift; every solve is one pttrs call
+on a 1-D field or on an (n, k) stack of right-hand sides, so the solve is
+its own transpose.
 """
 
 from __future__ import annotations
@@ -13,22 +14,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import Domain1D, _stencil_input, d1, d2
+from .errors import DomainMismatchError
 
 
 class ShiftedLaplacianSolver:
-    """Prefactored LDL^T of (I - c * D2), c >= 0, on interior nodes.
+    """Prefactored LDL^T of (I - c * D2), c >= 0, on a domain's interior
+    nodes (any object with n_interior and h)."""
 
-    solve takes an (n,) field or an (n, k) array of k right-hand sides and
-    checks neither shape nor finiteness: callers validate at their own entry
-    points, and a non-finite right-hand side comes back non-finite.
-    """
-
-    def __init__(self, domain: Domain1D, c: float):
+    def __init__(self, domain, c: float):
         if c < 0:
             raise ValueError("shift c must be nonnegative")
-        self.domain = domain
-        self.c = c
         n = domain.n_interior
         r = c / domain.h ** 2
         d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
@@ -37,41 +32,29 @@ class ShiftedLaplacianSolver:
         self._d, self._e = d, e
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for an (n,) field or an (n, k) array of k right-hand sides;
+        checks neither shape nor finiteness, and a non-finite right-hand
+        side comes back non-finite."""
         return dpttrs(self._d, self._e, b)[0]
 
-
-class HelmholtzOperator:
-    """apply(u) = u - u_xx and its inverse on the Dirichlet grid, on a field
-    or along the last axis of a stack of frames."""
-
-    def __init__(self, domain: Domain1D):
-        self.domain = domain
-        self.kernel = ShiftedLaplacianSolver(domain, 1.0)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u = _stencil_input(self.domain, u)
-        return u - d2(self.domain, u)
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """One kernel call with every frame as a right-hand side."""
-        y = _stencil_input(self.domain, y)
-        cols = y.reshape(-1, self.domain.n_interior).T
-        return self.kernel.solve(cols).T.reshape(y.shape)
-
-    def velocity(self, y: np.ndarray):
-        """Velocity u, its derivative, and u_xx = u - y (exact identity)."""
-        u = self.solve(y)
-        return u, d1(self.domain, u), u - y
+    def solve_frames(self, y) -> np.ndarray:
+        """Solve for a field or a stack of frames (..., n), every frame a
+        right-hand side of one kernel call; shape-checked."""
+        y = np.asarray(y, dtype=float)
+        n = self._d.size
+        if y.shape[-1:] != (n,):
+            raise DomainMismatchError(
+                f"field has shape {y.shape}, expected (..., {n})")
+        return self.solve(y.reshape(-1, n).T).T.reshape(y.shape)
 
 
-_op_cache: dict = {}
+_cache: dict = {}
 
 
-def get_operator(domain: Domain1D) -> HelmholtzOperator:
-    """Shared per-domain operator; the factorization is immutable."""
-    key = (domain.L, domain.n_interior)
-    op = _op_cache.get(key)
-    if op is None:
-        op = HelmholtzOperator(domain)
-        _op_cache[key] = op
-    return op
+def get_operator(domain, c: float = 1.0) -> ShiftedLaplacianSolver:
+    """The shared kernel of I - c*D2 on a domain, factored once per grid
+    and shift; the factorization is immutable."""
+    key = (domain.L, domain.n_interior, c)
+    if key not in _cache:
+        _cache[key] = ShiftedLaplacianSolver(domain, c)
+    return _cache[key]

@@ -30,7 +30,7 @@ from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
                       _first_nonfinite, inner_q0, norm_q0)
 from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_h, norm_l2h
-from .helmholtz import ShiftedLaplacianSolver, get_operator
+from .helmholtz import get_operator
 
 
 @dataclass
@@ -102,8 +102,8 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
     domain, tg = ftraj.domain, ftraj.tg
     dtq = tg.dt * apply_B(window, q)
     k0 = int(np.argmax(dtq.any(axis=1)))
-    vsolve = get_operator(domain).kernel.solve
-    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
+    vsolve = get_operator(domain).solve
+    dsolve = get_operator(domain, tg.dt * p.epsilon).solve
     N = tg.n_steps
     Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(k0, N))
     # zero-padded rows: the pads are the Dirichlet walls of D1
@@ -132,7 +132,7 @@ def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
     A, B, C, E = coeffs
     inner = C * phi + d1(domain, E * phi)
     return (B * phi - d1(domain, A * phi)
-            + get_operator(domain).kernel.solve(inner.T).T)
+            + get_operator(domain).solve_frames(inner))
 
 
 def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams,
@@ -147,8 +147,8 @@ def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams,
     the continuous one on dt * source with last = 1.
     """
     domain, tg = ftraj.domain, ftraj.tg
-    ksolve = get_operator(domain).kernel.solve
-    dsolve = ShiftedLaplacianSolver(domain, tg.dt * p.epsilon).solve
+    ksolve = get_operator(domain).solve
+    dsolve = get_operator(domain, tg.dt * p.epsilon).solve
     N = tg.n_steps
     lam = np.zeros_like(source)
     # zero-padded work rows: the pads are the Dirichlet walls of D1

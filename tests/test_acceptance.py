@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_control, solved_state, twin_problem
-from mchcontrol.grid import Domain1D, TimeGrid, norm_h, norm_l2h
+from mchcontrol.grid import Domain1D, TimeGrid, d2, norm_h, norm_l2h
 from mchcontrol.helmholtz import get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward)
@@ -50,7 +50,8 @@ def test_c01_velocity_solve_round_trip():
         op = get_operator(dom)
         for _ in range(34):
             y = rng.standard_normal(n)
-            back = op.apply(op.solve(y))
+            u = op.solve(y)
+            back = u - d2(dom, u)
             worst = max(worst, norm_h(dom, back - y) / norm_h(dom, y))
     _line(worst <= 1e-10, "velocity solve round trip",
           f"max rel defect {worst:.2e} <= 1e-10 over 102 fields")

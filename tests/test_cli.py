@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from mchcontrol import cli
 from mchcontrol.cli import main
 
 BASE = {
@@ -264,6 +265,35 @@ def test_grid_spacing_out_of_float_range_exits_2(tmp_path, capsys, L):
         assert run(cmd, cfg, tmp_path / cmd) == 2, cmd
         assert "config error: Domain1D: h^2" in capsys.readouterr().err
         assert not (tmp_path / cmd).exists()
+
+
+@pytest.mark.parametrize("grid", [{"time": {"n_steps": 10 ** 16}},
+                                  {"domain": {"n_interior": 10 ** 16}}],
+                         ids=["n_steps", "n_interior"])
+def test_grid_past_the_address_space_exits_2(tmp_path, capsys, grid):
+    """A grid whose node or frame coordinates cannot be allocated is a
+    config error for every command, not a traceback."""
+    cfg = write_cfg(tmp_path, **grid)
+    for cmd in ("forward", "adjoint", "gradcheck", "optimize", "twin",
+                "verify"):
+        assert run(cmd, cfg, tmp_path / cmd) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: the grid does not fit in memory: "), err
+        assert not (tmp_path / cmd).exists()
+
+
+def test_memory_error_in_a_command_exits_2(tmp_path, capsys, monkeypatch):
+    """A grid that resolves but whose march lattice cannot be allocated
+    leaves through the config-error exit."""
+    def out_of_memory(cfg, out_dir):
+        raise MemoryError("Unable to allocate 182. TiB")
+
+    monkeypatch.setitem(cli._COMMANDS, "forward", out_of_memory)
+    assert run("forward", write_cfg(tmp_path), tmp_path / "o") == 2
+    assert capsys.readouterr().err == ("config error: the grid does not fit "
+                                       "in memory: Unable to allocate 182. "
+                                       "TiB\n")
 
 
 def test_twin_zero_control_trivial(tmp_path):

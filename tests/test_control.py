@@ -10,7 +10,7 @@ import pytest
 from conftest import bump_control, solved_state, twin_problem
 from mchcontrol.errors import NumericsError, StabilityWarning
 from mchcontrol.grid import (Domain1D, TimeGrid, d1, d2,
-                             measure_embedding_constant, norm_wv)
+                             measure_embedding_constant, norm_wv, velocity)
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward,
                                 transport_terms)
@@ -102,11 +102,10 @@ def test_state_equation_residual_reuses_trajectory_velocities(twin_small):
     prob, om_true = twin_small
     fresh = TrackingProblem(prob.domain, prob.tg, prob.model, prob.window,
                             prob.y0, prob.z_d, prob.delta)
-    u_of = get_operator(prob.domain).velocity
     # the first solve keeps the head, the second resumes from it
     for omega in (om_true, 0.5 * om_true):
         ft = fresh.solve(omega)
-        u, ux, _ = u_of(ft.y)
+        u, ux, _ = velocity(prob.domain, ft.y)
         assert np.array_equal(ft.u, u) and np.array_equal(ft.ux, ux)
         assert state_equation_residual(fresh, omega, ft.y) <= 1e-12 * (
             1.0 + float(np.max(np.abs(ft.y))))
@@ -116,7 +115,7 @@ def state_residual_oracle(prob, omega, Y):
     """Frame-by-frame Y-norm of the step residual and the initial defect,
     from one-column kernel solves and dot products."""
     dom, tg, p = prob.domain, prob.tg, prob.model
-    ksolve = get_operator(dom).kernel.solve
+    ksolve = get_operator(dom).solve
     bq = apply_B(prob.window, omega)
     acc = 0.0
     for n in range(tg.n_steps):

@@ -10,7 +10,7 @@ from mchcontrol.grid import (Domain1D, TimeGrid, as_field, as_trajectory,
                              norm_l2h, norm_ct_h, norm_l2v, norm_wv,
                              wall_slopes, grad_norm_sq,
                              random_smooth_trajectory,
-                             measure_embedding_constant)
+                             measure_embedding_constant, velocity)
 from mchcontrol.helmholtz import get_operator
 
 
@@ -178,7 +178,7 @@ def test_embedding_constant_deterministic():
 
 
 # (function, number of trailing axes one value is taken over): 1 for the
-# per-frame norms and operator methods, 2 for the trajectory norms
+# per-frame norms, the solve and the velocity, 2 for the trajectory norms
 STACK_AWARE = {
     "inner_h": (lambda dom, tg, f: inner_h(dom, f, np.cos(f)), 1),
     "norm_h_sq": (lambda dom, tg, f: norm_h_sq(dom, f), 1),
@@ -187,9 +187,8 @@ STACK_AWARE = {
     "norm_vstar_sq": (lambda dom, tg, f: norm_vstar_sq(dom, f), 1),
     "grad_norm_sq": (lambda dom, tg, f: grad_norm_sq(dom, f), 1),
     "wall_slopes": (lambda dom, tg, f: wall_slopes(dom, f), 1),
-    "apply": (lambda dom, tg, f: get_operator(dom).apply(f), 1),
-    "solve": (lambda dom, tg, f: get_operator(dom).solve(f), 1),
-    "velocity": (lambda dom, tg, f: get_operator(dom).velocity(f), 1),
+    "solve": (lambda dom, tg, f: get_operator(dom).solve_frames(f), 1),
+    "velocity": (lambda dom, tg, f: velocity(dom, f), 1),
     "norm_ct_h": (lambda dom, tg, f: norm_ct_h(dom, tg, f), 2),
     "norm_l2v": (lambda dom, tg, f: norm_l2v(dom, tg, f), 2),
     "norm_wv": (lambda dom, tg, f: norm_wv(dom, tg, f), 2),

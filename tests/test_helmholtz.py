@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mchcontrol.grid import Domain1D, d2, inner_h
-from mchcontrol.helmholtz import (ShiftedLaplacianSolver, HelmholtzOperator,
-                                  get_operator)
+from mchcontrol import helmholtz
+from mchcontrol.config import resolve_config
+from mchcontrol.grid import Domain1D, d2, inner_h, velocity
+from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
+from mchcontrol.runners import run_twin
 
 
 def disc_eig(domain, m):
@@ -18,17 +20,18 @@ def test_round_trip(rng):
     op = get_operator(dom)
     for _ in range(5):
         y = rng.standard_normal(64)
-        back = op.apply(op.solve(y))
+        u = op.solve(y)
+        back = u - d2(dom, u)
         assert np.linalg.norm(back - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_apply_eigen_relation_exact():
     dom = Domain1D(1.0, 31)
-    op = get_operator(dom)
     for m in (1, 2, 7):
         mode = np.sin(m * math.pi * dom.x)
         lam = disc_eig(dom, m)
-        assert np.max(np.abs(op.apply(mode) - (1.0 + lam) * mode)) < 1e-11
+        applied = mode - d2(dom, mode)
+        assert np.max(np.abs(applied - (1.0 + lam) * mode)) < 1e-11
 
 
 def test_solve_eigen_relation():
@@ -61,7 +64,7 @@ def test_shift_zero_is_identity(rng):
 @pytest.mark.parametrize("c", [1.0, 0.8 / 240 * 0.08, 0.0])
 def test_multi_rhs_solve_matches_column_solves(rng, c):
     dom = Domain1D(2.0, 48)
-    s = ShiftedLaplacianSolver(dom, c)
+    s = get_operator(dom, c)
     frames = rng.standard_normal((9, 48))
     for B in (frames.T, np.ascontiguousarray(frames.T)):
         X = s.solve(B)
@@ -74,15 +77,21 @@ def test_multi_rhs_solve_matches_column_solves(rng, c):
         assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(B))
         if c == 0.0:
             assert np.array_equal(X, B)
+    # a (k, n) or (2, k, n) frame stack is one call, bit for bit per frame
+    for stack in (frames, rng.standard_normal((2, 9, 48))):
+        X = s.solve_frames(stack)
+        assert X.shape == stack.shape
+        for idx in np.ndindex(stack.shape[:-1]):
+            assert np.array_equal(X[idx], s.solve(stack[idx]))
 
 
 def test_velocity_identity(rng):
     dom = Domain1D(2.0, 40)
-    op = get_operator(dom)
     y = rng.standard_normal(40)
-    u, ux, uxx = op.velocity(y)
+    u, ux, uxx = velocity(dom, y)
     assert np.array_equal(uxx, u - y)
-    assert np.max(np.abs(op.apply(u) - y)) < 1e-11 * max(1.0, np.max(np.abs(y)))
+    assert np.max(np.abs(u - d2(dom, u) - y)) < 1e-11 * max(
+        1.0, np.max(np.abs(y)))
 
 
 def test_operator_cache():
@@ -90,6 +99,32 @@ def test_operator_cache():
     b = get_operator(Domain1D(1.0, 10))
     assert a is b
     assert get_operator(Domain1D(2.0, 10)) is not a
+    # one kernel per grid and shift; c = 1 is the default
+    d = get_operator(Domain1D(1.0, 10), 0.25)
+    assert get_operator(Domain1D(1.0, 10), 0.25) is d
+    assert d is not a and get_operator(Domain1D(1.0, 10), 1.0) is a
+
+
+def test_twin_factors_each_kernel_once(tmp_path, monkeypatch):
+    """A twin run on the CI config factors I - D2 and I - dt*eps*D2 once
+    each: every march takes both kernels from the cache."""
+    monkeypatch.setattr(helmholtz, "_cache", {})
+    shifts = []
+    init = ShiftedLaplacianSolver.__init__
+
+    def counted(self, domain, c):
+        shifts.append(c)
+        init(self, domain, c)
+
+    monkeypatch.setattr(ShiftedLaplacianSolver, "__init__", counted)
+    cfg = resolve_config({
+        "domain": {"L": 2.0, "n_interior": 24},
+        "time": {"T": 0.5, "n_steps": 60},
+        "model": {"epsilon": 0.1, "k": 0.4},
+        "initial": {"kind": "sine_mix", "coefficients": [0.3, 0.1]},
+        "control": {"kind": "bump", "amplitude": 0.6}})
+    assert run_twin(cfg, tmp_path) == 0
+    assert sorted(shifts) == sorted([1.0, 0.5 / 60 * 0.1])
 
 
 def test_smoothing_contracts(rng):
