@@ -10,7 +10,6 @@ can be traced to the exact settings that produced them.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -25,7 +24,8 @@ from .grid import Domain1D, TimeGrid
 
 _BOOL = (bool,)
 _NUM = (int, float)
-_INT = (int,)
+_INT = (int,)  # an int64: the grid sizes and counts index numpy arrays
+_ANY_INT = (int,)  # an int of any size: numpy takes a seed of any size
 _STR = (str,)
 _LIST = (list,)
 
@@ -76,7 +76,6 @@ SCHEMA = {
         "tol_g_abs": (_NUM, OptimOptions.tol_g_abs, NONNEGATIVE),
         "max_iters": (_INT, OptimOptions.max_iters, NONNEGATIVE),
         "memory": (_INT, OptimOptions.memory, AT_LEAST_1),
-        "step0": (_NUM, OptimOptions.step0, POSITIVE),
     },
     "gradcheck": {
         "n_directions": (_INT, 5, AT_LEAST_1),
@@ -89,7 +88,7 @@ SCHEMA = {
         "n_embed_samples": (_INT, 16, AT_LEAST_1),
         "smallness_C_eps": (_NUM, 1.0, NONNEGATIVE),
     },
-    "seed": (_INT, 12345, NONNEGATIVE),
+    "seed": (_ANY_INT, 12345, NONNEGATIVE),
     "output": {
         "dir": (_STR, "out", None),
     },
@@ -109,6 +108,8 @@ def _check_type(value, types, path: str):
                           f"got {type(value).__name__}")
     if float in types and not _finite_number(value):
         raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    if types is _INT and not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"{path}: must fit in a 64-bit integer")
 
 
 def _finite_number(v) -> bool:
@@ -122,24 +123,27 @@ def _finite_number(v) -> bool:
 
 
 def _read_field(got: dict, key: str, row, path: str):
-    """The checked value of one schema row, or the default; a copy either
-    way, so no resolved config shares a list with another or with raw."""
+    """The checked value of one schema row, or the default; a list is a
+    copy either way, so no resolved config shares one with another or with
+    raw. List items must be numbers (_validate_semantics), so the copy is
+    shallow, and a nested list cannot make it recurse."""
     types, default, rule = row
     if key not in got:
         if default is REQUIRED:
             raise ConfigError(f"missing required config field {path!r}")
-        return copy.deepcopy(default)
-    val = got[key]
-    # null stands for "use the default", so only where that is null
-    if val is None and default is None:
-        return None
-    _check_type(val, types, path)
-    if isinstance(rule, Range):
-        if not rule.test(val):
-            raise ConfigError(f"{path} must be {rule.text}")
-    elif rule is not None and val not in rule:
-        raise ConfigError(f"{path}: unknown value {val!r}")
-    return copy.deepcopy(val)
+        val = default
+    else:
+        val = got[key]
+        # null stands for "use the default", so only where that is null
+        if val is None and default is None:
+            return None
+        _check_type(val, types, path)
+        if isinstance(rule, Range):
+            if not rule.test(val):
+                raise ConfigError(f"{path} must be {rule.text}")
+        elif rule is not None and val not in rule:
+            raise ConfigError(f"{path}: unknown value {val!r}")
+    return list(val) if isinstance(val, list) else val
 
 
 def resolve_config(raw: dict) -> dict:
@@ -189,7 +193,8 @@ def _validate_semantics(cfg: dict):
     window constructors, and the list rules."""
     try:
         build_problem_pieces(cfg)
-    except (ValueError, TypeError) as exc:
+    # numpy raises OverflowError or IndexError for sizes near 2**63
+    except (ValueError, TypeError, OverflowError, IndexError) as exc:
         raise ConfigError(str(exc)) from exc
     except MemoryError as exc:
         raise ConfigError(f"the grid does not fit in memory: {exc}") from exc
@@ -207,11 +212,11 @@ def _validate_semantics(cfg: dict):
 
 def load_config(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return resolve_config(raw)
 

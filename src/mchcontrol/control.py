@@ -18,12 +18,12 @@ from functools import partial
 import numpy as np
 
 from .analysis import growth
-from .errors import DomainMismatchError, NumericsError
+from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
                       inner_block, inner_q0, norm_q0, solve_forward,
                       transport_terms)
-from .grid import (Domain1D, TimeGrid, as_trajectory, d1, d2, inner_h,
-                   norm_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
+from .grid import (Domain1D, TimeGrid, _shaped, as_trajectory, d1, d2,
+                   inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant,
                    velocity)
 from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
@@ -137,7 +137,6 @@ class OptimOptions:
     tol_g_abs: float = 0.0       # extra absolute floor, 0 disables
     max_iters: int = 200
     memory: int = 16
-    step0: float = 1.0
 
 
 @dataclass
@@ -189,11 +188,7 @@ def residual_y_norm(problem: TrackingProblem, e1, e2) -> float:
     """Y-norm: dual space norm, left-endpoint in time, plus the H-size of
     the initial defect."""
     domain, tg = problem.domain, problem.tg
-    e1 = np.asarray(e1, dtype=float)
-    if e1.shape != (tg.n_steps, domain.n_interior):
-        raise DomainMismatchError(
-            f"step residual has shape {e1.shape}, expected "
-            f"({tg.n_steps}, {domain.n_interior})")
+    e1 = _shaped(e1, (tg.n_steps, domain.n_interior), "step residual")
     return math.sqrt(tg.dt * float(norm_vstar_sq(domain, e1).sum())
                      + norm_h_sq(domain, e2))
 
@@ -253,7 +248,7 @@ def optimize(problem: TrackingProblem, omega0,
 
     pair = partial(inner_block, win)
     memory = deque(maxlen=opts.memory)  # (s, y, rho) block arrays
-    step_prev = opts.step0
+    step_prev = 1.0
     for it in range(1, opts.max_iters + 1):
         gb = g[blk]
         d = -gb
@@ -350,20 +345,18 @@ def lagrangian(problem: TrackingProblem, omega, Y, lam, mu, c: float) -> float:
 
 def first_order_residuals(problem: TrackingProblem,
                           state: OptimState) -> dict:
-    """Stationarity diagnostics at a solved state (optimize's): gradient
-    norm, state residual, continuous-adjoint equation residual, and the two
-    exact identities. Solves nothing."""
+    """Stationarity diagnostics at a solved state (optimize's): the state
+    residual and the continuous-adjoint equation residual. Solves nothing.
+    lambda(T) = 0 and mu = lambda(0) hold by construction of AdjointState,
+    and the gradient norm is the state's last grad_norms entry."""
     ftraj, adj = state.ftraj, state.adjoint
     eq = adjoint_equation_residual(ftraj, adj.lam, problem.z_d - ftraj.y,
                                    problem.model)
     return {
-        "grad_norm": norm_q0(problem.window, state.grad),
         "state_residual": state_equation_residual(problem, state.omega,
                                                   ftraj.y),
         "adjoint_residual": eq["max_h"],
         "adjoint_residual_rel": eq["max_h_rel"],
-        "mu_minus_lambda0": float(np.max(np.abs(adj.mu - adj.lam[0]))),
-        "lambda_T": norm_h(problem.domain, adj.lam[-1]),
     }
 
 

@@ -80,32 +80,28 @@ class TimeGrid:
         return w
 
 
-def as_field(domain: Domain1D, f) -> np.ndarray:
+def _shaped(f, shape: tuple, what: str, stack: bool = False) -> np.ndarray:
+    """f as a float array of the given shape, or with stack of any shape that
+    ends in it; DomainMismatchError naming what it is otherwise."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (domain.n_interior,):
+    if (f.shape[-len(shape):] if stack else f.shape) != shape:
+        dims = ("...",) + shape if stack else shape
+        want = ", ".join(map(str, dims)) + ("," if len(dims) == 1 else "")
         raise DomainMismatchError(
-            f"field has shape {f.shape}, expected ({domain.n_interior},)"
-        )
+            f"{what} has shape {f.shape}, expected ({want})")
     return f
+
+
+def as_field(domain: Domain1D, f) -> np.ndarray:
+    return _shaped(f, (domain.n_interior,), "field")
 
 
 def as_trajectory(domain: Domain1D, tg: TimeGrid, Y) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != (tg.n_steps + 1, domain.n_interior):
-        raise DomainMismatchError(
-            f"trajectory has shape {Y.shape}, expected "
-            f"({tg.n_steps + 1}, {domain.n_interior})"
-        )
-    return Y
+    return _shaped(Y, (tg.n_steps + 1, domain.n_interior), "trajectory")
 
 
 def _stencil_input(domain: Domain1D, f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1:] != (domain.n_interior,):
-        raise DomainMismatchError(
-            f"field has shape {f.shape}, expected (..., {domain.n_interior})"
-        )
-    return f
+    return _shaped(f, (domain.n_interior,), "field", stack=True)
 
 
 def d1(domain: Domain1D, f) -> np.ndarray:
@@ -204,13 +200,8 @@ def norm_vstar_sq(domain: Domain1D, f):
 
 def _trajectories(domain: Domain1D, tg: TimeGrid, Y) -> np.ndarray:
     """A trajectory or a stack of them, shape (..., n_steps + 1, n)."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape[-2:] != (tg.n_steps + 1, domain.n_interior):
-        raise DomainMismatchError(
-            f"trajectory has shape {Y.shape}, expected "
-            f"(..., {tg.n_steps + 1}, {domain.n_interior})"
-        )
-    return Y
+    return _shaped(Y, (tg.n_steps + 1, domain.n_interior), "trajectory",
+                   stack=True)
 
 
 def inner_l2h(domain: Domain1D, tg: TimeGrid, A, B) -> float:

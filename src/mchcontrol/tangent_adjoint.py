@@ -43,8 +43,8 @@ class TangentState:
 
 @dataclass
 class AdjointState:
-    """Multiplier trajectory; the final frame is identically zero and the
-    initial-condition multiplier mu is frame 0 by definition.
+    """Multiplier trajectory; the final frame is identically zero, and the
+    initial-condition multiplier mu is a view of frame 0.
 
     rest is (stop, psi) for a march that stopped at frame stop > 0: frames
     below stop are zero until finish_adjoint resumes the recursion from
@@ -52,14 +52,15 @@ class AdjointState:
     """
 
     lam: np.ndarray
-    mu: np.ndarray
     rest: tuple = None
 
     def __post_init__(self):
         if np.any(self.lam[-1] != 0.0):
             raise ValueError("adjoint terminal frame must vanish")
-        if self.mu is not self.lam[0] and not np.array_equal(self.mu, self.lam[0]):
-            raise ValueError("mu must equal the initial adjoint frame")
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.lam[0]
 
 
 def _transport_coefficients(ftraj: ForwardTrajectory, k: float,
@@ -187,7 +188,7 @@ def _discrete_adjoint(ftraj: ForwardTrajectory, source, p: ModelParams,
             time_index=bad + stop)
     rest = (stop, lam[stop].copy()) if stop else None
     lam[stop:top] *= tg.dt
-    return AdjointState(lam, lam[0].copy(), rest)
+    return AdjointState(lam, rest)
 
 
 def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,

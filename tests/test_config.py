@@ -96,6 +96,12 @@ def test_type_checks():
     assert resolve_config(minimal(window={"a": None}))["window"]["a"] is None
     with pytest.raises(ConfigError, match="optimizer.memory"):
         resolve_config(minimal(optimizer={"memory": None}))
+    # an int field other than seed must fit in int64; numpy takes any seed
+    assert resolve_config(minimal(seed=2 ** 64))["seed"] == 2 ** 64
+    big = resolve_config(minimal(optimizer={"max_iters": 2 ** 63 - 1}))
+    assert big["optimizer"]["max_iters"] == 2 ** 63 - 1
+    with pytest.raises(ConfigError, match="optimizer.max_iters: must fit"):
+        resolve_config(minimal(optimizer={"max_iters": 2 ** 63}))
 
 
 def test_semantic_checks():

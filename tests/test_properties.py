@@ -1,12 +1,16 @@
 """Property tests of the extension operator B on random small grids and
-windows: windows that end at T and windows that span [0, L] are drawn too."""
+windows (windows that end at T and windows that span [0, L] are drawn too),
+and of resolve_config on boundary values in random schema fields."""
 
+import json
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mchcontrol.config import SCHEMA, resolve_config
+from mchcontrol.errors import ConfigError
 from mchcontrol.forward import (ControlWindow, ModelParams, apply_B,
                                 inner_q0, solve_forward)
 from mchcontrol.grid import Domain1D, TimeGrid
@@ -99,3 +103,45 @@ def test_tangent_and_adjoint_are_transposes(w, seed):
     q = w.random_control(rng)
     s = rng.standard_normal(w.shape)
     assert pairing_defect(ft, w, q, s, p) <= 1e-10
+
+
+# every schema field by its path in the raw config: ("seed",) or
+# (section, key)
+FIELDS = [(section,) if not isinstance(spec, dict) else (section, key)
+          for section, spec in SCHEMA.items()
+          for key in (spec if isinstance(spec, dict) else [None])]
+# per-field boundary values; an int or a float goes into any field, so type
+# mismatches are drawn too. No grid size between 3 and 2**62 is drawn, so a
+# resolve allocates no large array.
+BOUNDARY = [-1, 0, 3, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 10 ** 400,
+            5e-324, 1e-300, 1e308, -1.0, math.nan]
+SMALL_CONFIG = {"domain": {"L": 2.0, "n_interior": 24},
+                "time": {"T": 0.5, "n_steps": 60},
+                "model": {"epsilon": 0.1, "k": 0.4}}
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(FIELDS), st.sampled_from(BOUNDARY)),
+                max_size=3))
+# each of these left resolve_config or a command with a traceback
+@example([(("domain", "n_interior"), 10 ** 400)])
+@example([(("time", "n_steps"), 2 ** 63)])
+@example([(("time", "n_steps"), 2 ** 63 - 1)])
+@example([(("optimizer", "memory"), 2 ** 63)])
+def test_resolve_config_resolves_or_raises_config_error(fields):
+    """A config with boundary values in random fields resolves or raises
+    ConfigError, nothing else; every int that resolves, the seed aside,
+    fits in int64."""
+    raw = json.loads(json.dumps(SMALL_CONFIG))
+    for path, value in fields:
+        if len(path) == 1:
+            raw[path[0]] = value
+        else:
+            raw.setdefault(path[0], {})[path[1]] = value
+    try:
+        cfg = resolve_config(raw)
+    except ConfigError:
+        return
+    for section, key in (path for path in FIELDS if len(path) == 2):
+        if SCHEMA[section][key][0] == (int,):
+            assert -2 ** 63 <= cfg[section][key] < 2 ** 63, (section, key)

@@ -85,14 +85,18 @@ def test_adjoint_exact_identities(rng):
 
 
 def test_adjoint_state_invariants():
+    """lambda(T) = 0 is checked on construction, and mu = lambda(0) holds
+    by type: mu is a view of frame 0 that cannot be rebound."""
     lam = np.zeros((3, 4))
-    AdjointState(lam, lam[0])
+    adj = AdjointState(lam)
+    lam[0] = 2.0
+    assert np.shares_memory(adj.mu, lam) and np.all(adj.mu == 2.0)
+    with pytest.raises(AttributeError):
+        adj.mu = np.ones(4)
     bad = lam.copy()
     bad[-1, 0] = 1.0
     with pytest.raises(ValueError):
-        AdjointState(bad, bad[0])
-    with pytest.raises(ValueError):
-        AdjointState(lam, np.ones(4))
+        AdjointState(bad)
 
 
 @pytest.mark.parametrize("stop", [1, 15, 36, 59])
