@@ -9,7 +9,7 @@ existential, the small-data C_eps, is caller-configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,9 +31,7 @@ class EstimateReport:
     meta: dict
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "margin": self.margin, "passed": self.passed,
-                "meta": dict(self.meta)}
+        return asdict(self)
 
 
 def make_report(name: str, lhs: float, rhs: float,

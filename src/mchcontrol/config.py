@@ -189,15 +189,30 @@ def window_coords(cfg: dict):
 
 
 def _validate_semantics(cfg: dict):
-    """The checks that span fields or list items: the grid, model and
-    window constructors, and the list rules."""
+    """The checks that span fields or list items: the grid sizes, the grid,
+    model and window constructors, the sample stacks and the list rules;
+    a size or count whose arrays cannot be allocated is named."""
+    n, N = cfg["domain"]["n_interior"], cfg["time"]["n_steps"]
+    # the window allocates the N + 1 frame times, then the n node coordinates
+    for path, value, size in (("time.n_steps", N, N + 1),
+                              ("domain.n_interior", n, n)):
+        try:
+            np.empty(max(size, 0))
+        except (ValueError, MemoryError) as exc:  # numpy: past 2**63 bytes
+            raise ConfigError(f"the grid does not fit in memory: {path} = "
+                              f"{value}: {exc}") from exc
     try:
         build_problem_pieces(cfg)
-    # numpy raises OverflowError or IndexError for sizes near 2**63
-    except (ValueError, TypeError, OverflowError, IndexError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    except MemoryError as exc:
-        raise ConfigError(f"the grid does not fit in memory: {exc}") from exc
+    # a sample is an (N+1, n) lattice; the embedding sampler first draws
+    # 6 time coefficients for each of its min(8, n) space modes
+    for key, size in (("n_hessian_samples", (N + 1) * n),
+                      ("n_embed_samples", max((N + 1) * n, 6 * min(8, n)))):
+        if 8 * size * cfg["verify"][key] >= 2 ** 63:
+            raise ConfigError(f"verify.{key} = {cfg['verify'][key]}: its "
+                              "float64 sample stack is past the 2**63 bytes "
+                              "an array can hold")
     if not all(map(_finite_number, cfg["initial"]["coefficients"])):
         raise ConfigError("initial.coefficients must be a list of finite "
                           "numbers")
@@ -238,13 +253,10 @@ def build_problem_pieces(cfg: dict):
 
 
 def initial_field(cfg: dict, domain: Domain1D) -> np.ndarray:
-    kind = cfg["initial"]["kind"]
-    if kind == "zero":
-        return np.zeros(domain.n_interior)
-    coeffs = cfg["initial"]["coefficients"]
     y0 = np.zeros(domain.n_interior)
-    for m, c in enumerate(coeffs, start=1):
-        y0 += float(c) * np.sin(m * np.pi * domain.x / domain.L)
+    if cfg["initial"]["kind"] == "sine_mix":
+        for m, c in enumerate(cfg["initial"]["coefficients"], start=1):
+            y0 += float(c) * np.sin(m * np.pi * domain.x / domain.L)
     return y0
 
 

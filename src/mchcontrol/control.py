@@ -22,8 +22,8 @@ from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
                       inner_block, inner_q0, norm_q0, solve_forward,
                       transport_terms)
-from .grid import (Domain1D, TimeGrid, _shaped, as_trajectory, d1, d2,
-                   inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
+from .grid import (Domain1D, TimeGrid, _per_frame, _shaped, as_trajectory,
+                   d1, d2, inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant,
                    velocity)
 from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
@@ -364,27 +364,27 @@ def first_order_residuals(problem: TrackingProblem,
 # second-order machinery
 
 
-def constants(domain: Domain1D, tg: TimeGrid, y_traj, p: ModelParams):
-    """Growth/coercivity constants (c0, c2, c1) from the C(H) norm of y."""
-    M = norm_ct_h(domain, tg, as_trajectory(domain, tg, y_traj))
+def constants(M: float, T: float, p: ModelParams):
+    """Growth/coercivity constants (c0, c2, c1) on [0, T] from M, the C(H)
+    norm of the state."""
     eps, e2 = p.epsilon, growth(lambda e: e ** 2, p.epsilon)
     c0 = (8.0 + 1.0 / 16.0) / eps * M ** 4
     c2 = M ** 2 / (12.0 * eps)
-    a = (eps + 6.0 * M) * (2.0 / eps) * growth(math.exp, c2 * tg.T) + 1.0
+    a = (eps + 6.0 * M) * (2.0 / eps) * growth(math.exp, c2 * T) + 1.0
     # eps^2 that underflows to 0 gives 4/eps^2 = inf; one that overflows, 0
     c1 = a * a + ((4.0 / e2 if e2 > 0 else math.inf)
-                  * growth(math.exp, 2.0 * c2 * tg.T))
+                  * growth(math.exp, 2.0 * c2 * T))
     return c0, c2, c1
 
 
-def lambda_bound_check(problem: TrackingProblem, state: OptimState) -> dict:
-    """Both sides of the multiplier energy bound at a solved state, reported
-    as printed (squared left side, unsquared right side), never asserted."""
+def lambda_bound_check(problem: TrackingProblem, state: OptimState,
+                       c0: float) -> dict:
+    """Both sides of the multiplier energy bound at a solved state, with the
+    growth constant c0 of constants, reported as printed (squared left
+    side, unsquared right side), never asserted."""
     domain, tg = problem.domain, problem.tg
-    ftraj, adj = state.ftraj, state.adjoint
-    source = problem.z_d - ftraj.y
-    c0, _, _ = constants(domain, tg, ftraj.y, problem.model)
-    lhs = norm_l2v(domain, tg, adj.lam) ** 2
+    source = problem.z_d - state.ftraj.y
+    lhs = norm_l2v(domain, tg, state.adjoint.lam) ** 2
     src = math.sqrt(float(tg.weights @ norm_vstar_sq(domain, source)))
     rhs = (4.0 / (3.0 * problem.model.epsilon) * growth(math.exp, c0 * tg.T)
            * src)
@@ -393,25 +393,28 @@ def lambda_bound_check(problem: TrackingProblem, state: OptimState) -> dict:
 
 def quadratic_form(problem: TrackingProblem, q,
                    ftraj: ForwardTrajectory, adj: AdjointState):
-    """Second-variation value on a kernel direction (m, q), m = T q.
+    """Second-variation value on a kernel direction (m, q), m = T q, or one
+    value per direction of a stack (..., N+1, n), all in one tangent march.
 
-    Parts: the squared W(V) norm of m, delta times the squared Q0 norm of q,
-    and the space-time integral of the multiplier-weighted cubic terms
-    b = -2 v^2 y l_x - 4 u v m l_x + 2 v_x^2 y l_x + 4 u_x v_x m l_x.
+    Parts: the squared W(V) norm of m, the squared Q0 norm of q and delta
+    times it, and the space-time integral of the multiplier-weighted cubic
+    terms b = -2 v^2 y l_x - 4 u v m l_x + 2 v_x^2 y l_x + 4 u_x v_x m l_x.
     """
     domain, tg = problem.domain, problem.tg
     tan = solve_tangent(ftraj, problem.window, q, problem.model)
     part_m = norm_wv(domain, tg, tan.m) ** 2
-    part_q = problem.delta * norm_q0(problem.window, q) ** 2
+    q_sq = norm_q0(problem.window, q) ** 2
+    part_q = problem.delta * q_sq
     m, v, vx = tan.m, tan.v, d1(domain, tan.v)
     y, u, ux = ftraj.y, ftraj.u, ftraj.ux
     # b = w l_x, so its space integral is the per-frame pairing (w, l_x)
     w = (-2.0 * v * v * y - 4.0 * u * v * m + 2.0 * vx * vx * y
          + 4.0 * ux * vx * m)
-    acc = float(tg.weights @ inner_h(domain, w, d1(domain, adj.lam)))
+    acc = _per_frame(np.vecdot(inner_h(domain, w, d1(domain, adj.lam)),
+                               tg.weights))
     total = part_m + part_q + acc
-    return total, {"m_wv_sq": part_m, "q_reg_sq": part_q, "b_integral": acc,
-                   "total": total}
+    return total, {"m_wv_sq": part_m, "q_sq": q_sq, "q_reg_sq": part_q,
+                   "b_integral": acc, "total": total}
 
 
 @dataclass
@@ -454,16 +457,13 @@ def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
     same directions, which the tangent kernel bound compares with c1.
     """
     domain, tg = problem.domain, problem.tg
-    eps = problem.model.epsilon
-    sigma = problem.delta
-    T = tg.T
-    ftraj, adj = state.ftraj, state.adjoint
-    c0, c2, c1 = constants(domain, tg, ftraj.y, problem.model)
+    eps, sigma, T = problem.model.epsilon, problem.delta, tg.T
+    M = norm_ct_h(domain, tg, state.ftraj.y)
+    c0, c2, c1 = constants(M, T, problem.model)
     c_embed = measure_embedding_constant(domain, tg, rng, n_embed_samples)
     C = c_embed ** 2
     C1 = 9.0 * C
-    M = norm_ct_h(domain, tg, ftraj.y)
-    r = norm_l2h(domain, tg, ftraj.y - problem.z_d)
+    r = norm_l2h(domain, tg, state.ftraj.y - problem.z_d)
     lhs = M * r
     cond1_rhs = 3.0 * eps / (4.0 * C1) * math.exp(-c0 * T) if C1 > 0 else math.inf
     cond2_rhs = (3.0 * sigma * eps / (8.0 * C * c1) * math.exp(-c0 * T)
@@ -472,23 +472,17 @@ def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
     kappa1 = min(1.0 - (4.0 * C1 / (3.0 * eps)) * grow * lhs, sigma)
     kappa2 = min(sigma / (2.0 * c1) - (4.0 * C / (3.0 * eps)) * grow * lhs,
                  sigma / 2.0)
-    min_ratio = math.inf
-    kernel_max = 0.0
-    for _ in range(n_samples):
-        q = problem.window.random_control(rng)
-        total, parts = quadratic_form(problem, q, ftraj, adj)
-        qn2 = norm_q0(problem.window, q) ** 2
-        xnorm2 = parts["m_wv_sq"] + qn2
-        if xnorm2 > 0:
-            min_ratio = min(min_ratio, total / xnorm2)
-        if qn2 > 0:
-            kernel_max = max(kernel_max, parts["m_wv_sq"] / qn2)
+    # the directions, drawn as n_samples draws of one control each
+    Q = apply_B(problem.window,
+                rng.standard_normal((n_samples,) + problem.window.shape))
+    total, parts = quadratic_form(problem, Q, state.ftraj, state.adjoint)
+    m_sq, q_sq = parts["m_wv_sq"], parts["q_sq"]
     return SecondOrderReport(
         c0=c0, c2=c2, c1=c1, c_embed=c_embed,
         kappa1=kappa1, kappa2=kappa2,
         cond1_lhs=lhs, cond1_rhs=cond1_rhs, cond1_pass=bool(lhs < cond1_rhs),
         cond2_lhs=lhs, cond2_rhs=cond2_rhs, cond2_pass=bool(lhs < cond2_rhs),
-        kernel_bound_ratio=kernel_max,
-        empirical_min_ratio=min_ratio if min_ratio < math.inf else 0.0,
+        kernel_bound_ratio=float(np.max(m_sq / q_sq)),
+        empirical_min_ratio=float(np.min(total / (m_sq + q_sq))),
         n_samples=n_samples,
     )

@@ -24,14 +24,14 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
 from operator import add
 
 import numpy as np
 
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
-from .grid import Domain1D, TimeGrid, as_field, as_trajectory, d1, norm_h
+from .grid import (Domain1D, TimeGrid, _per_frame, _trajectories, as_field,
+                   as_trajectory, d1, norm_h)
 from .helmholtz import get_operator
 
 CFL_SAFETY = 0.5
@@ -77,9 +77,7 @@ class ControlWindow:
     @property
     def mask(self) -> np.ndarray:
         """The 0/1 indicator of the window block, a new array per call."""
-        m = self.zero_control()
-        m[self.block] = 1.0
-        return m
+        return apply_B(self, np.ones(self.shape))
 
     def zero_control(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -90,29 +88,33 @@ class ControlWindow:
 
 def apply_B(window: ControlWindow, q) -> np.ndarray:
     """Zero-extension of the window block: q's values there bit for bit,
-    and an exact +0.0 elsewhere, whatever q holds off the block."""
-    bq = window.zero_control()
-    bq[window.block] = as_trajectory(window.domain, window.tg, q)[window.block]
+    and an exact +0.0 elsewhere, whatever q holds off the block; q is one
+    control or a stack of them (..., N+1, n)."""
+    q = _trajectories(window.domain, window.tg, q)
+    bq, blk = np.zeros(q.shape), (..., *window.block)
+    bq[blk] = q[blk]
     return bq
 
 
-def inner_block(window: ControlWindow, p, q) -> float:
-    """L2(Q0) inner product of arrays shaped like trajectory[window.block]:
-    per-frame sums added in frame order (reduce, not the compensated sum of
-    newer Pythons), the order einsum takes on block views of a trajectory."""
-    rows = np.einsum("ni,ni->n", p, q).tolist()
-    return window.tg.dt * window.domain.h * reduce(add, rows, 0.0)
+def inner_block(window: ControlWindow, p, q):
+    """L2(Q0) inner product of arrays shaped like trajectory[window.block],
+    one value per pair of a stack: per-frame sums added in frame order (not
+    the compensated sum of newer Pythons), as einsum adds block views."""
+    rows = np.einsum("...ni,...ni->...n", p, q)
+    return _per_frame(window.tg.dt * window.domain.h
+                      * np.cumsum(rows, axis=-1)[..., -1])
 
 
-def inner_q0(window: ControlWindow, p, q) -> float:
-    """L2(Q0) inner product, left-endpoint rule in time."""
-    p = as_trajectory(window.domain, window.tg, p)[window.block]
-    q = as_trajectory(window.domain, window.tg, q)[window.block]
-    return inner_block(window, p, q)
+def inner_q0(window: ControlWindow, p, q):
+    """L2(Q0) inner product, left-endpoint rule in time; one value per
+    control of a stack."""
+    blk = (..., *window.block)
+    return inner_block(window, _trajectories(window.domain, window.tg, p)[blk],
+                       _trajectories(window.domain, window.tg, q)[blk])
 
 
-def norm_q0(window: ControlWindow, q) -> float:
-    return math.sqrt(max(inner_q0(window, q, q), 0.0))
+def norm_q0(window: ControlWindow, q):
+    return _per_frame(np.sqrt(np.maximum(inner_q0(window, q, q), 0.0)))
 
 
 @dataclass
@@ -153,7 +155,7 @@ def _first_nonfinite(frames, backward: bool = False):
     """
     if np.isfinite(frames[0 if backward else -1]).all():
         return None
-    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(frames).reshape(len(frames), -1).all(1))
     return int(bad[-1] if backward else bad[0])
 
 
@@ -260,14 +262,9 @@ def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
     domain, tg = ftraj.domain, ftraj.tg
     cols = [as_trajectory(domain, tg, c) for c in
             (values if values is not None else (ftraj.y, ftraj.u))]
-    sidecar = dict(params)
-    sidecar.setdefault("schema_version", 1)
-    sidecar["config_sha256"] = config_hash
-    sidecar["L"] = domain.L
-    sidecar["n_interior"] = domain.n_interior
-    sidecar["T"] = tg.T
-    sidecar["n_steps"] = tg.n_steps
-    sidecar["columns"] = ["t", "x", *value_names]
+    sidecar = {"schema_version": 1, **params, "config_sha256": config_hash,
+               "L": domain.L, "n_interior": domain.n_interior, "T": tg.T,
+               "n_steps": tg.n_steps, "columns": ["t", "x", *value_names]}
     # a value is live unless it is an exact +0.0 (-0.0 and NaN are live);
     # each frame's live nodes lie in [lo, hi), and lo = hi when it has none
     live = np.logical_or.reduce([(c != 0.0) | np.signbit(c) for c in cols])

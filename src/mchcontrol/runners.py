@@ -16,8 +16,9 @@ import numpy as np
 
 from .grid import d2, norm_h
 from .helmholtz import get_operator
-from .forward import (norm_q0, inner_q0, solve_forward, weak_residual,
-                      trajectory_from_arrays, export_trajectory_csv)
+from .forward import (apply_B, norm_q0, inner_q0, solve_forward,
+                      weak_residual, trajectory_from_arrays,
+                      export_trajectory_csv)
 from .tangent_adjoint import pairing_defect
 from .control import (TrackingProblem, OptimOptions, cost, reduced_gradient,
                       central_difference, optimize, lagrangian,
@@ -299,12 +300,10 @@ def _hard_checks(cfg, problem, state, fo, rng):
         worst = max(worst, pairing_defect(ftraj, window, q, s, p))
     checks.append(make_report("transpose_identity", worst, 1e-10))
 
-    worst = 0.0
-    for _ in range(2):
-        q = window.random_control(rng)
-        q = q / norm_q0(window, q)
-        worst = max(worst, central_difference(
-            problem, omega, state.grad, q, cfg["gradcheck"]["fd_step"])[2])
+    Q = apply_B(window, rng.standard_normal((2,) + window.shape))
+    Q /= norm_q0(window, Q)[:, None, None]
+    worst = max(central_difference(problem, omega, state.grad, q,
+                                   cfg["gradcheck"]["fd_step"])[2] for q in Q)
     checks.append(make_report("gradient_vs_fd", worst, 1e-6))
 
     wtraj = ftraj
@@ -342,8 +341,8 @@ def _hard_checks(cfg, problem, state, fo, rng):
 def _soft_checks(cfg, problem, state, so):
     """Inequalities whose constants the theory leaves existential, at the
     optimizer's final state; reported with margins, never gating. so is
-    coercivity_check there."""
-    lb = lambda_bound_check(problem, state)
+    coercivity_check there, whose c0 the multiplier bound reads."""
+    lb = lambda_bound_check(problem, state, so.c0)
     return [
         smallness_margin(problem.domain, problem.tg, problem.window,
                          problem.y0, state.omega,

@@ -92,39 +92,43 @@ def _step_coefficients(ftraj: ForwardTrajectory, k: float,
 
 def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
                   p: ModelParams) -> TangentState:
-    """Exact derivative of the forward march along the control direction q.
+    """Exact derivative of the forward march along the control direction q,
+    or along each direction of a stack (..., N+1, n); m and v have q's shape
+    and hold each direction's frames contiguously, which the stacked norms
+    need to give each direction its own value bit for bit.
 
     m(0) = 0; each step linearizes the explicit terms about the stored base
-    frame and applies the same implicit diffusion solve. The frames up to
-    the first step k0 the direction acts on (the window's first step) are
-    therefore exactly zero, and the march starts at k0; a NaN row counts as
-    acting, so it still fails at its own step.
-    """
+    frame and applies the same implicit diffusion solve, one kernel call on
+    the (n, k) right-hand side of all k directions, each bit for bit its own
+    march. Frames up to the first step k0 any direction acts on (the
+    window's first step) are zero, and the march starts there; a NaN row
+    counts as acting, so it still fails at its own step."""
     domain, tg = ftraj.domain, ftraj.tg
     dtq = tg.dt * apply_B(window, q)
-    k0 = int(np.argmax(dtq.any(axis=1)))
+    dtk = dtq.reshape((-1,) + dtq.shape[-2:])  # (k, N+1, n)
+    k0 = int(np.argmax(dtk.any(axis=(0, 2))))
     vsolve = get_operator(domain).solve
     dsolve = get_operator(domain, tg.dt * p.epsilon).solve
     N = tg.n_steps
     Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(k0, N))
     # zero-padded rows: the pads are the Dirichlet walls of D1
-    Mp, Vp = np.zeros((2, N + 1, domain.n_interior + 2))
+    Mp, Vp = np.zeros((2, len(dtk), N + 1, domain.n_interior + 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k0, N + 1):
-            mp, vp = Mp[k], Vp[k]
-            m, v = mp[1:-1], vp[1:-1]
-            v[:] = vsolve(m)
+            mp, vp = Mp[:, k], Vp[:, k]  # step k of every direction
+            m, v = mp[:, 1:-1], vp[:, 1:-1]
+            v[:] = vsolve(m.T).T
             if k == N:
                 break
             c = k - k0
-            rhs = (Bm[c] * m - Ad[c] * (mp[2:] - mp[:-2]) - Cd[c] * v
-                   + Ed[c] * (vp[2:] - vp[:-2]) + dtq[k])
-            Mp[k + 1, 1:-1] = dsolve(rhs)
-    bad = _first_nonfinite(Mp[1:])
+            rhs = (Bm[c] * m - Ad[c] * (mp[:, 2:] - mp[:, :-2]) - Cd[c] * v
+                   + Ed[c] * (vp[:, 2:] - vp[:, :-2]) + dtk[:, k])
+            Mp[:, k + 1, 1:-1] = dsolve(rhs.T).T
+    bad = _first_nonfinite(np.moveaxis(Mp, 1, 0)[1:])
     if bad is not None:
         raise NumericsError(f"tangent state lost finiteness at step {bad + 1}",
                             time_index=bad + 1)
-    return TangentState(Mp[:, 1:-1], Vp[:, 1:-1])
+    return TangentState(*(X[..., 1:-1].reshape(dtq.shape) for X in (Mp, Vp)))
 
 
 def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
@@ -277,7 +281,5 @@ def pairing_defect(ftraj: ForwardTrajectory, window: ControlWindow, q, source,
     adj = solve_adjoint_discrete(ftraj, source, p)
     lhs = inner_l2h(domain, tg, tan.m, source)
     rhs = inner_q0(window, q, adj.lam)
-    qn = norm_q0(window, q)
-    sn = norm_l2h(domain, tg, source)
-    denom = max(qn * sn, 1e-300)
-    return abs(lhs - rhs) / denom
+    denom = norm_q0(window, q) * norm_l2h(domain, tg, source)
+    return abs(lhs - rhs) / max(denom, 1e-300)

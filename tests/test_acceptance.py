@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import bump_control, solved_state, twin_problem
-from mchcontrol.grid import Domain1D, TimeGrid, d2, norm_h, norm_l2h
+from mchcontrol.grid import (Domain1D, TimeGrid, d2, norm_ct_h, norm_h,
+                            norm_l2h)
 from mchcontrol.helmholtz import get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward)
@@ -225,14 +226,17 @@ def test_c10_growth_constants_closed_form():
     dom = Domain1D(1.0, 7)
     tg = TimeGrid(1.0, 2)
     dev = 0.0
-    _, _, c1 = constants(dom, tg, np.zeros((3, 7)), ModelParams(epsilon=1.0))
+    _, _, c1 = constants(norm_ct_h(dom, tg, np.zeros((3, 7))), tg.T,
+                         ModelParams(epsilon=1.0))
     dev = max(dev, abs(c1 - 13.0))
     spike = np.zeros((3, 7))
     spike[0, 0] = math.sqrt(6.0 / dom.h)
-    _, c2, _ = constants(dom, tg, spike, ModelParams(epsilon=0.5))
+    _, c2, _ = constants(norm_ct_h(dom, tg, spike), tg.T,
+                         ModelParams(epsilon=0.5))
     dev = max(dev, abs(c2 - 1.0))
     spike[0, 0] = math.sqrt(1.0 / dom.h)
-    c0, _, _ = constants(dom, tg, spike, ModelParams(epsilon=1.0))
+    c0, _, _ = constants(norm_ct_h(dom, tg, spike), tg.T,
+                         ModelParams(epsilon=1.0))
     dev = max(dev, abs(c0 - 8.0625))
     _line(dev <= 1e-12, "growth constants",
           f"closed-form values 13, 1, 8.0625 reproduced, "

@@ -135,6 +135,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
              {"verify": {"n_hessian_samples": 0}}),
             ("verify", "verify.n_embed_samples",
              {"verify": {"n_embed_samples": 0}}),
+            # a sample stack past the 2**63 bytes an array can hold
+            ("verify", "verify.n_hessian_samples",
+             {"verify": {"n_hessian_samples": 2 ** 59}}),
+            ("verify", "verify.n_embed_samples",
+             {"verify": {"n_embed_samples": 2 ** 59}}),
             ("verify", "verify.smallness_C_eps",
              {"verify": {"smallness_C_eps": -0.5}}))):
         bad = write_cfg(tmp_path, f"bad{i}.json", **override)
@@ -288,18 +293,25 @@ def test_grid_spacing_out_of_float_range_exits_2(tmp_path, capsys, L):
 
 
 @pytest.mark.parametrize("grid", [{"time": {"n_steps": 10 ** 16}},
-                                  {"domain": {"n_interior": 10 ** 16}}],
-                         ids=["n_steps", "n_interior"])
+                                  {"domain": {"n_interior": 10 ** 16}},
+                                  {"time": {"n_steps": 2 ** 62}},
+                                  {"time": {"n_steps": 2 ** 63 - 1}}],
+                         ids=["n_steps", "n_interior", "n_steps_2**62",
+                              "n_steps_2**63-1"])
 def test_grid_past_the_address_space_exits_2(tmp_path, capsys, grid):
     """A grid whose node or frame coordinates cannot be allocated is a
-    config error for every command, not a traceback."""
+    config error for every command, not a traceback, and it names the
+    size and its value."""
     cfg = write_cfg(tmp_path, **grid)
+    [(section, sizes)] = grid.items()
+    [(key, value)] = sizes.items()
     for cmd in ("forward", "adjoint", "gradcheck", "optimize", "twin",
                 "verify"):
         assert run(cmd, cfg, tmp_path / cmd) == 2, cmd
         err = capsys.readouterr().err
         assert err.startswith(
-            "config error: the grid does not fit in memory: "), err
+            "config error: the grid does not fit in memory: "
+            f"{section}.{key} = {value}: "), err
         assert not (tmp_path / cmd).exists()
 
 

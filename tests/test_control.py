@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,19 +11,20 @@ import pytest
 from conftest import bump_control, solved_state, twin_problem
 from mchcontrol.errors import NumericsError, StabilityWarning
 from mchcontrol.grid import (Domain1D, TimeGrid, d1, d2,
-                             measure_embedding_constant, norm_wv, velocity)
+                             measure_embedding_constant, norm_ct_h, norm_wv,
+                             velocity)
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward,
                                 transport_terms)
 from mchcontrol.helmholtz import get_operator
 from mchcontrol import control
 from mchcontrol.config import build_problem_pieces, resolve_config
-from mchcontrol.runners import run_twin
+from mchcontrol.runners import run_twin, run_verify
 from mchcontrol.control import (TrackingProblem, OptimOptions, cost,
                                 reduced_gradient, optimize, lagrangian,
                                 backtrack_step,
                                 state_equation_residual,
-                                first_order_residuals,
+                                first_order_residuals, constants,
                                 lambda_bound_check, quadratic_form,
                                 coercivity_check)
 from mchcontrol.tangent_adjoint import solve_adjoint_continuous, solve_tangent
@@ -485,7 +487,7 @@ def test_checks_read_the_solved_state(twin_small, rng, monkeypatch):
         rep = coercivity_check(prob, st, np.random.default_rng(seed),
                                n_samples=3, n_embed_samples=3)
         return (first_order_residuals(prob, st),
-                lambda_bound_check(prob, st), rep.to_dict())
+                lambda_bound_check(prob, st, rep.c0), rep.to_dict())
 
     want = checks()
 
@@ -559,7 +561,10 @@ def test_problem_solve_warns_like_a_fresh_march():
 
 def test_lambda_bound_structure(twin_small):
     prob, om_true = twin_small
-    out = lambda_bound_check(prob, solved_state(prob, 0.5 * om_true))
+    st = solved_state(prob, 0.5 * om_true)
+    c0, _, _ = constants(norm_ct_h(prob.domain, prob.tg, st.ftraj.y),
+                         prob.tg.T, prob.model)
+    out = lambda_bound_check(prob, st, c0)
     assert set(out) == {"lhs", "rhs", "passed", "c0"}
     assert out["lhs"] >= 0.0 and out["rhs"] > 0.0
     assert out["passed"]
@@ -585,6 +590,58 @@ def test_quadratic_form_zero_multiplier(rng):
         assert parts["b_integral"] == 0.0
         xnorm2 = parts["m_wv_sq"] + norm_q0(w, q) ** 2
         assert total >= min(1.0, prob.delta) * xnorm2 * (1.0 - 1e-8)
+
+
+def test_quadratic_form_stack_matches_per_direction(twin_small, rng):
+    """One value per direction of a stack, each part within 1e-14 of the
+    direction's own call."""
+    prob, om_true = twin_small
+    st = solved_state(prob, 0.5 * om_true)
+    w = prob.window
+    Q = np.stack([w.random_control(rng) for _ in range(4)]
+                 + [bump_control(w, 1.0)])
+    total, parts = quadratic_form(prob, Q, st.ftraj, st.adjoint)
+    assert total.shape == (5,)
+    for i, q in enumerate(Q):
+        one, one_parts = quadratic_form(prob, q, st.ftraj, st.adjoint)
+        assert type(one) is float
+        assert set(one_parts) == set(parts)
+        for key, val in one_parts.items():
+            assert abs(parts[key][i] - val) <= 1e-14 * abs(val), key
+
+
+def test_coercivity_check_marches_once(twin_small, rng, monkeypatch):
+    """All sampled directions go through one tangent march, as a stack."""
+    prob, om_true = twin_small
+    st = solved_state(prob, 0.5 * om_true)
+    shapes = []
+
+    def counted(ftraj, window, q, p):
+        shapes.append(np.shape(q))
+        return solve_tangent(ftraj, window, q, p)
+
+    monkeypatch.setattr(control, "solve_tangent", counted)
+    rep = coercivity_check(prob, st, rng, n_samples=7, n_embed_samples=2)
+    assert shapes == [(7,) + prob.window.shape]
+    assert rep.n_samples == 7
+
+
+def test_verify_computes_each_estimate_once(tmp_path, monkeypatch):
+    """One verify evaluates the growth constants, and the C(H) norm of the
+    state they are built from, once."""
+    calls = Counter()
+    for name in ("constants", "norm_ct_h"):
+        def counted(*args, _fn=getattr(control, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(control, name, counted)
+    cfg = resolve_config({
+        "domain": {"L": 2.0, "n_interior": 24},
+        "time": {"T": 0.5, "n_steps": 60},
+        "model": {"epsilon": 0.1, "k": 0.4},
+        "control": {"kind": "bump", "amplitude": 0.6}})
+    assert run_verify(cfg, tmp_path) == 0
+    assert calls == {"constants": 1, "norm_ct_h": 1}
 
 
 def test_quadratic_form_scaling(twin_small):

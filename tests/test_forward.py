@@ -120,6 +120,27 @@ def test_q0_pairing_on_window_block(rng, box):
         rel=1e-13)
 
 
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["stack", "stack2d"])
+def test_control_stack_matches_per_control(rng, lead):
+    """apply_B, inner_q0, norm_q0 and inner_block take a stack of controls
+    (..., N+1, n) and give each control its own value bit for bit; one
+    control still gives Python floats."""
+    dom = Domain1D(2.0, 16)
+    tg = TimeGrid(1.0, 10)
+    w = ControlWindow(dom, tg, 0.3, 1.45, 0.2, 0.8)
+    P, Q = rng.standard_normal((2,) + lead + w.shape)
+    blk = (..., *w.block)
+    bq, ip, nq = apply_B(w, Q), inner_q0(w, P, Q), norm_q0(w, Q)
+    ib = inner_block(w, P[blk], Q[blk])
+    for idx in np.ndindex(lead):
+        assert bq[idx].tobytes() == apply_B(w, Q[idx]).tobytes()
+        one = inner_q0(w, P[idx], Q[idx])
+        assert type(one) is float and type(norm_q0(w, Q[idx])) is float
+        assert ip[idx] == one == inner_block(w, P[idx][blk], Q[idx][blk])
+        assert ib[idx] == one
+        assert nq[idx] == norm_q0(w, Q[idx])
+
+
 def test_zero_data_zero_trajectory(small_setup):
     dom, tg, p, window, _ = small_setup
     ft = solve_forward(dom, tg, p, np.zeros(dom.n_interior))

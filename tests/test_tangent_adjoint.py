@@ -176,6 +176,39 @@ def test_nan_direction_row_fails_at_next_step(j):
     assert exc.value.time_index == j + 1
 
 
+def test_tangent_stack_matches_per_direction(rng):
+    """A stack of directions marches as one: each direction's m and v are
+    its own march's bit for bit, a zero direction and one that starts
+    later (the bump vanishes at t0) among them, and leading axes keep
+    their shape."""
+    dom, tg, p, w, ft = setup()
+    Q = np.stack([w.random_control(rng), w.zero_control(), bump_control(w),
+                  w.random_control(rng)])
+    tan = solve_tangent(ft, w, Q, p)
+    assert tan.m.shape == tan.v.shape == Q.shape
+    for q, m, v in zip(Q, tan.m, tan.v):
+        one = solve_tangent(ft, w, q, p)
+        assert m.tobytes() == one.m.tobytes()
+        assert v.tobytes() == one.v.tobytes()
+    square = solve_tangent(ft, w, Q.reshape((2, 2) + w.shape), p)
+    assert square.m.tobytes() == tan.m.tobytes()
+    assert square.v.tobytes() == tan.v.tobytes()
+
+
+@pytest.mark.parametrize("j", [15, 30, 44])
+def test_nan_in_one_direction_of_a_stack(rng, j):
+    """A NaN row in one direction of a stack fails the stacked march at
+    the step where that direction's own march fails."""
+    dom, tg, p, w, ft = setup()
+    Q = np.stack([w.random_control(rng) for _ in range(3)])
+    Q[1, j, 12] = np.nan
+    with pytest.raises(NumericsError) as own:
+        solve_tangent(ft, w, Q[1], p)
+    with pytest.raises(NumericsError) as stacked:
+        solve_tangent(ft, w, Q, p)
+    assert stacked.value.time_index == own.value.time_index == j + 1
+
+
 def test_nan_final_source_fails_at_first_backward_frame(rng):
     dom, tg, p, w, ft = setup()
     source = rng.standard_normal(ft.y.shape)
