@@ -175,35 +175,42 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     n, N, dt, h2 = domain.n_interior, tg.n_steps, tg.dt, 2.0 * domain.h
     omega = (np.zeros((N + 1, n)) if omega is None
              else as_trajectory(domain, tg, omega))
-    vsolve = get_operator(domain).solve
-    dsolve = get_operator(domain, dt * p.epsilon).solve
+    vsolve = get_operator(domain).solve_in_place
+    dsolve = get_operator(domain, dt * p.epsilon).solve_in_place
     Yp, Up = np.zeros((2, N + 1, n + 2))
+    Y, U = Yp[:, 1:-1], Up[:, 1:-1]
     UX = np.empty((N + 1, n))
     S = np.empty_like(UX)  # u^2 - u_x^2: transport speed and CFL input
     k0 = 0 if head is None else len(head.y) - 1
     if k0 and not omega[:k0].any():
-        Yp[:k0 + 1, 1:-1], Up[:k0 + 1, 1:-1] = head.y, head.u
+        Y[:k0 + 1], U[:k0 + 1] = head.y, head.u
         UX[:k0] = head.ux[:k0]
         u, ux = head.u[:k0], head.ux[:k0]
         np.subtract(u * u, ux * ux, out=S[:k0])
     else:
         k0 = 0
-        Yp[0, 1:-1] = y0
-        Up[0, 1:-1] = vsolve(y0)
+        Y[0] = U[0] = y0
+        vsolve(U[0])
+    c, dt2, dtk = dt / h2, 2.0 * dt, dt * p.k
+    w, w2 = np.empty((2, n))  # work rows of a step
+    mul, sub, add = np.multiply, np.subtract, np.add
+    # rows of steps k0..N-1, each writing frame k+1 in place
+    rows = zip(Y[k0:N], U[k0:N], UX[k0:N], S[k0:N], omega[k0:N],
+               Yp[k0:N, 2:], Yp[k0:N, :-2], Up[k0:N, 2:], Up[k0:N, :-2],
+               Y[k0 + 1:], U[k0 + 1:])
     # blow-up is reported as NumericsError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k0, N + 1):
-            yp, up = Yp[k], Up[k]
-            y, u = yp[1:-1], up[1:-1]
-            ux = np.divide(up[2:] - up[:-2], h2, out=UX[k])
-            if k == N:
-                break
-            s = np.subtract(u * u, ux * ux, out=S[k])
-            rhs = (y + dt * omega[k] - (dt / h2) * s * (yp[2:] - yp[:-2])
-                   - ((2.0 * dt) * y * y + dt * p.k) * ux)
-            y = Yp[k + 1, 1:-1]
-            y[:] = dsolve(rhs)
-            Up[k + 1, 1:-1] = vsolve(y)
+        for y, u, ux, s, om, yr, yl, ur, ul, y1, u1 in rows:
+            np.divide(sub(ur, ul, ux), h2, ux)
+            sub(mul(u, u, s), mul(ux, ux, w), s)
+            # y1 = (y + dt*om - (c*s)*(yr - yl)) - ((dt2*y)*y + dtk)*ux
+            add(y, mul(dt, om, y1), y1)
+            sub(y1, mul(mul(c, s, w), sub(yr, yl, w2), w), y1)
+            sub(y1, mul(add(mul(mul(dt2, y, w), y, w), dtk, w), ux, w), y1)
+            dsolve(y1)
+            u1[...] = y1
+            vsolve(u1)
+        np.divide(Up[N, 2:] - Up[N, :-2], h2, out=UX[N])
     bad = _first_nonfinite(Yp[1:])
     if bad is not None:
         bad += 1
@@ -211,8 +218,7 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
         raise NumericsError(f"forward state lost finiteness at step {bad}/{N}",
                             time_index=bad)
     _warn_cfl(domain, tg, S[:N])
-    return ForwardTrajectory(domain, tg, Yp[:, 1:-1],
-                             Up[:, 1:-1], UX)
+    return ForwardTrajectory(domain, tg, Y, U, UX)
 
 
 def dirichlet_modes(domain: Domain1D, n_modes: int) -> np.ndarray:

@@ -6,7 +6,9 @@ Both implicit operators of the scheme are this family: the Helmholtz map
 implicit-diffusion step is c = dt*eps. Each is factored once as LDL^T
 (LAPACK pttrf) and cached per grid and shift; every solve is one pttrs call
 on a 1-D field or on an (n, k) stack of right-hand sides, so the solve is
-its own transpose.
+its own transpose. solve_frames, and solve by default, leave the right-hand
+side untouched; solve_in_place, which the step loops call, writes the
+solution over it, so a march solves each new frame where it is stored.
 """
 
 from __future__ import annotations
@@ -31,11 +33,21 @@ class ShiftedLaplacianSolver:
             raise ValueError(f"pttrf failed with info={info}")
         self._d, self._e = d, e
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
         """Solve for an (n,) field or an (n, k) array of k right-hand sides;
         checks neither shape nor finiteness, and a non-finite right-hand
-        side comes back non-finite."""
-        return dpttrs(self._d, self._e, b)[0]
+        side comes back non-finite. b is left as it is unless overwrite_b,
+        which lets LAPACK solve in b's memory where its layout allows."""
+        return dpttrs(self._d, self._e, b, overwrite_b=overwrite_b)[0]
+
+    def solve_in_place(self, b: np.ndarray) -> np.ndarray:
+        """solve, with the solution written into b and b returned: in b's
+        own memory for a contiguous field or an F-ordered (n, k) stack, and
+        copied back for a strided one, on which LAPACK works on a copy."""
+        x = self.solve(b, True)
+        if x is not b:
+            b[...] = x
+        return b
 
     def solve_frames(self, y) -> np.ndarray:
         """Solve for a field or a stack of frames (..., n), every frame a

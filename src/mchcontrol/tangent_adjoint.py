@@ -152,26 +152,34 @@ def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams,
     the continuous one on dt * source with last = 1.
     """
     domain, tg = ftraj.domain, ftraj.tg
-    ksolve = get_operator(domain).solve
-    dsolve = get_operator(domain, tg.dt * p.epsilon).solve
+    ksolve = get_operator(domain).solve_in_place
+    dsolve = get_operator(domain, tg.dt * p.epsilon).solve_in_place
     N = tg.n_steps
     lam = np.zeros_like(source)
     # zero-padded work rows: the pads are the Dirichlet walls of D1
     pa, pe = np.zeros((2, domain.n_interior + 2))
+    pa_in, pa_r, pa_l = pa[1:-1], pa[2:], pa[:-2]
+    pe_in, pe_r, pe_l = pe[1:-1], pe[2:], pe[:-2]
+    w, w2 = np.empty((2, domain.n_interior))  # work rows of a step
+    mul, sub, add = np.multiply, np.subtract, np.add
     top, psi = (N - 1, lam[N - 1]) if resume is None else resume
-    # T_k for k = stop+1..top, at index k - stop - 1
-    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(stop + 1, top + 1))
+    # T_k for k = stop+1..top; the rows run backward, step k writing frame
+    # k-1 in place
+    coeffs = _step_coefficients(ftraj, p.k, slice(stop + 1, top + 1))
+    rows = zip(*coeffs[:, ::-1], source[stop + 1:top + 1][::-1],
+               lam[stop:top][::-1])
     with np.errstate(over="ignore", invalid="ignore"):
         if resume is None:
-            psi[:] = dsolve(last * source[N])
-        for k in range(top, stop, -1):
-            c = k - stop - 1
-            np.multiply(Ad[c], psi, out=pa[1:-1])
-            np.multiply(Ed[c], psi, out=pe[1:-1])
-            rhs = (Bm[c] * psi + (pa[2:] - pa[:-2])
-                   - ksolve(Cd[c] * psi + (pe[2:] - pe[:-2])) + source[k])
-            psi = lam[k - 1]
-            psi[:] = dsolve(rhs)
+            dsolve(mul(last, source[N], psi))
+        for a, b, c, e, src, lam1 in rows:
+            # lam1 = ((b*psi + D(a*psi)) - K(c*psi + D(e*psi))) + src, with
+            # D the padded difference pa[2:] - pa[:-2]
+            mul(a, psi, pa_in)
+            mul(e, psi, pe_in)
+            ksolve(add(mul(c, psi, w), sub(pe_r, pe_l, w2), w))
+            add(mul(b, psi, lam1), sub(pa_r, pa_l, w2), lam1)
+            add(sub(lam1, w, lam1), src, lam1)
+            psi = dsolve(lam1)
     return lam
 
 

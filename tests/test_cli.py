@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import pytest
@@ -172,6 +173,24 @@ def test_gradcheck_pass_and_sabotage(tmp_path):
     assert rep["passed"] is False
 
 
+def test_gradcheck_memory_does_not_grow_with_directions(tmp_path):
+    """gradcheck keeps one direction, the Taylor test's, however many it
+    checks: its peak at 12 directions is within one lattice of its peak at
+    2 (a kept direction per check would add 10)."""
+    lattice = 241 * 24 * 8
+    peaks = []
+    for count in (2, 12):
+        cfg = write_cfg(tmp_path, f"g{count}.json", time={"n_steps": 240},
+                        gradcheck={"n_directions": count})
+        tracemalloc.start()
+        try:
+            assert run("gradcheck", cfg, tmp_path / f"g{count}") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < lattice
+
+
 def test_optimize_and_twin(tmp_path):
     cfg = write_cfg(tmp_path, cost={"z_d": "twin"},
                     optimizer={"tol_g": 1e-5, "max_iters": 60})
@@ -337,15 +356,42 @@ def test_twin_zero_control_trivial(tmp_path):
     assert twin["n_iters"] == 0
 
 
-def test_blowup_exits_3(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, model={"epsilon": 1e-4},
-                    initial={"coefficients": [60.0]},
-                    control={"kind": "zero"})
+# (overrides, command, exit code, failing step or None); the steps are those
+# of the indexed step loops on this config, which the in-place loops keep
+BLOWUPS = {
+    "stiff-large-state": ({"model": {"epsilon": 1e-4},
+                           "initial": {"coefficients": [60.0]},
+                           "control": {"kind": "zero"}}, "forward", 3, 6),
+    "amplitude-1e300": ({"control": {"amplitude": 1e300}}, "forward", 3, 18),
+    "T-1e300": ({"time": {"T": 1e300}}, "forward", 3, 37),
+    "k-1e308": ({"model": {"k": 1e308}}, "forward", 3, 2),
+    "coefficient-1e308": ({"initial": {"coefficients": [1e308, 0.1]}},
+                          "forward", 3, 1),
+    "T-1e-300": ({"time": {"T": 1e-300}}, "forward", 0, None),
+    "delta-1e300": ({"cost": {"delta": 1e300}}, "twin", 1, None),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOWUPS))
+def test_blowup_exits_3(tmp_path, capsys, case):
+    """Overflow fails with exit 3 at its step; a float field near the end
+    of the range that does not overflow exits 0, or 1 with the optimizer's
+    stop reason; none leaves a traceback."""
+    overrides, command, code, step = BLOWUPS[case]
+    cfg = write_cfg(tmp_path, **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = run("forward", cfg, tmp_path / "o")
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+        got = run(command, cfg, tmp_path / "o")
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    if step is not None:
+        assert ("numerical failure: forward state lost finiteness at step "
+                f"{step}/60") in err
+    if command == "twin":
+        twin = json.loads((tmp_path / "o" / "twin.json").read_text())
+        assert twin["converged"] is False
+        assert twin["message"].startswith("line search stalled at iter 1")
 
 
 def test_unusable_out_path_exits_2(tmp_path, capsys):

@@ -195,11 +195,13 @@ STACK_AWARE = {
 }
 
 
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["frames", "trajectories"])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)],
+                         ids=["frames", "trajectories", "stack2d"])
 @pytest.mark.parametrize("name", sorted(STACK_AWARE))
 def test_stack_matches_per_frame(name, lead, rng):
-    """A stack (N+1, n) or (k, N+1, n) gives each frame's (or each
-    trajectory's) own value, and one field still gives Python floats."""
+    """A stack (N+1, n), (k, N+1, n) or (j, k, N+1, n) gives each frame's
+    (or each trajectory's) own value bit for bit, and one field still gives
+    Python floats."""
     dom = Domain1D(1.3, 19)
     tg = TimeGrid(0.6, 12)
     fn, core = STACK_AWARE[name]
@@ -214,5 +216,4 @@ def test_stack_matches_per_frame(name, lead, rng):
         assert len(one) == len(whole)
         for w, o in zip(whole, one):
             assert np.ndim(o) > 0 or type(o) is float
-            err = np.max(np.abs(np.asarray(w)[idx] - o))
-            assert err <= 1e-13 * np.max(np.abs(o))
+            assert np.asarray(w)[idx].tobytes() == np.asarray(o).tobytes()

@@ -85,6 +85,29 @@ def test_multi_rhs_solve_matches_column_solves(rng, c):
             assert np.array_equal(X[idx], s.solve(stack[idx]))
 
 
+@pytest.mark.parametrize("c", [1.0, 0.8 / 240 * 0.08])
+def test_solve_in_place(rng, c):
+    """LAPACK solves a contiguous field and an F-ordered (n, k) stack in
+    their own memory, and a strided stack on a copy that solve_in_place
+    copies back; each result is solve's bit for bit, and solve leaves its
+    input as it was."""
+    s = get_operator(Domain1D(2.0, 48), c)
+    padded = rng.standard_normal((9, 50))
+    walls = padded[:, [0, -1]].copy()
+    cases = {"row": (padded[3, 1:-1], True),
+             "F stack": (np.asfortranarray(padded[:, 1:-1].T), True),
+             "strided stack": (padded[:, 1:-1].T, False)}
+    for name, (b, own_memory) in cases.items():
+        before = b.copy()
+        want = s.solve(b)
+        assert np.array_equal(b, before), name
+        assert np.shares_memory(s.solve(b, True), b) == own_memory, name
+        b[...] = before
+        assert s.solve_in_place(b) is b, name
+        assert b.tobytes() == want.tobytes(), name
+    assert np.array_equal(padded[:, [0, -1]], walls)
+
+
 def test_velocity_identity(rng):
     dom = Domain1D(2.0, 40)
     y = rng.standard_normal(40)
