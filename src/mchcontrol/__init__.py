@@ -21,8 +21,7 @@ from .control import (TrackingProblem, OptimOptions, OptimState, cost,
                       reduced_gradient, optimize, lagrangian,
                       first_order_residuals, constants, quadratic_form,
                       coercivity_check, SecondOrderReport)
-from .analysis import (EstimateReport, energy_identity, momentum_identity,
-                       smallness_margin)
+from .analysis import EstimateReport, energy_identity, momentum_identity
 from .config import resolve_config, load_config, config_hash
 
 __version__ = "0.1.0"
@@ -39,7 +38,6 @@ __all__ = [
     "reduced_gradient", "optimize", "lagrangian", "first_order_residuals",
     "constants", "quadratic_form", "coercivity_check", "SecondOrderReport",
     "EstimateReport", "energy_identity", "momentum_identity",
-    "smallness_margin",
     "resolve_config", "load_config", "config_hash",
     "__version__",
 ]

@@ -1,9 +1,8 @@
 """Numerical verification of the a-priori estimates: per-step energy
-identity, momentum-velocity norm identity, and the small-data margin.
+identity and momentum-velocity norm identity.
 
 Every function here is a pure evaluation returning series or reports;
-nothing raises on a failed inequality. The one constant the theory leaves
-existential, the small-data C_eps, is caller-configurable.
+nothing raises on a failed inequality.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import ControlWindow, ForwardTrajectory, apply_B
-from .grid import (Domain1D, TimeGrid, _per_frame, as_field, as_trajectory,
-                   grad_norm_sq, inner_h, norm_h_sq, norm_vstar_sq,
-                   velocity, wall_slopes)
+from .forward import ForwardTrajectory
+from .grid import (Domain1D, _per_frame, as_trajectory, grad_norm_sq,
+                   inner_h, norm_h_sq, velocity, wall_slopes)
 
 
 @dataclass
@@ -28,23 +26,20 @@ class EstimateReport:
     rhs: float
     margin: float
     passed: bool
-    meta: dict
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def make_report(name: str, lhs: float, rhs: float,
-                meta: dict = None) -> EstimateReport:
+def make_report(name: str, lhs: float, rhs: float) -> EstimateReport:
     margin = rhs - lhs
     return EstimateReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                          margin=float(margin), passed=bool(margin >= 0),
-                          meta=meta or {})
+                          margin=float(margin), passed=bool(margin >= 0))
 
 
 def growth(f, x: float) -> float:
     """A growth factor f(x), such as math.exp(x), or inf past the float
-    range; only soft checks read the constants built from it."""
+    range: a soft check reports it, and a hard check raises on it."""
     try:
         return f(x)
     except OverflowError:
@@ -104,22 +99,3 @@ def momentum_identity(domain: Domain1D, y):
     relerr = np.abs(lhs - rhs) / np.maximum(lhs, np.finfo(float).tiny)
     return lhs, rhs, _per_frame(relerr)
 
-
-def smallness_margin(domain: Domain1D, tg: TimeGrid, window: ControlWindow,
-                     y0, omega, C_eps: float) -> EstimateReport:
-    """Small-data condition: ||y0||_H^2 + C_eps T ||B omega||^2_{L2(V*)}
-    against (exp(2 C_eps T) - 1)^(-1/2); advisory only.
-
-    C_eps -> 0 sends the right side to infinity, so tiny constants always
-    pass; the left-endpoint rule matches the control quadrature.
-    """
-    if C_eps < 0:
-        raise ValueError("smallness_margin: C_eps must be nonnegative")
-    y0 = as_field(domain, y0)
-    bq = apply_B(window, omega)
-    force = tg.dt * float(np.sum(norm_vstar_sq(domain, bq[:-1])))
-    lhs = norm_h_sq(domain, y0) + C_eps * tg.T * force
-    grow = growth(math.expm1, 2.0 * C_eps * tg.T)
-    rhs = math.inf if grow <= 0 else 1.0 / math.sqrt(grow)
-    return make_report("smallness", lhs, rhs,
-                       meta={"C_eps": C_eps, "forcing_dual_sq": force})

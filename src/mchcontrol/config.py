@@ -86,7 +86,6 @@ SCHEMA = {
     "verify": {
         "n_hessian_samples": (_INT, 20, AT_LEAST_1),
         "n_embed_samples": (_INT, 16, AT_LEAST_1),
-        "smallness_C_eps": (_NUM, 1.0, NONNEGATIVE),
     },
     "seed": (_ANY_INT, 12345, NONNEGATIVE),
     "output": {

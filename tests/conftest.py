@@ -14,6 +14,21 @@ from mchcontrol.forward import (ModelParams, ControlWindow, solve_forward,
 from mchcontrol.control import OptimOptions, TrackingProblem, optimize
 
 
+# finite states whose verify threshold passes the float range: max|y|**3
+# scales weak_residual's and max(E)**2 energy_identity's
+HUGE_STATES = {
+    "weak_residual": {"domain": {"L": 2.0, "n_interior": 3},
+                      "time": {"T": 0.5, "n_steps": 5},
+                      "model": {"epsilon": 0.1, "k": 0.4},
+                      "initial": {"coefficients": [20.0]}},
+    "energy_identity": {"domain": {"L": 2.0, "n_interior": 4},
+                        "time": {"T": 0.5, "n_steps": 7},
+                        "model": {"epsilon": 0.1, "k": 0.4},
+                        "cost": {"z_d": "uncontrolled"},
+                        "initial": {"coefficients": [0.0, 8.0]}},
+}
+
+
 def bump_control(window: ControlWindow, amplitude: float = 0.8) -> np.ndarray:
     """Smooth space-time bump supported inside the window."""
     dom, tg = window.domain, window.tg

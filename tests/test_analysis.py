@@ -8,8 +8,7 @@ from mchcontrol.grid import Domain1D, TimeGrid, d1
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward)
 from mchcontrol.analysis import (EstimateReport, make_report, energy_series,
-                                 energy_identity, momentum_identity,
-                                 smallness_margin)
+                                 energy_identity, momentum_identity)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +31,8 @@ def test_make_report_semantics():
     # the boundary passes: a check holds when its margin is exactly 0
     assert make_report("x", 0.5, 0.5).passed
     d = rep.to_dict()
-    assert d["name"] == "x" and d["meta"] == {}
+    assert d == {"name": "x", "lhs": 1.0, "rhs": 0.5, "margin": -0.5,
+                 "passed": False}
 
 
 def test_energy_series_formula(free_run):
@@ -112,14 +112,3 @@ def test_momentum_identity_zero_field():
     dom = Domain1D(2.0, 16)
     lhs, rhs, relerr = momentum_identity(dom, np.zeros(16))
     assert lhs == 0.0 and rhs == 0.0 and relerr == 0.0
-
-
-def test_smallness_margin_cases(small_setup):
-    dom, tg, _, window, y0 = small_setup
-    omega = bump_control(window, 0.6)
-    rep = smallness_margin(dom, tg, window, y0, omega, C_eps=0.0)
-    assert rep.rhs == math.inf and rep.passed
-    big = smallness_margin(dom, tg, window, 3.0 * y0 + 1.0, omega, C_eps=2.0)
-    assert not big.passed
-    with pytest.raises(ValueError):
-        smallness_margin(dom, tg, window, y0, omega, C_eps=-1.0)

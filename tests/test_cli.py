@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from conftest import HUGE_STATES
 from mchcontrol import cli
 from mchcontrol.cli import main
 
@@ -226,13 +227,32 @@ def test_verify_passes_and_prints_table(tmp_path, capsys):
     assert "helmholtz_round_trip" in names
     assert "gradient_vs_fd" in names
     assert all(c["passed"] for c in report["hard"])
-    # only estimates that can fail are reported, each computed once
-    assert [c["name"] for c in report["soft"]] == [
-        "smallness", "multiplier_energy_bound", "tangent_kernel_bound"]
     so = report["second_order"]
-    assert report["soft"][2]["lhs"] == so["kernel_bound_ratio"]
-    assert not [k for k in so
-                if k.startswith("lambda_bound_") or k == "kernel_bound_pass"]
+    assert report["soft"][1]["lhs"] == so["kernel_bound_ratio"]
+
+
+def test_verify_report_keys(tmp_path):
+    """verify.json holds exactly these fields: only estimates that can
+    fail are reported, each computed once."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "o"
+    assert run("verify", cfg, out) == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert set(report) == {"schema_version", "config_sha256", "command",
+                           "hard", "soft", "first_order", "second_order",
+                           "optimizer", "passed"}
+    assert {frozenset(c) for c in report["hard"] + report["soft"]} == {
+        frozenset({"name", "lhs", "rhs", "margin", "passed"})}
+    assert [c["name"] for c in report["soft"]] == [
+        "multiplier_energy_bound", "tangent_kernel_bound"]
+    assert set(report["first_order"]) == {
+        "state_residual", "adjoint_residual", "adjoint_residual_rel"}
+    assert set(report["second_order"]) == {
+        "c0", "c1", "c2", "c_embed", "kappa1", "kappa2", "n_samples",
+        "empirical_min_ratio", "kernel_bound_ratio", "cond1_lhs",
+        "cond1_rhs", "cond1_pass", "cond2_lhs", "cond2_rhs", "cond2_pass"}
+    assert set(report["optimizer"]) == {"converged", "n_iters", "J_final",
+                                        "grad_norm_final"}
 
 
 def test_verify_determinism(tmp_path):
@@ -259,29 +279,20 @@ def test_verify_zero_data(tmp_path):
     assert run("verify", cfg, tmp_path / "o") == 0
 
 
-@pytest.mark.parametrize("overrides, report_key, want", [
-    ({"model": {"epsilon": 1e-5}}, "second_order",
-     {"c1": "inf", "kappa1": "-inf", "kappa2": "-inf"}),
-    # eps^2 underflows to 0, so 4/eps^2 reads inf
-    ({"model": {"epsilon": 1e-200}}, "second_order",
-     {"c1": "inf", "kappa1": "-inf", "kappa2": "-inf"}),
-    ({"verify": {"smallness_C_eps": 1000}}, "soft",
-     {"name": "smallness", "rhs": 0.0, "passed": False}),
-], ids=["epsilon-1e-5", "epsilon-1e-200", "smallness-C_eps-1000"])
-def test_verify_reports_overflowing_constants(tmp_path, capsys, overrides,
-                                              report_key, want):
+# eps^2 underflows to 0 at 1e-200, so 4/eps^2 reads inf there
+@pytest.mark.parametrize("epsilon", [1e-5, 1e-200],
+                         ids=["epsilon-1e-5", "epsilon-1e-200"])
+def test_verify_reports_overflowing_constants(tmp_path, capsys, epsilon):
     """A growth factor past the float range reads inf: only soft checks
     read it, so verify passes instead of leaving with a traceback."""
-    cfg = write_cfg(tmp_path, **overrides)
+    cfg = write_cfg(tmp_path, model={"epsilon": epsilon})
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run("verify", cfg, out) == 0
     assert capsys.readouterr().out.endswith("VERIFY PASS\n")
-    got = json.loads((out / "verify.json").read_text())[report_key]
-    if report_key == "soft":
-        got = got[0]
-    assert {k: got[k] for k in want} == want
+    so = json.loads((out / "verify.json").read_text())["second_order"]
+    assert (so["c1"], so["kappa1"], so["kappa2"]) == ("inf", "-inf", "-inf")
 
 
 def test_verify_survives_overflowing_epsilon_square(tmp_path, capsys):
@@ -369,6 +380,12 @@ BLOWUPS = {
                           "forward", 3, 1),
     "T-1e-300": ({"time": {"T": 1e-300}}, "forward", 0, None),
     "delta-1e300": ({"cost": {"delta": 1e300}}, "twin", 1, None),
+    "fd_step-1e300": ({"gradcheck": {"fd_step": 1e300}}, "gradcheck", 3, 17),
+    "taylor_steps-1e300": ({"gradcheck": {"taylor_steps": [1e300, 1e-3]}},
+                           "gradcheck", 3, 17),
+    # the difference quotient reads 0, so the gradient check fails
+    "fd_step-1e-300": ({"gradcheck": {"fd_step": 1e-300}}, "gradcheck", 1,
+                       None),
 }
 
 
@@ -376,7 +393,7 @@ BLOWUPS = {
 def test_blowup_exits_3(tmp_path, capsys, case):
     """Overflow fails with exit 3 at its step; a float field near the end
     of the range that does not overflow exits 0, or 1 with the optimizer's
-    stop reason; none leaves a traceback."""
+    stop reason or a failed gradient check; none leaves a traceback."""
     overrides, command, code, step = BLOWUPS[case]
     cfg = write_cfg(tmp_path, **overrides)
     with warnings.catch_warnings():
@@ -392,6 +409,24 @@ def test_blowup_exits_3(tmp_path, capsys, case):
         twin = json.loads((tmp_path / "o" / "twin.json").read_text())
         assert twin["converged"] is False
         assert twin["message"].startswith("line search stalled at iter 1")
+    if command == "gradcheck" and code == 1:
+        rep = json.loads((tmp_path / "o" / "gradcheck.json").read_text())
+        assert rep["max_rel_error"] == 1.0
+
+
+@pytest.mark.parametrize("check", list(HUGE_STATES))
+def test_verify_threshold_past_float_range_exits_3(tmp_path, capsys, check):
+    """A hard check whose threshold does not fit in a float gives no
+    verdict (an inf one would pass any lhs): exit 3, naming the check,
+    where forward on the same config exits 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(HUGE_STATES[check]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run("forward", cfg, tmp_path / "f") == 0
+        assert run("verify", cfg, tmp_path / "o") == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: {check}: threshold past the float range\n")
 
 
 def test_unusable_out_path_exits_2(tmp_path, capsys):

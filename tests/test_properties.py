@@ -1,14 +1,19 @@
 """Property tests of the extension operator B on random small grids and
 windows (windows that end at T and windows that span [0, L] are drawn too),
-and of resolve_config on boundary values in random schema fields."""
+of resolve_config on boundary values in random schema fields, and of the
+command-line exit contract on small configs with boundary floats."""
 
 import json
 import math
+import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import HUGE_STATES
+from mchcontrol import cli
 from mchcontrol.config import SCHEMA, resolve_config
 from mchcontrol.errors import ConfigError
 from mchcontrol.forward import (ControlWindow, ModelParams, apply_B,
@@ -145,3 +150,49 @@ def test_resolve_config_resolves_or_raises_config_error(fields):
     for section, key in (path for path in FIELDS if len(path) == 2):
         if SCHEMA[section][key][0] == (int,):
             assert -2 ** 63 <= cfg[section][key] < 2 ** 63, (section, key)
+
+
+# the float fields a command reads as a size, a scale or a step; each is
+# drawn from the boundary floats or left at SMALL_CONFIG's value or default
+EDGE_FLOATS = [5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e300, -1.0, -1e300, 0.0]
+FLOAT_FIELDS = [("domain", "L"), ("time", "T"), ("model", "epsilon"),
+                ("model", "k"), ("control", "amplitude"), ("cost", "delta"),
+                ("gradcheck", "fd_step"), ("window", "a"), ("window", "b"),
+                ("window", "t0"), ("window", "t1")]
+
+
+@st.composite
+def small_configs(draw):
+    """A config on n <= 12 interior nodes and N <= 12 steps."""
+    raw = json.loads(json.dumps(SMALL_CONFIG))
+    raw["domain"]["n_interior"] = draw(st.integers(3, 12))
+    raw["time"]["n_steps"] = draw(st.integers(1, 12))
+    raw["initial"] = {"coefficients": draw(st.sampled_from(
+        [[0.3, 0.1], [50.0], [0.0, 8.0], [20.0], [0.0]]))}
+    raw["control"] = {"kind": draw(st.sampled_from(["zero", "bump",
+                                                    "random"]))}
+    raw["cost"] = {"z_d": draw(st.sampled_from(["zero", "uncontrolled",
+                                                "twin"]))}
+    fields = draw(st.dictionaries(st.sampled_from(FLOAT_FIELDS),
+                                  st.sampled_from(EDGE_FLOATS), max_size=3))
+    for (section, key), value in fields.items():
+        raw.setdefault(section, {})[key] = value
+    return raw
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from(sorted(cli._COMMANDS)), small_configs())
+# each of these left verify with an OverflowError traceback
+@example("verify", HUGE_STATES["weak_residual"])
+@example("verify", HUGE_STATES["energy_identity"])
+def test_cli_exits_by_its_contract(command, raw):
+    """Every command on a small config with boundary floats returns an
+    exit code in 0-3 and raises nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as f:
+            json.dump(raw, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main([command, "--config", path, "--out", f"{tmp}/o"])
+    assert code in (0, 1, 2, 3)
