@@ -388,7 +388,7 @@ def lambda_bound_check(problem: TrackingProblem, state: OptimState,
     src = math.sqrt(float(tg.weights @ norm_vstar_sq(domain, source)))
     rhs = (4.0 / (3.0 * problem.model.epsilon) * growth(math.exp, c0 * tg.T)
            * src)
-    return {"lhs": lhs, "rhs": rhs, "passed": bool(lhs <= rhs), "c0": c0}
+    return {"lhs": lhs, "rhs": rhs}
 
 
 def quadratic_form(problem: TrackingProblem, q,

@@ -175,8 +175,8 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     n, N, dt, h2 = domain.n_interior, tg.n_steps, tg.dt, 2.0 * domain.h
     omega = (np.zeros((N + 1, n)) if omega is None
              else as_trajectory(domain, tg, omega))
-    vsolve = get_operator(domain).solve_in_place
-    dsolve = get_operator(domain, dt * p.epsilon).solve_in_place
+    vsolve = get_operator(domain).solve
+    dsolve = get_operator(domain, dt * p.epsilon).solve
     Yp, Up = np.zeros((2, N + 1, n + 2))
     Y, U = Yp[:, 1:-1], Up[:, 1:-1]
     UX = np.empty((N + 1, n))
@@ -190,7 +190,7 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     else:
         k0 = 0
         Y[0] = U[0] = y0
-        vsolve(U[0])
+        vsolve(U[0], True)
     c, dt2, dtk = dt / h2, 2.0 * dt, dt * p.k
     w, w2 = np.empty((2, n))  # work rows of a step
     mul, sub, add = np.multiply, np.subtract, np.add
@@ -207,9 +207,9 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
             add(y, mul(dt, om, y1), y1)
             sub(y1, mul(mul(c, s, w), sub(yr, yl, w2), w), y1)
             sub(y1, mul(add(mul(mul(dt2, y, w), y, w), dtk, w), ux, w), y1)
-            dsolve(y1)
+            dsolve(y1, True)
             u1[...] = y1
-            vsolve(u1)
+            vsolve(u1, True)
         np.divide(Up[N, 2:] - Up[N, :-2], h2, out=UX[N])
     bad = _first_nonfinite(Yp[1:])
     if bad is not None:

@@ -7,7 +7,7 @@ implicit-diffusion step is c = dt*eps. Each is factored once as LDL^T
 (LAPACK pttrf) and cached per grid and shift; every solve is one pttrs call
 on a 1-D field or on an (n, k) stack of right-hand sides, so the solve is
 its own transpose. solve_frames, and solve by default, leave the right-hand
-side untouched; solve_in_place, which the step loops call, writes the
+side untouched; solve(b, True), which the step loops call, writes the
 solution over it, so a march solves each new frame where it is stored.
 """
 
@@ -37,17 +37,13 @@ class ShiftedLaplacianSolver:
         """Solve for an (n,) field or an (n, k) array of k right-hand sides;
         checks neither shape nor finiteness, and a non-finite right-hand
         side comes back non-finite. b is left as it is unless overwrite_b,
-        which lets LAPACK solve in b's memory where its layout allows."""
-        return dpttrs(self._d, self._e, b, overwrite_b=overwrite_b)[0]
-
-    def solve_in_place(self, b: np.ndarray) -> np.ndarray:
-        """solve, with the solution written into b and b returned: in b's
-        own memory for a contiguous field or an F-ordered (n, k) stack, and
-        copied back for a strided one, on which LAPACK works on a copy."""
-        x = self.solve(b, True)
-        if x is not b:
+        which writes the solution into b and returns b: in b's own memory
+        for a contiguous field or an F-ordered (n, k) stack, and copied back
+        for a strided one, on which LAPACK works on a copy."""
+        x = dpttrs(self._d, self._e, b, overwrite_b=overwrite_b)[0]
+        if overwrite_b and x is not b:
             b[...] = x
-        return b
+        return b if overwrite_b else x
 
     def solve_frames(self, y) -> np.ndarray:
         """Solve for a field or a stack of frames (..., n), every frame a

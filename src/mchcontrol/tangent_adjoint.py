@@ -11,9 +11,10 @@ is the exact transpose of the tangent map under the package quadratures:
     <T q, s>_traj = <q, (B* lambda)|_Q0>_ctrl      (to roundoff)
 
 with trapezoid weights on the trajectory side and left-endpoint weights on
-the control side. The recursion carries the l2 multiplier phi backward and
-rescales lambda^n = phi^{n+1}/h, which makes lambda(T) = 0 exact and keeps
-lambda uniformly consistent (O(dt)) with the continuous backward equation.
+the control side. The recursion carries lambda itself backward, each step
+taking its source at the trapezoid weight dt (dt/2 on the final frame),
+which makes lambda(T) = 0 exact and keeps lambda uniformly consistent
+(O(dt)) with the continuous backward equation.
 
 solve_adjoint_continuous integrates that backward equation forward in the
 reversed time tau = T - t with the same IMEX splitting: diffusion implicit,
@@ -46,13 +47,12 @@ class AdjointState:
     """Multiplier trajectory; the final frame is identically zero, and the
     initial-condition multiplier mu is a view of frame 0.
 
-    rest is (stop, psi) for a march that stopped at frame stop > 0: frames
-    below stop are zero until finish_adjoint resumes the recursion from
-    psi, its unscaled frame stop.
+    stop > 0 marks a march that stopped at frame stop: frames below it are
+    zero until finish_adjoint resumes the recursion from frame stop.
     """
 
     lam: np.ndarray
-    rest: tuple = None
+    stop: int = 0
 
     def __post_init__(self):
         if np.any(self.lam[-1] != 0.0):
@@ -140,67 +140,50 @@ def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
             + get_operator(domain).solve_frames(inner))
 
 
-def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams,
-                last: float, stop: int = 0, resume=None) -> np.ndarray:
-    """lam[N] = 0, lam[N-1] = M^-1(last * source[N]) and, for k < N,
-    lam[k-1] = M^-1((I - dt T_k) lam[k] + source[k]), where M = I - dt eps D2
-    and T_k is the transposed tangent term about base frame k.
+def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams, lam,
+                last: float, stop: int, top: int):
+    """lam[N] = 0, lam[N-1] = M^-1(last dt source[N]) and, for k < N,
+    lam[k-1] = M^-1((I - dt T_k) lam[k] + dt source[k]), with M = I - dt eps
+    D2 and T_k the transposed tangent term about base frame k.
 
-    Fills frames stop..N-1 of a zero (N+1, n) array, or, with resume =
-    (top, psi), frames stop..top-1 from psi as frame top. Both adjoints are
-    this recursion: the discrete one on the unscaled source with last = 1/2,
-    the continuous one on dt * source with last = 1.
+    Fills frames stop..top-1 of lam in place from its frame top (the zero
+    final frame for top = N), each first taking dt source in one multiply.
+    The discrete adjoint is last = 1/2, the continuous one last = 1. Raises
+    NumericsError naming the first non-finite frame.
     """
     domain, tg = ftraj.domain, ftraj.tg
-    ksolve = get_operator(domain).solve_in_place
-    dsolve = get_operator(domain, tg.dt * p.epsilon).solve_in_place
+    ksolve = get_operator(domain).solve
+    dsolve = get_operator(domain, tg.dt * p.epsilon).solve
     N = tg.n_steps
-    lam = np.zeros_like(source)
     # zero-padded work rows: the pads are the Dirichlet walls of D1
     pa, pe = np.zeros((2, domain.n_interior + 2))
     pa_in, pa_r, pa_l = pa[1:-1], pa[2:], pa[:-2]
     pe_in, pe_r, pe_l = pe[1:-1], pe[2:], pe[:-2]
     w, w2 = np.empty((2, domain.n_interior))  # work rows of a step
     mul, sub, add = np.multiply, np.subtract, np.add
-    top, psi = (N - 1, lam[N - 1]) if resume is None else resume
-    # T_k for k = stop+1..top; the rows run backward, step k writing frame
+    f = min(top, N - 1)  # the frame the steps start from
+    # T_k for k = stop+1..f; the rows run backward, step k writing frame
     # k-1 in place
-    coeffs = _step_coefficients(ftraj, p.k, slice(stop + 1, top + 1))
-    rows = zip(*coeffs[:, ::-1], source[stop + 1:top + 1][::-1],
-               lam[stop:top][::-1])
+    coeffs = _step_coefficients(ftraj, p.k, slice(stop + 1, f + 1))
+    rows = zip(*coeffs[:, ::-1], lam[stop:f][::-1])
+    psi = lam[f]
     with np.errstate(over="ignore", invalid="ignore"):
-        if resume is None:
-            dsolve(mul(last, source[N], psi))
-        for a, b, c, e, src, lam1 in rows:
-            # lam1 = ((b*psi + D(a*psi)) - K(c*psi + D(e*psi))) + src, with
-            # D the padded difference pa[2:] - pa[:-2]
+        mul(tg.dt, source[stop + 1:top + 1], lam[stop:top])
+        if top == N:
+            dsolve(mul(last, psi, psi), True)
+        for a, b, c, e, lam1 in rows:
+            # lam1 += (b*psi + D(a*psi)) - K(c*psi + D(e*psi)), with D the
+            # padded difference pa[2:] - pa[:-2]
             mul(a, psi, pa_in)
             mul(e, psi, pe_in)
-            ksolve(add(mul(c, psi, w), sub(pe_r, pe_l, w2), w))
-            add(mul(b, psi, lam1), sub(pa_r, pa_l, w2), lam1)
-            add(sub(lam1, w, lam1), src, lam1)
-            psi = dsolve(lam1)
-    return lam
-
-
-def _discrete_adjoint(ftraj: ForwardTrajectory, source, p: ModelParams,
-                      stop: int, resume=None) -> AdjointState:
-    """The discrete recursion on frames stop..N-1 (or stop..top-1 when
-    resumed), finiteness-checked and scaled."""
-    domain, tg = ftraj.domain, ftraj.tg
-    source = as_trajectory(domain, tg, source)
-    # the recursion carries psi = phi/(dt h), so the trapezoid weights (dt
-    # inside, dt/2 on the final frame) leave the source unscaled
-    lam = _march_back(ftraj, source, p, 0.5, stop, resume)
-    top = tg.n_steps if resume is None else resume[0]
+            ksolve(add(mul(c, psi, w), sub(pe_r, pe_l, w2), w), True)
+            add(mul(b, psi, w2), sub(pa_r, pa_l, pe_in), w2)
+            psi = dsolve(add(sub(w2, w, w2), lam1, lam1), True)
     bad = _first_nonfinite(lam[stop:top], backward=True)
     if bad is not None:
         raise NumericsError(
             f"adjoint state lost finiteness at frame {bad + stop}",
             time_index=bad + stop)
-    rest = (stop, lam[stop].copy()) if stop else None
-    lam[stop:top] *= tg.dt
-    return AdjointState(lam, rest)
 
 
 def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
@@ -213,26 +196,32 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     delta*omega - lambda|_Q0 and gives lambda = delta*omega at optima.
     Raises NumericsError with the frame index on NaN/Inf.
 
-    stop > 0 marches frames stop..N only, which is all the pairing needs
-    for directions that vanish on steps before stop (a window whose first
-    step is at least stop). Frames below stop, and mu, stay zero until
+    stop in 1..N-1 marches frames stop..N only, which is all the pairing
+    needs for directions that vanish on steps before stop (a window whose
+    first step is at least stop). Frames below stop, and mu, stay zero until
     finish_adjoint resumes the march; those frames are then bit for bit the
-    ones of a march with stop = 0.
+    ones of a march with stop = 0. Any other stop but 0 is a ValueError.
     """
-    return _discrete_adjoint(ftraj, source, p, stop)
+    N = ftraj.tg.n_steps
+    if not 0 <= stop < N:
+        raise ValueError(f"stop={stop} is outside 0..N-1 for N={N}")
+    source = as_trajectory(ftraj.domain, ftraj.tg, source)
+    lam = np.zeros_like(source)
+    _march_back(ftraj, source, p, lam, 0.5, stop, N)
+    return AdjointState(lam, stop)
 
 
 def finish_adjoint(ftraj: ForwardTrajectory, adj: AdjointState, source,
                    p: ModelParams) -> AdjointState:
     """The full multiplier of a march that stopped above frame 0, on the
-    same trajectory and source; a full one is returned as it is. Raises
+    same trajectory and source: adj, with its frames below stop filled in
+    place and stop = 0; a full one is returned as it is. Raises
     NumericsError like solve_adjoint_discrete for a NaN/Inf below stop."""
-    if adj.rest is None:
-        return adj
-    stop = adj.rest[0]
-    full = _discrete_adjoint(ftraj, source, p, 0, adj.rest)
-    full.lam[stop:] = adj.lam[stop:]
-    return full
+    if adj.stop:
+        source = as_trajectory(ftraj.domain, ftraj.tg, source)
+        _march_back(ftraj, source, p, adj.lam, 0.5, 0, adj.stop)
+        adj.stop = 0
+    return adj
 
 
 def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
@@ -247,12 +236,13 @@ def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
     N = tg.n_steps
-    lam = _march_back(ftraj, tg.dt * source, p, 1.0)
-    bad = _first_nonfinite(lam[:N], backward=True)
-    if bad is not None:
-        raise NumericsError(
-            f"adjoint state lost finiteness at step {N - bad}",
-            time_index=N - bad)
+    lam = np.zeros_like(source)
+    try:
+        _march_back(ftraj, source, p, lam, 1.0, 0, N)
+    except NumericsError as err:  # renumbered in steps of reversed time
+        step = N - err.time_index
+        raise NumericsError(f"adjoint state lost finiteness at step {step}",
+                            time_index=step) from None
     return lam
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrs
 
 from mchcontrol import helmholtz
 from mchcontrol.config import resolve_config
@@ -86,12 +87,21 @@ def test_multi_rhs_solve_matches_column_solves(rng, c):
 
 
 @pytest.mark.parametrize("c", [1.0, 0.8 / 240 * 0.08])
-def test_solve_in_place(rng, c):
-    """LAPACK solves a contiguous field and an F-ordered (n, k) stack in
-    their own memory, and a strided stack on a copy that solve_in_place
-    copies back; each result is solve's bit for bit, and solve leaves its
-    input as it was."""
+def test_solve_in_place(rng, c, monkeypatch):
+    """solve(b, True) writes the solution into b and returns b: LAPACK
+    solves a contiguous field and an F-ordered (n, k) stack in their own
+    memory, and a strided stack on a copy that is copied back; each result
+    is solve's bit for bit, and solve by default leaves its input as it
+    was."""
     s = get_operator(Domain1D(2.0, 48), c)
+    in_own_memory = []
+
+    def spy(d, e, b, overwrite_b):
+        out = dpttrs(d, e, b, overwrite_b=overwrite_b)
+        in_own_memory.append(np.shares_memory(out[0], b))
+        return out
+
+    monkeypatch.setattr(helmholtz, "dpttrs", spy)
     padded = rng.standard_normal((9, 50))
     walls = padded[:, [0, -1]].copy()
     cases = {"row": (padded[3, 1:-1], True),
@@ -101,9 +111,8 @@ def test_solve_in_place(rng, c):
         before = b.copy()
         want = s.solve(b)
         assert np.array_equal(b, before), name
-        assert np.shares_memory(s.solve(b, True), b) == own_memory, name
-        b[...] = before
-        assert s.solve_in_place(b) is b, name
+        assert s.solve(b, True) is b, name
+        assert in_own_memory[-1] == own_memory, name
         assert b.tobytes() == want.tobytes(), name
     assert np.array_equal(padded[:, [0, -1]], walls)
 

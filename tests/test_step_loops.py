@@ -15,8 +15,9 @@ from mchcontrol.forward import (ControlWindow, ForwardTrajectory, ModelParams,
                                 _first_nonfinite, solve_forward)
 from mchcontrol.grid import Domain1D, TimeGrid
 from mchcontrol.helmholtz import get_operator
-from mchcontrol.tangent_adjoint import (_march_back, _step_coefficients,
-                                        finish_adjoint, solve_adjoint_discrete)
+from mchcontrol.tangent_adjoint import (_step_coefficients, finish_adjoint,
+                                        solve_adjoint_continuous,
+                                        solve_adjoint_discrete)
 
 GRIDS = [(24, 60), (48, 240)]
 
@@ -54,27 +55,28 @@ def reference_forward(domain, tg, p, y0, omega, head=None):
     return Yp[:, 1:-1], Up[:, 1:-1], UX
 
 
-def reference_march_back(ftraj, source, p, last, stop=0, resume=None):
-    """The indexed backward recursion, with _march_back's contract."""
+def reference_march_back(ftraj, source, p, lam, last, stop, top):
+    """The indexed backward recursion into lam, on the dt-preloaded source,
+    with _march_back's contract: frames stop..top-1 from frame top."""
     domain, tg = ftraj.domain, ftraj.tg
     ksolve = get_operator(domain).solve
     dsolve = get_operator(domain, tg.dt * p.epsilon).solve
     N = tg.n_steps
-    lam = np.zeros_like(source)
     pa, pe = np.zeros((2, domain.n_interior + 2))
-    top, psi = (N - 1, lam[N - 1]) if resume is None else resume
-    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(stop + 1, top + 1))
+    f = min(top, N - 1)
+    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(stop + 1, f + 1))
+    src = tg.dt * source
     with np.errstate(over="ignore", invalid="ignore"):
-        if resume is None:
-            psi[:] = dsolve(last * source[N])
-        for k in range(top, stop, -1):
+        if top == N:
+            lam[N - 1] = dsolve(last * src[N])
+        for k in range(f, stop, -1):
             c = k - stop - 1
+            psi = lam[k]
             np.multiply(Ad[c], psi, out=pa[1:-1])
             np.multiply(Ed[c], psi, out=pe[1:-1])
             rhs = (Bm[c] * psi + (pa[2:] - pa[:-2])
-                   - ksolve(Cd[c] * psi + (pe[2:] - pe[:-2])) + source[k])
-            psi = lam[k - 1]
-            psi[:] = dsolve(rhs)
+                   - ksolve(Cd[c] * psi + (pe[2:] - pe[:-2])) + src[k])
+            lam[k - 1] = dsolve(rhs)
     return lam
 
 
@@ -116,26 +118,28 @@ def test_adjoint_matches_reference_loop(n, N, rng):
     ft = solve_forward(dom, tg, p, y0, omega)
     source = rng.standard_normal(ft.y.shape)
     k0 = w.block[0].start
-    full = reference_march_back(ft, source, p, 0.5)
-    assert same_bytes(_march_back(ft, source, p, 0.5), full)
-    part = reference_march_back(ft, source, p, 0.5, stop=k0)
-    assert same_bytes(_march_back(ft, source, p, 0.5, stop=k0), part)
-    # the continuous adjoint's form of the recursion
-    assert same_bytes(_march_back(ft, tg.dt * source, p, 1.0),
-                      reference_march_back(ft, tg.dt * source, p, 1.0))
-    # through the public adjoint: scaled by dt below the terminal frame
-    scaled = full.copy()
-    scaled[:N] *= tg.dt
-    assert same_bytes(solve_adjoint_discrete(ft, source, p).lam, scaled)
+
+    def reference(last, stop, top=N, lam=None):
+        lam = np.zeros_like(source) if lam is None else lam
+        return reference_march_back(ft, source, p, lam, last, stop, top)
+
+    full = reference(0.5, 0)
+    assert same_bytes(solve_adjoint_discrete(ft, source, p).lam, full)
+    # the continuous adjoint is the same recursion at final weight 1
+    assert same_bytes(solve_adjoint_continuous(ft, source, p),
+                      reference(1.0, 0))
+    # stopped at k0, then resumed from its own frame k0
+    part = reference(0.5, k0)
     adj = solve_adjoint_discrete(ft, source, p, stop=k0)
-    assert same_bytes(adj.rest[1], part[k0])
-    assert same_bytes(finish_adjoint(ft, adj, source, p).lam, scaled)
-    resumed = _march_back(ft, source, p, 0.5, resume=(k0, part[k0].copy()))
-    assert same_bytes(resumed, reference_march_back(
-        ft, source, p, 0.5, resume=(k0, part[k0].copy())))
+    assert same_bytes(adj.lam, part)
+    assert same_bytes(part[k0:], full[k0:]) and not part[:k0].any()
+    assert same_bytes(reference(0.5, 0, k0, part.copy()), full)
+    assert same_bytes(finish_adjoint(ft, adj, source, p).lam, full)
     # an F-ordered source gives F-ordered, strided frames, which
-    # solve_in_place solves on a copy and copies back
-    assert same_bytes(_march_back(ft, np.asfortranarray(source), p, 0.5), full)
+    # solve(b, True) solves on a copy and copies back
+    fadj = solve_adjoint_discrete(ft, np.asfortranarray(source), p, stop=k0)
+    assert fadj.lam.flags.f_contiguous and same_bytes(fadj.lam, part)
+    assert same_bytes(finish_adjoint(ft, fadj, source, p).lam, full)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)

@@ -11,6 +11,7 @@ from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward, norm_q0,
                                 trajectory_from_arrays)
+from mchcontrol import control
 from mchcontrol.control import TrackingProblem, optimize
 from mchcontrol.tangent_adjoint import (solve_tangent, solve_adjoint_discrete,
                                         solve_adjoint_continuous,
@@ -109,10 +110,45 @@ def test_stopped_adjoint_is_the_full_march(rng, stop):
     part = solve_adjoint_discrete(ft, source, p, stop)
     assert part.lam[stop:].tobytes() == full.lam[stop:].tobytes()
     assert not part.lam[:stop].any() and not part.mu.any()
+    lam = part.lam
     done = finish_adjoint(ft, part, source, p)
+    # finished in its own array: the same state, its stop now 0
+    assert done is part and done.stop == 0
+    assert np.shares_memory(done.lam, lam)
     assert done.lam.tobytes() == full.lam.tobytes()
     assert done.mu.tobytes() == full.mu.tobytes()
     assert finish_adjoint(ft, full, source, p) is full
+
+
+@pytest.mark.parametrize("stop", [-1, 60, 61])
+def test_adjoint_rejects_stop_out_of_range(rng, stop):
+    """A stop outside 0..N-1 is a ValueError naming stop and N."""
+    dom, tg, p, w, ft = setup()
+    source = rng.standard_normal(ft.y.shape)
+    with pytest.raises(ValueError, match=rf"stop={stop}\b.*N=60"):
+        solve_adjoint_discrete(ft, source, p, stop)
+
+
+def test_window_from_t0_zero_never_stops(rng, monkeypatch):
+    """With t0 = 0 the window's first step is k0 = 0, so optimize's
+    adjoint marches to frame 0 each iteration and needs no finishing: its
+    multiplier is the full march at the returned omega byte for byte."""
+    dom, tg, p, _, ft = setup()
+    w = ControlWindow(dom, tg, 0.5, 1.5, 0.0, 0.375)
+    assert w.block[0].start == 0
+    z_d = ft.y + 0.01 * rng.standard_normal(ft.y.shape)
+    prob = TrackingProblem(dom, tg, p, w, ft.y[0], z_d, 1e-3)
+    stops = []
+
+    def finish(ftraj, adj, source, p):
+        stops.append(adj.stop)
+        return finish_adjoint(ftraj, adj, source, p)
+
+    monkeypatch.setattr(control, "finish_adjoint", finish)
+    state = optimize(prob, w.zero_control())
+    assert state.n_iters > 0 and stops == [0] and state.adjoint.stop == 0
+    full = solve_adjoint_discrete(state.ftraj, z_d - state.ftraj.y, p)
+    assert state.adjoint.lam.tobytes() == full.lam.tobytes()
 
 
 def test_adjoint_rejects_non_finite_source(rng):
