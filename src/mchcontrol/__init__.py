@@ -20,8 +20,8 @@ from .tangent_adjoint import (TangentState, AdjointState, solve_tangent,
 from .control import (TrackingProblem, OptimOptions, OptimState, cost,
                       reduced_gradient, optimize, lagrangian,
                       first_order_residuals, constants, quadratic_form,
-                      coercivity_check, SecondOrderReport)
-from .analysis import EstimateReport, energy_identity, momentum_identity
+                      coercivity_check)
+from .analysis import energy_identity, momentum_identity
 from .config import resolve_config, load_config, config_hash
 
 __version__ = "0.1.0"
@@ -36,8 +36,8 @@ __all__ = [
     "solve_adjoint_discrete", "solve_adjoint_continuous", "finish_adjoint",
     "TrackingProblem", "OptimOptions", "OptimState", "cost",
     "reduced_gradient", "optimize", "lagrangian", "first_order_residuals",
-    "constants", "quadratic_form", "coercivity_check", "SecondOrderReport",
-    "EstimateReport", "energy_identity", "momentum_identity",
+    "constants", "quadratic_form", "coercivity_check",
+    "energy_identity", "momentum_identity",
     "resolve_config", "load_config", "config_hash",
     "__version__",
 ]

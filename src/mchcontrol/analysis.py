@@ -8,7 +8,6 @@ nothing raises on a failed inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,24 +16,12 @@ from .grid import (Domain1D, _per_frame, as_trajectory, grad_norm_sq,
                    inner_h, norm_h_sq, velocity, wall_slopes)
 
 
-@dataclass
-class EstimateReport:
-    """One checked inequality: lhs vs rhs with margin = rhs - lhs."""
-
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def make_report(name: str, lhs: float, rhs: float) -> EstimateReport:
+def make_report(name: str, lhs: float, rhs: float) -> dict:
+    """One checked inequality, as verify.json holds it: lhs vs rhs with
+    margin = rhs - lhs, passed when the margin is nonnegative."""
     margin = rhs - lhs
-    return EstimateReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                          margin=float(margin), passed=bool(margin >= 0))
+    return {"name": name, "lhs": float(lhs), "rhs": float(rhs),
+            "margin": float(margin), "passed": bool(margin >= 0)}
 
 
 def growth(f, x: float) -> float:

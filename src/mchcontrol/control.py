@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -417,34 +417,10 @@ def quadratic_form(problem: TrackingProblem, q,
                    "b_integral": acc, "total": total}
 
 
-@dataclass
-class SecondOrderReport:
-    """Constants, margins, and sampled coercivity data at a stationary point."""
-
-    c0: float
-    c2: float
-    c1: float
-    c_embed: float
-    kappa1: float
-    kappa2: float
-    cond1_lhs: float
-    cond1_rhs: float
-    cond1_pass: bool
-    cond2_lhs: float
-    cond2_rhs: float
-    cond2_pass: bool
-    kernel_bound_ratio: float
-    empirical_min_ratio: float
-    n_samples: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
-                     n_samples: int, n_embed_samples: int) -> SecondOrderReport:
+                     n_samples: int, n_embed_samples: int) -> dict:
     """Evaluate the sufficient-condition margins and sample the quadratic form
-    at a solved state.
+    at a solved state, as the second_order dict that verify.json holds.
 
     Condition (1) compares ||y||_C(H) * ||y - z_d||_L2(H) against
     (3 eps / 4 C1) exp(-c0 T) with C1 = 9 c_E^2; its kappa is
@@ -477,12 +453,14 @@ def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
                 rng.standard_normal((n_samples,) + problem.window.shape))
     total, parts = quadratic_form(problem, Q, state.ftraj, state.adjoint)
     m_sq, q_sq = parts["m_wv_sq"], parts["q_sq"]
-    return SecondOrderReport(
-        c0=c0, c2=c2, c1=c1, c_embed=c_embed,
-        kappa1=kappa1, kappa2=kappa2,
-        cond1_lhs=lhs, cond1_rhs=cond1_rhs, cond1_pass=bool(lhs < cond1_rhs),
-        cond2_lhs=lhs, cond2_rhs=cond2_rhs, cond2_pass=bool(lhs < cond2_rhs),
-        kernel_bound_ratio=float(np.max(m_sq / q_sq)),
-        empirical_min_ratio=float(np.min(total / (m_sq + q_sq))),
-        n_samples=n_samples,
-    )
+    return {
+        "c0": c0, "c2": c2, "c1": c1, "c_embed": c_embed,
+        "kappa1": kappa1, "kappa2": kappa2,
+        "cond1_lhs": lhs, "cond1_rhs": cond1_rhs,
+        "cond1_pass": bool(lhs < cond1_rhs),
+        "cond2_lhs": lhs, "cond2_rhs": cond2_rhs,
+        "cond2_pass": bool(lhs < cond2_rhs),
+        "kernel_bound_ratio": float(np.max(m_sq / q_sq)),
+        "empirical_min_ratio": float(np.min(total / (m_sq + q_sq))),
+        "n_samples": n_samples,
+    }

@@ -256,21 +256,20 @@ def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams) -> float:
 # trajectory file round trip
 
 
-def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
-                          config_hash: str = "", value_names=("y", "u"),
-                          values=None) -> None:
+def export_trajectory_csv(csv_path, domain: Domain1D, tg: TimeGrid,
+                          columns: dict, params: dict,
+                          config_hash: str) -> None:
     """Write one row per (frame, node) with exact-representation floats.
 
-    The JSON sidecar (same stem, .json) carries params plus the config hash;
-    the importer reproduces the arrays bit-exactly. Each column must be an
-    (N+1, n) trajectory; all-zero rows are written from a per-node template.
+    columns maps each column name, in order, to an (N+1, n) trajectory, as
+    import_trajectory_csv returns them; the JSON sidecar (same stem, .json)
+    carries params plus the config hash, and the importer reproduces the
+    arrays bit-exactly. All-zero rows are written from a per-node template.
     """
-    domain, tg = ftraj.domain, ftraj.tg
-    cols = [as_trajectory(domain, tg, c) for c in
-            (values if values is not None else (ftraj.y, ftraj.u))]
+    cols = [as_trajectory(domain, tg, c) for c in columns.values()]
     sidecar = {"schema_version": 1, **params, "config_sha256": config_hash,
                "L": domain.L, "n_interior": domain.n_interior, "T": tg.T,
-               "n_steps": tg.n_steps, "columns": ["t", "x", *value_names]}
+               "n_steps": tg.n_steps, "columns": ["t", "x", *columns]}
     # a value is live unless it is an exact +0.0 (-0.0 and NaN are live);
     # each frame's live nodes lie in [lo, hi), and lo = hi when it has none
     live = np.logical_or.reduce([(c != 0.0) | np.signbit(c) for c in cols])
@@ -281,7 +280,7 @@ def export_trajectory_csv(csv_path, ftraj: ForwardTrajectory, params: dict,
     zero_rows = [x + ",0.0" * len(cols) for x in xs]
     with open(csv_path, "w", newline="\n") as f:
         f.write(f"# config_sha256={config_hash}\n")
-        f.write("t,x," + ",".join(value_names) + "\n")
+        f.write("t,x," + ",".join(columns) + "\n")
         # one frame formatted at a time keeps memory at one frame; its rows
         # are joined by the line break plus the next row's "t," prefix
         for n, (tval, i0, i1) in enumerate(zip(tg.t.tolist(), lo.tolist(),

@@ -136,7 +136,8 @@ def run_forward(cfg: dict, out_dir) -> int:
     y0 = initial_field(cfg, domain)
     omega = control_field(cfg, window, rng)
     ftraj = solve_forward(domain, tg, p, y0, omega)
-    export_trajectory_csv(os.path.join(out, "trajectory.csv"), ftraj,
+    export_trajectory_csv(os.path.join(out, "trajectory.csv"), domain, tg,
+                          {"y": ftraj.y, "u": ftraj.u},
                           _csv_params(cfg, "forward"), h)
     report = _report_stub(cfg, "forward")
     report.update({
@@ -156,10 +157,10 @@ def run_adjoint(cfg: dict, out_dir) -> int:
     problem, _ = build_problem(cfg, rng)
     omega = control_field(cfg, problem.window, rng)
     g, info = reduced_gradient(problem, omega)
-    adj, ftraj = info["adjoint"], info["ftraj"]
-    export_trajectory_csv(os.path.join(out, "adjoint.csv"), ftraj,
-                          _csv_params(cfg, "adjoint"), h,
-                          value_names=("lambda",), values=(adj.lam,))
+    adj = info["adjoint"]
+    export_trajectory_csv(os.path.join(out, "adjoint.csv"), problem.domain,
+                          problem.tg, {"lambda": adj.lam},
+                          _csv_params(cfg, "adjoint"), h)
     report = _report_stub(cfg, "adjoint")
     report.update({
         "grad_norm": norm_q0(problem.window, g),
@@ -226,9 +227,9 @@ def run_optimize(cfg: dict, out_dir) -> int:
     state = optimize(problem, control_field(cfg, problem.window, rng),
                      OptimOptions(**cfg["optimizer"]))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
-    export_trajectory_csv(os.path.join(out, "omega.csv"), state.ftraj,
-                          _csv_params(cfg, "optimize"), h,
-                          value_names=("omega",), values=(state.omega,))
+    export_trajectory_csv(os.path.join(out, "omega.csv"), problem.domain,
+                          problem.tg, {"omega": state.omega},
+                          _csv_params(cfg, "optimize"), h)
     fo = first_order_residuals(problem, state)
     report = _report_stub(cfg, "optimize")
     report.update(_optim_summary(state), first_order=fo)
@@ -248,12 +249,12 @@ def run_twin(cfg: dict, out_dir) -> int:
                      OptimOptions(**cfg["optimizer"]))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
 
-    export_trajectory_csv(os.path.join(out, "omega_true.csv"), state.ftraj,
-                          _csv_params(cfg, "twin"), h,
-                          value_names=("omega_true",), values=(omega_true,))
-    export_trajectory_csv(os.path.join(out, "omega_opt.csv"), state.ftraj,
-                          _csv_params(cfg, "twin"), h,
-                          value_names=("omega",), values=(state.omega,))
+    export_trajectory_csv(os.path.join(out, "omega_true.csv"), problem.domain,
+                          problem.tg, {"omega_true": omega_true},
+                          _csv_params(cfg, "twin"), h)
+    export_trajectory_csv(os.path.join(out, "omega_opt.csv"), problem.domain,
+                          problem.tg, {"omega": state.omega},
+                          _csv_params(cfg, "twin"), h)
 
     J0, Jf = state.costs[0], state.costs[-1]
     drop = J0 / Jf if Jf > 0 else (1.0 if J0 == 0 else math.inf)
@@ -312,12 +313,13 @@ def _hard_checks(cfg, problem, state, fo, rng):
         ybad[tg.n_steps // 2] += 1e-2
         ubad = get_operator(domain).solve_frames(ybad)
         wtraj = trajectory_from_arrays(domain, tg, ybad, ubad)
-    scale = 1.0 + growth(lambda m: m ** 3, float(np.max(np.abs(ftraj.y))))
+    ymax = float(np.max(np.abs(ftraj.y)))
+    scale = 1.0 + growth(lambda m: m ** 3, ymax)
     wr = weak_residual(wtraj, omega, p)
     checks.append(make_report("weak_residual", wr,
                               20.0 * (dt + hx ** 2) * scale))
 
-    J, _ = cost(problem, omega, ftraj)
+    J = state.costs[-1]  # cost(problem, omega, ftraj), bit for bit
     lam = rng.standard_normal((tg.n_steps + 1, domain.n_interior))
     mu = rng.standard_normal(domain.n_interior)
     L = lagrangian(problem, omega, ftraj.y, lam, mu, c=1.7)
@@ -325,7 +327,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
                               1e-12 * (1.0 + abs(J))))
 
     checks.append(make_report("state_equation_exact", fo["state_residual"],
-                              1e-12 * (1.0 + float(np.max(np.abs(ftraj.y))))))
+                              1e-12 * (1.0 + ymax)))
 
     worst = np.max(momentum_identity(domain, ftraj.y)[2])
     checks.append(make_report("momentum_identity", worst, 50.0 * hx ** 2))
@@ -335,8 +337,9 @@ def _hard_checks(cfg, problem, state, fo, rng):
     checks.append(make_report("energy_identity", en["max_abs"],
                               50.0 * (dt + hx ** 2) * esc))
     for r in checks:
-        if not math.isfinite(r.rhs):  # inf would pass any lhs: no verdict
-            raise NumericsError(f"{r.name}: threshold past the float range")
+        if not math.isfinite(r["rhs"]):  # inf would pass any lhs: no verdict
+            raise NumericsError(f"{r['name']}: threshold past the float "
+                                "range")
     return checks
 
 
@@ -344,10 +347,11 @@ def _soft_checks(problem, state, so):
     """Inequalities whose constants the theory leaves existential, at the
     optimizer's final state; reported with margins, never gating. so is
     coercivity_check there, whose c0 the multiplier bound reads."""
-    lb = lambda_bound_check(problem, state, so.c0)
+    lb = lambda_bound_check(problem, state, so["c0"])
     return [
         make_report("multiplier_energy_bound", lb["lhs"], lb["rhs"]),
-        make_report("tangent_kernel_bound", so.kernel_bound_ratio, so.c1),
+        make_report("tangent_kernel_bound", so["kernel_bound_ratio"],
+                    so["c1"]),
     ]
 
 
@@ -365,13 +369,10 @@ def run_verify(cfg: dict, out_dir) -> int:
                           n_embed_samples=cfg["verify"]["n_embed_samples"])
     soft = _soft_checks(problem, state, so)
 
-    passed = all(r.passed for r in hard)
+    passed = all(r["passed"] for r in hard)
     report = _report_stub(cfg, "verify")
     report.update({
-        "hard": [r.to_dict() for r in hard],
-        "soft": [r.to_dict() for r in soft],
-        "first_order": fo,
-        "second_order": so.to_dict(),
+        "hard": hard, "soft": soft, "first_order": fo, "second_order": so,
         "optimizer": {"converged": state.converged,
                       "n_iters": state.n_iters,
                       "J_final": state.costs[-1],
@@ -387,9 +388,9 @@ def format_verify_table(hard, soft, passed: bool) -> str:
     lines = []
     for kind, reports in (("hard", hard), ("soft", soft)):
         for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{status}  [{kind}] {r.name:28s} "
-                         f"lhs={r.lhs:.6e}  rhs={r.rhs:.6e}  "
-                         f"margin={r.margin:+.6e}")
+            status = "PASS" if r["passed"] else "FAIL"
+            lines.append(f"{status}  [{kind}] {r['name']:28s} "
+                         f"lhs={r['lhs']:.6e}  rhs={r['rhs']:.6e}  "
+                         f"margin={r['margin']:+.6e}")
     lines.append("VERIFY " + ("PASS" if passed else "FAIL"))
     return "\n".join(lines)

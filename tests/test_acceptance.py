@@ -265,12 +265,12 @@ def test_c11_degenerate_second_variation_coercivity():
         b_zero = b_zero and parts["b_integral"] == 0.0
     rep = coercivity_check(prob, solved_state(prob, w.zero_control()), rng,
                            n_samples=10, n_embed_samples=8)
-    cond_ok = rep.cond2_pass and rep.cond2_lhs < rep.cond2_rhs \
-        and rep.kappa2 > 0.0
+    cond_ok = rep["cond2_pass"] and rep["cond2_lhs"] < rep["cond2_rhs"] \
+        and rep["kappa2"] > 0.0
     _line(coercive and b_zero and cond_ok, "degenerate coercivity",
           f"form >= min(1, delta)||(m, q)||^2 on 50 directions, multiplier "
           f"term exactly zero, margin condition holds with kappa2 = "
-          f"{rep.kappa2:.2e} > 0")
+          f"{rep['kappa2']:.2e} > 0")
 
 
 def test_c12_verification_battery_deterministic(tmp_path):

@@ -7,8 +7,8 @@ from conftest import bump_control
 from mchcontrol.grid import Domain1D, TimeGrid, d1
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward)
-from mchcontrol.analysis import (EstimateReport, make_report, energy_series,
-                                 energy_identity, momentum_identity)
+from mchcontrol.analysis import (make_report, energy_series, energy_identity,
+                                 momentum_identity)
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +25,15 @@ def forced_run(small_setup):
 
 
 def test_make_report_semantics():
-    rep = make_report("x", 1.0, 0.5)
-    assert isinstance(rep, EstimateReport)
-    assert rep.margin == -0.5 and not rep.passed
+    """A report is the entry verify.json holds, with plain float and bool
+    values, also for numpy inputs."""
+    rep = make_report("x", np.float64(1.0), 0.5)
+    assert rep == {"name": "x", "lhs": 1.0, "rhs": 0.5, "margin": -0.5,
+                   "passed": False}
+    assert [type(v) for v in rep.values()] == [str, float, float, float, bool]
     # the boundary passes: a check holds when its margin is exactly 0
-    assert make_report("x", 0.5, 0.5).passed
-    d = rep.to_dict()
-    assert d == {"name": "x", "lhs": 1.0, "rhs": 0.5, "margin": -0.5,
-                 "passed": False}
+    assert make_report("x", 0.5, 0.5) == {"name": "x", "lhs": 0.5, "rhs": 0.5,
+                                          "margin": 0.0, "passed": True}
 
 
 def test_energy_series_formula(free_run):

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import HUGE_STATES
 from mchcontrol import cli
+from mchcontrol.analysis import make_report
 from mchcontrol.cli import main
+from mchcontrol.runners import format_verify_table
 
 BASE = {
     "domain": {"L": 2.0, "n_interior": 24},
@@ -229,6 +231,22 @@ def test_verify_passes_and_prints_table(tmp_path, capsys):
     assert all(c["passed"] for c in report["hard"])
     so = report["second_order"]
     assert report["soft"][1]["lhs"] == so["kernel_bound_ratio"]
+
+
+def test_format_verify_table_lines():
+    """One line per entry, hard before soft, with the name padded to 28
+    columns and lhs, rhs and a signed margin in 7 significant digits; the
+    verdict line follows the passed flag alone."""
+    hard = [make_report("helmholtz_round_trip", 1.5e-13, 1e-10)]
+    soft = [make_report("tangent_kernel_bound", 2.0, 0.5)]
+    entries = [
+        "PASS  [hard] helmholtz_round_trip         lhs=1.500000e-13  "
+        "rhs=1.000000e-10  margin=+9.985000e-11",
+        "FAIL  [soft] tangent_kernel_bound         lhs=2.000000e+00  "
+        "rhs=5.000000e-01  margin=-1.500000e+00"]
+    for passed, verdict in ((True, "VERIFY PASS"), (False, "VERIFY FAIL")):
+        text = format_verify_table(hard, soft, passed)
+        assert text.split("\n") == entries + [verdict]
 
 
 def test_verify_report_keys(tmp_path):

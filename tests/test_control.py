@@ -178,6 +178,19 @@ def test_optimize_does_not_recompute_state_residual(twin_small,
     assert st.n_iters == ref.n_iters and st.costs == ref.costs
 
 
+def test_final_cost_is_the_cost_of_the_final_state(twin_small):
+    """The last logged cost is bit for bit cost() at the handed-back control
+    and trajectory, after a converged run and after none: verify's
+    lagrangian_feasible check reads it instead of evaluating the cost."""
+    prob, om_true = twin_small
+    ran = optimize(prob, prob.window.zero_control(),
+                   OptimOptions(tol_g=1e-6, max_iters=100))
+    assert ran.converged and ran.n_iters > 0
+    for st in (ran, solved_state(prob, 0.2 * om_true)):
+        J, _ = cost(prob, st.omega, st.ftraj)
+        assert np.float64(J).tobytes() == np.float64(st.costs[-1]).tobytes()
+
+
 def test_optimize_immediate_when_optimal():
     prob, _ = twin_problem(n=24, n_steps=60, amplitude=0.0)
     st = optimize(prob, prob.window.zero_control())
@@ -487,7 +500,7 @@ def test_checks_read_the_solved_state(twin_small, rng, monkeypatch):
         rep = coercivity_check(prob, st, np.random.default_rng(seed),
                                n_samples=3, n_embed_samples=3)
         return (first_order_residuals(prob, st),
-                lambda_bound_check(prob, st, rep.c0), rep.to_dict())
+                lambda_bound_check(prob, st, rep["c0"]), rep)
 
     want = checks()
 
@@ -623,7 +636,7 @@ def test_coercivity_check_marches_once(twin_small, rng, monkeypatch):
     monkeypatch.setattr(control, "solve_tangent", counted)
     rep = coercivity_check(prob, st, rng, n_samples=7, n_embed_samples=2)
     assert shapes == [(7,) + prob.window.shape]
-    assert rep.n_samples == 7
+    assert rep["n_samples"] == 7
 
 
 def test_verify_computes_each_estimate_once(tmp_path, monkeypatch):
@@ -674,15 +687,14 @@ def test_kernel_bound(twin_small, rng):
         m = solve_tangent(ft, w, q, prob.model).m
         ratios.append(norm_wv(prob.domain, prob.tg, m) ** 2
                       / norm_q0(w, q) ** 2)
-    assert rep.kernel_bound_ratio == max(ratios) > 0.0
-    assert rep.kernel_bound_ratio <= rep.c1
+    assert rep["kernel_bound_ratio"] == max(ratios) > 0.0
+    assert rep["kernel_bound_ratio"] <= rep["c1"]
 
 
 def test_coercivity_report_keys(twin_small, rng):
     prob, om_true = twin_small
-    rep = coercivity_check(prob, solved_state(prob, 0.2 * om_true), rng,
-                           n_samples=4, n_embed_samples=4)
-    d = rep.to_dict()
+    d = coercivity_check(prob, solved_state(prob, 0.2 * om_true), rng,
+                         n_samples=4, n_embed_samples=4)
     assert set(d) == {"c0", "c2", "c1", "c_embed", "kappa1", "kappa2",
                       "cond1_lhs", "cond1_rhs", "cond1_pass", "cond2_lhs",
                       "cond2_rhs", "cond2_pass", "kernel_bound_ratio",

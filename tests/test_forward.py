@@ -8,12 +8,11 @@ from mchcontrol.errors import (DomainMismatchError, NumericsError,
                               StabilityWarning)
 from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, inner_h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
-from mchcontrol.forward import (ModelParams, ControlWindow, ForwardTrajectory,
-                                apply_B, inner_block, inner_q0,
-                                norm_q0, solve_forward, weak_residual,
-                                dirichlet_modes, transport_terms,
-                                trajectory_from_arrays, export_trajectory_csv,
-                                import_trajectory_csv)
+from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
+                                inner_block, inner_q0, norm_q0, solve_forward,
+                                weak_residual, dirichlet_modes,
+                                transport_terms, trajectory_from_arrays,
+                                export_trajectory_csv, import_trajectory_csv)
 
 
 def dense_ops(domain):
@@ -316,21 +315,27 @@ def test_csv_round_trip(tmp_path, small_setup):
     dom, tg, p, window, y0 = small_setup
     ft = solve_forward(dom, tg, p, y0)
     path = tmp_path / "traj.csv"
-    export_trajectory_csv(path, ft, {"command": "test"}, "deadbeef")
+    export_trajectory_csv(path, dom, tg, {"y": ft.y, "u": ft.u},
+                          {"command": "test"}, "deadbeef")
     dom2, tg2, cols, sidecar = import_trajectory_csv(path)
     assert dom2.n_interior == dom.n_interior and tg2.n_steps == tg.n_steps
     assert np.array_equal(cols["y"], ft.y)
     assert np.array_equal(cols["u"], ft.u)
     assert sidecar["config_sha256"] == "deadbeef"
     assert sidecar["schema_version"] == 1
+    # what the importer returns, the exporter writes back byte for byte
+    again = tmp_path / "again.csv"
+    export_trajectory_csv(again, dom2, tg2, cols, {"command": "test"},
+                          "deadbeef")
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_export_deterministic(tmp_path, small_setup):
     dom, tg, p, window, y0 = small_setup
     ft = solve_forward(dom, tg, p, y0)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_trajectory_csv(a, ft, {}, "x")
-    export_trajectory_csv(b, ft, {}, "x")
+    export_trajectory_csv(a, dom, tg, {"y": ft.y, "u": ft.u}, {}, "x")
+    export_trajectory_csv(b, dom, tg, {"y": ft.y, "u": ft.u}, {}, "x")
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -340,8 +345,7 @@ def test_export_golden_bytes(tmp_path):
     y = np.array([[1.0, -2.5, 1.0 / 3.0], [0.1, 1e-300, -0.0]])
     u = np.array([[2.0, 0.0, -1e20], [7.0, 1.0 / 7.0, 5e-324]])
     path = tmp_path / "g.csv"
-    export_trajectory_csv(path, ForwardTrajectory(dom, tg, y, u, 0.0 * u),
-                          {}, "abc")
+    export_trajectory_csv(path, dom, tg, {"y": y, "u": u}, {}, "abc")
     assert path.read_bytes() == (
         b"# config_sha256=abc\n"
         b"t,x,y,u\n"
@@ -379,15 +383,12 @@ def test_export_zero_rows_match_plain_repr(tmp_path):
     omega[4, 5] = 5e-324
     omega[5, [0, 5]] = [-0.0, 1.0 / 3.0]
     omega[6, 4] = np.nan
-    ft = ForwardTrajectory(dom, tg, omega, omega, omega)
     path = tmp_path / "omega.csv"
-    export_trajectory_csv(path, ft, {}, "w", value_names=("omega",),
-                          values=(omega,))
+    export_trajectory_csv(path, dom, tg, {"omega": omega}, {}, "w")
     assert path.read_bytes() == reference_csv(dom, tg, ["omega"], [omega], "w")
     # a random window control: +0.0 off the window block
     q = window.random_control(np.random.default_rng(3))
-    export_trajectory_csv(path, ft, {}, "w", value_names=("omega",),
-                          values=(q,))
+    export_trajectory_csv(path, dom, tg, {"omega": q}, {}, "w")
     assert path.read_bytes() == reference_csv(dom, tg, ["omega"], [q], "w")
     # two columns whose live spans differ in each frame
     y, u = np.zeros((2, 7, 6))
@@ -395,8 +396,7 @@ def test_export_zero_rows_match_plain_repr(tmp_path):
     y[2, 2:4] = [-0.0, 7.0]
     u[3, 0], y[3, 5] = 1e-300, -0.5
     u[5, 3] = -0.0
-    export_trajectory_csv(path, ForwardTrajectory(dom, tg, y, u, 0.0 * u),
-                          {}, "yu")
+    export_trajectory_csv(path, dom, tg, {"y": y, "u": u}, {}, "yu")
     assert path.read_bytes() == reference_csv(dom, tg, ["y", "u"], [y, u],
                                               "yu")
 
@@ -408,12 +408,11 @@ def test_export_rejects_misshapen_values(tmp_path, shape):
     written, instead of being truncated or failing halfway through."""
     dom = Domain1D(1.0, 3)
     tg = TimeGrid(0.3, 3)
-    y = np.ones((4, 3))
-    ft = ForwardTrajectory(dom, tg, y, y, y)
     path = tmp_path / "bad.csv"
     with pytest.raises(DomainMismatchError, match="trajectory has shape"):
-        export_trajectory_csv(path, ft, {}, "x", value_names=("omega",),
-                              values=(np.ones(shape),))
+        export_trajectory_csv(path, dom, tg, {"y": np.ones((4, 3)),
+                                              "omega": np.ones(shape)},
+                              {}, "x")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -427,8 +426,7 @@ def test_csv_sidecar_next_to_dotted_path(tmp_path):
     folder = tmp_path / "a.b"
     folder.mkdir()
     path = folder / "traj"
-    export_trajectory_csv(path, ForwardTrajectory(dom, tg, y, u, 0.0 * u),
-                          {}, "abc")
+    export_trajectory_csv(path, dom, tg, {"y": y, "u": u}, {}, "abc")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.b"]
     assert sorted(p.name for p in folder.iterdir()) == ["traj", "traj.json"]
     _, _, cols, sidecar = import_trajectory_csv(path)
