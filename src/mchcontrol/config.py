@@ -206,12 +206,15 @@ def _validate_semantics(cfg: dict):
         raise ConfigError(str(exc)) from exc
     # a sample is an (N+1, n) lattice; the embedding sampler first draws
     # 6 time coefficients for each of its min(8, n) space modes
-    for key, size in (("n_hessian_samples", (N + 1) * n),
-                      ("n_embed_samples", max((N + 1) * n, 6 * min(8, n)))):
-        if 8 * size * cfg["verify"][key] >= 2 ** 63:
-            raise ConfigError(f"verify.{key} = {cfg['verify'][key]}: its "
-                              "float64 sample stack is past the 2**63 bytes "
-                              "an array can hold")
+    for section, key, size in (
+            ("verify", "n_hessian_samples", (N + 1) * n),
+            ("verify", "n_embed_samples", max((N + 1) * n, 6 * min(8, n))),
+            ("gradcheck", "n_directions", (N + 1) * n)):
+        count = cfg[section][key]
+        if 8 * size * count >= 2 ** 63:
+            raise ConfigError(f"{section}.{key} = {count}: its float64 "
+                              "sample stack is past the 2**63 bytes an array "
+                              "can hold")
     if not all(map(_finite_number, cfg["initial"]["coefficients"])):
         raise ConfigError("initial.coefficients must be a list of finite "
                           "numbers")

@@ -104,20 +104,22 @@ def reduced_gradient(problem: TrackingProblem, omega,
 
     The misfit is the L2(0,T;H) one, so the multiplier source is z_d - y,
     and lambda is its exact discrete transpose, so <g, q> matches finite
-    differences of the cost to roundoff. The gradient is delta*omega -
-    lambda on the window block and an exact +0.0 elsewhere (the final slice
-    carries no quadrature weight). stop, at most the window's first step,
-    lets the multiplier stop at that frame (see solve_adjoint_discrete);
-    the gradient reads no frame below it.
+    differences of the cost to roundoff. The source is written straight into
+    the multiplier's frames (z_d with minus y), so no source lattice is made.
+    The gradient is delta*omega - lambda on the window block and an exact
+    +0.0 elsewhere (the final slice carries no quadrature weight). stop, at
+    most the window's first step, lets the multiplier stop at that frame
+    (see solve_adjoint_discrete); the gradient reads no frame below it.
     """
     if ftraj is None:
         ftraj = problem.solve(apply_B(problem.window, omega))
-    adj = solve_adjoint_discrete(ftraj, problem.z_d - ftraj.y, problem.model,
-                                 stop)
+    adj = solve_adjoint_discrete(ftraj, problem.z_d, problem.model, stop,
+                                 minus=ftraj.y)
     omega = as_trajectory(problem.domain, problem.tg, omega)
     blk = problem.window.block
     g = problem.window.zero_control()
-    np.subtract(problem.delta * omega[blk], adj.lam[blk], out=g[blk])
+    gb = np.multiply(problem.delta, omega[blk], out=g[blk])
+    np.subtract(gb, adj.lam[blk], out=gb)
     return g, {"ftraj": ftraj, "adjoint": adj}
 
 
@@ -144,7 +146,9 @@ class OptimState:
     """Per-iterate J, ||g|| and step, and the final state: the solved state
     that the first- and second-order checks read. Iterates solve the state
     equation, so first_order_residuals checks it once, at the end. optimize
-    fills the final state as it returns, so no iterate lives on in it."""
+    fills the final state as it returns, so no iterate lives on in it; after
+    a stalled search it is re-solved at the iterate's control, bit for bit
+    the state that iterate had."""
 
     costs: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
@@ -211,19 +215,24 @@ def optimize(problem: TrackingProblem, omega0,
     residual: it is roundoff by construction.
 
     Only the window block (window.block) of a control moves, so the search
-    direction, the gradient as read (g[blk]) and the memory of (s, y, rho)
-    triples are arrays shaped like that block, paired by inner_block. A full
-    (N+1, n) lattice is built only where a control leaves the loop: each
-    line-search trial handed to problem.solve, zero off the block, and the
-    returned omega. The gradient reads no multiplier frame below the
-    window's first step k0, so each iteration's adjoint stops at k0, and the
-    returned state's adjoint is finished once from there (finish_adjoint):
-    bit for bit the full march.
+    direction, the gradient and the memory of (s, y, rho) triples are
+    arrays shaped like that block, paired by inner_block. A full (N+1, n)
+    lattice is built only where a control or gradient crosses the loop's
+    edge: each line-search trial handed to problem.solve, zero off the
+    block, each gradient reduced_gradient returns, of which the loop keeps a
+    copy of the block, and the returned omega and gradient. The gradient
+    reads no multiplier frame below the window's first step k0, so each
+    iteration's adjoint stops at k0, and the returned state's adjoint is
+    finished once from there (finish_adjoint): bit for bit the full march.
 
-    Only live arrays are held: omega0 goes once apply_B has copied it, a
-    rejected trial's trajectory before the next trial marches, and the
-    control, trajectory and multiplier of a superseded iterate before the
-    new adjoint runs (a stalled search returns the current iterate).
+    Only live arrays are held: omega0 goes once apply_B has copied it, and
+    while the line search marches the iterate lives on only as contiguous
+    copies of its control and gradient blocks: its control, trajectory and
+    multiplier lattices go before the first trial, and a rejected trial's
+    trajectory before the next one. A stalled search re-solves the
+    iterate's trajectory, gradient and multiplier at its control; the march
+    is deterministic, so they are bit for bit the ones it dropped. The
+    L-BFGS memory goes before the finishing adjoint.
     """
     opts = opts or OptimOptions()
     win = problem.window
@@ -233,9 +242,9 @@ def optimize(problem: TrackingProblem, omega0,
     del omega0
     ftraj = problem.solve(omega)
     J, _ = cost(problem, omega, ftraj)
-    g, info = reduced_gradient(problem, omega, ftraj, stop=k0)
-    adj = info["adjoint"]
-    gnorm = norm_q0(win, g)
+    pair = partial(inner_block, win)
+    gb, adj = _gradient(problem, omega, ftraj, k0)
+    gnorm = math.sqrt(pair(gb, gb))
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
     state = OptimState()
     state.costs.append(J)
@@ -244,13 +253,14 @@ def optimize(problem: TrackingProblem, omega0,
     if gnorm <= threshold:
         state.converged = True
         state.message = "already optimal at the starting point"
-        return _finished(problem, state, omega, ftraj, g, adj)
+        return _finished(problem, state, omega, ftraj, gb, adj)
 
-    pair = partial(inner_block, win)
     memory = deque(maxlen=opts.memory)  # (s, y, rho) block arrays
     step_prev = 1.0
     for it in range(1, opts.max_iters + 1):
-        gb = g[blk]
+        # the iterate lives on as its blocks while the search marches
+        ob = omega[blk].copy()
+        del omega, ftraj, adj
         d = -gb
         if memory:
             alpha_hist = []
@@ -268,7 +278,7 @@ def optimize(problem: TrackingProblem, omega0,
             slope = -gnorm ** 2
         alpha = 1.0 if memory else step_prev
         trial = win.zero_control()
-        ob, tb = omega[blk], trial[blk]
+        tb = trial[blk]
         for _ in range(MAX_TRIALS + 1):
             np.add(ob, alpha * d, out=tb)
             ftrial = None  # a rejected trial's trajectory is dead
@@ -285,18 +295,21 @@ def optimize(problem: TrackingProblem, omega0,
             state.message = (f"line search stalled at iter {it}: "
                              f"J={J:.6e}, ||g||={gnorm:.3e}, "
                              f"slope={slope:.3e}, last alpha={alpha:.3e}")
+            ftrial = None
+            tb[...] = ob  # the iterate again, zero off its block
+            omega, ftraj = trial, problem.solve(trial)
+            gb, adj = _gradient(problem, omega, ftraj, k0)
             break
         s = tb - ob
-        del ob, adj, info  # the superseded iterate, before the new adjoint
+        del ob, d
         omega, ftraj, J = trial, ftrial, Jt
-        g, info = reduced_gradient(problem, omega, ftraj, stop=k0)
-        adj = info["adjoint"]
-        yv = g[blk] - gb
-        del gb  # the superseded gradient
+        yv = gb  # the superseded gradient, read once more below
+        gb, adj = _gradient(problem, omega, ftraj, k0)
+        yv = gb - yv
         curv = pair(s, yv)
         if curv > 1e-14 * math.sqrt(pair(s, s)) * math.sqrt(pair(yv, yv)):
             memory.append((s, yv, 1.0 / curv))
-        gnorm = norm_q0(win, g)
+        gnorm = math.sqrt(pair(gb, gb))
         step_prev = min(4.0 * alpha, 1e3)
         state.costs.append(J)
         state.grad_norms.append(gnorm)
@@ -308,14 +321,24 @@ def optimize(problem: TrackingProblem, omega0,
             break
     if not state.converged and not state.stalled:
         state.message = f"max_iters reached with ||g||={gnorm:.3e}"
-    return _finished(problem, state, omega, ftraj, g, adj)
+    memory.clear()
+    return _finished(problem, state, omega, ftraj, gb, adj)
 
 
-def _finished(problem: TrackingProblem, state: OptimState, omega, ftraj, g,
-              adj) -> OptimState:
-    """The state with its final iterate, and that iterate's adjoint
-    resumed below the frame its march stopped at."""
+def _gradient(problem: TrackingProblem, omega, ftraj, stop: int):
+    """A contiguous copy of the reduced gradient's window block, and the
+    multiplier, at a solved iterate; the gradient lattice goes on return."""
+    g, info = reduced_gradient(problem, omega, ftraj, stop)
+    return g[problem.window.block].copy(), info["adjoint"]
+
+
+def _finished(problem: TrackingProblem, state: OptimState, omega, ftraj,
+              gb, adj) -> OptimState:
+    """The state with its final iterate, its gradient block zero-extended,
+    and its adjoint resumed below the frame its march stopped at."""
     adj = finish_adjoint(ftraj, adj, problem.z_d - ftraj.y, problem.model)
+    g = problem.window.zero_control()
+    g[problem.window.block] = gb
     state.omega, state.ftraj, state.grad, state.adjoint = omega, ftraj, g, adj
     return state
 

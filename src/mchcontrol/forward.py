@@ -195,16 +195,18 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     w, w2 = np.empty((2, n))  # work rows of a step
     mul, sub, add = np.multiply, np.subtract, np.add
     # rows of steps k0..N-1, each writing frame k+1 in place
-    rows = zip(Y[k0:N], U[k0:N], UX[k0:N], S[k0:N], omega[k0:N],
+    rows = zip(Y[k0:N], U[k0:N], UX[k0:N], S[k0:N],
                Yp[k0:N, 2:], Yp[k0:N, :-2], Up[k0:N, 2:], Up[k0:N, :-2],
                Y[k0 + 1:], U[k0 + 1:])
     # blow-up is reported as NumericsError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for y, u, ux, s, om, yr, yl, ur, ul, y1, u1 in rows:
+        # each destination row takes dt*omega first, in one multiply
+        mul(dt, omega[k0:N], Y[k0 + 1:])
+        for y, u, ux, s, yr, yl, ur, ul, y1, u1 in rows:
             np.divide(sub(ur, ul, ux), h2, ux)
             sub(mul(u, u, s), mul(ux, ux, w), s)
             # y1 = (y + dt*om - (c*s)*(yr - yl)) - ((dt2*y)*y + dtk)*ux
-            add(y, mul(dt, om, y1), y1)
+            add(y, y1, y1)
             sub(y1, mul(mul(c, s, w), sub(yr, yl, w2), w), y1)
             sub(y1, mul(add(mul(mul(dt2, y, w), y, w), dtk, w), ux, w), y1)
             dsolve(y1, True)

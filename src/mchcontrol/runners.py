@@ -245,10 +245,16 @@ def run_twin(cfg: dict, out_dir) -> int:
     cfg_twin = dict(cfg, cost=dict(cfg["cost"], z_d="twin"))
     problem, omega_true = build_problem(cfg_twin, rng)
     window = problem.window
+    # the true control is zero off the window block, so only its block is
+    # kept while the optimizer runs
+    true_block = omega_true[window.block].copy()
+    del omega_true
     state = optimize(problem, window.zero_control(),
                      OptimOptions(**cfg["optimizer"]))
     write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
 
+    omega_true = window.zero_control()
+    omega_true[window.block] = true_block
     export_trajectory_csv(os.path.join(out, "omega_true.csv"), problem.domain,
                           problem.tg, {"omega_true": omega_true},
                           _csv_params(cfg, "twin"), h)

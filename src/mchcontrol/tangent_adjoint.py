@@ -33,6 +33,10 @@ from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
 from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_h, norm_l2h
 from .helmholtz import get_operator
 
+# bytes of the coefficient frames an adjoint march builds at a time: four
+# coefficient rows and one difference row per frame
+COEFF_CHUNK_BYTES = 1 << 18
+
 
 @dataclass
 class TangentState:
@@ -140,16 +144,21 @@ def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
             + get_operator(domain).solve_frames(inner))
 
 
-def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams, lam,
-                last: float, stop: int, top: int):
+def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
+                stop: int, top: int):
     """lam[N] = 0, lam[N-1] = M^-1(last dt source[N]) and, for k < N,
     lam[k-1] = M^-1((I - dt T_k) lam[k] + dt source[k]), with M = I - dt eps
     D2 and T_k the transposed tangent term about base frame k.
 
     Fills frames stop..top-1 of lam in place from its frame top (the zero
-    final frame for top = N), each first taking dt source in one multiply.
-    The discrete adjoint is last = 1/2, the continuous one last = 1. Raises
-    NumericsError naming the first non-finite frame.
+    final frame for top = N). On entry each of them holds the source of the
+    step that writes it (frame k-1 holds source[k]), and one multiply scales
+    them all by dt, so no source lattice is read. The coefficients of T_k
+    are built COEFF_CHUNK_BYTES of frames at a time, just before the steps
+    that read them: each is a per-frame expression, so a chunk's rows are
+    those of one whole stack bit for bit. The discrete adjoint is last =
+    1/2, the continuous one last = 1. Raises NumericsError naming the first
+    non-finite frame.
     """
     domain, tg = ftraj.domain, ftraj.tg
     ksolve = get_operator(domain).solve
@@ -162,23 +171,27 @@ def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams, lam,
     w, w2 = np.empty((2, domain.n_interior))  # work rows of a step
     mul, sub, add = np.multiply, np.subtract, np.add
     f = min(top, N - 1)  # the frame the steps start from
-    # T_k for k = stop+1..f; the rows run backward, step k writing frame
-    # k-1 in place
-    coeffs = _step_coefficients(ftraj, p.k, slice(stop + 1, f + 1))
-    rows = zip(*coeffs[:, ::-1], lam[stop:f][::-1])
     psi = lam[f]
     with np.errstate(over="ignore", invalid="ignore"):
-        mul(tg.dt, source[stop + 1:top + 1], lam[stop:top])
+        mul(tg.dt, lam[stop:top], lam[stop:top])
         if top == N:
             dsolve(mul(last, psi, psi), True)
-        for a, b, c, e, lam1 in rows:
-            # lam1 += (b*psi + D(a*psi)) - K(c*psi + D(e*psi)), with D the
-            # padded difference pa[2:] - pa[:-2]
-            mul(a, psi, pa_in)
-            mul(e, psi, pe_in)
-            ksolve(add(mul(c, psi, w), sub(pe_r, pe_l, w2), w), True)
-            add(mul(b, psi, w2), sub(pa_r, pa_l, pe_in), w2)
-            psi = dsolve(add(sub(w2, w, w2), lam1, lam1), True)
+    # T_k for k = f down to stop+1, one chunk of frames at a time; the rows
+    # run backward, step k writing frame k-1 in place
+    size = max(1, COEFF_CHUNK_BYTES // (40 * domain.n_interior))
+    for hi in range(f + 1, stop + 1, -size):
+        lo = max(hi - size, stop + 1)
+        coeffs = _step_coefficients(ftraj, p.k, slice(lo, hi))
+        rows = zip(*coeffs[:, ::-1], lam[lo - 1:hi - 1][::-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b, c, e, lam1 in rows:
+                # lam1 += (b*psi + D(a*psi)) - K(c*psi + D(e*psi)), with D
+                # the padded difference pa[2:] - pa[:-2]
+                mul(a, psi, pa_in)
+                mul(e, psi, pe_in)
+                ksolve(add(mul(c, psi, w), sub(pe_r, pe_l, w2), w), True)
+                add(mul(b, psi, w2), sub(pa_r, pa_l, pe_in), w2)
+                psi = dsolve(add(sub(w2, w, w2), lam1, lam1), True)
     bad = _first_nonfinite(lam[stop:top], backward=True)
     if bad is not None:
         raise NumericsError(
@@ -187,7 +200,8 @@ def _march_back(ftraj: ForwardTrajectory, source, p: ModelParams, lam,
 
 
 def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
-                           p: ModelParams, stop: int = 0) -> AdjointState:
+                           p: ModelParams, stop: int = 0,
+                           minus=None) -> AdjointState:
     """Exact transpose of solve_tangent for a trajectory-valued source.
 
     Satisfies <T q, source>_traj = <q, lambda|_Q0>_ctrl for every direction q
@@ -195,6 +209,10 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     z_d - y (the negated misfit), which makes the reduced gradient
     delta*omega - lambda|_Q0 and gives lambda = delta*omega at optima.
     Raises NumericsError with the frame index on NaN/Inf.
+
+    minus, a trajectory, is subtracted from the source as it is written
+    into the multiplier's frames: source z_d with minus y is the tracking
+    source bit for bit, with no lattice of its own.
 
     stop in 1..N-1 marches frames stop..N only, which is all the pairing
     needs for directions that vanish on steps before stop (a window whose
@@ -207,7 +225,11 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
         raise ValueError(f"stop={stop} is outside 0..N-1 for N={N}")
     source = as_trajectory(ftraj.domain, ftraj.tg, source)
     lam = np.zeros_like(source)
-    _march_back(ftraj, source, p, lam, 0.5, stop, N)
+    if minus is None:
+        lam[stop:N] = source[stop + 1:]
+    else:
+        np.subtract(source[stop + 1:], minus[stop + 1:], out=lam[stop:N])
+    _march_back(ftraj, p, lam, 0.5, stop, N)
     return AdjointState(lam, stop)
 
 
@@ -219,7 +241,8 @@ def finish_adjoint(ftraj: ForwardTrajectory, adj: AdjointState, source,
     NumericsError like solve_adjoint_discrete for a NaN/Inf below stop."""
     if adj.stop:
         source = as_trajectory(ftraj.domain, ftraj.tg, source)
-        _march_back(ftraj, source, p, adj.lam, 0.5, 0, adj.stop)
+        adj.lam[:adj.stop] = source[1:adj.stop + 1]
+        _march_back(ftraj, p, adj.lam, 0.5, 0, adj.stop)
         adj.stop = 0
     return adj
 
@@ -237,8 +260,9 @@ def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
     source = as_trajectory(domain, tg, source)
     N = tg.n_steps
     lam = np.zeros_like(source)
+    lam[:-1] = source[1:]
     try:
-        _march_back(ftraj, source, p, lam, 1.0, 0, N)
+        _march_back(ftraj, p, lam, 1.0, 0, N)
     except NumericsError as err:  # renumbered in steps of reversed time
         step = N - err.time_index
         raise NumericsError(f"adjoint state lost finiteness at step {step}",

@@ -144,6 +144,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
              {"verify": {"n_hessian_samples": 2 ** 59}}),
             ("verify", "verify.n_embed_samples",
              {"verify": {"n_embed_samples": 2 ** 59}}),
+            ("gradcheck", "gradcheck.n_directions",
+             {"gradcheck": {"n_directions": 2 ** 59}}),
             ("verify", "verify.smallness_C_eps",
              {"verify": {"smallness_C_eps": -0.5}}))):
         bad = write_cfg(tmp_path, f"bad{i}.json", **override)

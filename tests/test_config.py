@@ -133,6 +133,22 @@ def test_semantic_checks():
             resolve_config(minimal(**bad))
 
 
+@pytest.mark.parametrize("section,key", [("verify", "n_hessian_samples"),
+                                         ("verify", "n_embed_samples"),
+                                         ("gradcheck", "n_directions")])
+def test_sample_counts_past_the_array_limit(section, key):
+    """A sample count whose float64 stack of (N+1, n) lattices reaches
+    2**63 bytes is a config error naming the field and its value, found
+    before anything is allocated; one sample less resolves."""
+    lattice = 8 * 21 * 16  # bytes of one sample on the minimal grid
+    limit = -(-2 ** 63 // lattice)  # the least count that is refused
+    for count in (2 ** 59, limit):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} = {count}:"):
+            resolve_config(minimal(**{section: {key: count}}))
+    cfg = resolve_config(minimal(**{section: {key: limit - 1}}))
+    assert cfg[section][key] == limit - 1
+
+
 def test_window_defaults_middle_half():
     cfg = resolve_config(minimal())
     assert window_coords(cfg) == (0.5, 1.5, 0.125, 0.375)

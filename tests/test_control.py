@@ -17,7 +17,7 @@ from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward,
                                 transport_terms)
 from mchcontrol.helmholtz import get_operator
-from mchcontrol import control
+from mchcontrol import control, tangent_adjoint
 from mchcontrol.config import build_problem_pieces, resolve_config
 from mchcontrol.runners import run_twin, run_verify
 from mchcontrol.control import (TrackingProblem, OptimOptions, cost,
@@ -27,7 +27,8 @@ from mchcontrol.control import (TrackingProblem, OptimOptions, cost,
                                 first_order_residuals, constants,
                                 lambda_bound_check, quadratic_form,
                                 coercivity_check)
-from mchcontrol.tangent_adjoint import solve_adjoint_continuous, solve_tangent
+from mchcontrol.tangent_adjoint import (solve_adjoint_continuous,
+                                        solve_adjoint_discrete, solve_tangent)
 
 
 @pytest.fixture(scope="module")
@@ -252,14 +253,14 @@ class IterateSpy:
             self.trajs.append(weakref.ref(ftraj))
             return ftraj
 
-        def spy_adjoint(ftraj, source, p, stop=0):
+        def spy_adjoint(ftraj, source, p, stop=0, minus=None):
             gc.collect()
             live = [r() for r in self.trajs]
             self.seen.append((
                 [t is ftraj for t in live if t is not None],
                 sum(r() is not None for r in self.mults)))
             del live
-            adj = adjoint(ftraj, source, p, stop)
+            adj = adjoint(ftraj, source, p, stop, minus)
             self.mults.append(weakref.ref(adj))
             return adj
         monkeypatch.setattr(TrackingProblem, "solve", spy_solve)
@@ -268,8 +269,10 @@ class IterateSpy:
 
 @pytest.mark.filterwarnings("ignore::mchcontrol.errors.StabilityWarning")
 def test_optimize_stall_diagnostics(twin_small, monkeypatch):
-    """A stalled search returns the iterate it started from, with that
-    iterate's own trajectory (the first solve's, kept live) and adjoint."""
+    """A stalled search returns the iterate it started from, re-solved at
+    its control: trajectory, gradient and finished multiplier are byte for
+    byte a fresh march from y0 and a full adjoint at st.omega, and the
+    re-solve's adjoint runs with no other trajectory or multiplier live."""
     prob, _ = twin_small
     monkeypatch.setattr(control, "MAX_TRIALS", 0)
     # no trial can give the decrease a constant of 1e12 asks for
@@ -278,8 +281,16 @@ def test_optimize_stall_diagnostics(twin_small, monkeypatch):
     st = optimize(prob, prob.window.zero_control(), OptimOptions(max_iters=5))
     assert st.stalled and not st.converged
     assert st.message
-    assert spy.seen == [([True], 0)] and st.ftraj is spy.trajs[0]()
-    assert_state_is_solved(prob, st)
+    # the starting point, one rejected trial, and the re-solve
+    assert len(spy.trajs) == 3 and st.ftraj is spy.trajs[2]()
+    assert spy.seen == [([True], 0)] * 2
+    ft = fresh_solve(prob, st.omega)
+    assert bits(st.ftraj) == bits(ft)
+    adj = solve_adjoint_discrete(ft, prob.z_d - ft.y, prob.model)
+    g = apply_B(prob.window, prob.delta * st.omega - adj.lam)
+    assert st.grad.tobytes() == g.tobytes()
+    assert st.adjoint.stop == 0
+    assert st.adjoint.lam.tobytes() == adj.lam.tobytes()
 
 
 def test_backtrack_step_interpolates_within_its_safeguards():
@@ -389,27 +400,35 @@ README_TWIN = {
 
 def test_twin_memory_budget(tmp_path):
     """run_twin on the README config at n=128, N=250 peaks (tracemalloc)
-    within the arrays that must be live while a trial marches.
+    within the arrays that must be live while the last iteration's
+    accepted trial is differentiated, the peak since the line search
+    holds the iterate as blocks.
 
     With L the bytes of an (N+1, n) lattice, P those of a zero-padded
-    (N+1, n+2) march array, B those of a window block and m the iterations
-    (at most m curvature pairs are kept), the live arrays are:
+    (N+1, n+2) march array, B those of a window block, C the coefficient
+    budget of an adjoint march (COEFF_CHUNK_BYTES) and m the iterations (at
+    most m curvature pairs are kept), the live arrays are:
 
     - the target z_d (L), the problem's head (frames 0..k0 of y, u and
-      u_x) and run_twin's true control (L);
-    - the iterate: control (L), trajectory (2P + L: padded y and u, u_x),
-      gradient (L) and multiplier (L);
-    - the search: direction and its scaled step (2B), the pairs (2mB) and
-      the trial control (L);
-    - the trial's march: padded y and u (2P), u_x (L) and u^2 - u_x^2 (L).
-      Its cost holds the misfit (L) in place of u^2 - u_x^2.
+      u_x) and run_twin's true control block (B);
+    - the iterate being differentiated: its control (L), trajectory (2P +
+      L: padded y and u, u_x) and multiplier (L), into whose frames the
+      source z_d - y is written, so it has no lattice of its own;
+    - the superseded iterate's gradient block and the step s (2B), and the
+      pairs kept so far (2(m - 1)B);
+    - while the adjoint marches, its coefficients: the chunk being built
+      while the last rows of the one before are read (2C); after it, in
+      their place, reduced_gradient's gradient lattice and the block that
+      optimize copies from it (L + B).
 
-    That is 9L + 4P + head + (2 + 2m)B. An accepted trial's adjoint comes
-    after the superseded control, trajectory and multiplier (3L + 2P) are
-    dropped, and adds its source and multiplier (2L) and a coefficient
-    stack with one difference, 5(N - k0)/(N + 1) L: less than those. One
-    more L covers what grows with one axis only (rows, per-frame
-    temporaries, time weights, solver factors) and interpreter objects.
+    That is 4L + 2P + head + max(2C, L + B) + (2m + 1)B. A trial's march
+    holds less: the trial control (L), padded y and u (2P), u_x and
+    u^2 - u_x^2 (2L), with the iterate's control and gradient blocks, the
+    direction and its scaled step (4B); its cost holds the misfit (L) in
+    place of u^2 - u_x^2. The finishing adjoint comes after the pairs are
+    dropped. One more L covers what grows with one axis only (rows,
+    per-frame temporaries, time weights, solver factors) and interpreter
+    objects.
     """
     cfg = resolve_config(README_TWIN)
     n, N = 128, 250
@@ -426,8 +445,60 @@ def test_twin_memory_budget(tmp_path):
     k0 = frames.start
     L, P = 8 * (N + 1) * n, 8 * (N + 1) * (n + 2)
     B = 8 * (frames.stop - k0) * (nodes.stop - nodes.start)
+    C = tangent_adjoint.COEFF_CHUNK_BYTES
     head = 3 * 8 * (k0 + 1) * n
-    assert peak <= 10 * L + 4 * P + head + (2 + 2 * m) * B
+    assert peak <= (5 * L + 2 * P + head + max(2 * C, L + B)
+                    + (1 + 2 * m) * B)
+
+
+class LiveSpy:
+    """Weak references to the arrays of every trajectory
+    TrackingProblem.solve returns and every multiplier
+    solve_adjoint_discrete builds; before each march it collects garbage and records how many
+    are still live."""
+
+    def __init__(self, monkeypatch):
+        self.refs, self.live = [], []
+        solve, adjoint = TrackingProblem.solve, control.solve_adjoint_discrete
+
+        def spy_solve(problem, omega):
+            gc.collect()
+            self.live.append(sum(r() is not None for r in self.refs))
+            ftraj = solve(problem, omega)
+            self.refs.append(weakref.ref(ftraj.y.base))
+            return ftraj
+
+        def spy_adjoint(*args, **kwargs):
+            adj = adjoint(*args, **kwargs)
+            self.refs.append(weakref.ref(adj.lam))
+            return adj
+        monkeypatch.setattr(TrackingProblem, "solve", spy_solve)
+        monkeypatch.setattr(control, "solve_adjoint_discrete", spy_adjoint)
+
+
+@pytest.mark.parametrize("memory,fail_at", [(2, ()), (16, (2,))])
+def test_no_superseded_iterate_is_live_while_a_trial_marches(
+        twin48, monkeypatch, memory, fail_at):
+    """While the line search marches a trial, no trajectory or multiplier
+    of an earlier iterate or trial is live: the iterate is kept as its
+    window blocks. With a memory of 2 the n=48, N=240 twin rejects four
+    trials on their cost; with the default memory and its first trial's
+    march failing, it backtracks after a NumericsError. The returned state
+    equals a fresh solve at its control, and the run is the one without
+    the spies."""
+    prob, _ = twin48
+    opts = OptimOptions(memory=memory)
+    MarchSpy(monkeypatch, fail_at=fail_at)
+    ref = optimize(prob, prob.window.zero_control(), opts)
+    MarchSpy(monkeypatch, fail_at=fail_at)  # counts this run's marches
+    spy = LiveSpy(monkeypatch)
+    st = optimize(prob, prob.window.zero_control(), opts)
+    assert st.converged
+    assert len(spy.live) > st.n_iters + 1  # some trial was rejected
+    assert spy.live == [0] * len(spy.live)
+    assert st.costs == ref.costs
+    assert st.omega.tobytes() == ref.omega.tobytes()
+    assert_state_is_solved(prob, st)
 
 
 def test_lagrangian_on_feasible_trajectory(twin_small, rng):

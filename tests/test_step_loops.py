@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from mchcontrol import tangent_adjoint
 from mchcontrol.errors import NumericsError
 from mchcontrol.forward import (ControlWindow, ForwardTrajectory, ModelParams,
                                 _first_nonfinite, solve_forward)
@@ -140,6 +141,58 @@ def test_adjoint_matches_reference_loop(n, N, rng):
     fadj = solve_adjoint_discrete(ft, np.asfortranarray(source), p, stop=k0)
     assert fadj.lam.flags.f_contiguous and same_bytes(fadj.lam, part)
     assert same_bytes(finish_adjoint(ft, fadj, source, p).lam, full)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng,
+                                                  monkeypatch):
+    """With the coefficient budget cut to a few frames per chunk, every
+    adjoint march equals the reference loop byte for byte: the discrete,
+    continuous, stopped, finished and tracking (z_d with minus y)
+    multipliers, for C- and F-ordered sources. The stops are the window's
+    first step k0 and the steps next to it at which the stopped march's
+    last chunk is full (a chunk edge on stop), holds one frame (an edge
+    just above stop), or is one frame short (the edge just below stop,
+    clipped)."""
+    dom, tg, p, w, y0, omega = pieces(n, N, rng)
+    monkeypatch.setattr(tangent_adjoint, "COEFF_CHUNK_BYTES", 40 * n * frames)
+    chunks = []
+
+    def counted(ftraj, k, sl):
+        chunks.append(sl.stop - sl.start)
+        return _step_coefficients(ftraj, k, sl)
+    monkeypatch.setattr(tangent_adjoint, "_step_coefficients", counted)
+    ft = solve_forward(dom, tg, p, y0, omega)
+    source = rng.standard_normal(ft.y.shape)
+    src = np.asarray(source, order=order)
+    k0 = w.block[0].start
+
+    def reference(last, stop, top=N, lam=None):
+        lam = np.zeros_like(source) if lam is None else lam
+        return reference_march_back(ft, source, p, lam, last, stop, top)
+
+    full = reference(0.5, 0)
+    assert same_bytes(solve_adjoint_discrete(ft, src, p).lam, full)
+    assert max(chunks) == frames and len(chunks) == -(-(N - 1) // frames)
+    assert same_bytes(solve_adjoint_continuous(ft, src, p), reference(1.0, 0))
+    # frames N-1 down to stop+1 take the coefficients, N-1-stop of them
+    stops = {k0} | {k0 + (N - 1 - k0 - r) % frames for r in (0, 1, -1)}
+    assert {(N - 1 - stop) % frames for stop in stops} >= {0, 1 % frames,
+                                                             frames - 1}
+    for stop in sorted(stops):
+        part = reference(0.5, stop)
+        adj = solve_adjoint_discrete(ft, src, p, stop)
+        assert same_bytes(adj.lam, part)
+        assert same_bytes(reference(0.5, 0, stop, part.copy()), full)
+        assert same_bytes(finish_adjoint(ft, adj, src, p).lam, full)
+        # the tracking source z_d - y, written into the multiplier itself
+        z_d = np.asarray(ft.y + source, order=order)
+        want = reference_march_back(ft, z_d - ft.y, p,
+                                    np.zeros_like(source), 0.5, stop, N)
+        got = solve_adjoint_discrete(ft, z_d, p, stop, minus=ft.y)
+        assert same_bytes(got.lam, want)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
