@@ -19,7 +19,7 @@ import numpy as np
 
 from .control import OptimOptions
 from .errors import ConfigError
-from .forward import ControlWindow, ModelParams, apply_B
+from .forward import ControlWindow, ModelParams
 from .grid import Domain1D, TimeGrid
 
 _BOOL = (bool,)
@@ -264,7 +264,7 @@ def initial_field(cfg: dict, domain: Domain1D) -> np.ndarray:
 
 def control_field(cfg: dict, window: ControlWindow,
                   rng: np.random.Generator) -> np.ndarray:
-    """Synthesize the configured control on the window (zero outside)."""
+    """Synthesize the configured control, an array of the window block."""
     kind = cfg["control"]["kind"]
     amp = float(cfg["control"]["amplitude"])
     if kind == "zero":
@@ -278,4 +278,5 @@ def control_field(cfg: dict, window: ControlWindow,
     ts = np.clip((tg.t - t0) / max(t1 - t0, 1e-300), 0.0, 1.0)
     bump_x = np.sin(np.pi * xs) ** 2
     bump_t = np.sin(np.pi * ts) ** 2
-    return apply_B(window, amp * np.outer(bump_t, bump_x))
+    steps, nodes = window.block
+    return amp * np.outer(bump_t[steps], bump_x[nodes])

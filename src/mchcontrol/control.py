@@ -2,10 +2,11 @@
 first- and second-order optimality machinery.
 
 The reduced cost is J(omega) = (1/2)||y(omega) - z_d||^2_L2(0,T;H)
-+ (delta/2)||omega||^2 over the control window. The reduced gradient is the
-L2(Q0) Riesz representative delta*omega - lambda|_Q0, with lambda the exact
-discrete transpose sourced by z_d - y; central finite differences of J
-reproduce <g, q> to roundoff-limited accuracy.
++ (delta/2)||omega||^2 over the control window; controls are window blocks.
+The reduced gradient is the L2(Q0) Riesz representative delta*omega -
+B* lambda, with lambda the exact discrete transpose sourced by z_d - y and
+B* lambda its window block; central finite differences of J reproduce
+<g, q> to roundoff-limited accuracy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .analysis import growth
 from .errors import NumericsError
-from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
-                      inner_block, inner_q0, norm_q0, solve_forward,
+from .forward import (ControlWindow, ForwardTrajectory, ModelParams,
+                      as_control, inner_q0, norm_q0, solve_forward,
                       transport_terms)
 from .grid import (Domain1D, TimeGrid, _per_frame, _shaped, as_trajectory,
                    d1, d2, inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
@@ -50,7 +51,7 @@ def backtrack_step(alpha: float, J: float, slope: float, Jt: float) -> float:
 class TrackingProblem:
     """Everything fixed during an optimization run.
 
-    The control is zero before the window's first step k0, so frames 0..k0
+    The forcing is zero before the window's first step k0, so frames 0..k0
     are the same for every control: the first successful solve keeps them
     as the head that every later solve resumes from.
     """
@@ -64,16 +65,21 @@ class TrackingProblem:
     delta: float
     _head: ForwardTrajectory = field(default=None, init=False, repr=False,
                                      compare=False)
+    _forcing: np.ndarray = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("TrackingProblem: delta must be positive")
         self.z_d = as_trajectory(self.domain, self.tg, self.z_d)
+        self._forcing = np.zeros(self.window.shape)
 
     def solve(self, omega) -> ForwardTrajectory:
-        """March with omega as the forcing: zero off the window (apply_B)."""
+        """March with B omega: the control goes into the window block of
+        the problem's forcing lattice, which is +0.0 everywhere else."""
+        self._forcing[self.window.block] = as_control(self.window, omega)
         ftraj = solve_forward(self.domain, self.tg, self.model, self.y0,
-                              omega, head=self._head)
+                              self._forcing, head=self._head)
         if self._head is None:
             k = self.window.block[0].start + 1
             self._head = ForwardTrajectory(
@@ -91,7 +97,7 @@ def misfit(problem: TrackingProblem, Y) -> float:
 def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
     """Reduced cost and its parts; reuses a solved trajectory when given."""
     if ftraj is None:
-        ftraj = problem.solve(apply_B(problem.window, omega))
+        ftraj = problem.solve(omega)
     track = misfit(problem, ftraj.y)
     reg = 0.5 * problem.delta * norm_q0(problem.window, omega) ** 2
     return track + reg, {"tracking": track, "regularization": reg,
@@ -100,26 +106,24 @@ def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
 
 def reduced_gradient(problem: TrackingProblem, omega,
                      ftraj: ForwardTrajectory = None, stop: int = 0):
-    """L2(Q0) gradient delta*omega - lambda|_Q0 and the pieces behind it.
+    """L2(Q0) gradient delta*omega - B* lambda, a control, and the pieces
+    behind it.
 
     The misfit is the L2(0,T;H) one, so the multiplier source is z_d - y,
     and lambda is its exact discrete transpose, so <g, q> matches finite
     differences of the cost to roundoff. The source is written straight into
     the multiplier's frames (z_d with minus y), so no source lattice is made.
-    The gradient is delta*omega - lambda on the window block and an exact
-    +0.0 elsewhere (the final slice carries no quadrature weight). stop, at
-    most the window's first step, lets the multiplier stop at that frame
-    (see solve_adjoint_discrete); the gradient reads no frame below it.
+    B* lambda is lambda's window block. stop, at most the window's first
+    step, lets the multiplier stop at that frame (see
+    solve_adjoint_discrete); the gradient reads no frame below it.
     """
+    omega = as_control(problem.window, omega)
     if ftraj is None:
-        ftraj = problem.solve(apply_B(problem.window, omega))
+        ftraj = problem.solve(omega)
     adj = solve_adjoint_discrete(ftraj, problem.z_d, problem.model, stop,
                                  minus=ftraj.y)
-    omega = as_trajectory(problem.domain, problem.tg, omega)
-    blk = problem.window.block
-    g = problem.window.zero_control()
-    gb = np.multiply(problem.delta, omega[blk], out=g[blk])
-    np.subtract(gb, adj.lam[blk], out=gb)
+    g = np.multiply(problem.delta, omega)
+    np.subtract(g, adj.lam[problem.window.block], out=g)
     return g, {"ftraj": ftraj, "adjoint": adj}
 
 
@@ -178,12 +182,11 @@ def _constraint_residuals(problem: TrackingProblem, omega, Y):
     """
     domain, tg, p = problem.domain, problem.tg, problem.model
     Y = as_trajectory(domain, tg, Y)
-    bq = apply_B(problem.window, omega)
     y, y_next = Y[:-1], Y[1:]
     u, ux = velocity(domain, y)[:2]
     mdt_next = y_next - tg.dt * p.epsilon * d2(domain, y_next)
-    e1 = ((mdt_next - y) / tg.dt
-          + transport_terms(domain, y, u, ux, p.k) - bq[:-1])
+    e1 = (mdt_next - y) / tg.dt + transport_terms(domain, y, u, ux, p.k)
+    e1[problem.window.block] -= as_control(problem.window, omega)
     e2 = Y[0] - problem.y0
     return e1, e2
 
@@ -214,36 +217,30 @@ def optimize(problem: TrackingProblem, omega0,
     re-solve. Every iterate is a forward solve, so the log holds no state
     residual: it is roundoff by construction.
 
-    Only the window block (window.block) of a control moves, so the search
-    direction, the gradient and the memory of (s, y, rho) triples are
-    arrays shaped like that block, paired by inner_block. A full (N+1, n)
-    lattice is built only where a control or gradient crosses the loop's
-    edge: each line-search trial handed to problem.solve, zero off the
-    block, each gradient reduced_gradient returns, of which the loop keeps a
-    copy of the block, and the returned omega and gradient. The gradient
-    reads no multiplier frame below the window's first step k0, so each
-    iteration's adjoint stops at k0, and the returned state's adjoint is
-    finished once from there (finish_adjoint): bit for bit the full march.
+    The control, the gradient, the search direction and the memory of
+    (s, y, rho) triples are window blocks, and each iteration's trials are
+    marched from one trial block. The gradient reads no multiplier frame
+    below the window's first step k0, so each iteration's adjoint stops at
+    k0, and the returned state's adjoint is finished once from there
+    (finish_adjoint): bit for bit the full march.
 
-    Only live arrays are held: omega0 goes once apply_B has copied it, and
-    while the line search marches the iterate lives on only as contiguous
-    copies of its control and gradient blocks: its control, trajectory and
-    multiplier lattices go before the first trial, and a rejected trial's
-    trajectory before the next one. A stalled search re-solves the
-    iterate's trajectory, gradient and multiplier at its control; the march
-    is deterministic, so they are bit for bit the ones it dropped. The
-    L-BFGS memory goes before the finishing adjoint.
+    Only live arrays are held: while the line search marches, the iterate
+    lives on only as its control and gradient; its trajectory and
+    multiplier go before the first trial, and a rejected trial's trajectory
+    before the next one. A stalled search re-solves the iterate's
+    trajectory, gradient and multiplier at its control; the march is
+    deterministic, so they are bit for bit the ones it dropped. The L-BFGS
+    memory goes before the finishing adjoint.
     """
     opts = opts or OptimOptions()
     win = problem.window
-    blk = win.block
-    k0 = blk[0].start
-    omega = apply_B(win, omega0)
+    k0 = win.block[0].start
+    omega = as_control(win, omega0).copy()
     del omega0
     ftraj = problem.solve(omega)
     J, _ = cost(problem, omega, ftraj)
-    pair = partial(inner_block, win)
-    gb, adj = _gradient(problem, omega, ftraj, k0)
+    pair = partial(inner_q0, win)
+    gb, info = reduced_gradient(problem, omega, ftraj, k0)
     gnorm = math.sqrt(pair(gb, gb))
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
     state = OptimState()
@@ -253,14 +250,12 @@ def optimize(problem: TrackingProblem, omega0,
     if gnorm <= threshold:
         state.converged = True
         state.message = "already optimal at the starting point"
-        return _finished(problem, state, omega, ftraj, gb, adj)
+        return _finished(problem, state, omega, gb, info)
 
     memory = deque(maxlen=opts.memory)  # (s, y, rho) block arrays
     step_prev = 1.0
     for it in range(1, opts.max_iters + 1):
-        # the iterate lives on as its blocks while the search marches
-        ob = omega[blk].copy()
-        del omega, ftraj, adj
+        del ftraj, info  # the iterate lives on as omega and gb
         d = -gb
         if memory:
             alpha_hist = []
@@ -277,10 +272,9 @@ def optimize(problem: TrackingProblem, omega0,
             d = -gb
             slope = -gnorm ** 2
         alpha = 1.0 if memory else step_prev
-        trial = win.zero_control()
-        tb = trial[blk]
+        trial = np.empty_like(omega)
         for _ in range(MAX_TRIALS + 1):
-            np.add(ob, alpha * d, out=tb)
+            np.add(omega, alpha * d, out=trial)
             ftrial = None  # a rejected trial's trajectory is dead
             try:
                 ftrial = problem.solve(trial)
@@ -296,15 +290,14 @@ def optimize(problem: TrackingProblem, omega0,
                              f"J={J:.6e}, ||g||={gnorm:.3e}, "
                              f"slope={slope:.3e}, last alpha={alpha:.3e}")
             ftrial = None
-            tb[...] = ob  # the iterate again, zero off its block
-            omega, ftraj = trial, problem.solve(trial)
-            gb, adj = _gradient(problem, omega, ftraj, k0)
+            ftraj = problem.solve(omega)
+            gb, info = reduced_gradient(problem, omega, ftraj, k0)
             break
-        s = tb - ob
-        del ob, d
+        s = trial - omega
+        del d
         omega, ftraj, J = trial, ftrial, Jt
         yv = gb  # the superseded gradient, read once more below
-        gb, adj = _gradient(problem, omega, ftraj, k0)
+        gb, info = reduced_gradient(problem, omega, ftraj, k0)
         yv = gb - yv
         curv = pair(s, yv)
         if curv > 1e-14 * math.sqrt(pair(s, s)) * math.sqrt(pair(yv, yv)):
@@ -322,24 +315,17 @@ def optimize(problem: TrackingProblem, omega0,
     if not state.converged and not state.stalled:
         state.message = f"max_iters reached with ||g||={gnorm:.3e}"
     memory.clear()
-    return _finished(problem, state, omega, ftraj, gb, adj)
+    return _finished(problem, state, omega, gb, info)
 
 
-def _gradient(problem: TrackingProblem, omega, ftraj, stop: int):
-    """A contiguous copy of the reduced gradient's window block, and the
-    multiplier, at a solved iterate; the gradient lattice goes on return."""
-    g, info = reduced_gradient(problem, omega, ftraj, stop)
-    return g[problem.window.block].copy(), info["adjoint"]
-
-
-def _finished(problem: TrackingProblem, state: OptimState, omega, ftraj,
-              gb, adj) -> OptimState:
-    """The state with its final iterate, its gradient block zero-extended,
-    and its adjoint resumed below the frame its march stopped at."""
-    adj = finish_adjoint(ftraj, adj, problem.z_d - ftraj.y, problem.model)
-    g = problem.window.zero_control()
-    g[problem.window.block] = gb
-    state.omega, state.ftraj, state.grad, state.adjoint = omega, ftraj, g, adj
+def _finished(problem: TrackingProblem, state: OptimState, omega, g,
+              info) -> OptimState:
+    """The state with its final iterate, and the iterate's adjoint resumed
+    below the frame its march stopped at."""
+    ftraj = info["ftraj"]
+    state.adjoint = finish_adjoint(ftraj, info["adjoint"],
+                                   problem.z_d - ftraj.y, problem.model)
+    state.omega, state.ftraj, state.grad = omega, ftraj, g
     return state
 
 
@@ -417,7 +403,7 @@ def lambda_bound_check(problem: TrackingProblem, state: OptimState,
 def quadratic_form(problem: TrackingProblem, q,
                    ftraj: ForwardTrajectory, adj: AdjointState):
     """Second-variation value on a kernel direction (m, q), m = T q, or one
-    value per direction of a stack (..., N+1, n), all in one tangent march.
+    value per control direction of a stack, all in one tangent march.
 
     Parts: the squared W(V) norm of m, the squared Q0 norm of q and delta
     times it, and the space-time integral of the multiplier-weighted cubic
@@ -471,9 +457,9 @@ def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
     kappa1 = min(1.0 - (4.0 * C1 / (3.0 * eps)) * grow * lhs, sigma)
     kappa2 = min(sigma / (2.0 * c1) - (4.0 * C / (3.0 * eps)) * grow * lhs,
                  sigma / 2.0)
-    # the directions, drawn as n_samples draws of one control each
-    Q = apply_B(problem.window,
-                rng.standard_normal((n_samples,) + problem.window.shape))
+    # the directions: the blocks of n_samples lattice draws, as one stack
+    win = problem.window
+    Q = rng.standard_normal((n_samples,) + win.shape)[(..., *win.block)].copy()
     total, parts = quadratic_form(problem, Q, state.ftraj, state.adjoint)
     m_sq, q_sq = parts["m_wv_sq"], parts["q_sq"]
     return {

@@ -10,9 +10,10 @@ and the control explicit at the old level:
 The step loop keeps frames in zero-padded rows (the pads are the Dirichlet
 walls), so each centred difference is one slice subtraction.
 
-Controls live on the full node-time lattice with support in a window Q0;
-their L2(Q0) quadrature is the left-endpoint rule in time (weight dt on steps
-0..N-1, none on the final slice), which keeps the discrete adjoint uniformly
+A control is an array on the window block Q0; apply_B extends it by zero to
+the node-time lattice that a march reads as its forcing. The L2(Q0)
+quadrature is the left-endpoint rule in time (weight dt on each step of the
+block, none on the final slice), which keeps the discrete adjoint uniformly
 consistent with the continuous backward equation. Trajectory quadratures use
 the trapezoid rule.
 """
@@ -30,7 +31,7 @@ from operator import add
 import numpy as np
 
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
-from .grid import (Domain1D, TimeGrid, _per_frame, _trajectories, as_field,
+from .grid import (Domain1D, TimeGrid, _per_frame, _shaped, as_field,
                    as_trajectory, d1, norm_h)
 from .helmholtz import get_operator
 
@@ -52,7 +53,8 @@ class ModelParams:
 class ControlWindow:
     """Space-time box [a, b] x [t0, t1]; on the lattice it is Q0, the window
     block: the steps that start in [t0, t1] (the final frame starts none)
-    and the nodes in [a, b]. x and t are monotone, so both are slices."""
+    and the nodes in [a, b]. x and t are monotone, so both are slices. A
+    control is an array of block_shape; shape is that of the lattice."""
 
     def __init__(self, domain: Domain1D, tg: TimeGrid,
                  a: float, b: float, t0: float, t1: float):
@@ -73,44 +75,41 @@ class ControlWindow:
             raise ValueError("ControlWindow: no time step starts inside [t0, t1]")
         self.block = (slice(steps[0], steps[-1] + 1),
                       slice(nodes[0], nodes[-1] + 1))
-
-    @property
-    def mask(self) -> np.ndarray:
-        """The 0/1 indicator of the window block, a new array per call."""
-        return apply_B(self, np.ones(self.shape))
+        self.block_shape = (steps.size, nodes.size)
 
     def zero_control(self) -> np.ndarray:
-        return np.zeros(self.shape)
+        return np.zeros(self.block_shape)
 
     def random_control(self, rng, amplitude: float = 1.0) -> np.ndarray:
-        return apply_B(self, amplitude * rng.standard_normal(self.shape))
+        """amplitude times the block of one standard normal lattice draw, so
+        rng is consumed as by a draw of shape."""
+        return amplitude * rng.standard_normal(self.shape)[self.block]
+
+
+def as_control(window: ControlWindow, q, stack: bool = False) -> np.ndarray:
+    """q as a control, an array of window.block_shape, or with stack as a
+    stack of them; DomainMismatchError naming the control otherwise."""
+    return _shaped(q, window.block_shape, "control", stack)
 
 
 def apply_B(window: ControlWindow, q) -> np.ndarray:
-    """Zero-extension of the window block: q's values there bit for bit,
-    and an exact +0.0 elsewhere, whatever q holds off the block; q is one
-    control or a stack of them (..., N+1, n)."""
-    q = _trajectories(window.domain, window.tg, q)
-    bq, blk = np.zeros(q.shape), (..., *window.block)
-    bq[blk] = q[blk]
+    """The extension operator B from L2(Q0): a zero lattice with the control
+    q on the window block, bit for bit, and an exact +0.0 elsewhere; q is
+    one control or a stack of them, giving a (..., N+1, n) stack."""
+    q = as_control(window, q, stack=True)
+    bq = np.zeros(q.shape[:-2] + window.shape)
+    bq[(..., *window.block)] = q
     return bq
 
 
-def inner_block(window: ControlWindow, p, q):
-    """L2(Q0) inner product of arrays shaped like trajectory[window.block],
+def inner_q0(window: ControlWindow, p, q):
+    """L2(Q0) inner product of two controls, left-endpoint rule in time;
     one value per pair of a stack: per-frame sums added in frame order (not
-    the compensated sum of newer Pythons), as einsum adds block views."""
-    rows = np.einsum("...ni,...ni->...n", p, q)
+    the compensated sum of newer Pythons)."""
+    rows = np.einsum("...ni,...ni->...n", as_control(window, p, True),
+                     as_control(window, q, True))
     return _per_frame(window.tg.dt * window.domain.h
                       * np.cumsum(rows, axis=-1)[..., -1])
-
-
-def inner_q0(window: ControlWindow, p, q):
-    """L2(Q0) inner product, left-endpoint rule in time; one value per
-    control of a stack."""
-    blk = (..., *window.block)
-    return inner_block(window, _trajectories(window.domain, window.tg, p)[blk],
-                       _trajectories(window.domain, window.tg, q)[blk])
 
 
 def norm_q0(window: ControlWindow, q):
@@ -162,7 +161,8 @@ def _first_nonfinite(frames, backward: bool = False):
 def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
                   omega=None, head: ForwardTrajectory = None
                   ) -> ForwardTrajectory:
-    """March the IMEX scheme from y0 under the (already extended) control.
+    """March the IMEX scheme from y0 under the forcing omega, an (N+1, n)
+    lattice (apply_B of a control), or none.
 
     head, when given, holds frames 0..k0 of a march from the same y0 and
     model under a control that vanishes on steps 0..k0-1; the march resumes
@@ -237,7 +237,8 @@ def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams) -> float:
     The time derivative is the centered quotient, so the control (constant on
     each step, stamped at the left endpoint) is paired as the average of the
     two steps the quotient spans; evaluating it at a single step instead
-    leaves an O(1) defect wherever the window switches on or off.
+    leaves an O(1) defect wherever the window switches on or off. omega is
+    the forcing lattice (apply_B of a control), or None for the free flow.
     """
     domain, tg, N = ftraj.domain, ftraj.tg, ftraj.tg.n_steps
     if omega is None:

@@ -8,7 +8,7 @@ built once per march as (N+1, n) stacks. From D1^T = -D1 and K^T = K its
 transpose is -D1(A phi) + B phi + K(C phi + D1(E phi)). The discrete adjoint
 is the exact transpose of the tangent map under the package quadratures:
 
-    <T q, s>_traj = <q, (B* lambda)|_Q0>_ctrl      (to roundoff)
+    <T q, s>_traj = <q, B* lambda>_Q0  (to roundoff; B* lambda = lambda[block])
 
 with trapezoid weights on the trajectory side and left-endpoint weights on
 the control side. The recursion carries lambda itself backward, each step
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .forward import (ControlWindow, ForwardTrajectory, ModelParams, apply_B,
-                      _first_nonfinite, inner_q0, norm_q0)
+from .forward import (ControlWindow, ForwardTrajectory, ModelParams,
+                      _first_nonfinite, as_control, inner_q0, norm_q0)
 from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_h, norm_l2h
 from .helmholtz import get_operator
 
@@ -97,20 +97,21 @@ def _step_coefficients(ftraj: ForwardTrajectory, k: float,
 def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
                   p: ModelParams) -> TangentState:
     """Exact derivative of the forward march along the control direction q,
-    or along each direction of a stack (..., N+1, n); m and v have q's shape
-    and hold each direction's frames contiguously, which the stacked norms
-    need to give each direction its own value bit for bit.
+    or along each direction of a stack; m and v hold one (N+1, n) trajectory
+    per direction, stacked as q is and each contiguous, which the stacked
+    norms need to give each direction its own value bit for bit.
 
     m(0) = 0; each step linearizes the explicit terms about the stored base
     frame and applies the same implicit diffusion solve, one kernel call on
     the (n, k) right-hand side of all k directions, each bit for bit its own
-    march. Frames up to the first step k0 any direction acts on (the
-    window's first step) are zero, and the march starts there; a NaN row
-    counts as acting, so it still fails at its own step."""
+    march. Frames up to the first step k0 any direction acts on (at least
+    the window's first step) are zero, and the march starts there; a NaN
+    row counts as acting, so it still fails at its own step."""
     domain, tg = ftraj.domain, ftraj.tg
-    dtq = tg.dt * apply_B(window, q)
-    dtk = dtq.reshape((-1,) + dtq.shape[-2:])  # (k, N+1, n)
-    k0 = int(np.argmax(dtk.any(axis=(0, 2))))
+    dtq = tg.dt * as_control(window, q, stack=True)
+    dtk = dtq.reshape((-1,) + dtq.shape[-2:])  # (k, block frames, nodes)
+    steps, nodes = window.block
+    k0 = steps.start + int(np.argmax(dtk.any(axis=(0, 2))))
     vsolve = get_operator(domain).solve
     dsolve = get_operator(domain, tg.dt * p.epsilon).solve
     N = tg.n_steps
@@ -126,13 +127,16 @@ def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
                 break
             c = k - k0
             rhs = (Bm[c] * m - Ad[c] * (mp[:, 2:] - mp[:, :-2]) - Cd[c] * v
-                   + Ed[c] * (vp[:, 2:] - vp[:, :-2]) + dtk[:, k])
+                   + Ed[c] * (vp[:, 2:] - vp[:, :-2]))
+            if k < steps.stop:
+                rhs[:, nodes] += dtk[:, k - steps.start]
             Mp[:, k + 1, 1:-1] = dsolve(rhs.T).T
     bad = _first_nonfinite(np.moveaxis(Mp, 1, 0)[1:])
     if bad is not None:
         raise NumericsError(f"tangent state lost finiteness at step {bad + 1}",
                             time_index=bad + 1)
-    return TangentState(*(X[..., 1:-1].reshape(dtq.shape) for X in (Mp, Vp)))
+    shape = dtq.shape[:-2] + window.shape
+    return TangentState(*(X[..., 1:-1].reshape(shape) for X in (Mp, Vp)))
 
 
 def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
@@ -177,7 +181,8 @@ def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
         if top == N:
             dsolve(mul(last, psi, psi), True)
     # T_k for k = f down to stop+1, one chunk of frames at a time; the rows
-    # run backward, step k writing frame k-1 in place
+    # run backward, step k writing frame k-1 in place. Only one chunk is
+    # live: it goes, with the views of its rows, before the next is built
     size = max(1, COEFF_CHUNK_BYTES // (40 * domain.n_interior))
     for hi in range(f + 1, stop + 1, -size):
         lo = max(hi - size, stop + 1)
@@ -192,6 +197,7 @@ def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
                 ksolve(add(mul(c, psi, w), sub(pe_r, pe_l, w2), w), True)
                 add(mul(b, psi, w2), sub(pa_r, pa_l, pe_in), w2)
                 psi = dsolve(add(sub(w2, w, w2), lam1, lam1), True)
+        del coeffs, rows, a, b, c, e, lam1
     bad = _first_nonfinite(lam[stop:top], backward=True)
     if bad is not None:
         raise NumericsError(
@@ -302,6 +308,6 @@ def pairing_defect(ftraj: ForwardTrajectory, window: ControlWindow, q, source,
     tan = solve_tangent(ftraj, window, q, p)
     adj = solve_adjoint_discrete(ftraj, source, p)
     lhs = inner_l2h(domain, tg, tan.m, source)
-    rhs = inner_q0(window, q, adj.lam)
+    rhs = inner_q0(window, q, adj.lam[window.block])
     denom = norm_q0(window, q) * norm_l2h(domain, tg, source)
     return abs(lhs - rhs) / max(denom, 1e-300)

@@ -30,13 +30,13 @@ HUGE_STATES = {
 
 
 def bump_control(window: ControlWindow, amplitude: float = 0.8) -> np.ndarray:
-    """Smooth space-time bump supported inside the window."""
+    """Smooth space-time bump on the window block, as a control."""
     dom, tg = window.domain, window.tg
     a, b, t0, t1 = window.a, window.b, window.t0, window.t1
     xs = np.clip((dom.x - a) / (b - a), 0.0, 1.0)
     ts = np.clip((tg.t - t0) / (t1 - t0), 0.0, 1.0)
     prof = np.outer(np.sin(np.pi * ts) ** 2, np.sin(np.pi * xs) ** 2)
-    return amplitude * prof * window.mask
+    return amplitude * prof[window.block]
 
 
 def twin_problem(n: int = 48, n_steps: int = 240, epsilon: float = 0.08,

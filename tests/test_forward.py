@@ -9,7 +9,7 @@ from mchcontrol.errors import (DomainMismatchError, NumericsError,
 from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, inner_h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
-                                inner_block, inner_q0, norm_q0, solve_forward,
+                                inner_q0, norm_q0, solve_forward,
                                 weak_residual, dirichlet_modes,
                                 transport_terms, trajectory_from_arrays,
                                 export_trajectory_csv, import_trajectory_csv)
@@ -45,23 +45,26 @@ def test_window_invariants():
     with pytest.raises(ValueError):
         ControlWindow(dom, tg, 0.5, 1.5, 0.9, 0.2)
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, 0.8)
-    assert w.mask.shape == (11, 16)
-    assert set(np.unique(w.mask)) <= {0.0, 1.0}
+    mask = apply_B(w, np.ones(w.block_shape))
+    assert mask.shape == w.shape == (11, 16)
+    assert set(np.unique(mask)) <= {0.0, 1.0}
+    assert w.zero_control().shape == w.block_shape
 
 
 def test_extension_restriction_adjoint(rng):
     dom = Domain1D(2.0, 16)
     tg = TimeGrid(1.0, 10)
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, 0.8)
-    q = rng.standard_normal((11, 16))
+    q = rng.standard_normal((11, 16))[w.block]
     s = rng.standard_normal((11, 16))
-    # B is its own adjoint; it copies the block and writes +0.0 elsewhere,
-    # so the pairing identity is exact in fp
-    lhs = float(np.sum(apply_B(w, q) * s))
-    rhs = float(np.sum(q * apply_B(w, s)))
+    # B* is the restriction to the block; B copies the block and writes
+    # +0.0 elsewhere, so the pairing identity is exact in fp (fsum rounds
+    # the exact sum of the same products once)
+    lhs = math.fsum((apply_B(w, q) * s).ravel())
+    rhs = math.fsum((q * s[w.block]).ravel())
     assert lhs == rhs
-    assert inner_q0(w, q, s) == pytest.approx(
-        inner_q0(w, apply_B(w, q), s), rel=1e-15)
+    assert inner_q0(w, q, s[w.block]) == pytest.approx(
+        tg.dt * dom.h * rhs, rel=1e-15)
 
 
 @pytest.mark.parametrize("t1", [0.8, 1.0])
@@ -82,12 +85,12 @@ def test_window_extension_writes_exact_positive_zero(rng, t1):
     negative[3, 1], negative[1, 5] = -0.0, 0.0
     negative[1, 2], negative[2, 3], negative[0, 0] = np.inf, -np.inf, np.nan
     negative[10, 8], negative[10, 7], negative[10, 9] = -0.0, -np.inf, np.nan
-    inside = w.mask == 1.0
+    inside = apply_B(w, np.ones(w.block_shape)) == 1.0
     assert inside[4:7, 7:10].all() and not inside[10].any()
     assert not inside[:2].any() and not inside[:, :4].any()
     assert inside[w.block].all() and inside.sum() == inside[w.block].size
-    bq = apply_B(w, negative)
-    for q in (w.random_control(rng), bq):
+    bq = apply_B(w, negative[w.block])
+    for q in (apply_B(w, w.random_control(rng)), bq):
         assert q[~inside].tobytes() == np.zeros(np.count_nonzero(~inside)
                                                 ).tobytes()
     assert bq[inside].tobytes() == negative[inside].tobytes()
@@ -101,41 +104,41 @@ def test_window_extension_writes_exact_positive_zero(rng, t1):
 @pytest.mark.parametrize("box", [(0.5, 1.5, 0.2, 0.8), (0.0, 2.0, 0.0, 1.0),
                                  (0.3, 0.45, 0.55, 1.0)])
 def test_q0_pairing_on_window_block(rng, box):
-    """The block sum equals the masked formula; values outside Q0 and on
-    the final frame do not enter."""
+    """The block sum of the lattices' blocks equals the masked formula;
+    values outside Q0 and on the final frame do not enter."""
     dom = Domain1D(2.0, 16)
     tg = TimeGrid(1.0, 10)
     w = ControlWindow(dom, tg, *box)
     p = rng.standard_normal((11, 16))
     q = rng.standard_normal((11, 16))
-    m = w.mask[:-1]
+    m = apply_B(w, np.ones(w.block_shape))[:-1]
     want = tg.dt * dom.h * float(np.sum((p[:-1] * m) * (q[:-1] * m)))
-    assert inner_q0(w, p, q) == pytest.approx(want, rel=1e-13)
-    # the block pairing of contiguous copies is inner_q0 bit for bit
+    assert inner_q0(w, p[w.block], q[w.block]) == pytest.approx(want,
+                                                                rel=1e-13)
+    # contiguous copies of the blocks pair as the block views, bit for bit
     pb, qb = (np.ascontiguousarray(a[w.block]) for a in (p, q))
-    assert inner_block(w, pb, qb) == inner_q0(w, p, q)
-    assert norm_q0(w, q) == pytest.approx(
+    assert inner_q0(w, pb, qb) == inner_q0(w, p[w.block], q[w.block])
+    assert norm_q0(w, q[w.block]) == pytest.approx(
         math.sqrt(tg.dt * dom.h * float(np.sum((q[:-1] * m) ** 2))),
         rel=1e-13)
 
 
 @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["stack", "stack2d"])
 def test_control_stack_matches_per_control(rng, lead):
-    """apply_B, inner_q0, norm_q0 and inner_block take a stack of controls
-    (..., N+1, n) and give each control its own value bit for bit; one
-    control still gives Python floats."""
+    """apply_B, inner_q0 and norm_q0 take a stack of controls (...,
+    *block_shape), views or contiguous, and give each control its own value
+    bit for bit; one control still gives Python floats."""
     dom = Domain1D(2.0, 16)
     tg = TimeGrid(1.0, 10)
     w = ControlWindow(dom, tg, 0.3, 1.45, 0.2, 0.8)
-    P, Q = rng.standard_normal((2,) + lead + w.shape)
-    blk = (..., *w.block)
+    P, Q = rng.standard_normal((2,) + lead + w.shape)[(..., *w.block)]
     bq, ip, nq = apply_B(w, Q), inner_q0(w, P, Q), norm_q0(w, Q)
-    ib = inner_block(w, P[blk], Q[blk])
+    ib = inner_q0(w, np.ascontiguousarray(P), np.ascontiguousarray(Q))
     for idx in np.ndindex(lead):
         assert bq[idx].tobytes() == apply_B(w, Q[idx]).tobytes()
         one = inner_q0(w, P[idx], Q[idx])
         assert type(one) is float and type(norm_q0(w, Q[idx])) is float
-        assert ip[idx] == one == inner_block(w, P[idx][blk], Q[idx][blk])
+        assert ip[idx] == one == inner_q0(w, P[idx].copy(), Q[idx].copy())
         assert ib[idx] == one
         assert nq[idx] == norm_q0(w, Q[idx])
 
@@ -387,7 +390,7 @@ def test_export_zero_rows_match_plain_repr(tmp_path):
     export_trajectory_csv(path, dom, tg, {"omega": omega}, {}, "w")
     assert path.read_bytes() == reference_csv(dom, tg, ["omega"], [omega], "w")
     # a random window control: +0.0 off the window block
-    q = window.random_control(np.random.default_rng(3))
+    q = apply_B(window, window.random_control(np.random.default_rng(3)))
     export_trajectory_csv(path, dom, tg, {"omega": q}, {}, "w")
     assert path.read_bytes() == reference_csv(dom, tg, ["omega"], [q], "w")
     # two columns whose live spans differ in each frame

@@ -6,6 +6,7 @@ byte for byte, not to a tolerance.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from mchcontrol import tangent_adjoint
 from mchcontrol.errors import NumericsError
 from mchcontrol.forward import (ControlWindow, ForwardTrajectory, ModelParams,
-                                _first_nonfinite, solve_forward)
+                                _first_nonfinite, apply_B, solve_forward)
 from mchcontrol.grid import Domain1D, TimeGrid
 from mchcontrol.helmholtz import get_operator
 from mchcontrol.tangent_adjoint import (_step_coefficients, finish_adjoint,
@@ -91,7 +92,7 @@ def pieces(n, N, rng):
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.125, 0.375)
     y0 = (0.3 * np.sin(math.pi * dom.x / 2.0)
           + 0.1 * np.sin(math.pi * dom.x))
-    return dom, tg, p, w, y0, w.random_control(rng)
+    return dom, tg, p, w, y0, apply_B(w, w.random_control(rng))
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
@@ -207,3 +208,33 @@ def test_nan_control_row_fails_at_reference_step(n, N, rng):
         solve_forward(dom, tg, p, y0, omega)
     assert err.value.time_index == step
     assert f"at step {step}/{N}" in str(err.value)
+
+
+def test_adjoint_march_holds_one_coefficient_chunk():
+    """One solve_adjoint_discrete at n=128, N=250, where the chunk budget C
+    is about one lattice, peaks (tracemalloc, above its inputs) within the
+    multiplier (L, the bytes of an (N+1, n) lattice), one chunk (four
+    coefficient rows and one difference row per frame, at most C), numpy's
+    ufunc buffers for the two strided operands it reads while building a
+    chunk (the base y and u are views into zero-padded march arrays: at
+    most 8 * getbufsize() bytes each) and the four work rows of a step.
+    With the chunk before still live while the next is built, as when the
+    loop's row views kept it, the march peaked at 3.27 L; this bound is
+    2.53 L."""
+    n, N = 128, 250
+    dom, tg = Domain1D(2.0, n), TimeGrid(0.8, N)
+    p = ModelParams(epsilon=0.08, k=0.6)
+    ft = solve_forward(dom, tg, p, 0.35 * np.sin(math.pi * dom.x / 2.0))
+    z_d = ft.y + 0.01 * np.random.default_rng(5).standard_normal(ft.y.shape)
+    solve_adjoint_discrete(ft, z_d, p, minus=ft.y)  # factor the kernels
+    L = 8 * (N + 1) * n
+    C = tangent_adjoint.COEFF_CHUNK_BYTES
+    assert C // (40 * n) < N - 1  # the march builds more than one chunk
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_adjoint_discrete(ft, z_d, p, minus=ft.y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= L + C + 2 * 8 * np.getbufsize() + 4 * 8 * (n + 2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_control
-from mchcontrol.errors import NumericsError
+from mchcontrol.errors import DomainMismatchError, NumericsError
 from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, norm_l2h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
@@ -194,19 +194,15 @@ def test_optimize_fails_at_the_first_non_finite_adjoint_frame(rng, row):
 @pytest.mark.parametrize("j", [0, 20, 59])
 def test_nan_direction_row_fails_at_next_step(j):
     """On a window of every step, a NaN in Q0 at frame j fails the march
-    at step j + 1. A NaN, +-inf or -0.0 off Q0 (nodes 0..3 lie left of
-    a = 0.5) or on the final frame, which starts no step, does not enter:
-    the march reads the clean direction's bytes."""
+    at step j + 1. A direction is a window block, so nothing off Q0 (nodes
+    0..5 lie left of a = 0.5) or on the final frame, which starts no step,
+    can enter: the direction's lattice is refused."""
     dom, tg, p, _, ft = setup()
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.0, tg.T)
     q = bump_control(w)
-    clean = solve_tangent(ft, w, q, p)
-    q[j, :4] = np.nan, np.inf, -np.inf, -0.0
-    q[-1, 8:12] = np.nan, np.inf, -np.inf, -0.0
-    tan = solve_tangent(ft, w, q, p)
-    assert tan.m.tobytes() == clean.m.tobytes()
-    assert tan.v.tobytes() == clean.v.tobytes()
-    q[j, 12] = np.nan
+    with pytest.raises(DomainMismatchError, match="control"):
+        solve_tangent(ft, w, apply_B(w, q), p)
+    q[j, 12 - w.block[1].start] = np.nan
     with pytest.raises(NumericsError) as exc:
         solve_tangent(ft, w, q, p)
     assert exc.value.time_index == j + 1
@@ -221,12 +217,12 @@ def test_tangent_stack_matches_per_direction(rng):
     Q = np.stack([w.random_control(rng), w.zero_control(), bump_control(w),
                   w.random_control(rng)])
     tan = solve_tangent(ft, w, Q, p)
-    assert tan.m.shape == tan.v.shape == Q.shape
+    assert tan.m.shape == tan.v.shape == (4,) + w.shape
     for q, m, v in zip(Q, tan.m, tan.v):
         one = solve_tangent(ft, w, q, p)
         assert m.tobytes() == one.m.tobytes()
         assert v.tobytes() == one.v.tobytes()
-    square = solve_tangent(ft, w, Q.reshape((2, 2) + w.shape), p)
+    square = solve_tangent(ft, w, Q.reshape((2, 2) + w.block_shape), p)
     assert square.m.tobytes() == tan.m.tobytes()
     assert square.v.tobytes() == tan.v.tobytes()
 
@@ -237,7 +233,8 @@ def test_nan_in_one_direction_of_a_stack(rng, j):
     the step where that direction's own march fails."""
     dom, tg, p, w, ft = setup()
     Q = np.stack([w.random_control(rng) for _ in range(3)])
-    Q[1, j, 12] = np.nan
+    k0, i0 = w.block[0].start, w.block[1].start
+    Q[1, j - k0, 12 - i0] = np.nan
     with pytest.raises(NumericsError) as own:
         solve_tangent(ft, w, Q[1], p)
     with pytest.raises(NumericsError) as stacked:
