@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .forward import ForwardTrajectory
-from .grid import (Domain1D, _per_frame, as_trajectory, grad_norm_sq,
+from .forward import ForwardTrajectory, _on_grid, apply_B
+from .grid import (Domain1D, _per_frame, grad_norm_sq,
                    inner_h, norm_h_sq, velocity, wall_slopes)
 
 
@@ -40,13 +40,13 @@ def energy_series(ftraj: ForwardTrajectory):
     return 0.5 * (norm_h_sq(ftraj.domain, u) + grad_norm_sq(ftraj.domain, u))
 
 
-def energy_identity(ftraj: ForwardTrajectory, p, control=None) -> dict:
+def energy_identity(ftraj: ForwardTrajectory, p, window=None, omega=None):
     """Per-step residual of the velocity energy balance.
 
     r[n] = (E[n+1] - E[n])/dt + eps*(||u_x||^2 + ||u_xx||^2)
            - wall_flux - (B omega, u)
     with dissipation, flux, and control pairing taken at the new time level;
-    control is the extended forcing B omega (None for the free flow).
+    omega is a control on window, or both are None for the free flow.
     The wall flux (u_x(L)^4 - u_x(0)^4)/4 is what the transport pairing
     leaves behind on a bounded interval: the momentum and u vanish at the
     walls but the velocity slope does not, so the conservative transport
@@ -58,9 +58,9 @@ def energy_identity(ftraj: ForwardTrajectory, p, control=None) -> dict:
     domain = ftraj.domain
     work = 0.0
     u1 = ftraj.u[1:]  # new time level of each step
-    if control is not None:
-        control = as_trajectory(domain, ftraj.tg, control)
-        work = inner_h(domain, control[:-1], u1)
+    if window is not None or omega is not None:
+        bq = apply_B(_on_grid(domain, ftraj.tg, window), omega)
+        work = inner_h(domain, bq[:-1], u1)
     E = energy_series(ftraj)
     dissipation = p.epsilon * (grad_norm_sq(domain, u1)
                                + norm_h_sq(domain, u1 - ftraj.y[1:]))

@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import growth
 from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams,
-                      as_control, inner_q0, norm_q0, solve_forward,
+                      _on_grid, as_control, inner_q0, norm_q0, solve_forward,
                       transport_terms)
 from .grid import (Domain1D, TimeGrid, _per_frame, _shaped, as_trajectory,
                    d1, d2, inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
@@ -51,9 +51,9 @@ def backtrack_step(alpha: float, J: float, slope: float, Jt: float) -> float:
 class TrackingProblem:
     """Everything fixed during an optimization run.
 
-    The forcing is zero before the window's first step k0, so frames 0..k0
-    are the same for every control: the first successful solve keeps them
-    as the head that every later solve resumes from.
+    B omega is zero before the window's first step k0, so frames 0..k0 are
+    the same for every control: the first successful solve keeps them as
+    the head that every later solve resumes from.
     """
 
     domain: Domain1D
@@ -65,26 +65,22 @@ class TrackingProblem:
     delta: float
     _head: ForwardTrajectory = field(default=None, init=False, repr=False,
                                      compare=False)
-    _forcing: np.ndarray = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("TrackingProblem: delta must be positive")
+        _on_grid(self.domain, self.tg, self.window)
         self.z_d = as_trajectory(self.domain, self.tg, self.z_d)
-        self._forcing = np.zeros(self.window.shape)
 
     def solve(self, omega) -> ForwardTrajectory:
-        """March with B omega: the control goes into the window block of
-        the problem's forcing lattice, which is +0.0 everywhere else."""
-        self._forcing[self.window.block] = as_control(self.window, omega)
+        """March with B omega, resumed from the head once there is one."""
         ftraj = solve_forward(self.domain, self.tg, self.model, self.y0,
-                              self._forcing, head=self._head)
+                              self.window, as_control(self.window, omega),
+                              head=self._head)
         if self._head is None:
             k = self.window.block[0].start + 1
-            self._head = ForwardTrajectory(
-                self.domain, self.tg, ftraj.y[:k].copy(), ftraj.u[:k].copy(),
-                ftraj.ux[:k].copy())
+            self._head = ForwardTrajectory(self.domain, self.tg, *(
+                a[:k].copy() for a in (ftraj.y, ftraj.u, ftraj.ux)))
         return ftraj
 
 
@@ -263,8 +259,7 @@ def optimize(problem: TrackingProblem, omega0,
                 a = rho * pair(s, d)
                 alpha_hist.append(a)
                 d -= a * yv
-            s, yv, _ = memory[-1]
-            d *= pair(s, yv) / max(pair(yv, yv), 1e-300)
+            d *= gamma  # the newest pair's s.y / y.y
             for (s, yv, rho), a in zip(memory, reversed(alpha_hist)):
                 d += (a - rho * pair(yv, d)) * s
         slope = pair(gb, d)
@@ -299,9 +294,10 @@ def optimize(problem: TrackingProblem, omega0,
         yv = gb  # the superseded gradient, read once more below
         gb, info = reduced_gradient(problem, omega, ftraj, k0)
         yv = gb - yv
-        curv = pair(s, yv)
-        if curv > 1e-14 * math.sqrt(pair(s, s)) * math.sqrt(pair(yv, yv)):
+        curv, yy = pair(s, yv), pair(yv, yv)
+        if curv > 1e-14 * math.sqrt(pair(s, s)) * math.sqrt(yy):
             memory.append((s, yv, 1.0 / curv))
+            gamma = curv / max(yy, 1e-300)
         gnorm = math.sqrt(pair(gb, gb))
         step_prev = min(4.0 * alpha, 1e3)
         state.costs.append(J)

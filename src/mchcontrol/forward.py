@@ -10,12 +10,12 @@ and the control explicit at the old level:
 The step loop keeps frames in zero-padded rows (the pads are the Dirichlet
 walls), so each centred difference is one slice subtraction.
 
-A control is an array on the window block Q0; apply_B extends it by zero to
-the node-time lattice that a march reads as its forcing. The L2(Q0)
-quadrature is the left-endpoint rule in time (weight dt on each step of the
-block, none on the final slice), which keeps the discrete adjoint uniformly
-consistent with the continuous backward equation. Trajectory quadratures use
-the trapezoid rule.
+A control is an array on the window block Q0, which a march adds into the
+block of its own rows; apply_B extends it by zero to the node-time lattice.
+The L2(Q0) quadrature is the left-endpoint rule in time (weight dt on each
+step of the block, none on the final slice), which keeps the discrete
+adjoint uniformly consistent with the continuous backward equation.
+Trajectory quadratures use the trapezoid rule.
 """
 
 from __future__ import annotations
@@ -92,6 +92,14 @@ def as_control(window: ControlWindow, q, stack: bool = False) -> np.ndarray:
     return _shaped(q, window.block_shape, "control", stack)
 
 
+def _on_grid(domain: Domain1D, tg: TimeGrid, window) -> ControlWindow:
+    """window, checked to be a ControlWindow on domain and tg."""
+    if not (isinstance(window, ControlWindow)
+            and (window.domain, window.tg) == (domain, tg)):
+        raise DomainMismatchError("window is not a ControlWindow on the grid")
+    return window
+
+
 def apply_B(window: ControlWindow, q) -> np.ndarray:
     """The extension operator B from L2(Q0): a zero lattice with the control
     q on the window block, bit for bit, and an exact +0.0 elsewhere; q is
@@ -159,22 +167,20 @@ def _first_nonfinite(frames, backward: bool = False):
 
 
 def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
-                  omega=None, head: ForwardTrajectory = None
-                  ) -> ForwardTrajectory:
-    """March the IMEX scheme from y0 under the forcing omega, an (N+1, n)
-    lattice (apply_B of a control), or none.
-
-    head, when given, holds frames 0..k0 of a march from the same y0 and
-    model under a control that vanishes on steps 0..k0-1; the march resumes
-    from a copy of it at step k0 if omega vanishes there too, and starts
-    from y0 otherwise. Warns once, naming the first step whose frame puts dt
-    above the advisory transport CFL bound 0.5*h/max|u^2 - u_x^2| (checked
-    after the march); raises NumericsError on NaN/Inf with the step index.
+                  window: ControlWindow = None, omega=None,
+                  head: ForwardTrajectory = None) -> ForwardTrajectory:
+    """March the IMEX scheme from y0 under B omega, omega a control on
+    window, or free with neither. head, when given, holds frames 0..k0 of a
+    march from the same y0 and model; the march resumes from a copy of it
+    at step k0 if k0 is at most the window's first step, and starts from y0
+    otherwise. Warns once, naming the first step whose frame puts dt above
+    the advisory transport CFL bound 0.5*h/max|u^2 - u_x^2| (checked after
+    the march); raises NumericsError on NaN/Inf with the step index.
     """
     y0 = as_field(domain, y0)
+    if window is not None or omega is not None:
+        omega = as_control(_on_grid(domain, tg, window), omega)
     n, N, dt, h2 = domain.n_interior, tg.n_steps, tg.dt, 2.0 * domain.h
-    omega = (np.zeros((N + 1, n)) if omega is None
-             else as_trajectory(domain, tg, omega))
     vsolve = get_operator(domain).solve
     dsolve = get_operator(domain, dt * p.epsilon).solve
     Yp, Up = np.zeros((2, N + 1, n + 2))
@@ -182,7 +188,7 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     UX = np.empty((N + 1, n))
     S = np.empty_like(UX)  # u^2 - u_x^2: transport speed and CFL input
     k0 = 0 if head is None else len(head.y) - 1
-    if k0 and not omega[:k0].any():
+    if 0 < k0 <= (N if omega is None else window.block[0].start):
         Y[:k0 + 1], U[:k0 + 1] = head.y, head.u
         UX[:k0] = head.ux[:k0]
         u, ux = head.u[:k0], head.ux[:k0]
@@ -200,8 +206,8 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
                Y[k0 + 1:], U[k0 + 1:])
     # blow-up is reported as NumericsError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # each destination row takes dt*omega first, in one multiply
-        mul(dt, omega[k0:N], Y[k0 + 1:])
+        if omega is not None:  # destination rows start as dt*(B omega)
+            mul(dt, omega, Y[1:][window.block])
         for y, u, ux, s, yr, yl, ur, ul, y1, u1 in rows:
             np.divide(sub(ur, ul, ux), h2, ux)
             sub(mul(u, u, s), mul(ux, ux, w), s)
@@ -230,20 +236,20 @@ def dirichlet_modes(domain: Domain1D, n_modes: int) -> np.ndarray:
     return modes / norm_h(domain, modes)[:, None]
 
 
-def weak_residual(ftraj: ForwardTrajectory, omega, p: ModelParams) -> float:
+def weak_residual(ftraj: ForwardTrajectory, p: ModelParams,
+                  window: ControlWindow = None, omega=None) -> float:
     """Max weak-form residual over the first five Dirichlet modes and the
-    interior steps, with the diffusion paired as eps*(y_x, eta_x).
+    interior steps, with the diffusion paired as eps*(y_x, eta_x); omega is
+    a control on window, or both are None for the free flow.
 
-    The time derivative is the centered quotient, so the control (constant on
+    The time derivative is the centered quotient, so B omega (constant on
     each step, stamped at the left endpoint) is paired as the average of the
     two steps the quotient spans; evaluating it at a single step instead
-    leaves an O(1) defect wherever the window switches on or off. omega is
-    the forcing lattice (apply_B of a control), or None for the free flow.
+    leaves an O(1) defect wherever the window switches on or off.
     """
     domain, tg, N = ftraj.domain, ftraj.tg, ftraj.tg.n_steps
-    if omega is None:
-        omega = np.zeros_like(ftraj.y)
-    omega = as_trajectory(domain, tg, omega)
+    omega = (np.zeros_like(ftraj.y) if window is None and omega is None
+             else apply_B(_on_grid(domain, tg, window), omega))
     etas = dirichlet_modes(domain, 5)
     # interior frames 1..N-1 as stacks; rows of r are frames, columns modes
     y, u, ux = ftraj.y[1:N], ftraj.u[1:N], ftraj.ux[1:N]

@@ -118,8 +118,7 @@ def build_problem(cfg: dict, rng):
         z_d = solve_forward(domain, tg, p, y0).y.copy()
     else:
         omega_true = control_field(cfg, window, rng)
-        z_d = solve_forward(domain, tg, p, y0,
-                            apply_B(window, omega_true)).y.copy()
+        z_d = solve_forward(domain, tg, p, y0, window, omega_true).y.copy()
     problem = TrackingProblem(domain, tg, p, window, y0, z_d,
                               cfg["cost"]["delta"])
     return problem, omega_true
@@ -136,7 +135,7 @@ def run_forward(cfg: dict, out_dir) -> int:
     rng = np.random.default_rng(cfg["seed"])
     y0 = initial_field(cfg, domain)
     omega = control_field(cfg, window, rng)
-    ftraj = solve_forward(domain, tg, p, y0, apply_B(window, omega))
+    ftraj = solve_forward(domain, tg, p, y0, window, omega)
     export_trajectory_csv(os.path.join(out, "trajectory.csv"), domain, tg,
                           {"y": ftraj.y, "u": ftraj.u},
                           _csv_params(cfg, "forward"), h)
@@ -314,8 +313,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
         wtraj = trajectory_from_arrays(domain, tg, ybad, ubad)
     ymax = float(np.max(np.abs(ftraj.y)))
     scale = 1.0 + growth(lambda m: m ** 3, ymax)
-    forcing = apply_B(window, omega)
-    wr = weak_residual(wtraj, forcing, p)
+    wr = weak_residual(wtraj, p, window, omega)
     checks.append(make_report("weak_residual", wr,
                               20.0 * (dt + hx ** 2) * scale))
 
@@ -332,7 +330,7 @@ def _hard_checks(cfg, problem, state, fo, rng):
     worst = np.max(momentum_identity(domain, ftraj.y)[2])
     checks.append(make_report("momentum_identity", worst, 50.0 * hx ** 2))
 
-    en = energy_identity(ftraj, p, forcing)
+    en = energy_identity(ftraj, p, window, omega)
     esc = 1.0 + growth(lambda m: m ** 2, float(np.max(en["energy"])))
     checks.append(make_report("energy_identity", en["max_abs"],
                               50.0 * (dt + hx ** 2) * esc))

@@ -9,8 +9,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from mchcontrol.grid import Domain1D, TimeGrid
-from mchcontrol.forward import (ModelParams, ControlWindow, solve_forward,
-                                apply_B)
+from mchcontrol.forward import ModelParams, ControlWindow, solve_forward
 from mchcontrol.control import OptimOptions, TrackingProblem, optimize
 
 
@@ -54,7 +53,7 @@ def twin_problem(n: int = 48, n_steps: int = 240, epsilon: float = 0.08,
     y0 = 0.35 * np.sin(np.pi * dom.x / 2.0) \
         + 0.15 * np.sin(2.0 * np.pi * dom.x / 2.0)
     omega_true = bump_control(window, amplitude)
-    z_d = solve_forward(dom, tg, p, y0, apply_B(window, omega_true)).y
+    z_d = solve_forward(dom, tg, p, y0, window, omega_true).y
     return TrackingProblem(dom, tg, p, window, y0, z_d, delta), omega_true
 
 

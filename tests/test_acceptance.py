@@ -10,8 +10,8 @@ from conftest import bump_control, solved_state, twin_problem
 from mchcontrol.grid import (Domain1D, TimeGrid, d2, norm_ct_h, norm_h,
                             norm_l2h)
 from mchcontrol.helmholtz import get_operator
-from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
-                                inner_q0, norm_q0, solve_forward)
+from mchcontrol.forward import (ModelParams, ControlWindow, inner_q0,
+                                norm_q0, solve_forward)
 from mchcontrol.tangent_adjoint import (solve_tangent, solve_adjoint_discrete,
                                         solve_adjoint_continuous,
                                         adjoint_equation_residual,
@@ -118,7 +118,7 @@ def test_c05_state_map_linearization_quadratic_remainder():
     y0 = 0.3 * np.sin(np.pi * dom.x / 2.0) \
         + 0.1 * np.sin(3.0 * np.pi * dom.x / 2.0)
     omega = bump_control(w, 0.4)
-    base = solve_forward(dom, tg, p, y0, apply_B(w, omega))
+    base = solve_forward(dom, tg, p, y0, w, omega)
     rng = np.random.default_rng(777)
     slopes = []
     for _ in range(5):
@@ -127,7 +127,7 @@ def test_c05_state_map_linearization_quadratic_remainder():
         tan = solve_tangent(base, w, q, p)
         rems = []
         for h in (1e-2, 1e-3, 1e-4, 1e-5):
-            pert = solve_forward(dom, tg, p, y0, apply_B(w, omega + h * q))
+            pert = solve_forward(dom, tg, p, y0, w, omega + h * q)
             rems.append(norm_l2h(dom, tg, pert.y - base.y - h * tan.m))
         slopes.append(math.log10(rems[0] / rems[-1]) / 3.0)
     _line(min(slopes) >= 1.9, "linearization remainder",

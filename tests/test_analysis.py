@@ -21,7 +21,7 @@ def free_run(small_setup):
 def forced_run(small_setup):
     dom, tg, p, window, y0 = small_setup
     omega = bump_control(window, 0.6)
-    return solve_forward(dom, tg, p, y0, apply_B(window, omega)), omega
+    return solve_forward(dom, tg, p, y0, window, omega), omega
 
 
 def test_make_report_semantics():
@@ -56,7 +56,7 @@ def test_energy_identity_reconstructs_increment(forced_run, small_setup):
     dom, tg, p, window, _ = small_setup
     ft, omega = forced_run
     bq = apply_B(window, omega)
-    out = energy_identity(ft, p, bq)
+    out = energy_identity(ft, p, window, omega)
     E, r = out["energy"], out["residual"]
     scale = 1.0 + float(np.max(np.abs(E)))
     for n in range(tg.n_steps):
@@ -93,7 +93,7 @@ def test_energy_decays_without_control(free_run, small_setup):
 def test_energy_identity_accounts_for_control(forced_run, small_setup):
     _, _, p, window, _ = small_setup
     ft, omega = forced_run
-    with_work = energy_identity(ft, p, apply_B(window, omega))["max_abs"]
+    with_work = energy_identity(ft, p, window, omega)["max_abs"]
     without = energy_identity(ft, p)["max_abs"]
     assert without > 5.0 * with_work
 

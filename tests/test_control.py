@@ -16,9 +16,10 @@ from mchcontrol.grid import (Domain1D, TimeGrid, d1, d2,
                              velocity)
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward,
-                                transport_terms)
+                                transport_terms, weak_residual)
 from mchcontrol.helmholtz import get_operator
-from mchcontrol import control, tangent_adjoint
+from mchcontrol import control, forward, tangent_adjoint
+from mchcontrol.analysis import energy_identity
 from mchcontrol.config import build_problem_pieces, resolve_config
 from mchcontrol.runners import run_twin, run_verify
 from mchcontrol.control import (TrackingProblem, OptimOptions, cost,
@@ -435,8 +436,8 @@ def test_twin_memory_budget(tmp_path):
     ufunc buffer (8 * getbufsize()) and m the iterations (at most m
     curvature pairs are kept), the live arrays are:
 
-    - the target z_d (L), the problem's forcing lattice (L) and head
-      (frames 0..k0 of y, u and u_x), and run_twin's true control (B);
+    - the target z_d (L) and the problem's head (frames 0..k0 of y, u and
+      u_x), and run_twin's true control (B);
     - the iterate being differentiated: its control (B), trajectory (2P +
       L: padded y and u, u_x) and multiplier (L), into whose frames the
       source z_d - y is written, so it has no lattice of its own;
@@ -446,15 +447,16 @@ def test_twin_memory_budget(tmp_path):
       ufunc buffers of the two strided base views a chunk is built from
       (2U); after it, in their place, the new gradient (B).
 
-    That is 4L + 2P + head + max(C + 2U, B) + (2m + 2)B. A trial's march
-    holds less: the forcing (L), padded y and u (2P), u_x and u^2 - u_x^2
-    (2L), with the iterate's control and gradient, the direction, the
-    trial and its scaled step (5B); its cost holds the misfit (L) in place
-    of u^2 - u_x^2. The finishing adjoint comes after the pairs are
+    That is 3L + 2P + head + max(C + 2U, B) + (2m + 2)B. A trial's march
+    holds less: padded y and u (2P), u_x and u^2 - u_x^2 (2L), with the
+    iterate's control and gradient, the direction, the trial and its
+    scaled step (5B), and no forcing lattice, since the march adds the
+    trial into the block of its own rows; its cost holds the misfit (L) in
+    place of u^2 - u_x^2. The finishing adjoint comes after the pairs are
     dropped. Half an L more covers what grows with one axis only (rows,
     per-frame temporaries, time weights, solver factors) and interpreter
-    objects (measured: 15.34 L against a bound of 15.80 L; the parent's
-    full-lattice iterates and gradient peaked at 15.93 L).
+    objects (measured: 14.28 L against a bound of 14.80 L; with a forcing
+    lattice in the problem the peak was 15.27 L).
     """
     cfg = resolve_config(README_TWIN)
     n, N = 128, 250
@@ -474,7 +476,7 @@ def test_twin_memory_budget(tmp_path):
     C = tangent_adjoint.COEFF_CHUNK_BYTES
     U = 8 * np.getbufsize()
     head = 3 * 8 * (k0 + 1) * n
-    assert peak <= (4.5 * L + 2 * P + head + max(C + 2 * U, B)
+    assert peak <= (3.5 * L + 2 * P + head + max(C + 2 * U, B)
                     + (2 + 2 * m) * B)
 
 
@@ -615,14 +617,17 @@ def bits(ft):
     return [a.tobytes() for a in (ft.y, ft.u, ft.ux)]
 
 
-def fresh_solve(prob, omega):
+def fresh_solve(prob, omega, window=None):
     return solve_forward(prob.domain, prob.tg, prob.model, prob.y0,
-                         apply_B(prob.window, omega))
+                         window or prob.window, omega)
 
 
 def test_problem_solve_resumes_bit_for_bit(rng):
     """Later solves resume from the first solve's control-free head and
-    still equal a fresh march bit for bit."""
+    still equal a fresh march bit for bit. A head longer than a window's
+    first step is not resumed from: the march under a window that starts
+    3 steps before the head ends equals a fresh march bit for bit, and
+    differs from the head on the frames after that window's first step."""
     prob, om_true = twin_problem(n=24, n_steps=80)
     w = prob.window
     k0 = w.block[0].start
@@ -632,14 +637,67 @@ def test_problem_solve_resumes_bit_for_bit(rng):
                   w.random_control(rng), -2.0 * om_true):
         assert bits(prob.solve(omega)) == bits(fresh_solve(prob, omega))
     assert len(prob._head.y) == k0 + 1
-    # a forcing with a NaN before the window bypasses the head and fails
-    # where it enters
-    bad = apply_B(w, om_true)
-    bad[k0 - 3, 7] = np.nan
-    with pytest.raises(NumericsError) as exc:
-        solve_forward(prob.domain, prob.tg, prob.model, prob.y0, bad,
-                      head=prob._head)
-    assert exc.value.time_index == k0 - 2
+    dom, tg = prob.domain, prob.tg
+    early = ControlWindow(dom, tg, w.a, w.b, tg.t[k0 - 3], w.t1)
+    assert early.block[0].start == k0 - 3
+    omega = early.random_control(rng)
+    ft = solve_forward(dom, tg, prob.model, prob.y0, early, omega,
+                       head=prob._head)
+    assert bits(ft) == bits(fresh_solve(prob, omega, early))
+    assert not np.array_equal(ft.y[k0 - 2], prob._head.y[k0 - 2])
+
+
+def test_window_on_another_grid_is_refused():
+    """A window built on another domain and time grid, whose block and
+    block shape are the problem window's, is a DomainMismatchError in
+    TrackingProblem and in every function that takes (window, omega), so
+    its h and dt never meet the problem's (accepted, its central difference
+    read a relative error of 0.54)."""
+    dom, tg = Domain1D(2.0, 24), TimeGrid(0.5, 60)
+    p = ModelParams(epsilon=0.1, k=0.4)
+    w = ControlWindow(dom, tg, 0.5, 1.5, 0.125, 0.375)
+    other = ControlWindow(Domain1D(3.0, 24), TimeGrid(0.75, 60), 0.75, 2.25,
+                          0.1875, 0.5625)
+    assert other.block == w.block
+    y0 = 0.3 * np.sin(math.pi * dom.x / 2.0)
+    z_d = solve_forward(dom, tg, p, y0).y
+    with pytest.raises(DomainMismatchError, match="window"):
+        TrackingProblem(dom, tg, p, other, y0, z_d, 1e-4)
+    q = bump_control(w)
+    ft = solve_forward(dom, tg, p, y0, w, q)
+    for call in (lambda: solve_forward(dom, tg, p, y0, other, q),
+                 lambda: weak_residual(ft, p, other, q),
+                 lambda: energy_identity(ft, p, other, q)):
+        with pytest.raises(DomainMismatchError, match="window"):
+            call()
+
+
+def test_a_lattice_in_place_of_the_window_is_refused(twin_small,
+                                                      monkeypatch):
+    """The former call shape solve_forward(..., y0, lattice) binds the
+    lattice to window, and weak_residual(ftraj, lattice, p) and
+    energy_identity(ftraj, p, lattice) bind it likewise: each raises, as
+    does a control without a window or a window without a control, and no
+    march runs. A lattice must not run as a free march."""
+    prob, om_true = twin_small
+    dom, tg, p, w = prob.domain, prob.tg, prob.model, prob.window
+    ft = prob.solve(om_true)
+    bq = apply_B(w, om_true)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a march ran")
+
+    monkeypatch.setattr(forward, "get_operator", forbidden)
+    for call in (lambda: solve_forward(dom, tg, p, prob.y0, bq),
+                 lambda: solve_forward(dom, tg, p, prob.y0, omega=om_true),
+                 lambda: solve_forward(dom, tg, p, prob.y0, w),
+                 lambda: solve_forward(dom, tg, p, prob.y0, bq, om_true),
+                 lambda: weak_residual(ft, bq, p),
+                 lambda: weak_residual(ft, p, omega=om_true),
+                 lambda: energy_identity(ft, p, bq),
+                 lambda: energy_identity(ft, p, omega=om_true)):
+        with pytest.raises(DomainMismatchError):
+            call()
 
 
 def test_problem_solve_after_failed_first_solve(rng):

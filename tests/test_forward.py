@@ -171,7 +171,7 @@ def test_imex_step_matches_dense_oracle(small_setup):
     dom, tg, p, window, y0 = small_setup
     omega = bump_control(window, 0.5)
     bq = apply_B(window, omega)
-    ft = solve_forward(dom, tg, p, y0, bq)
+    ft = solve_forward(dom, tg, p, y0, window, omega)
 
     D1, D2 = dense_ops(dom)
     K = np.eye(dom.n_interior) - D2
@@ -207,13 +207,16 @@ def test_cfl_warning():
 
 
 def test_cfl_warning_names_first_late_step():
-    """At rest until the forcing switches on: the first breach is step 5."""
+    """At rest until the control switches on, on the window [0, L] x
+    [0.5, T]: the first breach is step 5."""
     dom = Domain1D(2.0, 32)
     tg = TimeGrid(1.0, 8)
     p = ModelParams(epsilon=0.05)
+    w = ControlWindow(dom, tg, 0.0, dom.L, 0.5, tg.T)
     omega = np.outer(tg.t >= 0.5, 40.0 * np.sin(math.pi * dom.x / 2.0))
     with pytest.warns(StabilityWarning) as rec:
-        solve_forward(dom, tg, p, np.zeros(dom.n_interior), omega)
+        solve_forward(dom, tg, p, np.zeros(dom.n_interior), w,
+                      omega[w.block])
     assert [str(r.message) for r in rec] == [
         "dt=1.250e-01 exceeds advisory CFL bound 6.180e-03 at step 5"]
 
@@ -242,12 +245,15 @@ def test_non_finite_y0_fails_at_step_1(small_setup):
 
 @pytest.mark.parametrize("j", [0, 19, 20, 79])
 def test_nan_control_row_fails_at_next_step(small_setup, j):
-    """Rows 0..19 precede the window (k0 = 20), row 79 is the last step."""
+    """On a window from t0 = 0 over all nodes, whose block row j is step j,
+    the bump of small_setup's window (first step 20) is the control. Rows
+    0..19 precede that bump, row 79 is the last step."""
     dom, tg, p, window, y0 = small_setup
-    omega = apply_B(window, bump_control(window))
+    whole = ControlWindow(dom, tg, 0.0, dom.L, 0.0, tg.T)
+    omega = apply_B(window, bump_control(window))[whole.block]
     omega[j, 5] = np.nan
     with pytest.raises(NumericsError) as exc:
-        solve_forward(dom, tg, p, y0, omega)
+        solve_forward(dom, tg, p, y0, whole, omega)
     assert exc.value.time_index == j + 1
     assert f"at step {j + 1}/{tg.n_steps}" in str(exc.value)
 
@@ -263,7 +269,7 @@ def test_weak_residual_zero_trajectory(small_setup):
     dom, tg, p, _, _ = small_setup
     z = np.zeros((tg.n_steps + 1, dom.n_interior))
     ftz = trajectory_from_arrays(dom, tg, z, z)
-    assert weak_residual(ftz, None, p) == 0.0
+    assert weak_residual(ftz, p) == 0.0
 
 
 def weak_fixture(n, n_steps):
@@ -273,32 +279,34 @@ def weak_fixture(n, n_steps):
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.2, 0.6)
     y0 = 0.35 * np.sin(math.pi * dom.x / 2.0) \
         + 0.15 * np.sin(math.pi * dom.x)
-    bq = apply_B(w, bump_control(w, 0.8))
-    return dom, tg, p, solve_forward(dom, tg, p, y0, bq), bq
+    omega = bump_control(w, 0.8)
+    return dom, tg, p, solve_forward(dom, tg, p, y0, w, omega), w, omega
 
 
 def test_weak_residual_refines_at_first_order():
-    _, _, p1, ft1, bq1 = weak_fixture(32, 80)
-    _, _, p2, ft2, bq2 = weak_fixture(64, 160)
-    r1 = weak_residual(ft1, bq1, p1)
-    r2 = weak_residual(ft2, bq2, p2)
+    _, _, p1, ft1, w1, om1 = weak_fixture(32, 80)
+    _, _, p2, ft2, w2, om2 = weak_fixture(64, 160)
+    r1 = weak_residual(ft1, p1, w1, om1)
+    r2 = weak_residual(ft2, p2, w2, om2)
     assert math.log2(r1 / r2) >= 1.0
 
 
 def test_weak_residual_flags_corruption():
-    dom, tg, p, ft, bq = weak_fixture(32, 80)
-    clean = weak_residual(ft, bq, p)
+    dom, tg, p, ft, w, omega = weak_fixture(32, 80)
+    clean = weak_residual(ft, p, w, omega)
     op = get_operator(dom)
     ybad = ft.y.copy()
     ybad[tg.n_steps // 2] += 1e-2
     ubad = np.array([op.solve(ybad[n]) for n in range(tg.n_steps + 1)])
-    bad = weak_residual(trajectory_from_arrays(dom, tg, ybad, ubad), bq, p)
+    bad = weak_residual(trajectory_from_arrays(dom, tg, ybad, ubad), p, w,
+                        omega)
     assert bad >= 10.0 * clean
 
 
 def test_weak_residual_matches_frame_oracle():
     """Frames x modes as one array expression equals the per-pair loop."""
-    dom, tg, p, ft, bq = weak_fixture(32, 80)
+    dom, tg, p, ft, w, omega = weak_fixture(32, 80)
+    bq = apply_B(w, omega)
     etas = dirichlet_modes(dom, 5)
     worst = 0.0
     for n in range(1, tg.n_steps):
@@ -310,7 +318,7 @@ def test_weak_residual_matches_frame_oracle():
             r = (inner_h(dom, ydot, e) + p.epsilon * diff
                  + inner_h(dom, nl, e) - inner_h(dom, om_bar, e))
             worst = max(worst, abs(r))
-    got = weak_residual(ft, bq, p)
+    got = weak_residual(ft, p, w, omega)
     assert got == pytest.approx(worst, rel=1e-12)
 
 

@@ -95,8 +95,7 @@ def test_tangent_and_adjoint_are_transposes(w, seed):
     dom, tg = w.domain, w.tg
     p = ModelParams(epsilon=0.1, k=0.4)
     y0 = 0.1 * np.sin(math.pi * dom.x / dom.L)
-    ft = solve_forward(dom, tg, p, y0,
-                       apply_B(w, w.random_control(rng, 0.1)))
+    ft = solve_forward(dom, tg, p, y0, w, w.random_control(rng, 0.1))
     q = w.random_control(rng)
     s = rng.standard_normal(w.shape)
     assert pairing_defect(ft, w, q, s, p) <= 1e-10

@@ -92,32 +92,44 @@ def pieces(n, N, rng):
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.125, 0.375)
     y0 = (0.3 * np.sin(math.pi * dom.x / 2.0)
           + 0.1 * np.sin(math.pi * dom.x))
-    return dom, tg, p, w, y0, apply_B(w, w.random_control(rng))
+    return dom, tg, p, w, y0, w.random_control(rng)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_forward_matches_reference_loop(n, N, rng):
+    """The march under a window control equals the reference loop under
+    its forcing lattice B omega: fresh, resumed from a head, and on a
+    whole-lattice window [0, L] x [0, T], whose block holds every step and
+    node the march reads."""
     dom, tg, p, w, y0, omega = pieces(n, N, rng)
-    fresh = solve_forward(dom, tg, p, y0, omega)
+    bq = apply_B(w, omega)
+    fresh = solve_forward(dom, tg, p, y0, w, omega)
     for got, want in zip((fresh.y, fresh.u, fresh.ux),
-                         reference_forward(dom, tg, p, y0, omega)):
+                         reference_forward(dom, tg, p, y0, bq)):
         assert same_bytes(got, want)
     # resumed from the head of frames 0..k0 that the window leaves alone
     k0 = w.block[0].start
-    other = solve_forward(dom, tg, p, y0, 0.5 * omega)
+    other = solve_forward(dom, tg, p, y0, w, 0.5 * omega)
     head = ForwardTrajectory(dom, tg, *(a[:k0 + 1].copy()
                                         for a in (other.y, other.u, other.ux)))
-    resumed = solve_forward(dom, tg, p, y0, omega, head=head)
-    ref = reference_forward(dom, tg, p, y0, omega, head=head)
+    resumed = solve_forward(dom, tg, p, y0, w, omega, head=head)
+    ref = reference_forward(dom, tg, p, y0, bq, head=head)
     for got, want in zip((resumed.y, resumed.u, resumed.ux), ref):
         assert same_bytes(got, want)
     assert same_bytes(resumed.y, fresh.y)
+    whole = ControlWindow(dom, tg, 0.0, dom.L, 0.0, tg.T)
+    assert whole.block_shape == (N, n)
+    q = whole.random_control(rng)
+    ft = solve_forward(dom, tg, p, y0, whole, q)
+    for got, want in zip((ft.y, ft.u, ft.ux),
+                         reference_forward(dom, tg, p, y0, apply_B(whole, q))):
+        assert same_bytes(got, want)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_adjoint_matches_reference_loop(n, N, rng):
     dom, tg, p, w, y0, omega = pieces(n, N, rng)
-    ft = solve_forward(dom, tg, p, y0, omega)
+    ft = solve_forward(dom, tg, p, y0, w, omega)
     source = rng.standard_normal(ft.y.shape)
     k0 = w.block[0].start
 
@@ -165,7 +177,7 @@ def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng,
         chunks.append(sl.stop - sl.start)
         return _step_coefficients(ftraj, k, sl)
     monkeypatch.setattr(tangent_adjoint, "_step_coefficients", counted)
-    ft = solve_forward(dom, tg, p, y0, omega)
+    ft = solve_forward(dom, tg, p, y0, w, omega)
     source = rng.standard_normal(ft.y.shape)
     src = np.asarray(source, order=order)
     k0 = w.block[0].start
@@ -200,12 +212,12 @@ def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng,
 def test_nan_control_row_fails_at_reference_step(n, N, rng):
     dom, tg, p, w, y0, omega = pieces(n, N, rng)
     j = w.block[0].start + 3
-    omega[j, w.block[1]] = np.nan
-    Y, _, _ = reference_forward(dom, tg, p, y0, omega)
+    omega[3] = np.nan  # block row 3 is step j
+    Y, _, _ = reference_forward(dom, tg, p, y0, apply_B(w, omega))
     step = _first_nonfinite(Y[1:]) + 1
     assert step == j + 1
     with pytest.raises(NumericsError) as err:
-        solve_forward(dom, tg, p, y0, omega)
+        solve_forward(dom, tg, p, y0, w, omega)
     assert err.value.time_index == step
     assert f"at step {step}/{N}" in str(err.value)
 

@@ -27,7 +27,7 @@ def setup(n=24, n_steps=60, epsilon=0.1, k=0.4, amp=0.5):
     w = ControlWindow(dom, tg, 0.5, 1.5, 0.125, 0.375)
     y0 = 0.3 * np.sin(math.pi * dom.x / 2.0) \
         + 0.1 * np.sin(math.pi * dom.x)
-    ft = solve_forward(dom, tg, p, y0, apply_B(w, bump_control(w, amp)))
+    ft = solve_forward(dom, tg, p, y0, w, bump_control(w, amp))
     return dom, tg, p, w, ft
 
 
@@ -62,8 +62,8 @@ def test_tangent_matches_central_difference(rng):
     q = q / norm_q0(w, q)
     tan = solve_tangent(ft, w, q, p)
     h = 1e-5
-    yp = solve_forward(dom, tg, p, ft.y[0], apply_B(w, omega + h * q)).y
-    ym = solve_forward(dom, tg, p, ft.y[0], apply_B(w, omega - h * q)).y
+    yp = solve_forward(dom, tg, p, ft.y[0], w, omega + h * q).y
+    ym = solve_forward(dom, tg, p, ft.y[0], w, omega - h * q).y
     fd = (yp - ym) / (2.0 * h)
     rel = norm_l2h(dom, tg, fd - tan.m) / norm_l2h(dom, tg, tan.m)
     assert rel < 1e-5
