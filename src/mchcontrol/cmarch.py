@@ -1,0 +1,163 @@
+"""The compiled step loops of the forward and backward marches (cmarch.c).
+
+The source is compiled at the first march, never at import, by the compiler
+that CC names, or else sysconfig's CC, with FLAGS: -ffp-contract=off and no
+-ffast-math or -march=native, so no multiply-add is fused and every frame
+is bit for bit the numpy expressions the loops mirror. The shared object is
+cached in the package's __pycache__, named by a hash of the source, the
+flags, the compiler command and its --version output, and written to a
+temporary file that is renamed into place; a private directory under the
+system temp directory takes it when __pycache__ cannot be written. It is
+loaded with ctypes and calls the dpttrs of scipy.linalg.cython_lapack on
+the factors of the solver kernels. A compiler that is missing or fails
+raises KernelBuildError, an OSError.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from .errors import KernelBuildError
+
+SOURCE = Path(__file__).with_name("cmarch.c")
+FLAGS = ["-O2", "-std=c11", "-ffp-contract=off", "-fPIC", "-shared"]
+_P, _I, _S, _D = (ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t,
+                  ctypes.c_double)
+ARGTYPES = {"forward_march": [_P] * 5 + [_I, _S, _S] + [_D] * 4 + [_P] * 4,
+            "march_back": [_P] * 5 + [_I, _S, _S, _S] + [_D] * 5
+            + [_P, _S] * 3 + [_P, _P]}
+
+
+def cache_dirs() -> list:
+    """Where the shared object may be cached, in order of preference."""
+    return [SOURCE.parent / "__pycache__",
+            Path(tempfile.gettempdir()) / f"mchcontrol-{os.getuid()}"]
+
+
+def _run(cc: list, args: list) -> str:
+    """The compiler's stdout; KernelBuildError naming the compiler, and its
+    stderr, if it cannot start or fails."""
+    what = f"cannot build the march kernel: C compiler {' '.join(cc)!r}"
+    try:
+        done = subprocess.run(cc + args, capture_output=True, text=True)
+    except OSError as exc:
+        raise KernelBuildError(f"{what} did not start: {exc}") from exc
+    if done.returncode:
+        raise KernelBuildError(f"{what} exited {done.returncode}: "
+                               f"{done.stderr.strip()}")
+    return done.stdout
+
+
+def _build() -> Path:
+    """The cached shared object, compiled into the first cache directory
+    that can be written if none holds it yet."""
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC")
+                     or "cc")
+    key = hashlib.sha256(b"\0".join(
+        [SOURCE.read_bytes(), " ".join(FLAGS + cc).encode(),
+         _run(cc, ["--version"]).encode()])).hexdigest()[:16]
+    name = f"cmarch-{key}.so"
+    dirs = cache_dirs()
+    for i, d in enumerate(dirs):
+        try:
+            d.mkdir(mode=0o700, parents=True, exist_ok=True)
+            st = d.stat()
+            # a fallback that another user could write is not trusted
+            if i and (st.st_uid != os.getuid() or st.st_mode & 0o022):
+                continue
+            if (d / name).is_file():
+                return d / name
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=d)
+        except OSError:  # cannot be written: the next directory
+            continue
+        os.close(fd)
+        try:
+            _run(cc, FLAGS + ["-o", tmp, str(SOURCE)])
+            os.replace(tmp, d / name)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return d / name
+    raise KernelBuildError("cannot build the march kernel: no cache "
+                           "directory can be written: "
+                           + ", ".join(map(str, dirs)))
+
+
+@functools.cache
+def library():
+    """(the loaded kernel, the address of LAPACK's dpttrs), once per
+    process."""
+    from scipy.linalg import cython_lapack
+    lib = ctypes.CDLL(str(_build()))
+    for fname, argtypes in ARGTYPES.items():
+        getattr(lib, fname).argtypes = argtypes
+        getattr(lib, fname).restype = None
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    capsule = cython_lapack.__pyx_capi__["dpttrs"]
+    return lib, api.PyCapsule_GetPointer(capsule,
+                                         api.PyCapsule_GetName(capsule))
+
+
+def _factors(solver) -> tuple:
+    return solver._d.ctypes.data, solver._e.ctypes.data
+
+
+def _rows(a: np.ndarray) -> tuple:
+    """a, or a C-ordered copy unless its rows are float64 with unit item
+    stride, and its row stride in items."""
+    if a.dtype != np.float64 or a.strides[1] != 8 or a.strides[0] % 8:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+    return a, a.strides[0] // 8
+
+
+def forward_march(vsolver, dsolver, k0: int, h2: float, c: float,
+                  dt2: float, dtk: float, Yp, Up, UX, smax) -> None:
+    """forward_march of cmarch.c, on C-ordered float64 arrays Yp and Up
+    (N+1, n+2), UX (N+1, n) and smax (N,)."""
+    lib, pttrs = library()
+    N, n = UX.shape[0] - 1, UX.shape[1]
+    for a, shape in ((Yp, (N + 1, n + 2)), (Up, (N + 1, n + 2)),
+                     (UX, (N + 1, n)), (smax, (N,))):
+        if (a.shape != shape or a.dtype != np.float64
+                or not a.flags.c_contiguous):
+            raise ValueError("forward_march: an array of the wrong layout")
+    lib.forward_march(pttrs, *_factors(vsolver), *_factors(dsolver), n, N,
+                      k0, h2, c, dt2, dtk, Yp.ctypes.data, Up.ctypes.data,
+                      UX.ctypes.data, smax.ctypes.data)
+
+
+def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
+               h2: float, k: float, last: float, y, u, ux, lam) -> None:
+    """march_back of cmarch.c on the base frames y, u, ux, filling frames
+    stop..top-1 of the (N+1, n) multiplier lam in place; any layout, with
+    a contiguous copy where the kernel needs one."""
+    lib, pttrs = library()
+    N, n = lam.shape[0] - 1, lam.shape[1]
+    if not 0 <= stop < top <= N:
+        raise ValueError(f"march_back: frames {stop}..{top} of 0..{N}")
+    bases = [_rows(a) for a in (y, u, ux)]
+    if any(a.shape != lam.shape for a, _ in bases):
+        raise ValueError("march_back: base frames and multiplier differ")
+    work = (lam if lam.flags.c_contiguous and lam.dtype == np.float64
+            else np.ascontiguousarray(lam, dtype=np.float64))
+    rows = np.zeros(4 * n + 4)
+    lib.march_back(pttrs, *_factors(ksolver), *_factors(dsolver), n, N,
+                   stop, top, dt, cc, h2, k, last,
+                   *(x for a, s in bases for x in (a.ctypes.data, s)),
+                   work.ctypes.data, rows.ctypes.data)
+    if work is not lam:
+        lam[...] = work

@@ -21,5 +21,10 @@ class NumericsError(MchControlError, ArithmeticError):
         self.time_index = time_index
 
 
+class KernelBuildError(MchControlError, OSError):
+    """The compiled march kernel cannot be built: no C compiler, a compiler
+    that fails, or no cache directory that can be written."""
+
+
 class StabilityWarning(UserWarning):
     """Advisory: the explicit transport step exceeds its suggested CFL bound."""

@@ -7,8 +7,9 @@ and the control explicit at the old level:
 
     y_t = eps*y_xx - (u^2 - u_x^2)*y_x - 2*u_x*y^2 - k*u_x + B(omega)
 
-The step loop keeps frames in zero-padded rows (the pads are the Dirichlet
-walls), so each centred difference is one slice subtraction.
+The step loop is compiled C (cmarch), bit for bit the numpy expressions of
+the scheme; it keeps frames in zero-padded rows (the pads are the Dirichlet
+walls) and the per-frame maximum of |u^2 - u_x^2| for the CFL advisory.
 
 A control is an array on the window block Q0, which a march adds into the
 block of its own rows; apply_B extends it by zero to the node-time lattice.
@@ -30,6 +31,7 @@ from operator import add
 
 import numpy as np
 
+from . import cmarch
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
 from .grid import (Domain1D, TimeGrid, _per_frame, _shaped, as_field,
                    as_trajectory, d1, norm_h)
@@ -140,11 +142,11 @@ def transport_terms(domain: Domain1D, y, u, ux, k: float) -> np.ndarray:
     return (u * u - ux * ux) * d1(domain, y) + 2.0 * ux * y * y + k * ux
 
 
-def _warn_cfl(domain: Domain1D, tg: TimeGrid, speed2) -> None:
-    """Warn at the first frame whose u^2 - u_x^2 row breaks the CFL bound.
-    Overwrites speed2 with its absolute value."""
+def _warn_cfl(domain: Domain1D, tg: TimeGrid, smax) -> None:
+    """Warn at the first frame whose max |u^2 - u_x^2| (smax, one value per
+    frame) breaks the CFL bound."""
     with np.errstate(divide="ignore"):
-        bound = CFL_SAFETY * domain.h / np.abs(speed2, out=speed2).max(axis=1)
+        bound = CFL_SAFETY * domain.h / smax
     late = np.flatnonzero(tg.dt > bound)
     if late.size:
         warnings.warn(f"dt={tg.dt:.3e} exceeds advisory CFL bound "
@@ -181,51 +183,32 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
     if window is not None or omega is not None:
         omega = as_control(_on_grid(domain, tg, window), omega)
     n, N, dt, h2 = domain.n_interior, tg.n_steps, tg.dt, 2.0 * domain.h
-    vsolve = get_operator(domain).solve
-    dsolve = get_operator(domain, dt * p.epsilon).solve
+    vsolver = get_operator(domain)
+    dsolver = get_operator(domain, dt * p.epsilon)
     Yp, Up = np.zeros((2, N + 1, n + 2))
     Y, U = Yp[:, 1:-1], Up[:, 1:-1]
     UX = np.empty((N + 1, n))
-    S = np.empty_like(UX)  # u^2 - u_x^2: transport speed and CFL input
+    smax = np.empty(N)  # max |u^2 - u_x^2| per frame: the CFL input
     k0 = 0 if head is None else len(head.y) - 1
     if 0 < k0 <= (N if omega is None else window.block[0].start):
         Y[:k0 + 1], U[:k0 + 1] = head.y, head.u
         UX[:k0] = head.ux[:k0]
-        u, ux = head.u[:k0], head.ux[:k0]
-        np.subtract(u * u, ux * ux, out=S[:k0])
     else:
         k0 = 0
         Y[0] = U[0] = y0
-        vsolve(U[0], True)
-    c, dt2, dtk = dt / h2, 2.0 * dt, dt * p.k
-    w, w2 = np.empty((2, n))  # work rows of a step
-    mul, sub, add = np.multiply, np.subtract, np.add
-    # rows of steps k0..N-1, each writing frame k+1 in place
-    rows = zip(Y[k0:N], U[k0:N], UX[k0:N], S[k0:N],
-               Yp[k0:N, 2:], Yp[k0:N, :-2], Up[k0:N, 2:], Up[k0:N, :-2],
-               Y[k0 + 1:], U[k0 + 1:])
-    # blow-up is reported as NumericsError, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        if omega is not None:  # destination rows start as dt*(B omega)
-            mul(dt, omega, Y[1:][window.block])
-        for y, u, ux, s, yr, yl, ur, ul, y1, u1 in rows:
-            np.divide(sub(ur, ul, ux), h2, ux)
-            sub(mul(u, u, s), mul(ux, ux, w), s)
-            # y1 = (y + dt*om - (c*s)*(yr - yl)) - ((dt2*y)*y + dtk)*ux
-            add(y, y1, y1)
-            sub(y1, mul(mul(c, s, w), sub(yr, yl, w2), w), y1)
-            sub(y1, mul(add(mul(mul(dt2, y, w), y, w), dtk, w), ux, w), y1)
-            dsolve(y1, True)
-            u1[...] = y1
-            vsolve(u1, True)
-        np.divide(Up[N, 2:] - Up[N, :-2], h2, out=UX[N])
+        vsolver.solve(U[0], True)
+    if omega is not None:  # destination rows start as dt*(B omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(dt, omega, Y[1:][window.block])
+    cmarch.forward_march(vsolver, dsolver, k0, h2, dt / h2, 2.0 * dt,
+                         dt * p.k, Yp, Up, UX, smax)
     bad = _first_nonfinite(Yp[1:])
     if bad is not None:
         bad += 1
-        _warn_cfl(domain, tg, S[:bad])
+        _warn_cfl(domain, tg, smax[:bad])
         raise NumericsError(f"forward state lost finiteness at step {bad}/{N}",
                             time_index=bad)
-    _warn_cfl(domain, tg, S[:N])
+    _warn_cfl(domain, tg, smax)
     return ForwardTrajectory(domain, tg, Y, U, UX)
 
 

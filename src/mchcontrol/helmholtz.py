@@ -7,8 +7,8 @@ implicit-diffusion step is c = dt*eps. Each is factored once as LDL^T
 (LAPACK pttrf) and cached per grid and shift; every solve is one pttrs call
 on a 1-D field or on an (n, k) stack of right-hand sides, so the solve is
 its own transpose. solve_frames, and solve by default, leave the right-hand
-side untouched; solve(b, True), which the step loops call, writes the
-solution over it, so a march solves each new frame where it is stored.
+side untouched; solve(b, True) writes the solution over it. The compiled
+step loops (cmarch) call the same dpttrs on a kernel's factors _d and _e.
 """
 
 from __future__ import annotations

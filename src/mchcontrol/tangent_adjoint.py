@@ -3,10 +3,12 @@
 The tangent solver is the exact derivative of the IMEX step, linearized about
 the stored base frames: with v = K m (K the Helmholtz solve) its explicit
 term is A D1m + B m + C v - E D1v, where A = u^2 - u_x^2, B = 4 u_x y,
-C = 2 u y_x and E = 2 u_x y_x - 2 y^2 - k depend on the base alone and are
-built once per march as (N+1, n) stacks. From D1^T = -D1 and K^T = K its
-transpose is -D1(A phi) + B phi + K(C phi + D1(E phi)). The discrete adjoint
-is the exact transpose of the tangent map under the package quadratures:
+C = 2 u y_x and E = 2 u_x y_x - 2 y^2 - k depend on the base alone: the
+tangent builds them once per march as (N+1, n) stacks, and the compiled
+adjoint march (cmarch) forms each frame's inside its step. From D1^T = -D1
+and K^T = K its transpose is -D1(A phi) + B phi + K(C phi + D1(E phi)). The
+discrete adjoint is the exact transpose of the tangent map under the
+package quadratures:
 
     <T q, s>_traj = <q, B* lambda>_Q0  (to roundoff; B* lambda = lambda[block])
 
@@ -27,15 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cmarch
 from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams,
                       _first_nonfinite, as_control, inner_q0, norm_q0)
 from .grid import Domain1D, as_trajectory, d1, d2, inner_l2h, norm_h, norm_l2h
 from .helmholtz import get_operator
-
-# bytes of the coefficient frames an adjoint march builds at a time: four
-# coefficient rows and one difference row per frame
-COEFF_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -157,47 +156,19 @@ def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
     Fills frames stop..top-1 of lam in place from its frame top (the zero
     final frame for top = N). On entry each of them holds the source of the
     step that writes it (frame k-1 holds source[k]), and one multiply scales
-    them all by dt, so no source lattice is read. The coefficients of T_k
-    are built COEFF_CHUNK_BYTES of frames at a time, just before the steps
-    that read them: each is a per-frame expression, so a chunk's rows are
-    those of one whole stack bit for bit. The discrete adjoint is last =
-    1/2, the continuous one last = 1. Raises NumericsError naming the first
-    non-finite frame.
+    them all by dt, so no source lattice is read. The steps are compiled C
+    (cmarch) that forms the coefficients of T_k, those of
+    _step_coefficients bit for bit, from base frame k inside the step, so
+    the march works in O(n) memory beside lam. The discrete adjoint is last
+    = 1/2, the continuous one last = 1. Raises NumericsError naming the
+    first non-finite frame.
     """
     domain, tg = ftraj.domain, ftraj.tg
-    ksolve = get_operator(domain).solve
-    dsolve = get_operator(domain, tg.dt * p.epsilon).solve
-    N = tg.n_steps
-    # zero-padded work rows: the pads are the Dirichlet walls of D1
-    pa, pe = np.zeros((2, domain.n_interior + 2))
-    pa_in, pa_r, pa_l = pa[1:-1], pa[2:], pa[:-2]
-    pe_in, pe_r, pe_l = pe[1:-1], pe[2:], pe[:-2]
-    w, w2 = np.empty((2, domain.n_interior))  # work rows of a step
-    mul, sub, add = np.multiply, np.subtract, np.add
-    f = min(top, N - 1)  # the frame the steps start from
-    psi = lam[f]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mul(tg.dt, lam[stop:top], lam[stop:top])
-        if top == N:
-            dsolve(mul(last, psi, psi), True)
-    # T_k for k = f down to stop+1, one chunk of frames at a time; the rows
-    # run backward, step k writing frame k-1 in place. Only one chunk is
-    # live: it goes, with the views of its rows, before the next is built
-    size = max(1, COEFF_CHUNK_BYTES // (40 * domain.n_interior))
-    for hi in range(f + 1, stop + 1, -size):
-        lo = max(hi - size, stop + 1)
-        coeffs = _step_coefficients(ftraj, p.k, slice(lo, hi))
-        rows = zip(*coeffs[:, ::-1], lam[lo - 1:hi - 1][::-1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, b, c, e, lam1 in rows:
-                # lam1 += (b*psi + D(a*psi)) - K(c*psi + D(e*psi)), with D
-                # the padded difference pa[2:] - pa[:-2]
-                mul(a, psi, pa_in)
-                mul(e, psi, pe_in)
-                ksolve(add(mul(c, psi, w), sub(pe_r, pe_l, w2), w), True)
-                add(mul(b, psi, w2), sub(pa_r, pa_l, pe_in), w2)
-                psi = dsolve(add(sub(w2, w, w2), lam1, lam1), True)
-        del coeffs, rows, a, b, c, e, lam1
+    h2 = 2.0 * domain.h
+    cmarch.march_back(get_operator(domain),
+                      get_operator(domain, tg.dt * p.epsilon), stop, top,
+                      tg.dt, tg.dt / h2, h2, p.k, last, ftraj.y, ftraj.u,
+                      ftraj.ux, lam)
     bad = _first_nonfinite(lam[stop:top], backward=True)
     if bad is not None:
         raise NumericsError(

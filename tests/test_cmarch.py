@@ -1,0 +1,175 @@
+"""Building, caching and loading the compiled march kernel: the shared
+object lives under the package's __pycache__, is written atomically, falls
+back to a private temp directory, and a compiler that is missing or fails
+is an io error with exit 2, never a traceback."""
+
+import json
+import os
+import pkgutil
+import stat
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mchcontrol
+from mchcontrol import cli, cmarch
+from mchcontrol.errors import KernelBuildError
+from mchcontrol.forward import ModelParams, solve_forward
+from mchcontrol.grid import Domain1D, TimeGrid
+from mchcontrol.tangent_adjoint import _march_back
+
+CI_CONFIG = {"domain": {"L": 2.0, "n_interior": 24},
+             "time": {"T": 0.5, "n_steps": 60},
+             "model": {"epsilon": 0.1, "k": 0.4},
+             "initial": {"kind": "sine_mix", "coefficients": [0.3, 0.1]},
+             "control": {"kind": "bump", "amplitude": 0.6}}
+
+
+@pytest.fixture
+def unloaded():
+    """The kernel forgotten by this process before and after the test, so
+    that the test's first march builds or finds it again."""
+    cmarch.library.cache_clear()
+    yield
+    cmarch.library.cache_clear()
+
+
+def march():
+    dom, tg = Domain1D(2.0, 8), TimeGrid(0.5, 4)
+    return solve_forward(dom, tg, ModelParams(0.1), np.sin(dom.x)).y
+
+
+def objects(d: Path) -> list:
+    return sorted(p.name for p in d.iterdir())
+
+
+def fake_compiler(tmp_path, body: str) -> str:
+    """An executable that answers --version and runs body otherwise."""
+    cc = tmp_path / "fake-cc"
+    cc.write_text("#!/bin/sh\n"
+                  'if [ "$1" = --version ]; then echo fake-cc 1.0; exit 0; fi\n'
+                  + body + "\n")
+    cc.chmod(cc.stat().st_mode | stat.S_IXUSR)
+    return str(cc)
+
+
+def test_kernel_is_cached_under_pycache(unloaded):
+    """The object is built (or found) in the package's __pycache__, so the
+    package directory holds no shared object for pkgutil to list as a
+    module."""
+    path = cmarch._build()
+    assert path.parent == Path(mchcontrol.__file__).parent / "__pycache__"
+    assert path.name.startswith("cmarch-") and path.suffix == ".so"
+    assert not list(Path(mchcontrol.__file__).parent.glob("*.so"))
+    assert {m.name for m in pkgutil.iter_modules(mchcontrol.__path__)} \
+        >= {"cmarch", "forward"}
+    assert not any(m.name.startswith("cmarch-")
+                   for m in pkgutil.iter_modules(mchcontrol.__path__))
+
+
+def test_unwritable_cache_dir_falls_back(unloaded, tmp_path, monkeypatch):
+    """A cache directory that cannot be made (one under a regular file; the
+    tests run as root, so a read-only mode would prove nothing) gives way to
+    the next, which then holds exactly the object, and the march is the
+    same. A second load reuses it without compiling."""
+    want = march()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    fallback = tmp_path / "fallback"
+    monkeypatch.setattr(cmarch, "cache_dirs",
+                        lambda: [blocker / "cache", fallback])
+    cmarch.library.cache_clear()
+    assert march().tobytes() == want.tobytes()
+    [name] = objects(fallback)
+    assert name.startswith("cmarch-") and name.endswith(".so")
+    runs = []
+    run = cmarch._run
+    monkeypatch.setattr(cmarch, "_run",
+                        lambda cc, args: runs.append(args) or run(cc, args))
+    cmarch.library.cache_clear()
+    assert march().tobytes() == want.tobytes()
+    assert runs == [["--version"]] and objects(fallback) == [name]
+
+
+def test_shared_fallback_dir_is_not_trusted(unloaded, tmp_path, monkeypatch):
+    """A fallback directory that others can write is skipped, and with no
+    other directory the build fails as an io error."""
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shared.chmod(0o777)
+    monkeypatch.setattr(cmarch, "cache_dirs",
+                        lambda: [tmp_path / "file" / "cache", shared])
+    (tmp_path / "file").write_text("")
+    with pytest.raises(KernelBuildError,
+                       match="no cache directory can be written"):
+        cmarch.library()
+    assert objects(shared) == []
+
+
+def test_missing_compiler_exits_2(unloaded, tmp_path, monkeypatch, capsys):
+    """With a cold cache and CC naming no program, the first march raises
+    KernelBuildError, an OSError naming the compiler, and the CLI reports
+    it as an io error with exit 2 and no traceback."""
+    monkeypatch.setattr(cmarch, "cache_dirs", lambda: [tmp_path / "cache"])
+    monkeypatch.setenv("CC", "/nonexistent")
+    with pytest.raises(KernelBuildError) as err:
+        march()
+    assert isinstance(err.value, OSError)
+    cfg = tmp_path / "ci.json"
+    cfg.write_text(json.dumps(CI_CONFIG))
+    rc = cli.main(["forward", "--config", str(cfg), "--out",
+                   str(tmp_path / "out")])
+    assert rc == 2
+    got = capsys.readouterr().err
+    assert got.startswith("io error: cannot build the march kernel: C "
+                          "compiler '/nonexistent' did not start: ")
+    assert "Traceback" not in got
+    assert not (tmp_path / "cache").exists()
+
+
+def test_failing_compiler_names_its_stderr(unloaded, tmp_path, monkeypatch):
+    """A compiler that fails is named with its exit status and stderr, and
+    its output file is removed: the cache holds no partial object."""
+    cc = fake_compiler(tmp_path, 'echo "out of inodes" >&2; exit 4')
+    monkeypatch.setattr(cmarch, "cache_dirs", lambda: [tmp_path / "cache"])
+    monkeypatch.setenv("CC", cc)
+    with pytest.raises(KernelBuildError) as err:
+        march()
+    assert str(err.value) == ("cannot build the march kernel: C compiler "
+                              f"{cc!r} exited 4: out of inodes")
+    assert objects(tmp_path / "cache") == []
+
+
+def test_object_appears_only_when_complete(unloaded, tmp_path, monkeypatch):
+    """The compiler writes a temporary file, which is renamed into the
+    cache only once the compiler has succeeded."""
+    seen = []
+    run = cmarch._run
+
+    def compile_and_look(cc, args):
+        out = run(cc, args)
+        if "-o" in args:
+            seen.append(objects(tmp_path / "cache"))
+        return out
+
+    monkeypatch.setattr(cmarch, "_run", compile_and_look)
+    monkeypatch.setattr(cmarch, "cache_dirs", lambda: [tmp_path / "cache"])
+    march()
+    [during] = seen
+    [name] = objects(tmp_path / "cache")
+    assert name not in during and len(during) == 1
+    assert os.access(tmp_path / "cache" / name, os.R_OK)
+
+
+@pytest.mark.parametrize("stop,top", [(3, 3), (-1, 4), (0, 5), (4, 4)])
+def test_march_back_refuses_a_frame_range_outside_the_march(stop, top):
+    """Frames stop..top-1 must be a nonempty range of 0..N-1 (here N = 4):
+    the kernel is not asked to write outside the multiplier, and an empty
+    range is a ValueError, not an IndexError from the finiteness scan."""
+    dom, tg, p = Domain1D(2.0, 8), TimeGrid(0.5, 4), ModelParams(0.1)
+    ft = solve_forward(dom, tg, p, np.sin(dom.x))
+    lam = np.zeros_like(ft.y)
+    with pytest.raises(ValueError, match="march_back: frames"):
+        _march_back(ft, p, lam, 0.5, stop, top)
+    assert not lam.any()

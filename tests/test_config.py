@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ def test_sample_counts_past_the_array_limit(section, key):
             resolve_config(minimal(**{section: {key: count}}))
     cfg = resolve_config(minimal(**{section: {key: limit - 1}}))
     assert cfg[section][key] == limit - 1
+
+
+@pytest.mark.parametrize("n", [2 ** 31, 2 ** 40])
+def test_nodes_past_lapack_int_refused_before_allocation(n):
+    """n_interior reaches LAPACK's C int, which the march kernel passes it
+    as: a config error naming the field, its value and the limit, raised
+    before the grid-size check allocates the node coordinates (the traced
+    peak stays far below the 8n bytes they take)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            resolve_config(minimal(domain={"n_interior": n}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"the grid does not fit in memory: domain.n_interior = {n}: a LAPACK "
+        "solve takes at most 2**31 - 1 nodes")
+    assert peak < 1 << 20
 
 
 def test_window_defaults_middle_half():

@@ -431,10 +431,8 @@ def test_twin_memory_budget(tmp_path):
     window block.
 
     With L the bytes of an (N+1, n) lattice, P those of a zero-padded
-    (N+1, n+2) march array, B those of a window block, C the coefficient
-    budget of an adjoint march (COEFF_CHUNK_BYTES), U the bytes of numpy's
-    ufunc buffer (8 * getbufsize()) and m the iterations (at most m
-    curvature pairs are kept), the live arrays are:
+    (N+1, n+2) march array, B those of a window block and m the iterations
+    (at most m curvature pairs are kept), the live arrays are:
 
     - the target z_d (L) and the problem's head (frames 0..k0 of y, u and
       u_x), and run_twin's true control (B);
@@ -443,20 +441,22 @@ def test_twin_memory_budget(tmp_path):
       source z_d - y is written, so it has no lattice of its own;
     - the superseded iterate's gradient and the step s (2B), and the pairs
       kept so far (2(m - 1)B);
-    - while the adjoint marches, one chunk of its coefficients (C) and the
-      ufunc buffers of the two strided base views a chunk is built from
-      (2U); after it, in their place, the new gradient (B).
+    - the new gradient (B), after the adjoint march, which itself holds
+      only four work rows: it builds no coefficient frames.
 
-    That is 3L + 2P + head + max(C + 2U, B) + (2m + 2)B. A trial's march
-    holds less: padded y and u (2P), u_x and u^2 - u_x^2 (2L), with the
-    iterate's control and gradient, the direction, the trial and its
-    scaled step (5B), and no forcing lattice, since the march adds the
-    trial into the block of its own rows; its cost holds the misfit (L) in
-    place of u^2 - u_x^2. The finishing adjoint comes after the pairs are
+    That is 3L + 2P + head + (2m + 3)B. A trial's march holds less: padded
+    y and u (2P) and u_x (L), with the iterate's control and gradient, the
+    direction, the trial and its scaled step (5B), and no forcing lattice,
+    since the march adds the trial into the block of its own rows, and no
+    u^2 - u_x^2 lattice, since it keeps only each frame's maximum; its cost
+    holds the misfit (L). The finishing adjoint comes after the pairs are
     dropped. Half an L more covers what grows with one axis only (rows,
-    per-frame temporaries, time weights, solver factors) and interpreter
-    objects (measured: 14.28 L against a bound of 14.80 L; with a forcing
-    lattice in the problem the peak was 15.27 L).
+    per-frame temporaries, time weights, solver factors), numpy's ufunc
+    buffer for the strided y that the tracking source subtracts (8 *
+    getbufsize() bytes, a quarter L here, freed before the march) and
+    interpreter objects (measured: 13.38 L against a bound of 13.52 L; with
+    the adjoint's coefficients built 256 KiB of frames at a time and a
+    u^2 - u_x^2 lattice in each march, 14.28 L against 14.80 L).
     """
     cfg = resolve_config(README_TWIN)
     n, N = 128, 250
@@ -473,11 +473,8 @@ def test_twin_memory_budget(tmp_path):
     k0 = frames.start
     L, P = 8 * (N + 1) * n, 8 * (N + 1) * (n + 2)
     B = 8 * (frames.stop - k0) * (nodes.stop - nodes.start)
-    C = tangent_adjoint.COEFF_CHUNK_BYTES
-    U = 8 * np.getbufsize()
     head = 3 * 8 * (k0 + 1) * n
-    assert peak <= (3.5 * L + 2 * P + head + max(C + 2 * U, B)
-                    + (2 + 2 * m) * B)
+    assert peak <= 3.5 * L + 2 * P + head + (3 + 2 * m) * B
 
 
 class LiveSpy:

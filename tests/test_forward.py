@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,29 @@ def test_cfl_warning_names_first_late_step():
                       omega[w.block])
     assert [str(r.message) for r in rec] == [
         "dt=1.250e-01 exceeds advisory CFL bound 6.180e-03 at step 5"]
+
+
+@pytest.mark.parametrize("L,spike,texts", [
+    (2.0, 1e155, ["dt=1.250e-01 exceeds advisory CFL bound 1.155e-309 at "
+                  "step 0"]),
+    (200.0, 1e170, [])])
+def test_cfl_warning_on_an_overflowing_march(L, spike, texts):
+    """One spike in y0 overflows the march at step 1, and frame 0's
+    u^2 - u_x^2 row decides the warning. At L = 2 the row is finite but
+    huge, so the bound is subnormal. At L = 200 the spike's neighbours are
+    NaN (both squares overflow), next to Inf and finite entries: the row's
+    maximum is NaN, as numpy's max gives it, so no step is named; a maximum
+    that skipped the NaN would read Inf and warn at step 0."""
+    dom, tg = Domain1D(L, 16), TimeGrid(1.0, 8)
+    y0 = np.ones(dom.n_interior)
+    y0[3] = spike
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericsError) as exc:
+            solve_forward(dom, tg, ModelParams(epsilon=0.05), y0)
+    assert exc.value.time_index == 1
+    assert [str(r.message) for r in rec
+            if r.category is StabilityWarning] == texts
 
 
 def test_blowup_raises_numerics_error():

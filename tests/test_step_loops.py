@@ -1,25 +1,34 @@
-"""The forward and adjoint step loops against reference copies of the loops
-they replaced, which indexed rows per step and solved into new arrays.
+"""The compiled forward and adjoint step loops against reference copies of
+numpy loops, which index rows per step and solve into new arrays.
 
-Both loops compute the same expression trees, so every frame must agree
-byte for byte, not to a tolerance.
+Both compute the same expression trees, so every frame must agree byte for
+byte, not to a tolerance: on fixed grids, and as properties over random
+grids, windows, stops, array layouts and NaN or Inf inputs, where a NaN
+matches a NaN of any sign and payload (same_bits).
 """
 
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mchcontrol import tangent_adjoint
-from mchcontrol.errors import NumericsError
-from mchcontrol.forward import (ControlWindow, ForwardTrajectory, ModelParams,
-                                _first_nonfinite, apply_B, solve_forward)
+from mchcontrol import forward
+from mchcontrol.errors import NumericsError, StabilityWarning
+from mchcontrol.forward import (CFL_SAFETY, ControlWindow, ForwardTrajectory,
+                                ModelParams, _first_nonfinite, apply_B,
+                                solve_forward)
 from mchcontrol.grid import Domain1D, TimeGrid
 from mchcontrol.helmholtz import get_operator
-from mchcontrol.tangent_adjoint import (_step_coefficients, finish_adjoint,
+from mchcontrol.tangent_adjoint import (_march_back, _step_coefficients,
+                                        finish_adjoint,
                                         solve_adjoint_continuous,
                                         solve_adjoint_discrete)
+from test_properties import PROPERTY, controls, lattices, windows
 
 GRIDS = [(24, 60), (48, 240)]
 
@@ -84,6 +93,18 @@ def reference_march_back(ftraj, source, p, lam, last, stop, top):
 
 def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_bits(a, b):
+    """same_bytes, except that a NaN matches a NaN of any sign and payload.
+    numpy's own loops do not fix which operand's NaN an add or multiply of
+    two NaNs returns: its vector body and its scalar tail differ (np.add of
+    -NaN and +NaN over 17 items gives -NaN in the first 16 and +NaN in the
+    last), and every NaN prints as nan in the artifacts."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
 
 
 def pieces(n, N, rng):
@@ -159,24 +180,14 @@ def test_adjoint_matches_reference_loop(n, N, rng):
 @pytest.mark.parametrize("frames", [1, 2, 3, 4])
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n,N", GRIDS)
-def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng,
-                                                  monkeypatch):
-    """With the coefficient budget cut to a few frames per chunk, every
-    adjoint march equals the reference loop byte for byte: the discrete,
-    continuous, stopped, finished and tracking (z_d with minus y)
+def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng):
+    """Every adjoint march equals the reference loop byte for byte: the
+    discrete, continuous, stopped, finished and tracking (z_d with minus y)
     multipliers, for C- and F-ordered sources. The stops are the window's
-    first step k0 and the steps next to it at which the stopped march's
-    last chunk is full (a chunk edge on stop), holds one frame (an edge
-    just above stop), or is one frame short (the edge just below stop,
-    clipped)."""
+    first step k0 and the steps next to it that were chunk edges when the
+    numpy march built its coefficients frames at a time: a chunk edge on
+    stop, one just above stop, and one just below it."""
     dom, tg, p, w, y0, omega = pieces(n, N, rng)
-    monkeypatch.setattr(tangent_adjoint, "COEFF_CHUNK_BYTES", 40 * n * frames)
-    chunks = []
-
-    def counted(ftraj, k, sl):
-        chunks.append(sl.stop - sl.start)
-        return _step_coefficients(ftraj, k, sl)
-    monkeypatch.setattr(tangent_adjoint, "_step_coefficients", counted)
     ft = solve_forward(dom, tg, p, y0, w, omega)
     source = rng.standard_normal(ft.y.shape)
     src = np.asarray(source, order=order)
@@ -188,7 +199,6 @@ def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng,
 
     full = reference(0.5, 0)
     assert same_bytes(solve_adjoint_discrete(ft, src, p).lam, full)
-    assert max(chunks) == frames and len(chunks) == -(-(N - 1) // frames)
     assert same_bytes(solve_adjoint_continuous(ft, src, p), reference(1.0, 0))
     # frames N-1 down to stop+1 take the coefficients, N-1-stop of them
     stops = {k0} | {k0 + (N - 1 - k0 - r) % frames for r in (0, 1, -1)}
@@ -222,17 +232,13 @@ def test_nan_control_row_fails_at_reference_step(n, N, rng):
     assert f"at step {step}/{N}" in str(err.value)
 
 
-def test_adjoint_march_holds_one_coefficient_chunk():
-    """One solve_adjoint_discrete at n=128, N=250, where the chunk budget C
-    is about one lattice, peaks (tracemalloc, above its inputs) within the
-    multiplier (L, the bytes of an (N+1, n) lattice), one chunk (four
-    coefficient rows and one difference row per frame, at most C), numpy's
-    ufunc buffers for the two strided operands it reads while building a
-    chunk (the base y and u are views into zero-padded march arrays: at
-    most 8 * getbufsize() bytes each) and the four work rows of a step.
-    With the chunk before still live while the next is built, as when the
-    loop's row views kept it, the march peaked at 3.27 L; this bound is
-    2.53 L."""
+def test_adjoint_march_works_in_linear_memory():
+    """One solve_adjoint_discrete at n=128, N=250 peaks (tracemalloc, above
+    its inputs) within the multiplier (L, the bytes of an (N+1, n) lattice),
+    numpy's ufunc buffer for the strided base frame y that the tracking
+    source z_d - y subtracts as it is written (at most 8 * getbufsize()
+    bytes) and the four work rows of the compiled march (4n + 4 floats):
+    no coefficient frames are built."""
     n, N = 128, 250
     dom, tg = Domain1D(2.0, n), TimeGrid(0.8, N)
     p = ModelParams(epsilon=0.08, k=0.6)
@@ -240,8 +246,6 @@ def test_adjoint_march_holds_one_coefficient_chunk():
     z_d = ft.y + 0.01 * np.random.default_rng(5).standard_normal(ft.y.shape)
     solve_adjoint_discrete(ft, z_d, p, minus=ft.y)  # factor the kernels
     L = 8 * (N + 1) * n
-    C = tangent_adjoint.COEFF_CHUNK_BYTES
-    assert C // (40 * n) < N - 1  # the march builds more than one chunk
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -249,4 +253,129 @@ def test_adjoint_march_holds_one_coefficient_chunk():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= L + C + 2 * 8 * np.getbufsize() + 4 * 8 * (n + 2)
+    assert peak <= L + 8 * np.getbufsize() + 8 * (4 * n + 4)
+
+
+# ---------------------------------------------------------------------------
+# properties over random grids, windows, stops, layouts and non-finite data
+
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+SMALL = st.floats(-2.0, 2.0)
+
+
+def poked(draw, a):
+    """a, with one entry set to NaN or +-Inf when the draw says so."""
+    if draw(st.booleans()):
+        a[tuple(draw(st.integers(0, s - 1)) for s in a.shape)] = draw(SPECIAL)
+    return a
+
+
+def models():
+    return st.builds(ModelParams, st.floats(0.01, 1.0), st.floats(-1.0, 1.0))
+
+
+def reference_cfl(domain, tg, U, UX, rows):
+    """The StabilityWarning texts of a march over frames 0..rows-1 from
+    their whole u^2 - u_x^2 rows, as the numpy march checked them."""
+    with np.errstate(all="ignore"):
+        S = U[:rows] * U[:rows] - UX[:rows] * UX[:rows]
+        bound = CFL_SAFETY * domain.h / np.abs(S).max(axis=1)
+    late = np.flatnonzero(tg.dt > bound)
+    return [f"dt={tg.dt:.3e} exceeds advisory CFL bound "
+            f"{bound[late[0]]:.3e} at step {late[0]}"] if late.size else []
+
+
+def laid_out(a, layout):
+    """A copy of the (N+1, n) array a: C- or F-ordered, rows of a larger
+    array (row stride past n, unit item stride), or every other item."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    big = np.zeros((2 * a.shape[0], 2 * a.shape[1] + 2))
+    view = big[::2, 1:a.shape[1] + 1] if layout == "rows" else big[:, ::2][
+        :a.shape[0], :a.shape[1]]
+    view[...] = a
+    return view
+
+
+LAYOUTS = st.sampled_from(["C", "F", "rows", "items"])
+
+
+@PROPERTY
+@given(st.data())
+def test_forward_march_matches_reference_loop_property(data):
+    """solve_forward against the reference loop, byte for byte up to NaN
+    payloads (same_bits), on random grids from n = 3 and N = 1 and windows
+    (from t0 = 0, to T, the whole lattice), fresh or resumed from a head,
+    with NaN or Inf in y0 or the control; and with the reference's failing
+    step and CFL warnings."""
+    draw = data.draw
+    w = draw(windows())
+    dom, tg, p = w.domain, w.tg, draw(models())
+    y0 = poked(draw, draw(hnp.arrays(np.float64, dom.n_interior,
+                                     elements=SMALL)))
+    q = poked(draw, draw(controls(w, SMALL)))
+    k0 = draw(st.integers(0, w.block[0].start))
+    head = None
+    if k0:  # frames 0..k0 of a march from y0 under another control
+        other = reference_forward(dom, tg, p, y0, apply_B(w, 0.5 * q))
+        head = ForwardTrajectory(dom, tg, *(a[:k0 + 1].copy() for a in other))
+    want = reference_forward(dom, tg, p, y0, apply_B(w, q), head)
+    with mock.patch.object(forward, "_first_nonfinite", return_value=None), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        got = solve_forward(dom, tg, p, y0, w, q, head=head)
+    for g, x in zip((got.y, got.u, got.ux), want):
+        assert same_bits(g, x)
+    bad = _first_nonfinite(want[0][1:])
+    step = None if bad is None else bad + 1
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            solve_forward(dom, tg, p, y0, w, q, head=head)
+            failed = None
+        except NumericsError as exc:
+            failed = exc.time_index
+    assert failed == step
+    assert [str(r.message) for r in rec if r.category is StabilityWarning] \
+        == reference_cfl(dom, tg, *want[1:], tg.n_steps if step is None
+                         else step)
+
+
+@PROPERTY
+@given(st.data())
+def test_adjoint_march_matches_reference_loop_property(data):
+    """_march_back against the reference recursion, byte for byte up to NaN
+    payloads (same_bits), for every stop and top (top = N with the final
+    weight 1/2 or 1, or a resume from a given frame top), base frames and
+    multipliers in C, F, row- and item-strided layouts, and NaN or Inf in
+    the source; and with the reference's first non-finite frame."""
+    draw = data.draw
+    w = draw(windows())
+    dom, tg, p = w.domain, w.tg, draw(models())
+    N = tg.n_steps
+    y0 = draw(hnp.arrays(np.float64, dom.n_interior, elements=SMALL))
+    base = reference_forward(dom, tg, p, y0,
+                             apply_B(w, draw(controls(w, SMALL))))
+    layout = draw(LAYOUTS)
+    ft = ForwardTrajectory(dom, tg, *(laid_out(a, layout) for a in base))
+    source = poked(draw, draw(lattices(w, SMALL)))
+    stop = draw(st.integers(0, N - 1))
+    top = draw(st.integers(stop + 1, N))
+    last = draw(st.sampled_from([0.5, 1.0]))
+    lam0 = np.zeros_like(source)
+    lam0[stop:top] = source[stop + 1:top + 1]
+    if top < N:  # the frame a resumed march starts from
+        lam0[top] = draw(hnp.arrays(np.float64, dom.n_interior,
+                                    elements=SMALL))
+    want = reference_march_back(ft, source, p, lam0.copy(), last, stop, top)
+    lam = laid_out(lam0, draw(LAYOUTS))
+    try:
+        _march_back(ft, p, lam, last, stop, top)
+        failed = None
+    except NumericsError as exc:
+        failed = exc.time_index
+    assert same_bits(lam, want)
+    bad = _first_nonfinite(want[stop:top], backward=True)
+    assert failed == (None if bad is None else bad + stop)
