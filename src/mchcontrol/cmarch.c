@@ -1,22 +1,51 @@
-/* The step loops of the forward and backward IMEX marches. Each expression
-   is one numpy node of the scheme, in the same order, and the solves are
-   LAPACK's dpttrs on the factors ShiftedLaplacianSolver holds, so every
-   frame is bit for bit that of the numpy reference loops of the tests.
-   Build with -ffp-contract=off and without -ffast-math: a fused
+/* The tridiagonal kernel I - c*D2 of both implicit operators, and the step
+   loops of the forward and backward IMEX marches. pttrf and the solve are
+   reference LAPACK's dpttrf and dptts2, operation for operation, and each
+   march expression is one numpy node of the scheme, in the same order, so
+   every frame is bit for bit that of the numpy reference loops of the
+   tests. Build with -ffp-contract=off and without -ffast-math: a fused
    multiply-add or a reassociated sum would change the bits. Rows are
-   indexed with ptrdiff_t; n is LAPACK's int. */
+   indexed with ptrdiff_t; n is a C int. */
 
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
 
-typedef void pttrs_t(int *n, int *nrhs, double *d, double *e, double *b,
-                     int *ldb, int *info);
-
-static void solve(pttrs_t *pttrs, double *d, double *e, double *b, int n)
+/* L D L^T of the SPD tridiagonal matrix with diagonal d (n entries) and
+   off-diagonal e (n - 1), in place: d becomes D and e the subdiagonal of
+   the unit bidiagonal L (dpttrf; no pivot is nonpositive for c >= 0) */
+void pttrf(int n, double *d, double *e)
 {
-    int nrhs = 1, info;
-    pttrs(&n, &nrhs, d, e, b, &n, &info);
+    for (ptrdiff_t i = 0; i < n - 1; i++) {
+        double ei = e[i];
+        e[i] = ei / d[i];
+        d[i + 1] = d[i + 1] - e[i] * ei;
+    }
+}
+
+/* solve L D L^T x = b in place on entries b[0], b[inc], ... (dptts2 for
+   n >= 2; LAPACK multiplies by 1/d at n = 1, and grids have n >= 3). The
+   last entry written is carried in x: b may alias d and e for all the
+   compiler knows, so re-reading it would be a load per node. */
+static void solve(const double *d, const double *e, double *b, int n,
+                  ptrdiff_t inc)
+{
+    double x = b[0];
+    ptrdiff_t i;
+    for (i = 1; i < n; i++)
+        b[i * inc] = x = b[i * inc] - x * e[i - 1];
+    b[(n - 1) * inc] = x = x / d[n - 1];
+    for (i = n - 2; i >= 0; i--)
+        b[i * inc] = x = b[i * inc] / d[i] - x * e[i];
+}
+
+/* dpttrs on nrhs right-hand sides of any layout: entry i of right-hand
+   side j is b[i*inc + j*ldb] */
+void ptts2(int n, ptrdiff_t nrhs, const double *d, const double *e,
+           double *b, ptrdiff_t inc, ptrdiff_t ldb)
+{
+    for (ptrdiff_t j = 0; j < nrhs; j++)
+        solve(d, e, b + j * ldb, n, inc);
 }
 
 /* max |s| over a row, NaN as soon as one entry is NaN (numpy's max) */
@@ -32,10 +61,10 @@ static double absmax(double m, double s)
    k0..N-1 write frame k+1, then row N of UX is filled. smax[k] is
    max |u^2 - u_x^2| of frame k, for k < N. vd, ve factor the Helmholtz
    kernel, dd, de the implicit diffusion. */
-void forward_march(pttrs_t *pttrs, double *vd, double *ve, double *dd,
-                   double *de, int n, ptrdiff_t N, ptrdiff_t k0, double h2,
-                   double c, double dt2, double dtk, double *Yp, double *Up,
-                   double *UX, double *smax)
+void forward_march(const double *vd, const double *ve, const double *dd,
+                   const double *de, int n, ptrdiff_t N, ptrdiff_t k0,
+                   double h2, double c, double dt2, double dtk, double *Yp,
+                   double *Up, double *UX, double *smax)
 {
     ptrdiff_t w = (ptrdiff_t)n + 2, k, i;
     for (k = 0; k < k0; k++) {
@@ -59,9 +88,9 @@ void forward_march(pttrs_t *pttrs, double *vd, double *ve, double *dd,
             y1[i] = y1[i] - ((dt2 * y[i]) * y[i] + dtk) * ux[i];
         }
         smax[k] = m;
-        solve(pttrs, dd, de, y1, n);
+        solve(dd, de, y1, n, 1);
         memcpy(u1, y1, (size_t)n * sizeof(double));
-        solve(pttrs, vd, ve, u1, n);
+        solve(vd, ve, u1, n, 1);
     }
     for (i = 0; i < n; i++)
         UX[N * n + i] = (Up[N * w + i + 2] - Up[N * w + i]) / h2;
@@ -74,11 +103,12 @@ void forward_march(pttrs_t *pttrs, double *vd, double *ve, double *dd,
    (dt A/2h, 1 - dt B, dt C, dt E/2h) with A = u^2 - u_x^2, B = 4 u_x y,
    C = 2 u y_x and E = 2(u_x y_x - y^2) - k, as _step_coefficients does,
    and y_x as grid.d1. work holds 4n + 4 doubles, its first 2n + 4 zero. */
-void march_back(pttrs_t *pttrs, double *kd, double *ke, double *dd,
-                double *de, int n, ptrdiff_t N, ptrdiff_t stop, ptrdiff_t top,
-                double dt, double cc, double h2, double kk, double last,
-                const double *Y, ptrdiff_t ys, const double *U, ptrdiff_t us,
-                const double *UX, ptrdiff_t xs, double *lam, double *work)
+void march_back(const double *kd, const double *ke, const double *dd,
+                const double *de, int n, ptrdiff_t N, ptrdiff_t stop,
+                ptrdiff_t top, double dt, double cc, double h2, double kk,
+                double last, const double *Y, ptrdiff_t ys,
+                const double *U, ptrdiff_t us, const double *UX, ptrdiff_t xs,
+                double *lam, double *work)
 {
     double *pa = work + 1, *pe = work + n + 3;  /* zero-padded rows */
     double *cw = work + 2 * n + 4, *bw = work + 3 * n + 4;
@@ -90,7 +120,7 @@ void march_back(pttrs_t *pttrs, double *kd, double *ke, double *dd,
     if (top == N) {
         for (i = 0; i < n; i++)
             psi[i] = last * psi[i];
-        solve(pttrs, dd, de, psi, n);
+        solve(dd, de, psi, n, 1);
     }
     for (k = f; k > stop; k--) {
         const double *y = Y + k * ys, *u = U + k * us, *ux = UX + k * xs;
@@ -114,10 +144,10 @@ void march_back(pttrs_t *pttrs, double *kd, double *ke, double *dd,
             cw[i] = cw[i] + (pe[i + 1] - pe[i - 1]);
             bw[i] = bw[i] + (pa[i + 1] - pa[i - 1]);
         }
-        solve(pttrs, kd, ke, cw, n);
+        solve(kd, ke, cw, n, 1);
         for (i = 0; i < n; i++)
             lam1[i] = (bw[i] - cw[i]) + lam1[i];
-        solve(pttrs, dd, de, lam1, n);
+        solve(dd, de, lam1, n, 1);
         psi = lam1;
     }
 }

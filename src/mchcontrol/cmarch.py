@@ -1,15 +1,17 @@
-"""The compiled step loops of the forward and backward marches (cmarch.c).
+"""The compiled tridiagonal kernel and the step loops of the forward and
+backward marches (cmarch.c).
 
-The source is compiled at the first march, never at import, by the compiler
-that CC names, or else sysconfig's CC, with FLAGS: -ffp-contract=off and no
--ffast-math or -march=native, so no multiply-add is fused and every frame
-is bit for bit the numpy expressions the loops mirror. The shared object is
-cached in the package's __pycache__, named by a hash of the source, the
-flags, the compiler command and its --version output, and written to a
-temporary file that is renamed into place; a private directory under the
-system temp directory takes it when __pycache__ cannot be written. It is
-loaded with ctypes and calls the dpttrs of scipy.linalg.cython_lapack on
-the factors of the solver kernels. A compiler that is missing or fails
+The source is compiled when the kernel is first needed (the first operator
+factored, or the output directory a command is about to make), never at
+import, by the compiler that CC names, or else sysconfig's CC, with FLAGS:
+-ffp-contract=off and no -ffast-math or -march=native, so no multiply-add is
+fused, the factor and solve are reference LAPACK's dpttrf and dptts2 bit for
+bit, and every frame is bit for bit the numpy expressions the loops mirror.
+The shared object is cached in the package's __pycache__, named by a hash
+of the source, the flags, the compiler command and its --version output,
+and written to a temporary file that is renamed into place; a private
+directory under the system temp directory takes it when __pycache__ cannot
+be written. It is loaded with ctypes. A compiler that is missing or fails
 raises KernelBuildError, an OSError.
 """
 
@@ -33,8 +35,9 @@ SOURCE = Path(__file__).with_name("cmarch.c")
 FLAGS = ["-O2", "-std=c11", "-ffp-contract=off", "-fPIC", "-shared"]
 _P, _I, _S, _D = (ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t,
                   ctypes.c_double)
-ARGTYPES = {"forward_march": [_P] * 5 + [_I, _S, _S] + [_D] * 4 + [_P] * 4,
-            "march_back": [_P] * 5 + [_I, _S, _S, _S] + [_D] * 5
+ARGTYPES = {"pttrf": [_I, _P, _P], "ptts2": [_I, _S, _P, _P, _P, _S, _S],
+            "forward_march": [_P] * 4 + [_I, _S, _S] + [_D] * 4 + [_P] * 4,
+            "march_back": [_P] * 4 + [_I, _S, _S, _S] + [_D] * 5
             + [_P, _S] * 3 + [_P, _P]}
 
 
@@ -95,25 +98,12 @@ def _build() -> Path:
 
 @functools.cache
 def library():
-    """(the loaded kernel, the address of LAPACK's dpttrs), once per
-    process."""
-    from scipy.linalg import cython_lapack
+    """The loaded kernel, once per process."""
     lib = ctypes.CDLL(str(_build()))
     for fname, argtypes in ARGTYPES.items():
         getattr(lib, fname).argtypes = argtypes
         getattr(lib, fname).restype = None
-    api = ctypes.pythonapi
-    api.PyCapsule_GetName.restype = ctypes.c_char_p
-    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
-    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
-    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    capsule = cython_lapack.__pyx_capi__["dpttrs"]
-    return lib, api.PyCapsule_GetPointer(capsule,
-                                         api.PyCapsule_GetName(capsule))
-
-
-def _factors(solver) -> tuple:
-    return solver._d.ctypes.data, solver._e.ctypes.data
+    return lib
 
 
 def _rows(a: np.ndarray) -> tuple:
@@ -128,14 +118,14 @@ def forward_march(vsolver, dsolver, k0: int, h2: float, c: float,
                   dt2: float, dtk: float, Yp, Up, UX, smax) -> None:
     """forward_march of cmarch.c, on C-ordered float64 arrays Yp and Up
     (N+1, n+2), UX (N+1, n) and smax (N,)."""
-    lib, pttrs = library()
+    lib = library()
     N, n = UX.shape[0] - 1, UX.shape[1]
     for a, shape in ((Yp, (N + 1, n + 2)), (Up, (N + 1, n + 2)),
                      (UX, (N + 1, n)), (smax, (N,))):
         if (a.shape != shape or a.dtype != np.float64
                 or not a.flags.c_contiguous):
             raise ValueError("forward_march: an array of the wrong layout")
-    lib.forward_march(pttrs, *_factors(vsolver), *_factors(dsolver), n, N,
+    lib.forward_march(*vsolver._factors, *dsolver._factors, n, N,
                       k0, h2, c, dt2, dtk, Yp.ctypes.data, Up.ctypes.data,
                       UX.ctypes.data, smax.ctypes.data)
 
@@ -145,7 +135,7 @@ def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
     """march_back of cmarch.c on the base frames y, u, ux, filling frames
     stop..top-1 of the (N+1, n) multiplier lam in place; any layout, with
     a contiguous copy where the kernel needs one."""
-    lib, pttrs = library()
+    lib = library()
     N, n = lam.shape[0] - 1, lam.shape[1]
     if not 0 <= stop < top <= N:
         raise ValueError(f"march_back: frames {stop}..{top} of 0..{N}")
@@ -155,7 +145,7 @@ def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
     work = (lam if lam.flags.c_contiguous and lam.dtype == np.float64
             else np.ascontiguousarray(lam, dtype=np.float64))
     rows = np.zeros(4 * n + 4)
-    lib.march_back(pttrs, *_factors(ksolver), *_factors(dsolver), n, N,
+    lib.march_back(*ksolver._factors, *dsolver._factors, n, N,
                    stop, top, dt, cc, h2, k, last,
                    *(x for a, s in bases for x in (a.ctypes.data, s)),
                    work.ctypes.data, rows.ctypes.data)

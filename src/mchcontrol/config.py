@@ -189,16 +189,16 @@ def window_coords(cfg: dict):
 
 def _validate_semantics(cfg: dict):
     """The checks that span fields or list items: the grid sizes (n below
-    LAPACK's 2**31, and both allocatable), the grid, model and window
+    the kernel's 2**31, and both allocatable), the grid, model and window
     constructors, the sample stacks and the list rules; a size or count
     whose arrays cannot be allocated is named."""
     n, N = cfg["domain"]["n_interior"], cfg["time"]["n_steps"]
-    # the march kernel passes n to LAPACK as a C int; checked before any
+    # the compiled kernel takes n as a C int; checked before any
     # allocation, under the prefix of the grid-size errors
     if n >= 2 ** 31:
         raise ConfigError(f"the grid does not fit in memory: domain.n_interior"
-                          f" = {n}: a LAPACK solve takes at most 2**31 - 1 "
-                          "nodes")
+                          f" = {n}: the kernel's C int takes at most "
+                          "2**31 - 1 nodes")
     # the window allocates the N + 1 frame times, then the n node coordinates
     for path, value, size in (("time.n_steps", N, N + 1),
                               ("domain.n_interior", n, n)):

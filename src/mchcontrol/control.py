@@ -75,8 +75,7 @@ class TrackingProblem:
     def solve(self, omega) -> ForwardTrajectory:
         """March with B omega, resumed from the head once there is one."""
         ftraj = solve_forward(self.domain, self.tg, self.model, self.y0,
-                              self.window, as_control(self.window, omega),
-                              head=self._head)
+                              self.window, omega, head=self._head)
         if self._head is None:
             k = self.window.block[0].start + 1
             self._head = ForwardTrajectory(self.domain, self.tg, *(

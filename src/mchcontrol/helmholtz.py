@@ -4,18 +4,20 @@ grid, c >= 0.
 Both implicit operators of the scheme are this family: the Helmholtz map
 1 - dxx that recovers the velocity from the momentum is c = 1, and the
 implicit-diffusion step is c = dt*eps. Each is factored once as LDL^T
-(LAPACK pttrf) and cached per grid and shift; every solve is one pttrs call
-on a 1-D field or on an (n, k) stack of right-hand sides, so the solve is
-its own transpose. solve_frames, and solve by default, leave the right-hand
-side untouched; solve(b, True) writes the solution over it. The compiled
-step loops (cmarch) call the same dpttrs on a kernel's factors _d and _e.
+(pttrf) and cached per grid and shift; every solve is one ptts2 call on a
+1-D field or on an (n, k) stack of right-hand sides of any float64 layout,
+in b's own memory, so the solve is its own transpose. pttrf and ptts2 are
+compiled C (cmarch.c), reference LAPACK's dpttrf and dptts2 operation for
+operation, and the compiled step loops solve with the same code on a
+kernel's factors _d and _e. solve_frames, and solve by default, leave the
+right-hand side untouched; solve(b, True) writes the solution over it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from . import cmarch
 from .errors import DomainMismatchError
 
 
@@ -28,24 +30,30 @@ class ShiftedLaplacianSolver:
             raise ValueError("shift c must be nonnegative")
         n = domain.n_interior
         r = c / domain.h ** 2
-        d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
-        if info != 0:
-            raise ValueError(f"pttrf failed with info={info}")
-        self._d, self._e = d, e
+        self._d, self._e = np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r)
+        self._factors = self._d.ctypes.data, self._e.ctypes.data
+        lib = cmarch.library()
+        lib.pttrf(n, *self._factors)
+        self._ptts2 = lib.ptts2
 
     def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
         """Solve for an (n,) field or an (n, k) array of k right-hand sides;
-        checks neither shape nor finiteness, and a non-finite right-hand
-        side comes back non-finite. b is left as it is unless overwrite_b,
-        which writes the solution into b and returns b: in b's own memory
-        for a contiguous field or an F-ordered (n, k) stack, and copied back
-        for a strided one, on which LAPACK works on a copy."""
-        # overwrite_b is passed by position: parsing it as a keyword costs
-        # about a quarter of a solve at n = 48
-        x = dpttrs(self._d, self._e, b, overwrite_b)[0]
-        if overwrite_b and x is not b:
-            b[...] = x
-        return b if overwrite_b else x
+        checks no finiteness, and a non-finite right-hand side comes back
+        non-finite. b is left as it is unless overwrite_b, which writes the
+        solution into b's own memory, in any layout, and returns b. Other
+        than n rows, more than two axes, or with overwrite_b an array that
+        is not a writable, aligned float64 one, is a ValueError."""
+        x = b if overwrite_b else np.array(b, dtype=np.float64)
+        n = self._d.size
+        if (x.ndim not in (1, 2) or len(x) != n or x.dtype != np.float64
+                or not x.flags.behaved):
+            raise ValueError(f"solve: needs a writable, aligned float64 "
+                             f"field or stack of {n} rows, got {x.shape} "
+                             f"{x.dtype}")
+        m = x if x.ndim == 2 else x[:, None]
+        self._ptts2(n, m.shape[1], *self._factors, m.ctypes.data,
+                    m.strides[0] // 8, m.strides[1] // 8)
+        return x
 
     def solve_frames(self, y) -> np.ndarray:
         """Solve for a field or a stack of frames (..., n), every frame a

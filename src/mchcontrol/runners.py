@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from . import cmarch
 from .grid import d2, norm_h
 from .helmholtz import get_operator
 from .forward import (apply_B, norm_q0, inner_q0, solve_forward,
@@ -81,6 +82,7 @@ def _optim_summary(state) -> dict:
 
 
 def _prep_out(out_dir) -> str:
+    cmarch.library()  # first: a command that cannot build it makes no dir
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     return out_dir

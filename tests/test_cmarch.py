@@ -109,8 +109,9 @@ def test_shared_fallback_dir_is_not_trusted(unloaded, tmp_path, monkeypatch):
 
 def test_missing_compiler_exits_2(unloaded, tmp_path, monkeypatch, capsys):
     """With a cold cache and CC naming no program, the first march raises
-    KernelBuildError, an OSError naming the compiler, and the CLI reports
-    it as an io error with exit 2 and no traceback."""
+    KernelBuildError, an OSError naming the compiler, and every command
+    reports it as an io error with exit 2 and no traceback, before it makes
+    its output directory."""
     monkeypatch.setattr(cmarch, "cache_dirs", lambda: [tmp_path / "cache"])
     monkeypatch.setenv("CC", "/nonexistent")
     with pytest.raises(KernelBuildError) as err:
@@ -118,13 +119,15 @@ def test_missing_compiler_exits_2(unloaded, tmp_path, monkeypatch, capsys):
     assert isinstance(err.value, OSError)
     cfg = tmp_path / "ci.json"
     cfg.write_text(json.dumps(CI_CONFIG))
-    rc = cli.main(["forward", "--config", str(cfg), "--out",
-                   str(tmp_path / "out")])
-    assert rc == 2
-    got = capsys.readouterr().err
-    assert got.startswith("io error: cannot build the march kernel: C "
-                          "compiler '/nonexistent' did not start: ")
-    assert "Traceback" not in got
+    capsys.readouterr()
+    for cmd in cli._COMMANDS:
+        out = tmp_path / f"out-{cmd}"
+        assert cli.main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+        got = capsys.readouterr().err
+        assert got.startswith("io error: cannot build the march kernel: C "
+                              "compiler '/nonexistent' did not start: ")
+        assert "Traceback" not in got
+        assert not out.exists()
     assert not (tmp_path / "cache").exists()
 
 

@@ -152,8 +152,9 @@ def test_sample_counts_past_the_array_limit(section, key):
 
 @pytest.mark.parametrize("n", [2 ** 31, 2 ** 40])
 def test_nodes_past_lapack_int_refused_before_allocation(n):
-    """n_interior reaches LAPACK's C int, which the march kernel passes it
-    as: a config error naming the field, its value and the limit, raised
+    """n_interior reaches the C int the compiled kernel takes it as (the
+    int of LAPACK's interface, which the kernel keeps): a config error
+    naming the field, its value and the limit, raised
     before the grid-size check allocates the node coordinates (the traced
     peak stays far below the 8n bytes they take)."""
     tracemalloc.start()
@@ -164,8 +165,8 @@ def test_nodes_past_lapack_int_refused_before_allocation(n):
     finally:
         tracemalloc.stop()
     assert str(err.value) == (
-        f"the grid does not fit in memory: domain.n_interior = {n}: a LAPACK "
-        "solve takes at most 2**31 - 1 nodes")
+        f"the grid does not fit in memory: domain.n_interior = {n}: the "
+        "kernel's C int takes at most 2**31 - 1 nodes")
     assert peak < 1 << 20
 
 

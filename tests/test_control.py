@@ -75,9 +75,10 @@ def test_a_control_is_a_window_block(twin_small, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a march ran on a control of the wrong shape")
 
-    for name in ("solve_forward", "solve_adjoint_discrete"):
-        monkeypatch.setattr(control, name, forbidden)
-    monkeypatch.setattr(tangent_adjoint, "get_operator", forbidden)
+    # the marches take their kernels only after their own control check
+    monkeypatch.setattr(control, "solve_adjoint_discrete", forbidden)
+    for module in (forward, tangent_adjoint):
+        monkeypatch.setattr(module, "get_operator", forbidden)
     for q in (apply_B(w, om_true), om_true[1:], om_true[:, 1:], om_true[0]):
         for call in calls:
             with pytest.raises(DomainMismatchError,

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpttrs
+from hypothesis import example, given, strategies as st
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from mchcontrol import helmholtz
 from mchcontrol.config import resolve_config
 from mchcontrol.grid import Domain1D, d2, inner_h, velocity
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.runners import run_twin
+from test_properties import PROPERTY
 
 
 def disc_eig(domain, m):
@@ -86,35 +88,87 @@ def test_multi_rhs_solve_matches_column_solves(rng, c):
             assert np.array_equal(X[idx], s.solve(stack[idx]))
 
 
+def layouts(n: int, k: int) -> dict:
+    """Views of n rows (k columns for a stack) into larger buffers, each
+    with walls of buffer around it: a contiguous field, a row of a padded
+    lattice, F- and C-ordered (n, k) stacks and a strided one, whose
+    columns are the interiors of padded rows."""
+    return {"field": lambda buf: buf[1:n + 1],
+            "padded row": lambda buf: buf.reshape(k, n + 2)[k // 2, 1:-1],
+            "F stack": lambda buf: buf[1:n * k + 1].reshape((n, k), order="F"),
+            "C stack": lambda buf: buf[1:n * k + 1].reshape(n, k),
+            "strided stack": lambda buf: buf.reshape(k, n + 2)[:, 1:-1].T}
+
+
 @pytest.mark.parametrize("c", [1.0, 0.8 / 240 * 0.08])
 def test_solve_in_place(rng, c, monkeypatch):
-    """solve(b, True) writes the solution into b and returns b: LAPACK
-    solves a contiguous field and an F-ordered (n, k) stack in their own
-    memory, and a strided stack on a copy that is copied back; each result
-    is solve's bit for bit, and solve by default leaves its input as it
-    was."""
-    s = get_operator(Domain1D(2.0, 48), c)
-    in_own_memory = []
+    """solve(b, True) hands the kernel b's own memory and returns b, for
+    every layout: the bytes of b are solve(b)'s and its walls are
+    untouched. solve by default leaves its input as it was."""
+    n, k = 48, 5
+    s = get_operator(Domain1D(2.0, n), c)
+    ptts2, solved_at = s._ptts2, []
 
-    def spy(d, e, b, overwrite_b):
-        out = dpttrs(d, e, b, overwrite_b=overwrite_b)
-        in_own_memory.append(np.shares_memory(out[0], b))
-        return out
+    def spy(*args):  # args[4] is the address of the right-hand side
+        solved_at.append(args[4])
+        ptts2(*args)
 
-    monkeypatch.setattr(helmholtz, "dpttrs", spy)
-    padded = rng.standard_normal((9, 50))
-    walls = padded[:, [0, -1]].copy()
-    cases = {"row": (padded[3, 1:-1], True),
-             "F stack": (np.asfortranarray(padded[:, 1:-1].T), True),
-             "strided stack": (padded[:, 1:-1].T, False)}
-    for name, (b, own_memory) in cases.items():
-        before = b.copy()
+    monkeypatch.setattr(s, "_ptts2", spy)
+    for name, view in layouts(n, k).items():
+        buf = rng.standard_normal(k * (n + 2))
+        before = buf.copy()
+        b = view(buf)
         want = s.solve(b)
-        assert np.array_equal(b, before), name
+        assert buf.tobytes() == before.tobytes(), name
         assert s.solve(b, True) is b, name
-        assert in_own_memory[-1] == own_memory, name
+        assert solved_at[-1] == b.ctypes.data, name
         assert b.tobytes() == want.tobytes(), name
-    assert np.array_equal(padded[:, [0, -1]], walls)
+        view(before)[...] = want
+        assert buf.tobytes() == before.tobytes(), name
+
+
+def test_solve_refuses_what_it_cannot_address():
+    """A right-hand side of other rows, of another type, read-only or of
+    more than two axes is a ValueError, not a write outside its memory."""
+    s = get_operator(Domain1D(2.0, 8))
+    frozen = np.zeros(8)
+    frozen.flags.writeable = False
+    for b, overwrite in ((np.zeros(9), False), (np.zeros((7, 2)), False),
+                         (np.zeros(8, np.float32), True), (frozen, True),
+                         (np.zeros((8, 2, 2)), False), (np.float64(1), False)):
+        with pytest.raises(ValueError, match="^solve: needs a writable"):
+            s.solve(b, overwrite)
+
+
+@PROPERTY
+@given(n=st.integers(3, 300), k=st.integers(1, 4),
+       shift=st.floats(-8.0, 8.0), L=st.sampled_from([1.0, 2.0, math.pi]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, k=1, shift=-8.0, L=1.0, seed=0)
+@example(n=300, k=4, shift=8.0, L=math.pi, seed=1)
+def test_kernel_is_lapack_bit_for_bit(n, k, shift, L, seed):
+    """The compiled pttrf and solve are LAPACK's dpttrf and dpttrs (scipy's
+    binding, an oracle independent of the kernel) byte for byte: the
+    factors at shifts 1e-8..1e8, and the solutions of right-hand sides up
+    to 1e+-100 in size, in every layout and in place."""
+    dom = Domain1D(L, n)
+    c = 10.0 ** shift
+    s = ShiftedLaplacianSolver(dom, c)
+    r = c / dom.h ** 2
+    d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
+    assert info == 0
+    assert s._d.tobytes() == d.tobytes() and s._e.tobytes() == e.tobytes()
+    rng = np.random.default_rng(seed)
+    rhs = (rng.uniform(-1.0, 1.0, (n, k))
+           * 10.0 ** rng.integers(-100, 101, (n, k)))
+    for name, view in layouts(n, k).items():
+        buf = np.zeros(k * (n + 2))
+        b = view(buf)
+        b[...] = rhs if b.ndim == 2 else rhs[:, 0]
+        want = dpttrs(d, e, b)[0]
+        assert s.solve(b).tobytes() == want.tobytes(), name
+        assert s.solve(b, True) is b, name
+        assert b.tobytes() == want.tobytes(), name
 
 
 def test_velocity_identity(rng):

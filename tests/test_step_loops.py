@@ -1,5 +1,6 @@
 """The compiled forward and adjoint step loops against reference copies of
-numpy loops, which index rows per step and solve into new arrays.
+numpy loops, which index rows per step and solve into new arrays with the
+same kernel (test_helmholtz holds that kernel to LAPACK's bits).
 
 Both compute the same expression trees, so every frame must agree byte for
 byte, not to a tolerance: on fixed grids, and as properties over random
@@ -170,8 +171,8 @@ def test_adjoint_matches_reference_loop(n, N, rng):
     assert same_bytes(part[k0:], full[k0:]) and not part[:k0].any()
     assert same_bytes(reference(0.5, 0, k0, part.copy()), full)
     assert same_bytes(finish_adjoint(ft, adj, source, p).lam, full)
-    # an F-ordered source gives F-ordered, strided frames, which
-    # solve(b, True) solves on a copy and copies back
+    # an F-ordered source gives F-ordered, strided frames, which the
+    # compiled march works on in a C-ordered copy
     fadj = solve_adjoint_discrete(ft, np.asfortranarray(source), p, stop=k0)
     assert fadj.lam.flags.f_contiguous and same_bytes(fadj.lam, part)
     assert same_bytes(finish_adjoint(ft, fadj, source, p).lam, full)
