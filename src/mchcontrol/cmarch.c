@@ -1,14 +1,21 @@
-/* The tridiagonal kernel I - c*D2 of both implicit operators, and the step
-   loops of the forward and backward IMEX marches. pttrf and the solve are
-   reference LAPACK's dpttrf and dptts2, operation for operation, and each
-   march expression is one numpy node of the scheme, in the same order, so
-   every frame is bit for bit that of the numpy reference loops of the
-   tests. Build with -ffp-contract=off and without -ffast-math: a fused
-   multiply-add or a reassociated sum would change the bits. Rows are
-   indexed with ptrdiff_t; n is a C int. */
+/* The tridiagonal kernel I - c*D2 of both implicit operators, the step
+   loops of the forward and backward IMEX marches, and the row writer of
+   the trajectory CSV. pttrf and the solve are reference LAPACK's dpttrf
+   and dptts2, operation for operation, and each march expression is one
+   numpy node of the scheme, in the same order, so every frame is bit for
+   bit that of the numpy reference loops of the tests. Build with
+   -ffp-contract=off and without -ffast-math: a fused multiply-add or a
+   reassociated sum would change the bits. Rows are indexed with
+   ptrdiff_t; n is a C int in the marches.
+
+   csv_rows formats every float as Python's repr does. Values outside its
+   exact fast range go to CPython's own formatter, which allocates with
+   PyMem_*, so the library is loaded with ctypes.PyDLL: every call holds
+   the GIL. */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 /* L D L^T of the SPD tridiagonal matrix with diagonal d (n entries) and
@@ -150,4 +157,138 @@ void march_back(const double *kd, const double *ke, const double *dd,
         solve(dd, de, lam1, n, 1);
         psi = lam1;
     }
+}
+
+typedef unsigned __int128 u128;
+typedef char *(*dtoa_fn)(double, char, int, int, int *);
+typedef void (*free_fn)(void *);
+
+#define DTSF_ADD_DOT_0 0x02  /* Py_DTSF_ADD_DOT_0 of pystrtod.h */
+#define VALUE_MAX 32         /* bytes: a repr and its separator, at most */
+
+static const uint64_t POW10[20] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u,
+    100000000u, 1000000000u, 10000000000u, 100000000000u,
+    1000000000000u, 10000000000000u, 100000000000000u,
+    1000000000000000u, 10000000000000000u, 100000000000000000u,
+    1000000000000000000u, 10000000000000000000u};
+
+/* repr of a finite v with 2^-13 <= |v| < 2^53, written at p; returns the
+   end. v = 2m 2^-S with s = S - 1 >= 0, and the interval (2m - 1, 2m + 1)
+   2^-S of the reals that round to v is scaled by 10^q, q = 17 -
+   floor(E log10 2) for v in [2^E, 2^(E+1)): the scaled v lies in [1e17,
+   2e18) and every product stays below 2^128. The shortest digits are the
+   multiples in the interval of the largest 10^j, and of those dtoa's mode
+   0 takes the one nearest v, ties to the even one; the interval is
+   symmetric about v, so that is the nearer of the two around v. v is a
+   multiple of 10^-s, so 10^j is at least 10^-s; the endpoints are not,
+   nor is a point of [v - 2^-S, v), so neither which endpoints round to v
+   nor the narrower gap below a power of two can change the digits.
+   1e-4 <= |v| < 1e16, so the layout is positional. */
+static char *shortest(char *p, double v)
+{
+    uint64_t bits, m;
+    memcpy(&bits, &v, sizeof bits);
+    int be = (int)(bits >> 52 & 0x7ff), E = be - 1023, S = 1076 - be;
+    m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    int q = 17 - (E >= 0 ? E * 78913 >> 18 : -((-E * 78913 >> 18) + 1));
+    u128 P = (u128)POW10[q < 19 ? q : 19] * POW10[q < 19 ? 0 : q - 19];
+    u128 c = (u128)(2 * m) * P;
+    /* the integers of the scaled interval, then its multiples of 10^j */
+    uint64_t a = (uint64_t)((c - P) >> S) + 1, b = (uint64_t)((c + P) >> S);
+    int j = 0;
+    while ((a + 9) / 10 <= b / 10) {
+        a = (a + 9) / 10;
+        b = b / 10;
+        j++;
+    }
+    uint64_t kf = (uint64_t)(c >> S) / POW10[j];
+    u128 rem = c - ((u128)(kf * POW10[j]) << S), unit = (u128)POW10[j] << S;
+    uint64_t k = 2 * rem < unit ? kf
+               : 2 * rem > unit ? kf + 1 : kf + (kf & 1);
+    char dig[20];
+    int nd = 0;
+    for (; k; k /= 10)
+        dig[19 - nd++] = (char)('0' + k % 10);
+    const char *d = dig + 20 - nd;
+    int dp = nd + j - q;  /* v = 0.d * 10^dp */
+    if (bits >> 63)
+        *p++ = '-';
+    if (dp <= 0) {  /* "0.", -dp zeros and the digits */
+        memcpy(p, "0.000", (size_t)(2 - dp));
+        p += 2 - dp;
+        memcpy(p, d, (size_t)nd);
+        return p + nd;
+    }
+    if (dp < nd) {
+        memcpy(p, d, (size_t)dp);
+        p[dp] = '.';
+        memcpy(p + dp + 1, d + dp, (size_t)(nd - dp));
+        return p + nd + 1;
+    }
+    memcpy(p, d, (size_t)nd);
+    p += nd;
+    for (; nd < dp; nd++)
+        *p++ = '0';
+    memcpy(p, ".0", 2);
+    return p + 2;
+}
+
+/* repr(v) at p, then sep; the end, or NULL if CPython's formatter, which
+   takes every value outside the fast range (and -0.0, NaN and inf), fails
+   with the Python error set */
+static char *put(char *p, double v, char sep, dtoa_fn dtoa, free_fn mfree)
+{
+    double a = fabs(v);
+    if (v == 0.0 && !signbit(v)) {
+        memcpy(p, "0.0", 3);
+        p += 3;
+    } else if (a >= 0x1p-13 && a < 0x1p53) {
+        p = shortest(p, v);
+    } else {
+        char *s = dtoa(v, 'r', 0, DTSF_ADD_DOT_0, NULL);
+        if (!s)
+            return NULL;
+        size_t len = strlen(s);
+        memcpy(p, s, len);
+        mfree(s);
+        p += len;
+    }
+    *p++ = sep;
+    return p;
+}
+
+/* CSV rows "t,x,c_0,...,c_{ncol-1}\n" of the row indices r..end-1, row r
+   being node r % n of frame r / n: t[r / n], x[r % n] and entry
+   (r / n, r % n) of each column col[j], whose rows are ld[j] doubles
+   apart. Writes whole rows into buf while one more row surely fits in cap
+   bytes, sets *len to the bytes written, and returns the next row index;
+   -1 if CPython's formatter failed. dtoa and mfree are
+   PyOS_double_to_string and PyMem_Free. */
+ptrdiff_t csv_rows(ptrdiff_t r, ptrdiff_t end, ptrdiff_t n, const double *t,
+                   const double *x, int ncol, const double *const *col,
+                   const ptrdiff_t *ld, char *buf, ptrdiff_t cap,
+                   ptrdiff_t *len, dtoa_fn dtoa, free_fn mfree)
+{
+    ptrdiff_t row = VALUE_MAX * ((ptrdiff_t)ncol + 2), hk = -1, hl = 0;
+    char *p = buf, head[VALUE_MAX];  /* "t," of frame hk */
+    for (; r < end && cap - (p - buf) >= row; r++) {
+        ptrdiff_t k = r / n, i = r % n;
+        if (k != hk) {
+            char *e = put(head, t[k], ',', dtoa, mfree);
+            if (!e)
+                return -1;
+            hk = k;
+            hl = e - head;
+        }
+        memcpy(p, head, (size_t)hl);
+        p = put(p + hl, x[i], ncol ? ',' : '\n', dtoa, mfree);
+        for (int j = 0; p && j < ncol; j++)
+            p = put(p, col[j][k * ld[j] + i], j + 1 < ncol ? ',' : '\n',
+                    dtoa, mfree);
+        if (!p)
+            return -1;
+    }
+    *len = p - buf;
+    return r;
 }

@@ -1,5 +1,5 @@
-"""The compiled tridiagonal kernel and the step loops of the forward and
-backward marches (cmarch.c).
+"""The compiled tridiagonal kernel, the step loops of the forward and
+backward marches and the row writer of the trajectory CSV (cmarch.c).
 
 The source is compiled when the kernel is first needed (the first operator
 factored, or the output directory a command is about to make), never at
@@ -11,8 +11,10 @@ The shared object is cached in the package's __pycache__, named by a hash
 of the source, the flags, the compiler command and its --version output,
 and written to a temporary file that is renamed into place; a private
 directory under the system temp directory takes it when __pycache__ cannot
-be written. It is loaded with ctypes. A compiler that is missing or fails
-raises KernelBuildError, an OSError.
+be written. It is loaded once with ctypes.PyDLL, so every call holds the
+GIL: the row writer hands the floats outside its exact fast range to
+CPython's own repr formatter, which allocates with PyMem_*. A compiler that
+is missing or fails raises KernelBuildError, an OSError.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ _P, _I, _S, _D = (ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t,
 ARGTYPES = {"pttrf": [_I, _P, _P], "ptts2": [_I, _S, _P, _P, _P, _S, _S],
             "forward_march": [_P] * 4 + [_I, _S, _S] + [_D] * 4 + [_P] * 4,
             "march_back": [_P] * 4 + [_I, _S, _S, _S] + [_D] * 5
-            + [_P, _S] * 3 + [_P, _P]}
+            + [_P, _S] * 3 + [_P, _P],
+            "csv_rows": [_S, _S, _S, _P, _P, _I] + [_P] * 3 + [_S] + [_P] * 3}
+# CPython's repr formatter and the free of what it returns, for csv_rows
+_PYAPI = [ctypes.cast(getattr(ctypes.pythonapi, f), _P)
+          for f in ("PyOS_double_to_string", "PyMem_Free")]
+CSV_BUFFER = 1 << 16  # bytes of CSV text per write
 
 
 def cache_dirs() -> list:
@@ -99,10 +106,10 @@ def _build() -> Path:
 @functools.cache
 def library():
     """The loaded kernel, once per process."""
-    lib = ctypes.CDLL(str(_build()))
+    lib = ctypes.PyDLL(str(_build()))
     for fname, argtypes in ARGTYPES.items():
         getattr(lib, fname).argtypes = argtypes
-        getattr(lib, fname).restype = None
+        getattr(lib, fname).restype = _S if fname == "csv_rows" else None
     return lib
 
 
@@ -151,3 +158,29 @@ def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
                    work.ctypes.data, rows.ctypes.data)
     if work is not lam:
         lam[...] = work
+
+
+def write_csv(f, t, x, cols) -> None:
+    """Write the CSV rows t,x,c_0,... of every (frame, node), frame by frame,
+    to the binary file f, each float as repr writes it: t holds the N+1
+    frame times, x the n nodes and cols (N+1, n) arrays of any layout. The
+    text passes through one buffer of CSV_BUFFER bytes (more if one row
+    could exceed it)."""
+    lib = library()
+    t, x = (np.ascontiguousarray(a, dtype=np.float64) for a in (t, x))
+    cols = [_rows(c) for c in cols]
+    if any(c.shape != (len(t), len(x)) for c, _ in cols):
+        raise ValueError("write_csv: a column that is not (N+1, n)")
+    ptrs = (_P * len(cols))(*(c.ctypes.data for c, _ in cols))
+    lds = (_S * len(cols))(*(s for _, s in cols))
+    # csv_rows reserves VALUE_MAX = 32 bytes a value for the next row
+    buf = ctypes.create_string_buffer(max(CSV_BUFFER, 32 * (len(cols) + 2)))
+    size = _S()
+    r, end = 0, len(t) * len(x)
+    while r < end:
+        r = lib.csv_rows(r, end, len(x), t.ctypes.data, x.ctypes.data,
+                         len(cols), ptrs, lds, buf, len(buf),
+                         ctypes.byref(size), *_PYAPI)
+        if r < 0:
+            raise MemoryError("csv_rows: the repr formatter failed")
+        f.write(memoryview(buf)[:size.value])

@@ -26,8 +26,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add
 
 import numpy as np
 
@@ -256,34 +254,17 @@ def export_trajectory_csv(csv_path, domain: Domain1D, tg: TimeGrid,
     columns maps each column name, in order, to an (N+1, n) trajectory, as
     import_trajectory_csv returns them; the JSON sidecar (same stem, .json)
     carries params plus the config hash, and the importer reproduces the
-    arrays bit-exactly. All-zero rows are written from a per-node template.
+    arrays bit-exactly. Every float is written as repr writes it, by the
+    compiled row writer (cmarch.write_csv).
     """
     cols = [as_trajectory(domain, tg, c) for c in columns.values()]
     sidecar = {"schema_version": 1, **params, "config_sha256": config_hash,
                "L": domain.L, "n_interior": domain.n_interior, "T": tg.T,
                "n_steps": tg.n_steps, "columns": ["t", "x", *columns]}
-    # a value is live unless it is an exact +0.0 (-0.0 and NaN are live);
-    # each frame's live nodes lie in [lo, hi), and lo = hi when it has none
-    live = np.logical_or.reduce([(c != 0.0) | np.signbit(c) for c in cols])
-    lo = live.argmax(axis=1)
-    hi = np.where(live.any(axis=1), domain.n_interior
-                  - live[:, ::-1].argmax(axis=1), lo)
-    xs = [repr(x) for x in domain.x.tolist()]
-    zero_rows = [x + ",0.0" * len(cols) for x in xs]
     with open(csv_path, "w", newline="\n") as f:
-        f.write(f"# config_sha256={config_hash}\n")
-        f.write("t,x," + ",".join(columns) + "\n")
-        # one frame formatted at a time keeps memory at one frame; its rows
-        # are joined by the line break plus the next row's "t," prefix
-        for n, (tval, i0, i1) in enumerate(zip(tg.t.tolist(), lo.tolist(),
-                                               hi.tolist())):
-            rows = xs[i0:i1]
-            for c in cols:
-                rows = map(add, map(add, rows, repeat(",")),
-                           map(repr, c[n, i0:i1].tolist()))
-            head = repr(tval) + ","
-            f.write(head + ("\n" + head).join([*zero_rows[:i0], *rows,
-                                               *zero_rows[i1:]]) + "\n")
+        f.write(f"# config_sha256={config_hash}\nt,x,{','.join(columns)}\n")
+        f.flush()  # the rows go to the binary buffer under it
+        cmarch.write_csv(f.buffer, tg.t, domain.x, cols)
     with open(_sidecar_path(csv_path), "w", newline="\n") as f:
         json.dump(sidecar, f, indent=1, sort_keys=True)
         f.write("\n")

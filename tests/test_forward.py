@@ -1,10 +1,15 @@
+import io
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bump_control
+from mchcontrol import cli, cmarch
 from mchcontrol.errors import (DomainMismatchError, NumericsError,
                               StabilityWarning)
 from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, inner_h
@@ -405,9 +410,9 @@ def reference_csv(dom, tg, names, cols, config_hash):
 
 
 def test_export_zero_rows_match_plain_repr(tmp_path):
-    """Rows written from the all-zero template equal the repr of each value:
-    all-zero frames, a live span inside a row with zeros in it, -0.0 alone
-    and at a span's edge, a subnormal and a NaN."""
+    """Rows of exact zeros and of values equal the repr of each value:
+    all-zero frames, a few values inside a row of zeros, -0.0 alone and
+    next to a value, a subnormal and a NaN."""
     dom = Domain1D(1.4, 6)
     tg = TimeGrid(0.6, 6)
     window = ControlWindow(dom, tg, 0.3, 1.0, 0.1, 0.5)
@@ -434,6 +439,105 @@ def test_export_zero_rows_match_plain_repr(tmp_path):
     export_trajectory_csv(path, dom, tg, {"y": y, "u": u}, {}, "yu")
     assert path.read_bytes() == reference_csv(dom, tg, ["y", "u"], [y, u],
                                               "yu")
+
+
+def values_csv(values, names=("v",)):
+    """The exporter's bytes and reference_csv's for values laid out frame
+    by frame on a 3-node grid, one column per name (padded with +0.0)."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    rows = max(2, -(-len(v) // 3))
+    v = np.concatenate([v, np.zeros(rows * 3 - len(v))]).reshape(rows, 3)
+    dom, tg = Domain1D(1.0, 3), TimeGrid(1.0, rows - 1)
+    cols = [v] * len(names)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "v.csv")
+        export_trajectory_csv(path, dom, tg, dict(zip(names, cols)), {}, "v")
+        with open(path, "rb") as f:
+            return f.read(), reference_csv(dom, tg, names, cols, "v")
+
+
+def _below(v):
+    return float(np.nextafter(v, 0.0))
+
+
+# the writer's exact fast range is 2^-13 <= |v| < 2^53, whose ends the
+# powers of two cover; CPython formats the rest. 2^49 + 1/4 and 2^50 + 1/4
+# lie halfway between their two shortest candidates (.2 and .3), so only
+# ties to even give repr's .2
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+               *(x for k in range(-14, 55) for x in (2.0 ** k,
+                                                     _below(2.0 ** k))),
+               1e-4, 1e15, 1e16, 0.1, 0.3, 1.0 / 3.0,
+               2.0 ** 49 + 0.25, 2.0 ** 50 + 0.25]
+
+
+def test_export_edge_floats_match_repr():
+    """Powers of two and their predecessors across the fast range and past
+    both ends, the range ends themselves, ties between two shortest
+    candidates and the values the fallback takes, with both signs."""
+    got, want = values_csv(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+    assert got == want
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60)
+       .map(lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+       | st.lists(st.floats(), min_size=1, max_size=60))
+def test_export_floats_match_repr(values):
+    """Any float64, as a bit pattern or as hypothesis draws floats, is
+    written as repr writes it."""
+    got, want = values_csv(values)
+    assert got == want
+
+
+@pytest.mark.parametrize("buffer", [150, 331, 1 << 16],
+                         ids=["frame_wider_than_buffer", "odd_size",
+                              "default"])
+def test_export_across_buffers_matches_plain_repr(buffer, monkeypatch):
+    """Text that spans many buffers is written whole: a 150-byte buffer
+    holds one row, so each 3-node frame is wider than the buffer, and
+    331 bytes hold a few rows, so boundaries fall inside and between
+    frames; the default buffer splits the larger export."""
+    monkeypatch.setattr(cmarch, "CSV_BUFFER", buffer)
+    rng = np.random.default_rng(4)
+    got, want = values_csv(rng.standard_normal(60) * 10.0 ** rng.integers(
+        -6, 18, 60), names=("y", "u"))
+    assert got == want
+    values = rng.standard_normal(4000)
+    values[::7] = 0.0
+    got, want = values_csv(values, names=("y", "u"))
+    assert len(want) > 2 * (1 << 16) and got == want
+
+
+def test_write_csv_rejects_misshapen_column():
+    """The row writer reads (N+1, n) entries of every column, so it refuses
+    one of another shape before it passes a pointer."""
+    with pytest.raises(ValueError, match="not \\(N\\+1, n\\)"):
+        cmarch.write_csv(io.BytesIO(), np.zeros(3), np.zeros(4),
+                         [np.zeros((3, 4)), np.zeros((2, 4))])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this platform")
+def test_export_to_full_device_raises(tmp_path, capsys):
+    """A write that fails (ENOSPC on /dev/full) is an OSError from the
+    exporter, and the command that writes the file exits 2 with an io
+    error and no traceback."""
+    dom, tg = Domain1D(1.0, 3), TimeGrid(1.0, 2)
+    with pytest.raises(OSError):
+        export_trajectory_csv("/dev/full", dom, tg,
+                              {"y": np.ones((3, 3))}, {}, "x")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"domain": {"L": 2.0, "n_interior": 24}, '
+                   '"time": {"T": 0.5, "n_steps": 60}, '
+                   '"model": {"epsilon": 0.1, "k": 0.4}}')
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trajectory.csv").symlink_to("/dev/full")
+    assert cli.main(["forward", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (3, 3)],
