@@ -259,35 +259,55 @@ static char *put(char *p, double v, char sep, dtoa_fn dtoa, free_fn mfree)
 }
 
 /* CSV rows "t,x,c_0,...,c_{ncol-1}\n" of the row indices r..end-1, row r
-   being node r % n of frame r / n: t[r / n], x[r % n] and entry
-   (r / n, r % n) of each column col[j], whose rows are ld[j] doubles
-   apart. Writes whole rows into buf while one more row surely fits in cap
-   bytes, sets *len to the bytes written, and returns the next row index;
-   -1 if CPython's formatter failed. dtoa and mfree are
-   PyOS_double_to_string and PyMem_Free. */
+   being node i = r % n of frame k = r / n: t[k], x[i] and entry (k, i) of
+   each column col[j], whose rows are ld[j] doubles apart. lab holds n
+   slots of VALUE_MAX bytes, zeroed before the first call of a file: slot
+   i keeps the label "x[i]," ("x[i]\n" with no column) after its length
+   byte, so each node's x is formatted once per file. Writes whole rows
+   into buf while one more row surely fits in cap bytes, sets *len to the
+   bytes written, and returns the next row index; -1 if CPython's
+   formatter failed. dtoa and mfree are PyOS_double_to_string and
+   PyMem_Free. The head and the label are copied as whole slots, a copy
+   of fixed size that compiles inline; the bytes copied past them stay
+   inside the row's reserve, where later text writes over them or *len
+   leaves them out. */
 ptrdiff_t csv_rows(ptrdiff_t r, ptrdiff_t end, ptrdiff_t n, const double *t,
-                   const double *x, int ncol, const double *const *col,
-                   const ptrdiff_t *ld, char *buf, ptrdiff_t cap,
-                   ptrdiff_t *len, dtoa_fn dtoa, free_fn mfree)
+                   const double *x, unsigned char *lab, int ncol,
+                   const double *const *col, const ptrdiff_t *ld, char *buf,
+                   ptrdiff_t cap, ptrdiff_t *len, dtoa_fn dtoa,
+                   free_fn mfree)
 {
-    ptrdiff_t row = VALUE_MAX * ((ptrdiff_t)ncol + 2), hk = -1, hl = 0;
-    char *p = buf, head[VALUE_MAX];  /* "t," of frame hk */
+    ptrdiff_t row = VALUE_MAX * ((ptrdiff_t)ncol + 2), k = r / n, i = r % n;
+    ptrdiff_t hl = 0;
+    char *p = buf, head[VALUE_MAX];  /* "t," of frame k once hl > 0 */
     for (; r < end && cap - (p - buf) >= row; r++) {
-        ptrdiff_t k = r / n, i = r % n;
-        if (k != hk) {
+        unsigned char *s = lab + i * VALUE_MAX;
+        if (!hl) {
             char *e = put(head, t[k], ',', dtoa, mfree);
             if (!e)
                 return -1;
-            hk = k;
             hl = e - head;
         }
-        memcpy(p, head, (size_t)hl);
-        p = put(p + hl, x[i], ncol ? ',' : '\n', dtoa, mfree);
+        if (!s[0]) {
+            char *e = put((char *)s + 1, x[i], ncol ? ',' : '\n', dtoa,
+                          mfree);
+            if (!e)
+                return -1;
+            s[0] = (unsigned char)(e - (char *)s - 1);
+        }
+        memcpy(p, head, VALUE_MAX);
+        memcpy(p + hl, s + 1, VALUE_MAX - 1);
+        p += hl + s[0];
         for (int j = 0; p && j < ncol; j++)
             p = put(p, col[j][k * ld[j] + i], j + 1 < ncol ? ',' : '\n',
                     dtoa, mfree);
         if (!p)
             return -1;
+        if (++i == n) {
+            i = 0;
+            k++;
+            hl = 0;
+        }
     }
     *len = p - buf;
     return r;

@@ -41,7 +41,8 @@ ARGTYPES = {"pttrf": [_I, _P, _P], "ptts2": [_I, _S, _P, _P, _P, _S, _S],
             "forward_march": [_P] * 4 + [_I, _S, _S] + [_D] * 4 + [_P] * 4,
             "march_back": [_P] * 4 + [_I, _S, _S, _S] + [_D] * 5
             + [_P, _S] * 3 + [_P, _P],
-            "csv_rows": [_S, _S, _S, _P, _P, _I] + [_P] * 3 + [_S] + [_P] * 3}
+            "csv_rows": [_S, _S, _S] + [_P] * 3 + [_I] + [_P] * 3 + [_S]
+            + [_P] * 3}
 # CPython's repr formatter and the free of what it returns, for csv_rows
 _PYAPI = [ctypes.cast(getattr(ctypes.pythonapi, f), _P)
           for f in ("PyOS_double_to_string", "PyMem_Free")]
@@ -163,9 +164,10 @@ def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
 def write_csv(f, t, x, cols) -> None:
     """Write the CSV rows t,x,c_0,... of every (frame, node), frame by frame,
     to the binary file f, each float as repr writes it: t holds the N+1
-    frame times, x the n nodes and cols (N+1, n) arrays of any layout. The
-    text passes through one buffer of CSV_BUFFER bytes (more if one row
-    could exceed it)."""
+    frame times, x the n nodes and cols (N+1, n) arrays of any layout. Each
+    node's x is formatted once, into a zeroed label store, and the text
+    passes through one buffer of CSV_BUFFER bytes (more if one row could
+    exceed it)."""
     lib = library()
     t, x = (np.ascontiguousarray(a, dtype=np.float64) for a in (t, x))
     cols = [_rows(c) for c in cols]
@@ -173,12 +175,14 @@ def write_csv(f, t, x, cols) -> None:
         raise ValueError("write_csv: a column that is not (N+1, n)")
     ptrs = (_P * len(cols))(*(c.ctypes.data for c, _ in cols))
     lds = (_S * len(cols))(*(s for _, s in cols))
-    # csv_rows reserves VALUE_MAX = 32 bytes a value for the next row
+    # csv_rows reserves VALUE_MAX = 32 bytes a value for the next row and
+    # keeps each node's label in a slot of as many
     buf = ctypes.create_string_buffer(max(CSV_BUFFER, 32 * (len(cols) + 2)))
+    lab = ctypes.create_string_buffer(32 * len(x))
     size = _S()
     r, end = 0, len(t) * len(x)
     while r < end:
-        r = lib.csv_rows(r, end, len(x), t.ctypes.data, x.ctypes.data,
+        r = lib.csv_rows(r, end, len(x), t.ctypes.data, x.ctypes.data, lab,
                          len(cols), ptrs, lds, buf, len(buf),
                          ctypes.byref(size), *_PYAPI)
         if r < 0:

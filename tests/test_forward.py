@@ -441,6 +441,15 @@ def test_export_zero_rows_match_plain_repr(tmp_path):
                                               "yu")
 
 
+def exported_csv(dom, tg, names, cols):
+    """The exporter's bytes and reference_csv's for the named columns."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "v.csv")
+        export_trajectory_csv(path, dom, tg, dict(zip(names, cols)), {}, "v")
+        with open(path, "rb") as f:
+            return f.read(), reference_csv(dom, tg, names, cols, "v")
+
+
 def values_csv(values, names=("v",)):
     """The exporter's bytes and reference_csv's for values laid out frame
     by frame on a 3-node grid, one column per name (padded with +0.0)."""
@@ -448,12 +457,17 @@ def values_csv(values, names=("v",)):
     rows = max(2, -(-len(v) // 3))
     v = np.concatenate([v, np.zeros(rows * 3 - len(v))]).reshape(rows, 3)
     dom, tg = Domain1D(1.0, 3), TimeGrid(1.0, rows - 1)
-    cols = [v] * len(names)
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "v.csv")
-        export_trajectory_csv(path, dom, tg, dict(zip(names, cols)), {}, "v")
-        with open(path, "rb") as f:
-            return f.read(), reference_csv(dom, tg, names, cols, "v")
+    return exported_csv(dom, tg, names, [v] * len(names))
+
+
+def grid_csv(L, n, T, N, ncol):
+    """exported_csv on an (L, n) x (T, N) grid with ncol columns of random
+    values, a third of them +0.0."""
+    rng = np.random.default_rng(n * 1000 + N)
+    cols = [rng.standard_normal((N + 1, n)) * (rng.random((N + 1, n)) > 1 / 3)
+            for _ in range(ncol)]
+    return exported_csv(Domain1D(L, n), TimeGrid(T, N),
+                        [f"c{j}" for j in range(ncol)], cols)
 
 
 def _below(v):
@@ -507,6 +521,38 @@ def test_export_across_buffers_matches_plain_repr(buffer, monkeypatch):
     values[::7] = 0.0
     got, want = values_csv(values, names=("y", "u"))
     assert len(want) > 2 * (1 << 16) and got == want
+
+
+# grids whose row labels leave the writer's exact fast range, so that
+# CPython's formatter writes each node's or frame's label
+@pytest.mark.parametrize("buffer", [150, 331, 1 << 16],
+                         ids=["one_row", "odd_size", "default"])
+@pytest.mark.parametrize("ncol", [0, 1, 2])
+@pytest.mark.parametrize("L,T", [(1e-150, 0.7), (1e20, 0.7), (2.0, 1e-150)],
+                         ids=["x_below_fast_range", "x_above_fast_range",
+                              "t_below_fast_range"])
+def test_export_labels_outside_fast_range_match_plain_repr(L, T, ncol, buffer,
+                                                          monkeypatch):
+    """Each node's x is formatted once per file and each frame's t once per
+    call; a buffer of 150 or 331 bytes ends calls inside a frame, so later
+    calls start with the labels already made and a fresh t."""
+    monkeypatch.setattr(cmarch, "CSV_BUFFER", buffer)
+    got, want = grid_csv(L, 5, T, 4, ncol)
+    assert got == want
+
+
+@settings(max_examples=100, database=None, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 12), st.integers(0, 3),
+       st.sampled_from([1e-150, 2.0, 1e20]),
+       st.sampled_from([1e-150, 0.7, 1e20]),
+       st.sampled_from([150, 331, 1 << 16]))
+def test_export_any_grid_matches_plain_repr(n, N, ncol, L, T, buffer):
+    """Any grid of n >= 3 nodes and N >= 1 steps, with any number of
+    columns, at any buffer size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmarch, "CSV_BUFFER", buffer)
+        got, want = grid_csv(L, n, T, N, ncol)
+    assert got == want
 
 
 def test_write_csv_rejects_misshapen_column():
