@@ -1,9 +1,9 @@
 /* The tridiagonal kernel I - c*D2 of both implicit operators, the step
-   loops of the forward and backward IMEX marches, and the row writer of
-   the trajectory CSV. pttrf and the solve are reference LAPACK's dpttrf
-   and dptts2, operation for operation, and each march expression is one
-   numpy node of the scheme, in the same order, so every frame is bit for
-   bit that of the numpy reference loops of the tests. Build with
+   loops of the forward, tangent and backward IMEX marches, and the row
+   writer of the trajectory CSV. pttrf and the solve are reference LAPACK's
+   dpttrf and dptts2, operation for operation, and each march expression is
+   one numpy node of the scheme, in the same order, so every frame is bit
+   for bit that of the numpy reference loops of the tests. Build with
    -ffp-contract=off and without -ffast-math: a fused multiply-add or a
    reassociated sum would change the bits. Rows are indexed with
    ptrdiff_t; n is a C int in the marches.
@@ -30,29 +30,27 @@ void pttrf(int n, double *d, double *e)
     }
 }
 
-/* solve L D L^T x = b in place on entries b[0], b[inc], ... (dptts2 for
-   n >= 2; LAPACK multiplies by 1/d at n = 1, and grids have n >= 3). The
-   last entry written is carried in x: b may alias d and e for all the
-   compiler knows, so re-reading it would be a load per node. */
-static void solve(const double *d, const double *e, double *b, int n,
-                  ptrdiff_t inc)
+/* solve L D L^T x = b in place on the n entries of b (dptts2 for n >= 2;
+   LAPACK multiplies by 1/d at n = 1, and grids have n >= 3). The last
+   entry written is carried in x: b may alias d and e for all the compiler
+   knows, so re-reading it would be a load per node. */
+static void solve(const double *d, const double *e, double *b, int n)
 {
     double x = b[0];
     ptrdiff_t i;
     for (i = 1; i < n; i++)
-        b[i * inc] = x = b[i * inc] - x * e[i - 1];
-    b[(n - 1) * inc] = x = x / d[n - 1];
+        b[i] = x = b[i] - x * e[i - 1];
+    b[n - 1] = x = x / d[n - 1];
     for (i = n - 2; i >= 0; i--)
-        b[i * inc] = x = b[i * inc] / d[i] - x * e[i];
+        b[i] = x = b[i] / d[i] - x * e[i];
 }
 
-/* dpttrs on nrhs right-hand sides of any layout: entry i of right-hand
-   side j is b[i*inc + j*ldb] */
+/* dpttrs on nrhs right-hand sides, the rows of width n of b */
 void ptts2(int n, ptrdiff_t nrhs, const double *d, const double *e,
-           double *b, ptrdiff_t inc, ptrdiff_t ldb)
+           double *b)
 {
     for (ptrdiff_t j = 0; j < nrhs; j++)
-        solve(d, e, b + j * ldb, n, inc);
+        solve(d, e, b + j * n, n);
 }
 
 /* max |s| over a row, NaN as soon as one entry is NaN (numpy's max) */
@@ -95,21 +93,70 @@ void forward_march(const double *vd, const double *ve, const double *dd,
             y1[i] = y1[i] - ((dt2 * y[i]) * y[i] + dtk) * ux[i];
         }
         smax[k] = m;
-        solve(dd, de, y1, n, 1);
+        solve(dd, de, y1, n);
         memcpy(u1, y1, (size_t)n * sizeof(double));
-        solve(vd, ve, u1, n, 1);
+        solve(vd, ve, u1, n);
     }
     for (i = 0; i < n; i++)
         UX[N * n + i] = (Up[N * w + i + 2] - Up[N * w + i]) / h2;
 }
 
-/* Backward recursion in lam (rows of width n, stride n): frames
+/* (dt A/2h, 1 - dt B, dt C, dt E/2h) of the tangent term at node i of base
+   frame y, u, ux, cc = dt/2h and h2 = 2h, as tangent_adjoint documents
+   A..E. static inline: gcc -O2 keeps a plain static one out of line. */
+struct coef { double a, b, c, e; };
+
+static inline struct coef coefficients(const double *y, const double *u,
+                                       const double *ux, int n, ptrdiff_t i,
+                                       double dt, double cc, double h2,
+                                       double kk)
+{
+    double ydx = (i == 0 ? y[1] : i == n - 1 ? -y[n - 2]
+                  : y[i + 1] - y[i - 1]) / h2;
+    return (struct coef){(u[i] * u[i] - ux[i] * ux[i]) * cc,
+                         (4.0 * (ux[i] * y[i])) * -dt + 1.0,
+                         (2.0 * (u[i] * ydx)) * dt,
+                         ((ux[i] * ydx - y[i] * y[i]) * 2.0 - kk) * cc};
+}
+
+/* Tangent march in zero-padded rows Mp, Vp of width n + 2, zero on entry:
+   frames k0..N of Vp solve the Helmholtz kernel on Mp's, and step k writes
+   frame k+1 of Mp, adding row k - k0 of Q (nq nodes from i0) while k < s1.
+   The other arguments are march_back's. */
+void tangent_march(const double *kd, const double *ke, const double *dd,
+                   const double *de, int n, ptrdiff_t N, ptrdiff_t k0,
+                   ptrdiff_t s1, ptrdiff_t i0, ptrdiff_t nq, double dt,
+                   double cc, double h2, double kk, const double *Y,
+                   ptrdiff_t ys, const double *U, ptrdiff_t us,
+                   const double *UX, ptrdiff_t xs, const double *Q,
+                   double *Mp, double *Vp)
+{
+    ptrdiff_t w = (ptrdiff_t)n + 2, k, i;
+    for (k = k0;; k++) {
+        double *m = Mp + k * w + 1, *v = Vp + k * w + 1;
+        memcpy(v, m, (size_t)n * sizeof(double));
+        solve(kd, ke, v, n);
+        if (k == N)
+            return;
+        double *m1 = m + w;
+        for (i = 0; i < n; i++) {
+            struct coef t = coefficients(Y + k * ys, U + k * us, UX + k * xs,
+                                         n, i, dt, cc, h2, kk);
+            /* m1 = ((b*m - a*(mr - ml)) - c*v) + e*(vr - vl) */
+            m1[i] = ((t.b * m[i] - t.a * (m[i + 1] - m[i - 1])) - t.c * v[i])
+                    + t.e * (v[i + 1] - v[i - 1]);
+        }
+        for (i = 0; k < s1 && i < nq; i++)
+            m1[i0 + i] = m1[i0 + i] + Q[(k - k0) * nq + i];
+        solve(dd, de, m1, n);
+    }
+}
+
+/* Backward recursion in lam (C-ordered rows of width n): frames
    stop..top-1 from frame top, as tangent_adjoint._march_back documents.
-   Y, U, UX are the base frames with row strides ys, us, xs. Each step forms
-   its frame's coefficients of the transposed tangent term,
-   (dt A/2h, 1 - dt B, dt C, dt E/2h) with A = u^2 - u_x^2, B = 4 u_x y,
-   C = 2 u y_x and E = 2(u_x y_x - y^2) - k, as _step_coefficients does,
-   and y_x as grid.d1. work holds 4n + 4 doubles, its first 2n + 4 zero. */
+   Y, U, UX are the base frames with row strides ys, us, xs; kd, ke factor
+   the Helmholtz kernel, dd, de the implicit diffusion. work holds 4n + 4
+   doubles, its first 2n + 4 zero. */
 void march_back(const double *kd, const double *ke, const double *dd,
                 const double *de, int n, ptrdiff_t N, ptrdiff_t stop,
                 ptrdiff_t top, double dt, double cc, double h2, double kk,
@@ -127,23 +174,17 @@ void march_back(const double *kd, const double *ke, const double *dd,
     if (top == N) {
         for (i = 0; i < n; i++)
             psi[i] = last * psi[i];
-        solve(dd, de, psi, n, 1);
+        solve(dd, de, psi, n);
     }
     for (k = f; k > stop; k--) {
-        const double *y = Y + k * ys, *u = U + k * us, *ux = UX + k * xs;
         double *lam1 = lam + (k - 1) * n;
         for (i = 0; i < n; i++) {
-            double ydx = i == 0 ? y[1] : i == n - 1 ? -y[n - 2]
-                                                    : y[i + 1] - y[i - 1];
-            ydx = ydx / h2;
-            double a = (u[i] * u[i] - ux[i] * ux[i]) * cc;
-            double b = (4.0 * (ux[i] * y[i])) * -dt + 1.0;
-            double c = (2.0 * (u[i] * ydx)) * dt;
-            double e = ((ux[i] * ydx - y[i] * y[i]) * 2.0 - kk) * cc;
-            pa[i] = a * psi[i];
-            pe[i] = e * psi[i];
-            cw[i] = c * psi[i];
-            bw[i] = b * psi[i];
+            struct coef t = coefficients(Y + k * ys, U + k * us, UX + k * xs,
+                                         n, i, dt, cc, h2, kk);
+            pa[i] = t.a * psi[i];
+            pe[i] = t.e * psi[i];
+            cw[i] = t.c * psi[i];
+            bw[i] = t.b * psi[i];
         }
         /* lam1 += (b*psi + D(a*psi)) - K(c*psi + D(e*psi)), with D the
            padded difference and K the Helmholtz solve */
@@ -151,10 +192,10 @@ void march_back(const double *kd, const double *ke, const double *dd,
             cw[i] = cw[i] + (pe[i + 1] - pe[i - 1]);
             bw[i] = bw[i] + (pa[i + 1] - pa[i - 1]);
         }
-        solve(kd, ke, cw, n, 1);
+        solve(kd, ke, cw, n);
         for (i = 0; i < n; i++)
             lam1[i] = (bw[i] - cw[i]) + lam1[i];
-        solve(dd, de, lam1, n, 1);
+        solve(dd, de, lam1, n);
         psi = lam1;
     }
 }

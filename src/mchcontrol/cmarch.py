@@ -1,5 +1,5 @@
-"""The compiled tridiagonal kernel, the step loops of the forward and
-backward marches and the row writer of the trajectory CSV (cmarch.c).
+"""The compiled tridiagonal kernel, the step loops of the forward, tangent
+and backward marches and the row writer of the trajectory CSV (cmarch.c).
 
 The source is compiled when the kernel is first needed (the first operator
 factored, or the output directory a command is about to make), never at
@@ -37,8 +37,10 @@ SOURCE = Path(__file__).with_name("cmarch.c")
 FLAGS = ["-O2", "-std=c11", "-ffp-contract=off", "-fPIC", "-shared"]
 _P, _I, _S, _D = (ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t,
                   ctypes.c_double)
-ARGTYPES = {"pttrf": [_I, _P, _P], "ptts2": [_I, _S, _P, _P, _P, _S, _S],
+ARGTYPES = {"pttrf": [_I, _P, _P], "ptts2": [_I, _S, _P, _P, _P],
             "forward_march": [_P] * 4 + [_I, _S, _S] + [_D] * 4 + [_P] * 4,
+            "tangent_march": [_P] * 4 + [_I] + [_S] * 5 + [_D] * 4
+            + [_P, _S] * 3 + [_P] * 3,
             "march_back": [_P] * 4 + [_I, _S, _S, _S] + [_D] * 5
             + [_P, _S] * 3 + [_P, _P],
             "csv_rows": [_S, _S, _S] + [_P] * 3 + [_I] + [_P] * 3 + [_S]
@@ -114,51 +116,73 @@ def library():
     return lib
 
 
-def _rows(a: np.ndarray) -> tuple:
-    """a, or a C-ordered copy unless its rows are float64 with unit item
-    stride, and its row stride in items."""
-    if a.dtype != np.float64 or a.strides[1] != 8 or a.strides[0] % 8:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-    return a, a.strides[0] // 8
+def _rows(what: str, shape: tuple, arrays) -> list:
+    """(a, row stride in items) for each array of shape, a C-ordered copy
+    unless its rows are float64 with unit item stride; else ValueError."""
+    if any(a.shape != shape for a in arrays):
+        raise ValueError(f"{what} that is not (N+1, n)")
+    arrays = [a if a.dtype == np.float64 and a.strides[1] == 8
+              and not a.strides[0] % 8
+              else np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+    return [(a, a.strides[0] // 8) for a in arrays]
+
+
+def _check(fname: str, *arrays) -> None:
+    """ValueError naming fname unless each (array, shape) pair is a
+    C-ordered float64 array of that shape."""
+    if any(a.shape != shape or a.dtype != np.float64
+           or not a.flags.c_contiguous for a, shape in arrays):
+        raise ValueError(f"{fname}: an array of the wrong layout")
 
 
 def forward_march(vsolver, dsolver, k0: int, h2: float, c: float,
                   dt2: float, dtk: float, Yp, Up, UX, smax) -> None:
     """forward_march of cmarch.c, on C-ordered float64 arrays Yp and Up
     (N+1, n+2), UX (N+1, n) and smax (N,)."""
-    lib = library()
     N, n = UX.shape[0] - 1, UX.shape[1]
-    for a, shape in ((Yp, (N + 1, n + 2)), (Up, (N + 1, n + 2)),
-                     (UX, (N + 1, n)), (smax, (N,))):
-        if (a.shape != shape or a.dtype != np.float64
-                or not a.flags.c_contiguous):
-            raise ValueError("forward_march: an array of the wrong layout")
-    lib.forward_march(*vsolver._factors, *dsolver._factors, n, N,
-                      k0, h2, c, dt2, dtk, Yp.ctypes.data, Up.ctypes.data,
-                      UX.ctypes.data, smax.ctypes.data)
+    _check("forward_march", (Yp, (N + 1, n + 2)), (Up, (N + 1, n + 2)),
+           (UX, (N + 1, n)), (smax, (N,)))
+    library().forward_march(*vsolver._factors, *dsolver._factors, n, N, k0,
+                            h2, c, dt2, dtk, Yp.ctypes.data, Up.ctypes.data,
+                            UX.ctypes.data, smax.ctypes.data)
+
+
+def tangent_march(ksolver, dsolver, k0: int, s1: int, i0: int, dt: float,
+                  cc: float, h2: float, k: float, y, u, ux, q, Mp,
+                  Vp) -> None:
+    """tangent_march of cmarch.c on the base frames y, u, ux (any layout)
+    into zeroed Mp, Vp (N+1, n+2), adding q, the rows dt*q of steps
+    k0..s1-1 from node i0; Mp, Vp and q are C-ordered float64."""
+    N, n = Mp.shape[0] - 1, Mp.shape[1] - 2
+    if not (0 <= k0 < s1 <= N and q.ndim == 2
+            and 0 <= i0 < i0 + q.shape[1] <= n):
+        raise ValueError(f"tangent_march: rows {q.shape} of steps {k0}.."
+                         f"{s1} from node {i0}, not in 0..{N} x 0..{n}")
+    _check("tangent_march", (Mp, (N + 1, n + 2)), (Vp, (N + 1, n + 2)),
+           (q, (s1 - k0, q.shape[1])))
+    bases = _rows("tangent_march: a base frame array", (N + 1, n),
+                  (y, u, ux))
+    library().tangent_march(
+        *ksolver._factors, *dsolver._factors, n, N, k0, s1, i0, q.shape[1],
+        dt, cc, h2, k, *(x for a, s in bases for x in (a.ctypes.data, s)),
+        q.ctypes.data, Mp.ctypes.data, Vp.ctypes.data)
 
 
 def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
                h2: float, k: float, last: float, y, u, ux, lam) -> None:
-    """march_back of cmarch.c on the base frames y, u, ux, filling frames
-    stop..top-1 of the (N+1, n) multiplier lam in place; any layout, with
-    a contiguous copy where the kernel needs one."""
-    lib = library()
+    """march_back of cmarch.c on the base frames y, u, ux (any layout),
+    filling frames stop..top-1 of the C-ordered float64 (N+1, n)
+    multiplier lam in place."""
     N, n = lam.shape[0] - 1, lam.shape[1]
     if not 0 <= stop < top <= N:
         raise ValueError(f"march_back: frames {stop}..{top} of 0..{N}")
-    bases = [_rows(a) for a in (y, u, ux)]
-    if any(a.shape != lam.shape for a, _ in bases):
-        raise ValueError("march_back: base frames and multiplier differ")
-    work = (lam if lam.flags.c_contiguous and lam.dtype == np.float64
-            else np.ascontiguousarray(lam, dtype=np.float64))
-    rows = np.zeros(4 * n + 4)
-    lib.march_back(*ksolver._factors, *dsolver._factors, n, N,
-                   stop, top, dt, cc, h2, k, last,
-                   *(x for a, s in bases for x in (a.ctypes.data, s)),
-                   work.ctypes.data, rows.ctypes.data)
-    if work is not lam:
-        lam[...] = work
+    _check("march_back", (lam, (N + 1, n)))
+    bases = _rows("march_back: a base frame array", lam.shape, (y, u, ux))
+    work = np.zeros(4 * n + 4)
+    library().march_back(
+        *ksolver._factors, *dsolver._factors, n, N, stop, top, dt, cc, h2, k,
+        last, *(x for a, s in bases for x in (a.ctypes.data, s)),
+        lam.ctypes.data, work.ctypes.data)
 
 
 def write_csv(f, t, x, cols) -> None:
@@ -170,9 +194,7 @@ def write_csv(f, t, x, cols) -> None:
     exceed it)."""
     lib = library()
     t, x = (np.ascontiguousarray(a, dtype=np.float64) for a in (t, x))
-    cols = [_rows(c) for c in cols]
-    if any(c.shape != (len(t), len(x)) for c, _ in cols):
-        raise ValueError("write_csv: a column that is not (N+1, n)")
+    cols = _rows("write_csv: a column", (len(t), len(x)), cols)
     ptrs = (_P * len(cols))(*(c.ctypes.data for c, _ in cols))
     lds = (_S * len(cols))(*(s for _, s in cols))
     # csv_rows reserves VALUE_MAX = 32 bytes a value for the next row and

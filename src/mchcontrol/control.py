@@ -23,8 +23,8 @@ from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams,
                       _on_grid, as_control, inner_q0, norm_q0, solve_forward,
                       transport_terms)
-from .grid import (Domain1D, TimeGrid, _per_frame, _shaped, as_trajectory,
-                   d1, d2, inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
+from .grid import (Domain1D, TimeGrid, _shaped, as_trajectory, d1, d2,
+                   inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant,
                    velocity)
 from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
@@ -397,8 +397,7 @@ def lambda_bound_check(problem: TrackingProblem, state: OptimState,
 
 def quadratic_form(problem: TrackingProblem, q,
                    ftraj: ForwardTrajectory, adj: AdjointState):
-    """Second-variation value on a kernel direction (m, q), m = T q, or one
-    value per control direction of a stack, all in one tangent march.
+    """Second-variation value on a kernel direction (m, q), m = T q.
 
     Parts: the squared W(V) norm of m, the squared Q0 norm of q and delta
     times it, and the space-time integral of the multiplier-weighted cubic
@@ -414,8 +413,8 @@ def quadratic_form(problem: TrackingProblem, q,
     # b = w l_x, so its space integral is the per-frame pairing (w, l_x)
     w = (-2.0 * v * v * y - 4.0 * u * v * m + 2.0 * vx * vx * y
          + 4.0 * ux * vx * m)
-    acc = _per_frame(np.vecdot(inner_h(domain, w, d1(domain, adj.lam)),
-                               tg.weights))
+    acc = float(np.vecdot(inner_h(domain, w, d1(domain, adj.lam)),
+                          tg.weights))
     total = part_m + part_q + acc
     return total, {"m_wv_sq": part_m, "q_sq": q_sq, "q_reg_sq": part_q,
                    "b_integral": acc, "total": total}
@@ -452,11 +451,12 @@ def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
     kappa1 = min(1.0 - (4.0 * C1 / (3.0 * eps)) * grow * lhs, sigma)
     kappa2 = min(sigma / (2.0 * c1) - (4.0 * C / (3.0 * eps)) * grow * lhs,
                  sigma / 2.0)
-    # the directions: the blocks of n_samples lattice draws, as one stack
-    win = problem.window
-    Q = rng.standard_normal((n_samples,) + win.shape)[(..., *win.block)].copy()
-    total, parts = quadratic_form(problem, Q, state.ftraj, state.adjoint)
-    m_sq, q_sq = parts["m_wv_sq"], parts["q_sq"]
+    # the directions: the blocks of n_samples lattice draws, one at a time
+    parts = [quadratic_form(problem, problem.window.random_control(rng),
+                            state.ftraj, state.adjoint)[1]
+             for _ in range(n_samples)]
+    total, m_sq, q_sq = (np.array([f[key] for f in parts])
+                         for key in ("total", "m_wv_sq", "q_sq"))
     return {
         "c0": c0, "c2": c2, "c1": c1, "c_embed": c_embed,
         "kappa1": kappa1, "kappa2": kappa2,

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import cmarch
 from .errors import DomainMismatchError, NumericsError, StabilityWarning
-from .grid import (Domain1D, TimeGrid, _per_frame, _shaped, as_field,
-                   as_trajectory, d1, norm_h)
+from .grid import (Domain1D, TimeGrid, _shaped, as_field, as_trajectory,
+                   d1, norm_h)
 from .helmholtz import get_operator
 
 CFL_SAFETY = 0.5
@@ -86,10 +86,10 @@ class ControlWindow:
         return amplitude * rng.standard_normal(self.shape)[self.block]
 
 
-def as_control(window: ControlWindow, q, stack: bool = False) -> np.ndarray:
-    """q as a control, an array of window.block_shape, or with stack as a
-    stack of them; DomainMismatchError naming the control otherwise."""
-    return _shaped(q, window.block_shape, "control", stack)
+def as_control(window: ControlWindow, q) -> np.ndarray:
+    """q as a control, an array of window.block_shape; DomainMismatchError
+    naming the control otherwise."""
+    return _shaped(q, window.block_shape, "control")
 
 
 def _on_grid(domain: Domain1D, tg: TimeGrid, window) -> ControlWindow:
@@ -101,27 +101,25 @@ def _on_grid(domain: Domain1D, tg: TimeGrid, window) -> ControlWindow:
 
 
 def apply_B(window: ControlWindow, q) -> np.ndarray:
-    """The extension operator B from L2(Q0): a zero lattice with the control
-    q on the window block, bit for bit, and an exact +0.0 elsewhere; q is
-    one control or a stack of them, giving a (..., N+1, n) stack."""
-    q = as_control(window, q, stack=True)
-    bq = np.zeros(q.shape[:-2] + window.shape)
-    bq[(..., *window.block)] = q
+    """The extension operator B from L2(Q0): a zero (N+1, n) lattice with
+    the control q on the window block, bit for bit, and an exact +0.0
+    elsewhere."""
+    bq = np.zeros(window.shape)
+    bq[window.block] = as_control(window, q)
     return bq
 
 
-def inner_q0(window: ControlWindow, p, q):
-    """L2(Q0) inner product of two controls, left-endpoint rule in time;
-    one value per pair of a stack: per-frame sums added in frame order (not
-    the compensated sum of newer Pythons)."""
-    rows = np.einsum("...ni,...ni->...n", as_control(window, p, True),
-                     as_control(window, q, True))
-    return _per_frame(window.tg.dt * window.domain.h
-                      * np.cumsum(rows, axis=-1)[..., -1])
+def inner_q0(window: ControlWindow, p, q) -> float:
+    """L2(Q0) inner product of two controls, left-endpoint rule in time:
+    per-frame sums added in frame order (not the compensated sum of newer
+    Pythons)."""
+    rows = np.einsum("ni,ni->n", as_control(window, p),
+                     as_control(window, q))
+    return float(window.tg.dt * window.domain.h * np.cumsum(rows)[-1])
 
 
-def norm_q0(window: ControlWindow, q):
-    return _per_frame(np.sqrt(np.maximum(inner_q0(window, q, q), 0.0)))
+def norm_q0(window: ControlWindow, q) -> float:
+    return float(np.sqrt(np.maximum(inner_q0(window, q, q), 0.0)))
 
 
 @dataclass
@@ -193,8 +191,7 @@ def solve_forward(domain: Domain1D, tg: TimeGrid, p: ModelParams, y0,
         UX[:k0] = head.ux[:k0]
     else:
         k0 = 0
-        Y[0] = U[0] = y0
-        vsolver.solve(U[0], True)
+        Y[0], U[0] = y0, vsolver.solve(y0)
     if omega is not None:  # destination rows start as dt*(B omega)
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(dt, omega, Y[1:][window.block])

@@ -9,8 +9,7 @@ The stencils and the space norms act along the last axis, so they take one
 field or a stack of frames (..., n) and give one value per frame: a Python
 float for a single field. The norm primitives are squared (H, H1, the dual
 norm of V*, the wall-corrected gradient), since the space-time norms sum
-squares over frames. The trajectory norms take one trajectory or a stack of
-them (..., N+1, n).
+squares over frames. The trajectory norms take one trajectory (N+1, n).
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ def d2(domain: Domain1D, f) -> np.ndarray:
 def velocity(domain: Domain1D, y):
     """Velocity u = (1 - dxx)^-1 y, its derivative, and u_xx = u - y (an
     exact identity), on a field or per frame of a stack."""
-    u = get_operator(domain).solve_frames(y)
+    u = get_operator(domain).solve(y)
     return u, d1(domain, u), u - y
 
 
@@ -193,15 +192,9 @@ def norm_vstar_sq(domain: Domain1D, f):
 
     Never exceeds norm_h_sq since the inverse has spectrum in (0, 1].
     """
-    w = get_operator(domain).solve_frames(f)
+    w = get_operator(domain).solve(f)
     # (f, A^-1 f) >= 0 exactly; tolerate roundoff at zero
     return _per_frame(np.maximum(inner_h(domain, f, w), 0.0))
-
-
-def _trajectories(domain: Domain1D, tg: TimeGrid, Y) -> np.ndarray:
-    """A trajectory or a stack of them, shape (..., n_steps + 1, n)."""
-    return _shaped(Y, (tg.n_steps + 1, domain.n_interior), "trajectory",
-                   stack=True)
 
 
 def inner_l2h(domain: Domain1D, tg: TimeGrid, A, B) -> float:
@@ -215,32 +208,30 @@ def norm_l2h(domain: Domain1D, tg: TimeGrid, Y) -> float:
     return math.sqrt(max(inner_l2h(domain, tg, Y, Y), 0.0))
 
 
-def norm_ct_h(domain: Domain1D, tg: TimeGrid, Y):
-    """C([0,T]; L2) norm: max over frames of the L2 norm; one value per
-    trajectory of a stack."""
-    Y = _trajectories(domain, tg, Y)
-    return _per_frame(np.sqrt(np.max(norm_h_sq(domain, Y), axis=-1)))
+def norm_ct_h(domain: Domain1D, tg: TimeGrid, Y) -> float:
+    """C([0,T]; L2) norm: max over frames of the L2 norm."""
+    Y = as_trajectory(domain, tg, Y)
+    return float(np.sqrt(np.max(norm_h_sq(domain, Y))))
 
 
-def norm_l2v(domain: Domain1D, tg: TimeGrid, Y):
-    """L2(0,T;H1) norm by trapezoid quadrature of the squared H1 norm; one
-    value per trajectory of a stack."""
-    Y = _trajectories(domain, tg, Y)
-    return _per_frame(np.sqrt(np.vecdot(norm_v_sq(domain, Y), tg.weights)))
+def norm_l2v(domain: Domain1D, tg: TimeGrid, Y) -> float:
+    """L2(0,T;H1) norm by trapezoid quadrature of the squared H1 norm."""
+    Y = as_trajectory(domain, tg, Y)
+    return float(np.sqrt(np.vecdot(norm_v_sq(domain, Y), tg.weights)))
 
 
-def norm_wv(domain: Domain1D, tg: TimeGrid, Y):
+def norm_wv(domain: Domain1D, tg: TimeGrid, Y) -> float:
     """W norm: norm_l2v plus the L2-in-time dual norm of difference
-    quotients; one value per trajectory of a stack.
+    quotients.
 
     The time derivative is the forward quotient on each step, integrated with
     weight dt (midpoint rule on step cells). Constant-in-time trajectories
     therefore have norm_wv == norm_l2v.
     """
-    Y = _trajectories(domain, tg, Y)
-    quotients = np.diff(Y, axis=-2) / tg.dt
-    dual_sq = tg.dt * np.sum(norm_vstar_sq(domain, quotients), axis=-1)
-    return _per_frame(norm_l2v(domain, tg, Y) + np.sqrt(dual_sq))
+    Y = as_trajectory(domain, tg, Y)
+    quotients = np.diff(Y, axis=0) / tg.dt
+    dual_sq = tg.dt * np.sum(norm_vstar_sq(domain, quotients))
+    return float(norm_l2v(domain, tg, Y) + np.sqrt(dual_sq))
 
 
 def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid, rng,
@@ -265,8 +256,9 @@ def measure_embedding_constant(domain: Domain1D, tg: TimeGrid, rng,
                                n_samples: int) -> float:
     """Empirical lower estimate of c_E in ||.||_{C(H)} <= c_E ||.||_{W(V)}.
 
-    Maximizes the ratio over random smooth trajectories; deterministic for a
-    seeded generator.
+    Maximizes the ratio over random smooth trajectories, taken one at a
+    time; deterministic for a seeded generator.
     """
-    Y = random_smooth_trajectory(domain, tg, rng, n_samples)
-    return float(np.max(norm_ct_h(domain, tg, Y) / norm_wv(domain, tg, Y)))
+    pairs = [(norm_ct_h(domain, tg, Y), norm_wv(domain, tg, Y))
+             for Y in random_smooth_trajectory(domain, tg, rng, n_samples)]
+    return float(np.max(np.divide(*np.array(pairs).T)))

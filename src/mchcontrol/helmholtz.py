@@ -5,12 +5,10 @@ Both implicit operators of the scheme are this family: the Helmholtz map
 1 - dxx that recovers the velocity from the momentum is c = 1, and the
 implicit-diffusion step is c = dt*eps. Each is factored once as LDL^T
 (pttrf) and cached per grid and shift; every solve is one ptts2 call on a
-1-D field or on an (n, k) stack of right-hand sides of any float64 layout,
-in b's own memory, so the solve is its own transpose. pttrf and ptts2 are
-compiled C (cmarch.c), reference LAPACK's dpttrf and dptts2 operation for
-operation, and the compiled step loops solve with the same code on a
-kernel's factors _d and _e. solve_frames, and solve by default, leave the
-right-hand side untouched; solve(b, True) writes the solution over it.
+C-ordered copy of a field or of an (..., n) stack of frames, each frame a
+right-hand side. pttrf and ptts2 are compiled C (cmarch.c), reference
+LAPACK's dpttrf and dptts2 operation for operation, and the compiled step
+loops solve with the same code on a kernel's factors _d and _e.
 """
 
 from __future__ import annotations
@@ -36,34 +34,18 @@ class ShiftedLaplacianSolver:
         lib.pttrf(n, *self._factors)
         self._ptts2 = lib.ptts2
 
-    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-        """Solve for an (n,) field or an (n, k) array of k right-hand sides;
-        checks no finiteness, and a non-finite right-hand side comes back
-        non-finite. b is left as it is unless overwrite_b, which writes the
-        solution into b's own memory, in any layout, and returns b. Other
-        than n rows, more than two axes, or with overwrite_b an array that
-        is not a writable, aligned float64 one, is a ValueError."""
-        x = b if overwrite_b else np.array(b, dtype=np.float64)
+    def solve(self, y) -> np.ndarray:
+        """Solve for a field or each frame of a stack (..., n) in one kernel
+        call, into a new C-ordered array; y is left as it is. Checks no
+        finiteness: a non-finite frame comes back non-finite. Another last
+        axis is a DomainMismatchError."""
+        x = np.array(y, dtype=np.float64, order="C")
         n = self._d.size
-        if (x.ndim not in (1, 2) or len(x) != n or x.dtype != np.float64
-                or not x.flags.behaved):
-            raise ValueError(f"solve: needs a writable, aligned float64 "
-                             f"field or stack of {n} rows, got {x.shape} "
-                             f"{x.dtype}")
-        m = x if x.ndim == 2 else x[:, None]
-        self._ptts2(n, m.shape[1], *self._factors, m.ctypes.data,
-                    m.strides[0] // 8, m.strides[1] // 8)
-        return x
-
-    def solve_frames(self, y) -> np.ndarray:
-        """Solve for a field or a stack of frames (..., n), every frame a
-        right-hand side of one kernel call; shape-checked."""
-        y = np.asarray(y, dtype=float)
-        n = self._d.size
-        if y.shape[-1:] != (n,):
+        if x.shape[-1:] != (n,):
             raise DomainMismatchError(
-                f"field has shape {y.shape}, expected (..., {n})")
-        return self.solve(y.reshape(-1, n).T).T.reshape(y.shape)
+                f"field has shape {x.shape}, expected (..., {n})")
+        self._ptts2(n, x.size // n, *self._factors, x.ctypes.data)
+        return x
 
 
 _cache: dict = {}

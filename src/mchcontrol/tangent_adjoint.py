@@ -4,11 +4,10 @@ The tangent solver is the exact derivative of the IMEX step, linearized about
 the stored base frames: with v = K m (K the Helmholtz solve) its explicit
 term is A D1m + B m + C v - E D1v, where A = u^2 - u_x^2, B = 4 u_x y,
 C = 2 u y_x and E = 2 u_x y_x - 2 y^2 - k depend on the base alone: the
-tangent builds them once per march as (N+1, n) stacks, and the compiled
-adjoint march (cmarch) forms each frame's inside its step. From D1^T = -D1
-and K^T = K its transpose is -D1(A phi) + B phi + K(C phi + D1(E phi)). The
-discrete adjoint is the exact transpose of the tangent map under the
-package quadratures:
+compiled tangent and adjoint marches (cmarch) form each frame's inside its
+step, with one shared formula. From D1^T = -D1 and K^T = K its transpose is
+-D1(A phi) + B phi + K(C phi + D1(E phi)). The discrete adjoint is the
+exact transpose of the tangent map under the package quadratures:
 
     <T q, s>_traj = <q, B* lambda>_Q0  (to roundoff; B* lambda = lambda[block])
 
@@ -67,75 +66,41 @@ class AdjointState:
 
 
 def _transport_coefficients(ftraj: ForwardTrajectory, k: float,
-                            frames: slice) -> np.ndarray:
-    """(A, B, C, E) on the given frames as one (4, frames, n) array."""
+                            frames: slice) -> tuple:
+    """(A, B, C, E) on the given frames."""
     y, u, ux = ftraj.y[frames], ftraj.u[frames], ftraj.ux[frames]
     ydx = d1(ftraj.domain, y)
-    A, B, C, E = coeffs = np.empty((4,) + y.shape)
-    # B and C hold u_x^2 and y^2 first, so no stack-sized temporary is made
-    np.subtract(np.multiply(u, u, out=A), np.multiply(ux, ux, out=B), out=A)
-    np.subtract(np.multiply(ux, ydx, out=E), np.multiply(y, y, out=C), out=E)
-    E *= 2.0
-    E -= k
-    np.multiply(4.0, np.multiply(ux, y, out=B), out=B)
-    np.multiply(2.0, np.multiply(u, ydx, out=C), out=C)
-    return coeffs
-
-
-def _step_coefficients(ftraj: ForwardTrajectory, k: float,
-                       frames: slice) -> np.ndarray:
-    """(dt A/2h, 1 - dt B, dt C, dt E/2h): one step of tangent or adjoint."""
-    dt = ftraj.tg.dt
-    c = dt / (2.0 * ftraj.domain.h)
-    coeffs = _transport_coefficients(ftraj, k, frames)
-    coeffs *= np.array([c, -dt, dt, c])[:, None, None]
-    coeffs[1] += 1.0
-    return coeffs
+    return (u * u - ux * ux, 4.0 * (ux * y), 2.0 * (u * ydx),
+            2.0 * (ux * ydx - y * y) - k)
 
 
 def solve_tangent(ftraj: ForwardTrajectory, window: ControlWindow, q,
                   p: ModelParams) -> TangentState:
-    """Exact derivative of the forward march along the control direction q,
-    or along each direction of a stack; m and v hold one (N+1, n) trajectory
-    per direction, stacked as q is and each contiguous, which the stacked
-    norms need to give each direction its own value bit for bit.
+    """Exact derivative of the forward march along the control direction q;
+    m and v are (N+1, n) trajectories, the interiors of zero-padded rows.
 
     m(0) = 0; each step linearizes the explicit terms about the stored base
-    frame and applies the same implicit diffusion solve, one kernel call on
-    the (n, k) right-hand side of all k directions, each bit for bit its own
-    march. Frames up to the first step k0 any direction acts on (at least
-    the window's first step) are zero, and the march starts there; a NaN
-    row counts as acting, so it still fails at its own step."""
+    frame and applies the same implicit diffusion solve, in compiled C
+    (cmarch). Frames up to the first step k0 that q acts on (at least the
+    window's first step) are zero, and the march starts there; a NaN row
+    counts as acting, so it still fails at its own step."""
     domain, tg = ftraj.domain, ftraj.tg
-    dtq = tg.dt * as_control(window, q, stack=True)
-    dtk = dtq.reshape((-1,) + dtq.shape[-2:])  # (k, block frames, nodes)
+    dtq = tg.dt * as_control(window, q)
     steps, nodes = window.block
-    k0 = steps.start + int(np.argmax(dtk.any(axis=(0, 2))))
-    vsolve = get_operator(domain).solve
-    dsolve = get_operator(domain, tg.dt * p.epsilon).solve
-    N = tg.n_steps
-    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(k0, N))
+    j = int(np.argmax(dtq.any(axis=1)))
+    h2 = 2.0 * domain.h
     # zero-padded rows: the pads are the Dirichlet walls of D1
-    Mp, Vp = np.zeros((2, len(dtk), N + 1, domain.n_interior + 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k0, N + 1):
-            mp, vp = Mp[:, k], Vp[:, k]  # step k of every direction
-            m, v = mp[:, 1:-1], vp[:, 1:-1]
-            v[:] = vsolve(m.T).T
-            if k == N:
-                break
-            c = k - k0
-            rhs = (Bm[c] * m - Ad[c] * (mp[:, 2:] - mp[:, :-2]) - Cd[c] * v
-                   + Ed[c] * (vp[:, 2:] - vp[:, :-2]))
-            if k < steps.stop:
-                rhs[:, nodes] += dtk[:, k - steps.start]
-            Mp[:, k + 1, 1:-1] = dsolve(rhs.T).T
-    bad = _first_nonfinite(np.moveaxis(Mp, 1, 0)[1:])
+    Mp, Vp = np.zeros((2, tg.n_steps + 1, domain.n_interior + 2))
+    cmarch.tangent_march(get_operator(domain),
+                         get_operator(domain, tg.dt * p.epsilon),
+                         steps.start + j, steps.stop, nodes.start, tg.dt,
+                         tg.dt / h2, h2, p.k, ftraj.y, ftraj.u, ftraj.ux,
+                         dtq[j:], Mp, Vp)
+    bad = _first_nonfinite(Mp[1:])
     if bad is not None:
         raise NumericsError(f"tangent state lost finiteness at step {bad + 1}",
                             time_index=bad + 1)
-    shape = dtq.shape[:-2] + window.shape
-    return TangentState(*(X[..., 1:-1].reshape(shape) for X in (Mp, Vp)))
+    return TangentState(Mp[:, 1:-1], Vp[:, 1:-1])
 
 
 def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
@@ -144,7 +109,7 @@ def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
     A, B, C, E = coeffs
     inner = C * phi + d1(domain, E * phi)
     return (B * phi - d1(domain, A * phi)
-            + get_operator(domain).solve_frames(inner))
+            + get_operator(domain).solve(inner))
 
 
 def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
@@ -157,11 +122,11 @@ def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
     final frame for top = N). On entry each of them holds the source of the
     step that writes it (frame k-1 holds source[k]), and one multiply scales
     them all by dt, so no source lattice is read. The steps are compiled C
-    (cmarch) that forms the coefficients of T_k, those of
-    _step_coefficients bit for bit, from base frame k inside the step, so
-    the march works in O(n) memory beside lam. The discrete adjoint is last
-    = 1/2, the continuous one last = 1. Raises NumericsError naming the
-    first non-finite frame.
+    (cmarch) that forms the coefficients of T_k from base frame k inside
+    the step, as the tangent march does, so the march works in O(n) memory
+    beside lam, which must be C-ordered. The discrete adjoint is last =
+    1/2, the continuous one last = 1. Raises NumericsError naming the first
+    non-finite frame.
     """
     domain, tg = ftraj.domain, ftraj.tg
     h2 = 2.0 * domain.h
@@ -201,7 +166,7 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     if not 0 <= stop < N:
         raise ValueError(f"stop={stop} is outside 0..N-1 for N={N}")
     source = as_trajectory(ftraj.domain, ftraj.tg, source)
-    lam = np.zeros_like(source)
+    lam = np.zeros(source.shape)
     if minus is None:
         lam[stop:N] = source[stop + 1:]
     else:
@@ -236,7 +201,7 @@ def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
     domain, tg = ftraj.domain, ftraj.tg
     source = as_trajectory(domain, tg, source)
     N = tg.n_steps
-    lam = np.zeros_like(source)
+    lam = np.zeros(source.shape)
     lam[:-1] = source[1:]
     try:
         _march_back(ftraj, p, lam, 1.0, 0, N)

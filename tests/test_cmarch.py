@@ -15,9 +15,10 @@ import pytest
 import mchcontrol
 from mchcontrol import cli, cmarch
 from mchcontrol.errors import KernelBuildError
-from mchcontrol.forward import ModelParams, solve_forward
+from mchcontrol.forward import ControlWindow, ModelParams, solve_forward
 from mchcontrol.grid import Domain1D, TimeGrid
-from mchcontrol.tangent_adjoint import _march_back
+from mchcontrol.helmholtz import get_operator
+from mchcontrol.tangent_adjoint import _march_back, solve_tangent
 
 CI_CONFIG = {"domain": {"L": 2.0, "n_interior": 24},
              "time": {"T": 0.5, "n_steps": 60},
@@ -176,3 +177,63 @@ def test_march_back_refuses_a_frame_range_outside_the_march(stop, top):
     with pytest.raises(ValueError, match="march_back: frames"):
         _march_back(ft, p, lam, 0.5, stop, top)
     assert not lam.any()
+
+
+def test_march_back_refuses_a_multiplier_that_is_not_c_ordered():
+    """The multiplier is filled in place, so it must be a C-ordered float64
+    (N+1, n) array; another layout is a ValueError and stays untouched."""
+    dom, tg, p = Domain1D(2.0, 8), TimeGrid(0.5, 4), ModelParams(0.1)
+    ft = solve_forward(dom, tg, p, np.sin(dom.x))
+    for lam in (np.ones_like(ft.y, order="F"), np.ones((5, 16))[:, ::2],
+                np.ones(ft.y.shape, np.float32)):
+        with pytest.raises(ValueError, match="march_back: an array of"):
+            _march_back(ft, p, lam, 0.5, 0, 4)
+        assert (lam == 1.0).all()
+
+
+def test_tangent_march_refuses_what_it_cannot_address(monkeypatch):
+    """cmarch.tangent_march raises ValueError before the C call for base
+    frames off the grid, steps outside 0 <= k0 < s1 <= N, direction rows
+    outside the steps or the nodes 0..n, and padded rows that are not
+    C-ordered float64 (N+1, n+2) arrays; the same call with valid
+    arguments is solve_tangent's march."""
+    dom, tg, p = Domain1D(2.0, 8), TimeGrid(0.5, 4), ModelParams(0.1)
+    ft = solve_forward(dom, tg, p, np.sin(dom.x))
+    w = ControlWindow(dom, tg, 0.5, 1.5, 0.125, 0.375)
+    (k0, s1), (i0, i1) = ((s.start, s.stop) for s in w.block)
+    q = tg.dt * np.ones(w.block_shape)
+    kernels = get_operator(dom), get_operator(dom, tg.dt * p.epsilon)
+    h2 = 2.0 * dom.h
+
+    def args(**kw):
+        a = dict(k0=k0, s1=s1, i0=i0, y=ft.y, u=ft.u, ux=ft.ux, q=q,
+                 Mp=np.zeros((5, 10)), Vp=np.zeros((5, 10)))
+        a.update(kw)
+        return a
+
+    def march(a):
+        cmarch.tangent_march(*kernels, a["k0"], a["s1"], a["i0"], tg.dt,
+                             tg.dt / h2, h2, p.k, a["y"], a["u"], a["ux"],
+                             a["q"], a["Mp"], a["Vp"])
+
+    good = args()
+    march(good)
+    tan = solve_tangent(ft, w, np.ones(w.block_shape), p)
+    assert good["Mp"][:, 1:-1].tobytes() == tan.m.tobytes()
+    assert good["Vp"][:, 1:-1].tobytes() == tan.v.tobytes()
+
+    class NoKernel:
+        def __getattr__(self, name):
+            raise AssertionError(f"the kernel's {name} was called")
+
+    monkeypatch.setattr(cmarch, "library", NoKernel)
+    bad = [args(y=ft.y[:-1]), args(u=ft.u[:, 1:]), args(ux=np.zeros((5, 9))),
+           args(k0=-1, q=np.ones((s1 + 1, i1 - i0))), args(k0=s1, q=q[:0]),
+           args(s1=5, q=np.ones((5 - k0, i1 - i0))), args(q=q[1:]),
+           args(i0=-1), args(i0=i0 + 9 - i1), args(q=np.ones((s1 - k0, 9))),
+           args(q=q[:, 0]), args(Mp=np.zeros((5, 10), order="F")),
+           args(Vp=np.zeros((5, 10), np.float32)), args(Mp=np.zeros((5, 9))),
+           args(Vp=np.zeros((5, 20))[:, ::2])]
+    for a in bad:
+        with pytest.raises(ValueError, match="^tangent_march: "):
+            march(a)

@@ -129,24 +129,24 @@ def test_q0_pairing_on_window_block(rng, box):
         rel=1e-13)
 
 
-@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["stack", "stack2d"])
-def test_control_stack_matches_per_control(rng, lead):
-    """apply_B, inner_q0 and norm_q0 take a stack of controls (...,
-    *block_shape), views or contiguous, and give each control its own value
-    bit for bit; one control still gives Python floats."""
+def test_control_helpers_take_one_control(rng):
+    """apply_B, inner_q0 and norm_q0 take one control, view or contiguous,
+    give it the same value bit for bit and give Python floats; a stack of
+    controls is refused as a misshapen control."""
     dom = Domain1D(2.0, 16)
     tg = TimeGrid(1.0, 10)
     w = ControlWindow(dom, tg, 0.3, 1.45, 0.2, 0.8)
-    P, Q = rng.standard_normal((2,) + lead + w.shape)[(..., *w.block)]
-    bq, ip, nq = apply_B(w, Q), inner_q0(w, P, Q), norm_q0(w, Q)
-    ib = inner_q0(w, np.ascontiguousarray(P), np.ascontiguousarray(Q))
-    for idx in np.ndindex(lead):
-        assert bq[idx].tobytes() == apply_B(w, Q[idx]).tobytes()
-        one = inner_q0(w, P[idx], Q[idx])
-        assert type(one) is float and type(norm_q0(w, Q[idx])) is float
-        assert ip[idx] == one == inner_q0(w, P[idx].copy(), Q[idx].copy())
-        assert ib[idx] == one
-        assert nq[idx] == norm_q0(w, Q[idx])
+    P, Q = rng.standard_normal((2,) + w.shape)[(..., *w.block)]
+    one = inner_q0(w, P, Q)
+    assert type(one) is float and type(norm_q0(w, Q)) is float
+    assert one == inner_q0(w, P.copy(), Q.copy())
+    assert norm_q0(w, Q) == norm_q0(w, Q.copy())
+    assert apply_B(w, Q).tobytes() == apply_B(w, Q.copy()).tobytes()
+    stack = np.stack([P, Q])
+    for fn in (lambda: apply_B(w, stack), lambda: norm_q0(w, stack),
+               lambda: inner_q0(w, stack, stack)):
+        with pytest.raises(DomainMismatchError, match="control has shape"):
+            fn()
 
 
 def test_zero_data_zero_trajectory(small_setup):

@@ -178,7 +178,8 @@ def test_embedding_constant_deterministic():
 
 
 # (function, number of trailing axes one value is taken over): 1 for the
-# per-frame norms, the solve and the velocity, 2 for the trajectory norms
+# per-frame norms, the solve and the velocity, which take frame stacks, 2
+# for the trajectory norms, which take one trajectory
 STACK_AWARE = {
     "inner_h": (lambda dom, tg, f: inner_h(dom, f, np.cos(f)), 1),
     "norm_h_sq": (lambda dom, tg, f: norm_h_sq(dom, f), 1),
@@ -187,21 +188,23 @@ STACK_AWARE = {
     "norm_vstar_sq": (lambda dom, tg, f: norm_vstar_sq(dom, f), 1),
     "grad_norm_sq": (lambda dom, tg, f: grad_norm_sq(dom, f), 1),
     "wall_slopes": (lambda dom, tg, f: wall_slopes(dom, f), 1),
-    "solve": (lambda dom, tg, f: get_operator(dom).solve_frames(f), 1),
+    "solve": (lambda dom, tg, f: get_operator(dom).solve(f), 1),
     "velocity": (lambda dom, tg, f: velocity(dom, f), 1),
     "norm_ct_h": (lambda dom, tg, f: norm_ct_h(dom, tg, f), 2),
     "norm_l2v": (lambda dom, tg, f: norm_l2v(dom, tg, f), 2),
     "norm_wv": (lambda dom, tg, f: norm_wv(dom, tg, f), 2),
 }
+LEADS = {"frames": (), "trajectories": (3,), "stack2d": (2, 2)}
 
 
-@pytest.mark.parametrize("lead", [(), (3,), (2, 2)],
-                         ids=["frames", "trajectories", "stack2d"])
-@pytest.mark.parametrize("name", sorted(STACK_AWARE))
+@pytest.mark.parametrize("name,lead", [
+    pytest.param(name, lead, id=f"{name}-{lid}")
+    for name in sorted(STACK_AWARE) for lid, lead in LEADS.items()
+    if STACK_AWARE[name][1] == 1 or not lead])
 def test_stack_matches_per_frame(name, lead, rng):
     """A stack (N+1, n), (k, N+1, n) or (j, k, N+1, n) gives each frame's
-    (or each trajectory's) own value bit for bit, and one field still gives
-    Python floats."""
+    own value bit for bit, and one field still gives Python floats; a
+    trajectory norm gives one trajectory a Python float."""
     dom = Domain1D(1.3, 19)
     tg = TimeGrid(0.6, 12)
     fn, core = STACK_AWARE[name]
@@ -217,3 +220,15 @@ def test_stack_matches_per_frame(name, lead, rng):
         for w, o in zip(whole, one):
             assert np.ndim(o) > 0 or type(o) is float
             assert np.asarray(w)[idx].tobytes() == np.asarray(o).tobytes()
+
+
+def test_trajectory_norms_take_one_trajectory(rng):
+    """The trajectory norms give one (N+1, n) trajectory a Python float and
+    refuse a stack of them as a misshapen trajectory."""
+    dom = Domain1D(1.3, 19)
+    tg = TimeGrid(0.6, 12)
+    stack = rng.standard_normal((3, tg.n_steps + 1, dom.n_interior))
+    for norm in (norm_ct_h, norm_l2v, norm_wv):
+        assert type(norm(dom, tg, stack[0])) is float
+        with pytest.raises(DomainMismatchError, match="trajectory has shape"):
+            norm(dom, tg, stack)

@@ -7,6 +7,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from mchcontrol import helmholtz
 from mchcontrol.config import resolve_config
+from mchcontrol.errors import DomainMismatchError
 from mchcontrol.grid import Domain1D, d2, inner_h, velocity
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.runners import run_twin
@@ -66,78 +67,49 @@ def test_shift_zero_is_identity(rng):
 
 @pytest.mark.parametrize("c", [1.0, 0.8 / 240 * 0.08, 0.0])
 def test_multi_rhs_solve_matches_column_solves(rng, c):
+    """A (k, n) or (2, k, n) frame stack is one call, each frame bit for
+    bit its own solve, and each solves (I - c D2) x = b."""
     dom = Domain1D(2.0, 48)
     s = get_operator(dom, c)
     frames = rng.standard_normal((9, 48))
-    for B in (frames.T, np.ascontiguousarray(frames.T)):
-        X = s.solve(B)
-        assert X.shape == (48, 9)
-        for j in range(9):
-            col = s.solve(B[:, j])
-            assert np.max(np.abs(X[:, j] - col)) <= 1e-14 * np.max(np.abs(col))
-        # each column solves (I - c D2) x = b
-        resid = X - c * d2(dom, X.T).T - B
-        assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(B))
-        if c == 0.0:
-            assert np.array_equal(X, B)
-    # a (k, n) or (2, k, n) frame stack is one call, bit for bit per frame
-    for stack in (frames, rng.standard_normal((2, 9, 48))):
-        X = s.solve_frames(stack)
-        assert X.shape == stack.shape
+    for stack in (frames, np.asfortranarray(frames),
+                  rng.standard_normal((2, 9, 48))):
+        X = s.solve(stack)
+        assert X.shape == stack.shape and X.flags.c_contiguous
         for idx in np.ndindex(stack.shape[:-1]):
-            assert np.array_equal(X[idx], s.solve(stack[idx]))
+            assert X[idx].tobytes() == s.solve(stack[idx]).tobytes()
+        resid = X - c * d2(dom, X) - stack
+        assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(stack))
+        if c == 0.0:
+            assert np.array_equal(X, stack)
 
 
 def layouts(n: int, k: int) -> dict:
-    """Views of n rows (k columns for a stack) into larger buffers, each
-    with walls of buffer around it: a contiguous field, a row of a padded
-    lattice, F- and C-ordered (n, k) stacks and a strided one, whose
-    columns are the interiors of padded rows."""
+    """Views of k frames of n nodes into larger buffers, each with walls of
+    buffer around it: a contiguous field, a row of a padded lattice, C- and
+    F-ordered (k, n) stacks and a strided one, whose frames are the
+    interiors of padded rows."""
     return {"field": lambda buf: buf[1:n + 1],
             "padded row": lambda buf: buf.reshape(k, n + 2)[k // 2, 1:-1],
-            "F stack": lambda buf: buf[1:n * k + 1].reshape((n, k), order="F"),
-            "C stack": lambda buf: buf[1:n * k + 1].reshape(n, k),
-            "strided stack": lambda buf: buf.reshape(k, n + 2)[:, 1:-1].T}
-
-
-@pytest.mark.parametrize("c", [1.0, 0.8 / 240 * 0.08])
-def test_solve_in_place(rng, c, monkeypatch):
-    """solve(b, True) hands the kernel b's own memory and returns b, for
-    every layout: the bytes of b are solve(b)'s and its walls are
-    untouched. solve by default leaves its input as it was."""
-    n, k = 48, 5
-    s = get_operator(Domain1D(2.0, n), c)
-    ptts2, solved_at = s._ptts2, []
-
-    def spy(*args):  # args[4] is the address of the right-hand side
-        solved_at.append(args[4])
-        ptts2(*args)
-
-    monkeypatch.setattr(s, "_ptts2", spy)
-    for name, view in layouts(n, k).items():
-        buf = rng.standard_normal(k * (n + 2))
-        before = buf.copy()
-        b = view(buf)
-        want = s.solve(b)
-        assert buf.tobytes() == before.tobytes(), name
-        assert s.solve(b, True) is b, name
-        assert solved_at[-1] == b.ctypes.data, name
-        assert b.tobytes() == want.tobytes(), name
-        view(before)[...] = want
-        assert buf.tobytes() == before.tobytes(), name
+            "C stack": lambda buf: buf[1:n * k + 1].reshape(k, n),
+            "F stack": lambda buf: buf[1:n * k + 1].reshape((k, n), order="F"),
+            "strided stack": lambda buf: buf.reshape(k, n + 2)[:, 1:-1]}
 
 
 def test_solve_refuses_what_it_cannot_address():
-    """A right-hand side of other rows, of another type, read-only or of
-    more than two axes is a ValueError, not a write outside its memory."""
+    """A right-hand side whose last axis is not the n nodes, or a scalar,
+    is a DomainMismatchError (a ValueError); another type or a read-only
+    array is solved in a float64 copy."""
     s = get_operator(Domain1D(2.0, 8))
-    frozen = np.zeros(8)
+    for b in (np.zeros(9), np.zeros((8, 2)), np.zeros((2, 7)),
+              np.float64(1)):
+        with pytest.raises(DomainMismatchError, match="expected"):
+            s.solve(b)
+    frozen = np.ones(8)
     frozen.flags.writeable = False
-    for b, overwrite in ((np.zeros(9), False), (np.zeros((7, 2)), False),
-                         (np.zeros(8, np.float32), True), (frozen, True),
-                         (np.zeros((8, 2, 2)), False), (np.float64(1), False)):
-        with pytest.raises(ValueError, match="^solve: needs a writable"):
-            s.solve(b, overwrite)
+    want = s.solve(np.ones(8))
+    for b in (frozen, np.ones(8, np.float32), [1.0] * 8):
+        assert s.solve(b).tobytes() == want.tobytes()
 
 
 @PROPERTY
@@ -149,8 +121,9 @@ def test_solve_refuses_what_it_cannot_address():
 def test_kernel_is_lapack_bit_for_bit(n, k, shift, L, seed):
     """The compiled pttrf and solve are LAPACK's dpttrf and dpttrs (scipy's
     binding, an oracle independent of the kernel) byte for byte: the
-    factors at shifts 1e-8..1e8, and the solutions of right-hand sides up
-    to 1e+-100 in size, in every layout and in place."""
+    factors at shifts 1e-8..1e8, and the solutions of frames up to 1e+-100
+    in size, in every layout of a frame stack, which solve leaves as it
+    was."""
     dom = Domain1D(L, n)
     c = 10.0 ** shift
     s = ShiftedLaplacianSolver(dom, c)
@@ -159,16 +132,16 @@ def test_kernel_is_lapack_bit_for_bit(n, k, shift, L, seed):
     assert info == 0
     assert s._d.tobytes() == d.tobytes() and s._e.tobytes() == e.tobytes()
     rng = np.random.default_rng(seed)
-    rhs = (rng.uniform(-1.0, 1.0, (n, k))
-           * 10.0 ** rng.integers(-100, 101, (n, k)))
+    rhs = (rng.uniform(-1.0, 1.0, (k, n))
+           * 10.0 ** rng.integers(-100, 101, (k, n)))
     for name, view in layouts(n, k).items():
         buf = np.zeros(k * (n + 2))
         b = view(buf)
-        b[...] = rhs if b.ndim == 2 else rhs[:, 0]
-        want = dpttrs(d, e, b)[0]
+        b[...] = rhs if b.ndim == 2 else rhs[0]
+        before = buf.copy()
+        want = dpttrs(d, e, b.T)[0].T
         assert s.solve(b).tobytes() == want.tobytes(), name
-        assert s.solve(b, True) is b, name
-        assert b.tobytes() == want.tobytes(), name
+        assert buf.tobytes() == before.tobytes(), name
 
 
 def test_velocity_identity(rng):

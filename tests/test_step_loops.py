@@ -1,6 +1,6 @@
-"""The compiled forward and adjoint step loops against reference copies of
-numpy loops, which index rows per step and solve into new arrays with the
-same kernel (test_helmholtz holds that kernel to LAPACK's bits).
+"""The compiled forward, tangent and adjoint step loops against reference
+copies of numpy loops, which index rows per step and solve into new arrays
+with the same kernel (test_helmholtz holds that kernel to LAPACK's bits).
 
 Both compute the same expression trees, so every frame must agree byte for
 byte, not to a tolerance: on fixed grids, and as properties over random
@@ -18,17 +18,18 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mchcontrol import forward
+from mchcontrol import forward, tangent_adjoint
 from mchcontrol.errors import NumericsError, StabilityWarning
 from mchcontrol.forward import (CFL_SAFETY, ControlWindow, ForwardTrajectory,
                                 ModelParams, _first_nonfinite, apply_B,
                                 solve_forward)
 from mchcontrol.grid import Domain1D, TimeGrid
 from mchcontrol.helmholtz import get_operator
-from mchcontrol.tangent_adjoint import (_march_back, _step_coefficients,
+from mchcontrol.tangent_adjoint import (_march_back, _transport_coefficients,
                                         finish_adjoint,
                                         solve_adjoint_continuous,
-                                        solve_adjoint_discrete)
+                                        solve_adjoint_discrete, solve_tangent)
+from conftest import bump_control
 from test_properties import PROPERTY, controls, lattices, windows
 
 GRIDS = [(24, 60), (48, 240)]
@@ -67,6 +68,45 @@ def reference_forward(domain, tg, p, y0, omega, head=None):
     return Yp[:, 1:-1], Up[:, 1:-1], UX
 
 
+def step_coefficients(ftraj, k, frames):
+    """(dt A/2h, 1 - dt B, dt C, dt E/2h) on the given frames: one step of
+    tangent or adjoint."""
+    dt = ftraj.tg.dt
+    c = dt / (2.0 * ftraj.domain.h)
+    coeffs = np.array(_transport_coefficients(ftraj, k, frames))
+    coeffs *= np.array([c, -dt, dt, c])[:, None, None]
+    coeffs[1] += 1.0
+    return coeffs
+
+
+def reference_tangent(ftraj, window, q, p):
+    """(M, V) of the indexed tangent loop, in zero-padded rows, marched
+    from the first step q acts on, as solve_tangent documents."""
+    domain, tg = ftraj.domain, ftraj.tg
+    dtq = tg.dt * q
+    steps, nodes = window.block
+    k0 = steps.start + int(np.argmax(dtq.any(axis=1)))
+    vsolve = get_operator(domain).solve
+    dsolve = get_operator(domain, tg.dt * p.epsilon).solve
+    N = tg.n_steps
+    Ad, Bm, Cd, Ed = step_coefficients(ftraj, p.k, slice(k0, N))
+    Mp, Vp = np.zeros((2, N + 1, domain.n_interior + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k0, N + 1):
+            mp, vp = Mp[k], Vp[k]
+            m, v = mp[1:-1], vp[1:-1]
+            v[:] = vsolve(m)
+            if k == N:
+                break
+            c = k - k0
+            rhs = (Bm[c] * m - Ad[c] * (mp[2:] - mp[:-2]) - Cd[c] * v
+                   + Ed[c] * (vp[2:] - vp[:-2]))
+            if k < steps.stop:
+                rhs[nodes] += dtq[k - steps.start]
+            Mp[k + 1, 1:-1] = dsolve(rhs)
+    return Mp[:, 1:-1], Vp[:, 1:-1]
+
+
 def reference_march_back(ftraj, source, p, lam, last, stop, top):
     """The indexed backward recursion into lam, on the dt-preloaded source,
     with _march_back's contract: frames stop..top-1 from frame top."""
@@ -76,7 +116,7 @@ def reference_march_back(ftraj, source, p, lam, last, stop, top):
     N = tg.n_steps
     pa, pe = np.zeros((2, domain.n_interior + 2))
     f = min(top, N - 1)
-    Ad, Bm, Cd, Ed = _step_coefficients(ftraj, p.k, slice(stop + 1, f + 1))
+    Ad, Bm, Cd, Ed = step_coefficients(ftraj, p.k, slice(stop + 1, f + 1))
     src = tg.dt * source
     with np.errstate(over="ignore", invalid="ignore"):
         if top == N:
@@ -171,10 +211,10 @@ def test_adjoint_matches_reference_loop(n, N, rng):
     assert same_bytes(part[k0:], full[k0:]) and not part[:k0].any()
     assert same_bytes(reference(0.5, 0, k0, part.copy()), full)
     assert same_bytes(finish_adjoint(ft, adj, source, p).lam, full)
-    # an F-ordered source gives F-ordered, strided frames, which the
-    # compiled march works on in a C-ordered copy
+    # an F-ordered source still gives a C-ordered multiplier, which the
+    # compiled march fills in place
     fadj = solve_adjoint_discrete(ft, np.asfortranarray(source), p, stop=k0)
-    assert fadj.lam.flags.f_contiguous and same_bytes(fadj.lam, part)
+    assert fadj.lam.flags.c_contiguous and same_bytes(fadj.lam, part)
     assert same_bytes(finish_adjoint(ft, fadj, source, p).lam, full)
 
 
@@ -217,6 +257,21 @@ def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng):
                                     np.zeros_like(source), 0.5, stop, N)
         got = solve_adjoint_discrete(ft, z_d, p, stop, minus=ft.y)
         assert same_bytes(got.lam, want)
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_tangent_matches_reference_loop(n, N, rng):
+    """The tangent march equals the reference loop byte for byte: along a
+    random direction, along the bump, which vanishes on the window's first
+    step, and on the whole-lattice window."""
+    dom, tg, p, w, y0, omega = pieces(n, N, rng)
+    ft = solve_forward(dom, tg, p, y0, w, omega)
+    whole = ControlWindow(dom, tg, 0.0, dom.L, 0.0, tg.T)
+    for win, q in ((w, w.random_control(rng)), (w, bump_control(w)),
+                   (whole, whole.random_control(rng))):
+        tan = solve_tangent(ft, win, q, p)
+        want = reference_tangent(ft, win, q, p)
+        assert same_bytes(tan.m, want[0]) and same_bytes(tan.v, want[1])
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
@@ -349,9 +404,9 @@ def test_forward_march_matches_reference_loop_property(data):
 def test_adjoint_march_matches_reference_loop_property(data):
     """_march_back against the reference recursion, byte for byte up to NaN
     payloads (same_bits), for every stop and top (top = N with the final
-    weight 1/2 or 1, or a resume from a given frame top), base frames and
-    multipliers in C, F, row- and item-strided layouts, and NaN or Inf in
-    the source; and with the reference's first non-finite frame."""
+    weight 1/2 or 1, or a resume from a given frame top), base frames in C,
+    F, row- and item-strided layouts, and NaN or Inf in the source; and
+    with the reference's first non-finite frame."""
     draw = data.draw
     w = draw(windows())
     dom, tg, p = w.domain, w.tg, draw(models())
@@ -371,7 +426,7 @@ def test_adjoint_march_matches_reference_loop_property(data):
         lam0[top] = draw(hnp.arrays(np.float64, dom.n_interior,
                                     elements=SMALL))
     want = reference_march_back(ft, source, p, lam0.copy(), last, stop, top)
-    lam = laid_out(lam0, draw(LAYOUTS))
+    lam = lam0
     try:
         _march_back(ft, p, lam, last, stop, top)
         failed = None
@@ -380,3 +435,41 @@ def test_adjoint_march_matches_reference_loop_property(data):
     assert same_bits(lam, want)
     bad = _first_nonfinite(want[stop:top], backward=True)
     assert failed == (None if bad is None else bad + stop)
+
+
+@PROPERTY
+@given(st.data())
+def test_tangent_march_matches_reference_loop_property(data):
+    """solve_tangent against the reference tangent loop, byte for byte up
+    to NaN payloads (same_bits), on random grids and windows, base frames
+    in C, F, row- and item-strided layouts, and directions with leading
+    zero rows (the march starts at the first row that acts), a -0.0 row,
+    which does not act, a NaN row and NaN or Inf entries; and with the
+    reference's failing step."""
+    draw = data.draw
+    w = draw(windows())
+    dom, tg, p = w.domain, w.tg, draw(models())
+    y0 = draw(hnp.arrays(np.float64, dom.n_interior, elements=SMALL))
+    base = reference_forward(dom, tg, p, y0,
+                             apply_B(w, draw(controls(w, SMALL))))
+    layout = draw(LAYOUTS)
+    ft = ForwardTrajectory(dom, tg, *(laid_out(a, layout) for a in base))
+    q = draw(controls(w, SMALL))
+    rows = len(q)
+    q[:draw(st.integers(0, rows))] = 0.0
+    for value in (-0.0, math.nan):
+        if draw(st.booleans()):
+            q[draw(st.integers(0, rows - 1))] = value
+    q = poked(draw, q)
+    want = reference_tangent(ft, w, q, p)
+    with mock.patch.object(tangent_adjoint, "_first_nonfinite",
+                           return_value=None):
+        got = solve_tangent(ft, w, q, p)
+    assert same_bits(got.m, want[0]) and same_bits(got.v, want[1])
+    bad = _first_nonfinite(want[0][1:])
+    try:
+        solve_tangent(ft, w, q, p)
+        failed = None
+    except NumericsError as exc:
+        failed = exc.time_index
+    assert failed == (None if bad is None else bad + 1)
