@@ -234,9 +234,9 @@ def norm_wv(domain: Domain1D, tg: TimeGrid, Y) -> float:
     return float(norm_l2v(domain, tg, Y) + np.sqrt(dual_sq))
 
 
-def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid, rng,
-                             n_samples: int) -> np.ndarray:
-    """n_samples random trajectories as one (n_samples, N+1, n) stack, with
+def random_smooth_trajectories(domain: Domain1D, tg: TimeGrid, rng,
+                               n_samples: int):
+    """Yield n_samples random trajectories (N+1, n) one at a time, with
     decaying spectrum: 8 sine modes in x, each with 6 cosine modes in t.
 
     The coefficients come from one draw, which consumes the generator in
@@ -248,17 +248,17 @@ def random_smooth_trajectory(domain: Domain1D, tg: TimeGrid, rng,
     coef = rng.standard_normal((n_samples, ms.size, ks.size))
     coef /= (1.0 + ks) ** 2
     cosines = np.cos(np.outer(tg.t / tg.T, ks * math.pi))  # (N+1, K)
-    prof = cosines @ np.swapaxes(coef, -1, -2) / ms ** 2  # (n_samples, N+1, M)
-    return prof @ sines.T
+    for c in coef:
+        yield (cosines @ c.T / ms ** 2) @ sines.T
 
 
 def measure_embedding_constant(domain: Domain1D, tg: TimeGrid, rng,
                                n_samples: int) -> float:
     """Empirical lower estimate of c_E in ||.||_{C(H)} <= c_E ||.||_{W(V)}.
 
-    Maximizes the ratio over random smooth trajectories, taken one at a
-    time; deterministic for a seeded generator.
+    Maximizes the ratio over random smooth trajectories, built and measured
+    one at a time; deterministic for a seeded generator.
     """
     pairs = [(norm_ct_h(domain, tg, Y), norm_wv(domain, tg, Y))
-             for Y in random_smooth_trajectory(domain, tg, rng, n_samples)]
+             for Y in random_smooth_trajectories(domain, tg, rng, n_samples)]
     return float(np.max(np.divide(*np.array(pairs).T)))

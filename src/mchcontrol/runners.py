@@ -59,18 +59,6 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path, payload: dict):
-    with open(path, "w", newline="\n") as f:
-        json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _report_stub(cfg: dict, command: str) -> dict:
-    return {"schema_version": SCHEMA_VERSION,
-            "config_sha256": config_hash(cfg),
-            "command": command}
-
-
 def _optim_summary(state) -> dict:
     """The optimizer's end points and stop reason, as optimize and twin
     report them."""
@@ -81,25 +69,44 @@ def _optim_summary(state) -> dict:
             "stalled": state.stalled, "message": state.message}
 
 
-def _prep_out(out_dir) -> str:
-    cmarch.library()  # first: a command that cannot build it makes no dir
-    out_dir = str(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+class _Output:
+    """One command's output directory and the stamp on every artifact.
 
+    The JSON report, each trajectory CSV and its sidecar carry the sha256
+    of the resolved config; the report adds schema_version and the command,
+    the sidecar the command, epsilon, k and seed.
+    """
 
-def _csv_params(cfg: dict, command: str) -> dict:
-    p = cfg["model"]
-    return {"command": command, "epsilon": p["epsilon"], "k": p["k"],
-            "seed": cfg["seed"]}
+    def __init__(self, cfg: dict, out_dir, command: str):
+        cmarch.library()  # first: a command that cannot build it makes no dir
+        self.dir = str(out_dir)
+        os.makedirs(self.dir, exist_ok=True)
+        self.command = command
+        self.hash = config_hash(cfg)
+        p = cfg["model"]
+        self.params = {"command": command, "epsilon": p["epsilon"],
+                       "k": p["k"], "seed": cfg["seed"]}
 
+    def csv(self, name, domain, tg, columns: dict):
+        export_trajectory_csv(os.path.join(self.dir, name), domain, tg,
+                              columns, self.params, self.hash)
 
-def write_log_csv(path, rows):
-    """Optimizer iteration log with exact-representation floats."""
-    with open(path, "w", newline="\n") as f:
-        f.write("iter,J,grad_norm,step\n")
-        for it, J, gn, st in rows:
-            f.write(f"{it},{J!r},{gn!r},{st!r}\n")
+    def log(self, state):
+        """Optimizer iteration log with exact-representation floats; its
+        first line is the header, so it carries no stamp."""
+        with open(os.path.join(self.dir, "optimize_log.csv"), "w",
+                  newline="\n") as f:
+            f.write("iter,J,grad_norm,step\n")
+            for it, J, gn, st in state.log_rows():
+                f.write(f"{it},{J!r},{gn!r},{st!r}\n")
+
+    def report(self, name, **fields):
+        payload = {"schema_version": SCHEMA_VERSION,
+                   "config_sha256": self.hash, "command": self.command,
+                   **fields}
+        with open(os.path.join(self.dir, name), "w", newline="\n") as f:
+            json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
+            f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -131,49 +138,35 @@ def build_problem(cfg: dict, rng):
 
 
 def run_forward(cfg: dict, out_dir) -> int:
-    out = _prep_out(out_dir)
-    h = config_hash(cfg)
+    out = _Output(cfg, out_dir, "forward")
     domain, tg, p, window = build_problem_pieces(cfg)
     rng = np.random.default_rng(cfg["seed"])
     y0 = initial_field(cfg, domain)
     omega = control_field(cfg, window, rng)
     ftraj = solve_forward(domain, tg, p, y0, window, omega)
-    export_trajectory_csv(os.path.join(out, "trajectory.csv"), domain, tg,
-                          {"y": ftraj.y, "u": ftraj.u},
-                          _csv_params(cfg, "forward"), h)
-    report = _report_stub(cfg, "forward")
-    report.update({
-        "max_abs_y": float(np.max(np.abs(ftraj.y))),
-        "max_abs_u": float(np.max(np.abs(ftraj.u))),
-        "final_norm_y": norm_h(domain, ftraj.y[-1]),
-        "control_norm": norm_q0(window, omega),
-    })
-    write_json(os.path.join(out, "run.json"), report)
+    out.csv("trajectory.csv", domain, tg, {"y": ftraj.y, "u": ftraj.u})
+    out.report("run.json", max_abs_y=float(np.max(np.abs(ftraj.y))),
+               max_abs_u=float(np.max(np.abs(ftraj.u))),
+               final_norm_y=norm_h(domain, ftraj.y[-1]),
+               control_norm=norm_q0(window, omega))
     return 0
 
 
 def run_adjoint(cfg: dict, out_dir) -> int:
-    out = _prep_out(out_dir)
-    h = config_hash(cfg)
+    out = _Output(cfg, out_dir, "adjoint")
     rng = np.random.default_rng(cfg["seed"])
     problem, _ = build_problem(cfg, rng)
     omega = control_field(cfg, problem.window, rng)
     g, info = reduced_gradient(problem, omega)
     adj = info["adjoint"]
-    export_trajectory_csv(os.path.join(out, "adjoint.csv"), problem.domain,
-                          problem.tg, {"lambda": adj.lam},
-                          _csv_params(cfg, "adjoint"), h)
-    report = _report_stub(cfg, "adjoint")
-    report.update({
-        "grad_norm": norm_q0(problem.window, g),
-        "lambda_max": float(np.max(np.abs(adj.lam))),
-    })
-    write_json(os.path.join(out, "run.json"), report)
+    out.csv("adjoint.csv", problem.domain, problem.tg, {"lambda": adj.lam})
+    out.report("run.json", grad_norm=norm_q0(problem.window, g),
+               lambda_max=float(np.max(np.abs(adj.lam))))
     return 0
 
 
 def run_gradcheck(cfg: dict, out_dir) -> int:
-    out = _prep_out(out_dir)
+    out = _Output(cfg, out_dir, "gradcheck")
     gc = cfg["gradcheck"]
     rng = np.random.default_rng(cfg["seed"])
     problem, _ = build_problem(cfg, rng)
@@ -208,41 +201,28 @@ def run_gradcheck(cfg: dict, out_dir) -> int:
     order = float(np.polyfit(np.log(hs), np.log(rems), 1)[0])
 
     passed = bool(max_rel <= gc["tol_rel"] and order >= 1.9)
-    report = _report_stub(cfg, "gradcheck")
-    report.update({
-        "fd_table": fd_rows,
-        "taylor_table": taylor_rows,
-        "max_rel_error": max_rel,
-        "taylor_order": order,
-        "tol_rel": gc["tol_rel"],
-        "passed": passed,
-    })
-    write_json(os.path.join(out, "gradcheck.json"), report)
+    out.report("gradcheck.json", fd_table=fd_rows, taylor_table=taylor_rows,
+               max_rel_error=max_rel, taylor_order=order,
+               tol_rel=gc["tol_rel"], passed=passed)
     return 0 if passed else 1
 
 
 def run_optimize(cfg: dict, out_dir) -> int:
-    out = _prep_out(out_dir)
-    h = config_hash(cfg)
+    out = _Output(cfg, out_dir, "optimize")
     rng = np.random.default_rng(cfg["seed"])
     problem, _ = build_problem(cfg, rng)
     state = optimize(problem, control_field(cfg, problem.window, rng),
                      OptimOptions(**cfg["optimizer"]))
-    write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
-    export_trajectory_csv(os.path.join(out, "omega.csv"), problem.domain,
-                          problem.tg, {"omega": apply_B(problem.window,
-                                                        state.omega)},
-                          _csv_params(cfg, "optimize"), h)
+    out.log(state)
+    out.csv("omega.csv", problem.domain, problem.tg,
+            {"omega": apply_B(problem.window, state.omega)})
     fo = first_order_residuals(problem, state)
-    report = _report_stub(cfg, "optimize")
-    report.update(_optim_summary(state), first_order=fo)
-    write_json(os.path.join(out, "run.json"), report)
+    out.report("run.json", **_optim_summary(state), first_order=fo)
     return 0 if state.converged else 1
 
 
 def run_twin(cfg: dict, out_dir) -> int:
-    out = _prep_out(out_dir)
-    h = config_hash(cfg)
+    out = _Output(cfg, out_dir, "twin")
     rng = np.random.default_rng(cfg["seed"])
     # twin tracks the configured control's trajectory, whatever cost.z_d is
     cfg_twin = dict(cfg, cost=dict(cfg["cost"], z_d="twin"))
@@ -250,12 +230,11 @@ def run_twin(cfg: dict, out_dir) -> int:
     window = problem.window
     state = optimize(problem, window.zero_control(),
                      OptimOptions(**cfg["optimizer"]))
-    write_log_csv(os.path.join(out, "optimize_log.csv"), state.log_rows())
+    out.log(state)
     for name, col, omega in (("omega_true.csv", "omega_true", omega_true),
                              ("omega_opt.csv", "omega", state.omega)):
-        export_trajectory_csv(os.path.join(out, name), problem.domain,
-                              problem.tg, {col: apply_B(window, omega)},
-                              _csv_params(cfg, "twin"), h)
+        out.csv(name, problem.domain, problem.tg,
+                {col: apply_B(window, omega)})
 
     J0, Jf = state.costs[0], state.costs[-1]
     drop = J0 / Jf if Jf > 0 else (1.0 if J0 == 0 else math.inf)
@@ -264,13 +243,11 @@ def run_twin(cfg: dict, out_dir) -> int:
     _, parts = cost(problem, state.omega, state.ftraj)
     true_n = norm_q0(window, omega_true)
     ctrl_err = norm_q0(window, state.omega - omega_true)
-    report = _report_stub(cfg, "twin")
-    report.update(
-        _optim_summary(state), J_drop_factor=drop,
+    out.report(
+        "twin.json", **_optim_summary(state), J_drop_factor=drop,
         tracking_error_sq=2.0 * parts["tracking"], control_error=ctrl_err,
         control_error_rel=ctrl_err / true_n if true_n > 0 else 0.0,
         control_true_norm=true_n, lambda_ratio=lam_ratio)
-    write_json(os.path.join(out, "twin.json"), report)
     return 0 if state.converged else 1
 
 
@@ -356,7 +333,7 @@ def _soft_checks(problem, state, so):
 
 
 def run_verify(cfg: dict, out_dir) -> int:
-    out = _prep_out(out_dir)
+    out = _Output(cfg, out_dir, "verify")
     rng = np.random.default_rng(cfg["seed"])
     problem, _ = build_problem(cfg, rng)
     state = optimize(problem, control_field(cfg, problem.window, rng),
@@ -370,16 +347,13 @@ def run_verify(cfg: dict, out_dir) -> int:
     soft = _soft_checks(problem, state, so)
 
     passed = all(r["passed"] for r in hard)
-    report = _report_stub(cfg, "verify")
-    report.update({
-        "hard": hard, "soft": soft, "first_order": fo, "second_order": so,
-        "optimizer": {"converged": state.converged,
-                      "n_iters": state.n_iters,
-                      "J_final": state.costs[-1],
-                      "grad_norm_final": state.grad_norms[-1]},
-        "passed": passed,
-    })
-    write_json(os.path.join(out, "verify.json"), report)
+    out.report("verify.json", hard=hard, soft=soft, first_order=fo,
+               second_order=so,
+               optimizer={"converged": state.converged,
+                          "n_iters": state.n_iters,
+                          "J_final": state.costs[-1],
+                          "grad_norm_final": state.grad_norms[-1]},
+               passed=passed)
     print(format_verify_table(hard, soft, passed))
     return 0 if passed else 1
 

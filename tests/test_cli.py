@@ -8,6 +8,7 @@ from conftest import HUGE_STATES
 from mchcontrol import cli
 from mchcontrol.analysis import make_report
 from mchcontrol.cli import main
+from mchcontrol.config import config_hash, load_config
 from mchcontrol.runners import format_verify_table
 
 BASE = {
@@ -53,6 +54,44 @@ def test_forward_outputs_and_determinism(tmp_path):
     assert lines[0].startswith("# config_sha256=")
     header = next(l for l in lines if not l.startswith("#"))
     assert header.split(",") == ["t", "x", "y", "u"]
+
+
+# each command's JSON report and trajectory CSVs (each with a .json sidecar)
+ARTIFACTS = {
+    "forward": ("run.json", ["trajectory.csv"]),
+    "adjoint": ("run.json", ["adjoint.csv"]),
+    "gradcheck": ("gradcheck.json", []),
+    "optimize": ("run.json", ["omega.csv"]),
+    "twin": ("twin.json", ["omega_true.csv", "omega_opt.csv"]),
+    "verify": ("verify.json", []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_every_artifact_carries_the_config_stamp(tmp_path, command):
+    """The report, each CSV's first line and each sidecar carry the sha256
+    of the resolved config; optimize_log.csv, which optimize and twin also
+    write, starts with its column header instead."""
+    cfg = write_cfg(tmp_path)
+    want = config_hash(load_config(cfg))
+    out = tmp_path / "o"
+    assert run(command, cfg, out) == 0
+    report_name, csvs = ARTIFACTS[command]
+    files = {report_name, *csvs, *(c[:-4] + ".json" for c in csvs)}
+    if command in ("optimize", "twin"):
+        files.add("optimize_log.csv")
+        log = (out / "optimize_log.csv").read_text().splitlines()
+        assert log[0] == "iter,J,grad_norm,step"
+    assert {f.name for f in out.iterdir()} == files
+    report = json.loads((out / report_name).read_text())
+    assert (report["schema_version"], report["config_sha256"],
+            report["command"]) == (1, want, command)
+    for name in csvs:
+        first = (out / name).read_text().split("\n", 1)[0]
+        assert first == f"# config_sha256={want}"
+        side = json.loads((out / name).with_suffix(".json").read_text())
+        assert (side["schema_version"], side["config_sha256"],
+                side["command"]) == (1, want, command)
 
 
 def test_seed_override_changes_hash(tmp_path):

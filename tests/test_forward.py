@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import os
@@ -12,7 +13,7 @@ from conftest import bump_control
 from mchcontrol import cli, cmarch
 from mchcontrol.errors import (DomainMismatchError, NumericsError,
                               StabilityWarning)
-from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, inner_h
+from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, inner_h, norm_ct_h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward,
@@ -318,6 +319,55 @@ def test_weak_residual_refines_at_first_order():
     r1 = weak_residual(ft1, p1, w1, om1)
     r2 = weak_residual(ft2, p2, w2, om2)
     assert math.log2(r1 / r2) >= 1.0
+
+
+def manufactured(dom, tg, eps, k):
+    """Exact frames y = u - u_xx of u = a1 sin(pi x/L) + a2 sin(2 pi x/L),
+    a1 = 0.35 (1 + t), a2 = 0.15 cos 3t, and the forcing
+    f = y_t - eps y_xx + (u^2 - u_x^2) y_x + 2 u_x y^2 + k u_x they solve."""
+    t = tg.t[:, None]
+    modes = ((0.35 * (1.0 + t), np.full_like(t, 0.35)),
+             (0.15 * np.cos(3.0 * t), -0.45 * np.sin(3.0 * t)))
+    u = ux = y = yt = yx = yxx = 0.0
+    for m, (a, at) in enumerate(modes, start=1):
+        w = m * math.pi / dom.L
+        s, c = np.sin(w * dom.x), np.cos(w * dom.x)
+        g = 1.0 + w * w  # y = g u on this mode
+        u, ux = u + a * s, ux + a * w * c
+        y, yt = y + g * a * s, yt + g * at * s
+        yx, yxx = yx + g * a * w * c, yxx - g * a * w * w * s
+    return y, yt - eps * yxx + (u * u - ux * ux) * yx + 2.0 * ux * y * y \
+        + k * ux
+
+
+def manufactured_error(n, N):
+    """C(H) error of the march under the manufactured forcing, fed as the
+    control of the whole-lattice window (every step's left endpoint), and
+    dt + h^2."""
+    dom, tg = Domain1D(2.0, n), TimeGrid(0.8, N)
+    window = ControlWindow(dom, tg, 0.0, dom.L, 0.0, tg.T)
+    y, f = manufactured(dom, tg, 0.08, 0.6)
+    ft = solve_forward(dom, tg, ModelParams(0.08, 0.6), y[0], window, f[:-1])
+    return norm_ct_h(dom, tg, ft.y - y), tg.dt + dom.h ** 2
+
+
+def test_forward_manufactured_solution_first_order():
+    errs = [manufactured_error(n, N) for n, N in ((24, 60), (48, 240),
+                                                  (96, 960))]
+    for (e1, s1), (e2, s2) in zip(errs, errs[1:]):
+        assert math.log(e1 / e2) / math.log(s1 / s2) >= 0.9
+
+
+def test_forward_manufactured_solution_first_order_in_dt():
+    # h^2 at n = 384 is under 3e-5, so dt alone sets the error; dt from
+    # 0.002 up breaks the advisory CFL bound on this flow, which warns
+    errs = []
+    for N in (100, 200, 400, 800):
+        with (pytest.warns(StabilityWarning) if N <= 400
+              else contextlib.nullcontext()):
+            errs.append(manufactured_error(384, N)[0])
+    for e1, e2 in zip(errs, errs[1:]):
+        assert math.log2(e1 / e2) >= 0.9
 
 
 def test_weak_residual_flags_corruption():

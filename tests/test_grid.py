@@ -9,7 +9,7 @@ from mchcontrol.grid import (Domain1D, TimeGrid, as_field, as_trajectory,
                              norm_vstar_sq,
                              norm_l2h, norm_ct_h, norm_l2v, norm_wv,
                              wall_slopes, grad_norm_sq,
-                             random_smooth_trajectory,
+                             random_smooth_trajectories,
                              measure_embedding_constant, velocity)
 from mchcontrol.helmholtz import get_operator
 
@@ -173,8 +173,37 @@ def test_embedding_constant_deterministic():
     assert a == b
     assert a > 0.0
     # the estimate dominates the sampled trajectories by construction
-    Y = random_smooth_trajectory(dom, tg, np.random.default_rng(7), 1)[0]
+    Y = next(random_smooth_trajectories(dom, tg, np.random.default_rng(7), 1))
     assert norm_ct_h(dom, tg, Y) <= a * norm_wv(dom, tg, Y) * (1.0 + 1e-12)
+
+
+def stacked_smooth_trajectories(domain, tg, rng, n_samples):
+    """Oracle: all n_samples trajectories as one (n_samples, N+1, n) stack,
+    from the same single coefficient draw."""
+    ms = np.arange(1, min(8, domain.n_interior) + 1)
+    sines = np.sin(np.outer(domain.x, ms * math.pi / domain.L))
+    ks = np.arange(6)
+    coef = rng.standard_normal((n_samples, ms.size, ks.size))
+    coef /= (1.0 + ks) ** 2
+    cosines = np.cos(np.outer(tg.t / tg.T, ks * math.pi))
+    prof = cosines @ np.swapaxes(coef, -1, -2) / ms ** 2
+    return prof @ sines.T
+
+
+@pytest.mark.parametrize("n,N,n_samples,seed", [
+    (3, 1, 1, 7), (5, 7, 3, 12345), (24, 20, 8, 7), (48, 160, 16, 4242),
+    (257, 33, 33, 12345)])
+def test_smooth_trajectories_match_stack(n, N, n_samples, seed):
+    # built one at a time, each trajectory is its slice of the stack, bit
+    # for bit, and the generator ends in the same state
+    dom, tg = Domain1D(2.0, n), TimeGrid(0.8, N)
+    rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
+    got = list(random_smooth_trajectories(dom, tg, rng_a, n_samples))
+    want = stacked_smooth_trajectories(dom, tg, rng_b, n_samples)
+    assert len(got) == n_samples
+    for Y, Z in zip(got, want):
+        assert Y.shape == Z.shape and Y.tobytes() == Z.tobytes()
+    assert rng_a.random() == rng_b.random()
 
 
 # (function, number of trailing axes one value is taken over): 1 for the
