@@ -1,12 +1,13 @@
 /* The tridiagonal kernel I - c*D2 of both implicit operators, the step
    loops of the forward, tangent and backward IMEX marches, and the row
-   writer of the trajectory CSV. pttrf and the solve are reference LAPACK's
-   dpttrf and dptts2, operation for operation, and each march expression is
+   writer of the trajectory CSV. pttrf is reference LAPACK's dpttrf,
+   operation for operation, plus the twist pivot; the solve is the twisted
+   (two-ended) L D L^T solve on those factors, and each march expression is
    one numpy node of the scheme, in the same order, so every frame is bit
-   for bit that of the numpy reference loops of the tests. Build with
-   -ffp-contract=off and without -ffast-math: a fused multiply-add or a
-   reassociated sum would change the bits. Rows are indexed with
-   ptrdiff_t; n is a C int in the marches.
+   for bit that of the numpy reference loops of the tests, which solve with
+   the same kernel. Build with -ffp-contract=off and without -ffast-math: a
+   fused multiply-add or a reassociated sum would change the bits. Rows are
+   indexed with ptrdiff_t; n is a C int in the marches.
 
    csv_rows formats every float as Python's repr does. Values outside its
    exact fast range go to CPython's own formatter, which allocates with
@@ -19,33 +20,58 @@
 #include <string.h>
 
 /* L D L^T of the SPD tridiagonal matrix with diagonal d (n entries) and
-   off-diagonal e (n - 1), in place: d becomes D and e the subdiagonal of
-   the unit bidiagonal L (dpttrf; no pivot is nonpositive for c >= 0) */
+   off-diagonal e (n - 1, and one slot more), in place: d becomes D and e
+   the subdiagonal of the unit bidiagonal L (dpttrf; no pivot is
+   nonpositive for c >= 0). e[n - 1] gets solve's twist pivot: the pivot
+   d[p] of row p = n/2 less the term e[m-1]*E of the m = n-1-p rows below
+   it, E the off-diagonal, read from the bottom (the matrix is
+   persymmetric). */
 void pttrf(int n, double *d, double *e)
 {
+    ptrdiff_t p = n / 2, m = n - 1 - p;
+    double ep = e[p];
     for (ptrdiff_t i = 0; i < n - 1; i++) {
         double ei = e[i];
         e[i] = ei / d[i];
         d[i + 1] = d[i + 1] - e[i] * ei;
     }
+    e[n - 1] = m ? d[p] - e[m - 1] * ep : d[p];
 }
 
-/* solve L D L^T x = b in place on the n entries of b (dptts2 for n >= 2;
-   LAPACK multiplies by 1/d at n = 1, and grids have n >= 3). The last
-   entry written is carried in x: b may alias d and e for all the compiler
-   knows, so re-reading it would be a load per node. */
+/* solve L D L^T x = b in place on the n entries of b, twisted at p
+   (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997): the top rows 0..p-1 are
+   eliminated downwards as dptts2 does, and at once the bottom rows
+   n-1..p+1 upwards with the same factors, node n-1-i reading d[i] and e[i]
+   as node i does; row p takes both and divides by the twist pivot, and
+   the back substitution runs outward from p. Each sweep is two independent
+   chains of at most p nodes. The last entry of each chain is carried in x
+   and y: b may alias d and e for all the compiler knows, so re-reading it
+   would be a load per node. */
 static void solve(const double *d, const double *e, double *b, int n)
 {
-    double x = b[0];
-    ptrdiff_t i;
-    for (i = 1; i < n; i++)
+    ptrdiff_t p = n / 2, m = n - 1 - p, i;
+    double x = b[0], y = b[n - 1];
+    for (i = 1; i < m; i++) {
         b[i] = x = b[i] - x * e[i - 1];
-    b[n - 1] = x = x / d[n - 1];
-    for (i = n - 2; i >= 0; i--)
+        b[n - 1 - i] = y = b[n - 1 - i] - y * e[i - 1];
+    }
+    if (i < p)
+        b[i] = x = b[i] - x * e[i - 1];
+    double z = b[p];
+    if (p)
+        z = z - x * e[p - 1];
+    if (m)
+        z = z - y * e[m - 1];
+    b[p] = x = y = z / e[n - 1];
+    if (m < p)
+        b[m] = x = b[m] / d[m] - x * e[m];
+    for (i = m - 1; i >= 0; i--) {
         b[i] = x = b[i] / d[i] - x * e[i];
+        b[n - 1 - i] = y = b[n - 1 - i] / d[i] - y * e[i];
+    }
 }
 
-/* dpttrs on nrhs right-hand sides, the rows of width n of b */
+/* solve on nrhs right-hand sides, the rows of width n of b */
 void ptts2(int n, ptrdiff_t nrhs, const double *d, const double *e,
            double *b)
 {

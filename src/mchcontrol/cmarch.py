@@ -5,8 +5,9 @@ The source is compiled when the kernel is first needed (the first operator
 factored, or the output directory a command is about to make), never at
 import, by the compiler that CC names, or else sysconfig's CC, with FLAGS:
 -ffp-contract=off and no -ffast-math or -march=native, so no multiply-add is
-fused, the factor and solve are reference LAPACK's dpttrf and dptts2 bit for
-bit, and every frame is bit for bit the numpy expressions the loops mirror.
+fused and at every optimization level the factor is reference LAPACK's
+dpttrf bit for bit, the twisted solve the recurrences tests/test_helmholtz.py
+writes out, and every frame the numpy expressions the loops mirror.
 The shared object is cached in the package's __pycache__, named by a hash
 of the source, the flags, the compiler command and its --version output,
 and written to a temporary file that is renamed into place; a private

@@ -6,9 +6,13 @@ Both implicit operators of the scheme are this family: the Helmholtz map
 implicit-diffusion step is c = dt*eps. Each is factored once as LDL^T
 (pttrf) and cached per grid and shift; every solve is one ptts2 call on a
 C-ordered copy of a field or of an (..., n) stack of frames, each frame a
-right-hand side. pttrf and ptts2 are compiled C (cmarch.c), reference
-LAPACK's dpttrf and dptts2 operation for operation, and the compiled step
-loops solve with the same code on a kernel's factors _d and _e.
+right-hand side. pttrf and ptts2 are compiled C (cmarch.c): pttrf is
+reference LAPACK's dpttrf operation for operation plus the twist pivot,
+and the solve is twisted, eliminating from both ends at once with the same
+factors, so each sweep is two independent chains of half the length. The
+compiled step loops solve with the same code on a kernel's factors _d and
+_e. tests/test_helmholtz.py holds the factors to dpttrf byte for byte, the
+solve to its recurrences byte for byte and to a backward-error bound.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ from .errors import DomainMismatchError
 
 class ShiftedLaplacianSolver:
     """Prefactored LDL^T of (I - c * D2), c >= 0, on a domain's interior
-    nodes (any object with n_interior and h)."""
+    nodes (any object with n_interior and h): D in _d, the subdiagonal of L
+    and the twist pivot in _e, n entries each."""
 
     def __init__(self, domain, c: float):
         if c < 0:
             raise ValueError("shift c must be nonnegative")
         n = domain.n_interior
         r = c / domain.h ** 2
-        self._d, self._e = np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r)
+        self._d, self._e = np.full(n, 1.0 + 2.0 * r), np.full(n, -r)
         self._factors = self._d.ctypes.data, self._e.ctypes.data
         lib = cmarch.library()
         lib.pttrf(n, *self._factors)

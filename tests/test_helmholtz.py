@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,36 +113,119 @@ def test_solve_refuses_what_it_cannot_address():
         assert s.solve(b).tobytes() == want.tobytes()
 
 
+def twisted_solve(d, e, gamma, b) -> list:
+    """The twisted recurrences of the kernel's solve, one float operation at
+    a time on the dpttrf factors d, e: the top rows 0..p-1 downwards and the
+    bottom rows n-1..p+1 upwards with the factors reversed, row p with both
+    and the twist pivot gamma, then outward from p."""
+    n = len(b)
+    p = n // 2
+    m = n - 1 - p
+    x = [float(v) for v in b]
+    for i in range(1, p):
+        x[i] = x[i] - x[i - 1] * e[i - 1]
+        if i < m:
+            x[n - 1 - i] = x[n - 1 - i] - x[n - i] * e[i - 1]
+    z = x[p] - x[p - 1] * e[p - 1]
+    x[p] = (z - x[p + 1] * e[m - 1]) / gamma
+    for i in range(p - 1, -1, -1):
+        x[i] = x[i] / d[i] - x[i + 1] * e[i]
+        if i < m:
+            x[n - 1 - i] = x[n - 1 - i] / d[i] - x[n - 2 - i] * e[i]
+    return x
+
+
+def backward_error(a: float, off: float, x, b) -> Fraction:
+    """||b - A x||_inf / (||A||_inf ||x||_inf), exactly, for the
+    tridiagonal Toeplitz A with diagonal a and off-diagonal off (n >= 3)."""
+    xs = [Fraction(0), *map(Fraction, x), Fraction(0)]
+    A, E = Fraction(a), Fraction(off)
+    r = max(abs(Fraction(bi) - A * xs[i + 1] - E * (xs[i] + xs[i + 2]))
+            for i, bi in enumerate(b))
+    return r / ((abs(A) + 2 * abs(E)) * max(map(abs, xs)))
+
+
+def gamma_u(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53."""
+    u = Fraction(1, 2 ** 53)
+    return k * u / (1 - k * u)
+
+
+# the normwise backward error of the twisted solve, LDL^T in the symmetric
+# order 0..p-1, n-1..p+1, p (CHANGES.md derives it): gamma_7 / (1 - gamma_3)
+BACKWARD_BOUND = gamma_u(7) / (1 - gamma_u(3))
+
+
 @PROPERTY
 @given(n=st.integers(3, 300), k=st.integers(1, 4),
        shift=st.floats(-8.0, 8.0), L=st.sampled_from([1.0, 2.0, math.pi]),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(n=3, k=1, shift=-8.0, L=1.0, seed=0)
+@example(n=4, k=2, shift=0.0, L=2.0, seed=2)
 @example(n=300, k=4, shift=8.0, L=math.pi, seed=1)
-def test_kernel_is_lapack_bit_for_bit(n, k, shift, L, seed):
-    """The compiled pttrf and solve are LAPACK's dpttrf and dpttrs (scipy's
-    binding, an oracle independent of the kernel) byte for byte: the
-    factors at shifts 1e-8..1e8, and the solutions of frames up to 1e+-100
-    in size, in every layout of a frame stack, which solve leaves as it
-    was."""
+def test_kernel_factors_are_lapack_and_solve_twisted(n, k, shift, L, seed):
+    """The compiled pttrf is LAPACK's dpttrf (scipy's binding, an oracle
+    independent of the kernel) byte for byte at shifts 1e-8..1e8, and its
+    twist pivot is the top pivot less the bottom row's term. The solve of
+    frames up to 1e+-100 in size is the twisted recurrences of
+    twisted_solve byte for byte, in every layout of a frame stack, which
+    it leaves as it was; each solution's exact normwise backward error is
+    within BACKWARD_BOUND, and so it lies within the forward error that
+    bound allows of dpttrs's."""
     dom = Domain1D(L, n)
     c = 10.0 ** shift
     s = ShiftedLaplacianSolver(dom, c)
     r = c / dom.h ** 2
-    d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
+    a, p, m = 1.0 + 2.0 * r, n // 2, n - 1 - n // 2
+    d, e, info = dpttrf(np.full(n, a), np.full(n - 1, -r))
     assert info == 0
-    assert s._d.tobytes() == d.tobytes() and s._e.tobytes() == e.tobytes()
+    gamma = d[p] - e[m - 1] * -r
+    assert s._d.tobytes() == d.tobytes()
+    assert s._e.tobytes() == np.append(e, gamma).tobytes()
     rng = np.random.default_rng(seed)
     rhs = (rng.uniform(-1.0, 1.0, (k, n))
            * 10.0 ** rng.integers(-100, 101, (k, n)))
+    want = np.array([twisted_solve(d.tolist(), e.tolist(), gamma, b)
+                     for b in rhs.tolist()])
     for name, view in layouts(n, k).items():
         buf = np.zeros(k * (n + 2))
         b = view(buf)
         b[...] = rhs if b.ndim == 2 else rhs[0]
         before = buf.copy()
-        want = dpttrs(d, e, b.T)[0].T
-        assert s.solve(b).tobytes() == want.tobytes(), name
+        got = s.solve(b)
+        assert got.tobytes() == (want if b.ndim == 2 else want[0]).tobytes(), \
+            name
         assert buf.tobytes() == before.tobytes(), name
+    # A is an M-matrix, so ||A^-1||_inf = ||A^-1 1||_inf, which dpttrs
+    # gives to far better than the 1% added
+    kappa = (a + 2.0 * r) * 1.01 * dpttrs(d, e, np.ones(n))[0].max()
+    delta = kappa * BACKWARD_BOUND / (1 - kappa * BACKWARD_BOUND)
+    for x, b in zip(want, rhs):
+        assert backward_error(a, -r, x, b) <= BACKWARD_BOUND
+        ref = dpttrs(d, e, b)[0]
+        assert np.abs(x - ref).max() <= 2 * delta / (1 - delta) \
+            * np.abs(ref).max()
+
+
+@PROPERTY
+@given(n=st.integers(3, 64), node=st.integers(0, 63),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       c=st.just(0.0) | st.floats(-8.0, 8.0).map(lambda s: 10.0 ** s),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, node=0, bad=math.nan, c=1.0, seed=0)
+@example(n=3, node=2, bad=math.inf, c=1.0, seed=0)
+@example(n=4, node=3, bad=-math.inf, c=1.0, seed=0)
+@example(n=4, node=1, bad=math.inf, c=0.0, seed=0)
+def test_a_nonfinite_node_spreads_over_the_solution(n, node, bad, c, seed):
+    """A NaN, +Inf or -Inf at any node of a right-hand side makes every
+    entry of its solution non-finite: it reaches the twist row through its
+    own chain and both chains from there, on odd and even n, also where a
+    chain of the elimination is empty (n = 3 and 4). forward's
+    _first_nonfinite relies on it."""
+    s = ShiftedLaplacianSolver(Domain1D(1.0, n), c)
+    b = np.random.default_rng(seed).standard_normal(n)
+    b[node % n] = bad
+    assert not np.isfinite(s.solve(b)).any()
 
 
 def test_velocity_identity(rng):

@@ -1,6 +1,8 @@
 """The compiled forward, tangent and adjoint step loops against reference
 copies of numpy loops, which index rows per step and solve into new arrays
-with the same kernel (test_helmholtz holds that kernel to LAPACK's bits).
+with the same kernel: the twisted solve, which test_helmholtz holds byte for
+byte to its scalar recurrences, its factors to LAPACK's dpttrf, and its
+backward error to a derived bound.
 
 Both compute the same expression trees, so every frame must agree byte for
 byte, not to a tolerance: on fixed grids, and as properties over random
