@@ -1,11 +1,14 @@
 /* The tridiagonal kernel I - c*D2 of both implicit operators, the step
-   loops of the forward, tangent and backward IMEX marches, and the row
-   writer of the trajectory CSV. pttrf is reference LAPACK's dpttrf,
-   operation for operation, plus the twist pivot; the solve is the twisted
-   (two-ended) L D L^T solve on those factors, and each march expression is
-   one numpy node of the scheme, in the same order, so every frame is bit
-   for bit that of the numpy reference loops of the tests, which solve with
-   the same kernel. Build with -ffp-contract=off and without -ffast-math: a
+   loops of the forward, tangent and backward IMEX marches, the optimizer's
+   pairings (the L2(Q0) product, the L-BFGS two-loop and the tracking
+   misfit) and the row writer of the trajectory CSV. pttrf is reference
+   LAPACK's dpttrf, operation for operation, plus the twist pivot; the
+   solve is the twisted (two-ended) L D L^T solve on those factors, and
+   each march expression is one numpy node of the scheme, in the same
+   order, so every frame is bit for bit that of the numpy reference loops
+   of the tests, which solve with the same kernel; the pairings add their
+   terms in the one documented order of pair_row, as do the tests'
+   reference loops. Build with -ffp-contract=off and without -ffast-math: a
    fused multiply-add or a reassociated sum would change the bits. Rows are
    indexed with ptrdiff_t; n is a C int in the marches.
 
@@ -181,25 +184,27 @@ void tangent_march(const double *kd, const double *ke, const double *dd,
 /* Backward recursion in lam (C-ordered rows of width n): frames
    stop..top-1 from frame top, as tangent_adjoint._march_back documents.
    Y, U, UX are the base frames with row strides ys, us, xs; kd, ke factor
-   the Helmholtz kernel, dd, de the implicit diffusion. work holds 4n + 4
-   doubles, its first 2n + 4 zero. */
+   the Helmholtz kernel, dd, de the implicit diffusion. Frame k - 1 takes
+   its source dt*(S[k] - M[k]) (dt*S[k] for M NULL), S and M rows of
+   strides ss, ms, as the step reaches it. work holds 4n + 4 doubles, its
+   first 2n + 4 zero. */
 void march_back(const double *kd, const double *ke, const double *dd,
                 const double *de, int n, ptrdiff_t N, ptrdiff_t stop,
                 ptrdiff_t top, double dt, double cc, double h2, double kk,
                 double last, const double *Y, ptrdiff_t ys,
                 const double *U, ptrdiff_t us, const double *UX, ptrdiff_t xs,
+                const double *S, ptrdiff_t ss, const double *M, ptrdiff_t ms,
                 double *lam, double *work)
 {
     double *pa = work + 1, *pe = work + n + 3;  /* zero-padded rows */
     double *cw = work + 2 * n + 4, *bw = work + 3 * n + 4;
     ptrdiff_t f = top < N - 1 ? top : N - 1, k, i;
-    for (k = stop; k < top; k++)
-        for (i = 0; i < n; i++)
-            lam[k * n + i] = dt * lam[k * n + i];
     double *psi = lam + f * n;
     if (top == N) {
-        for (i = 0; i < n; i++)
-            psi[i] = last * psi[i];
+        for (i = 0; i < n; i++) {
+            double s = M ? S[N * ss + i] - M[N * ms + i] : S[N * ss + i];
+            psi[i] = last * (dt * s);
+        }
         solve(dd, de, psi, n);
     }
     for (k = f; k > stop; k--) {
@@ -219,11 +224,102 @@ void march_back(const double *kd, const double *ke, const double *dd,
             bw[i] = bw[i] + (pa[i + 1] - pa[i - 1]);
         }
         solve(kd, ke, cw, n);
-        for (i = 0; i < n; i++)
-            lam1[i] = (bw[i] - cw[i]) + lam1[i];
+        for (i = 0; i < n; i++) {
+            double s = M ? S[k * ss + i] - M[k * ms + i] : S[k * ss + i];
+            lam1[i] = (bw[i] - cw[i]) + dt * s;
+        }
         solve(dd, de, lam1, n);
         psi = lam1;
     }
+}
+
+/* term i of pair_row */
+static inline double term(const double *p, const double *q, const double *z,
+                          ptrdiff_t i)
+{
+    return z ? (p[i] - z[i]) * (q[i] - z[i]) : p[i] * q[i];
+}
+
+/* The sum of (p[i] - z[i]) * (q[i] - z[i]) over a row of n, or of
+   p[i] * q[i] for z NULL: four interleaved partial sums from 0.0, s_j
+   taking the terms i = j mod 4 in order of i, combined as
+   (s0 + s1) + (s2 + s3). The four chains are independent, so the sum runs
+   at the adder's throughput rather than its latency. */
+static inline double pair_row(const double *p, const double *q,
+                              const double *z, ptrdiff_t n)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    ptrdiff_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        s0 = s0 + term(p, q, z, i);
+        s1 = s1 + term(p, q, z, i + 1);
+        s2 = s2 + term(p, q, z, i + 2);
+        s3 = s3 + term(p, q, z, i + 3);
+    }
+    if (i < n)
+        s0 = s0 + term(p, q, z, i);
+    if (i + 1 < n)
+        s1 = s1 + term(p, q, z, i + 1);
+    if (i + 2 < n)
+        s2 = s2 + term(p, q, z, i + 2);
+    return (s0 + s1) + (s2 + s3);
+}
+
+/* scale times the L2(Q0) pairing of p and q, rows of width n with row
+   strides ps, qs: the row sums added in row order from 0.0 */
+double pair_q0(ptrdiff_t rows, ptrdiff_t n, double scale, const double *p,
+               ptrdiff_t ps, const double *q, ptrdiff_t qs)
+{
+    double acc = 0.0;
+    for (ptrdiff_t k = 0; k < rows; k++)
+        acc = acc + pair_row(p + k * ps, q + k * qs, NULL, n);
+    return scale * acc;
+}
+
+/* d = -H g of the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4)
+   over the m pairs (S[j], Y[j], rho[j]), oldest first, with H0 = gamma I
+   when m > 0: SY holds the m pointers S[j], then the m pointers Y[j], and
+   rho the m rho[j], then m doubles of work for the alphas. S[j], Y[j], g
+   and d are C-ordered rows x n blocks, paired by pair_q0 with scale. Each
+   update is one numpy node of the reference: d - a*y, d*gamma, d + b*s.
+   Returns the slope <g, d>. */
+double two_loop(ptrdiff_t rows, ptrdiff_t n, double scale, ptrdiff_t m,
+                const double *const *SY, double *rho, double gamma,
+                const double *g, double *d)
+{
+    const double *const *S = SY, *const *Y = SY + m;
+    double *alpha = rho + m;
+    ptrdiff_t size = rows * n, i;
+    for (i = 0; i < size; i++)
+        d[i] = -g[i];
+    for (ptrdiff_t j = m - 1; j >= 0; j--) {
+        double a = alpha[j] = rho[j] * pair_q0(rows, n, scale, S[j], n, d, n);
+        for (i = 0; i < size; i++)
+            d[i] = d[i] - a * Y[j][i];
+    }
+    for (i = 0; m && i < size; i++)
+        d[i] = d[i] * gamma;
+    for (ptrdiff_t j = 0; j < m; j++) {
+        double b = alpha[j] - rho[j] * pair_q0(rows, n, scale, Y[j], n, d, n);
+        for (i = 0; i < size; i++)
+            d[i] = d[i] + b * S[j][i];
+    }
+    return pair_q0(rows, n, scale, g, n, d, n);
+}
+
+/* scale times the tracking misfit sum_k w_k sum_i (y - z)^2 of frames Y, Z
+   (rows of width n, strides ys, zs), w_k the trapezoid weight dt (dt/2 on
+   the first and last frame): each frame's sum is pair_row's, and the
+   weighted sums are added in frame order from 0.0 */
+double track(ptrdiff_t rows, ptrdiff_t n, double dt, double scale,
+             const double *Y, ptrdiff_t ys, const double *Z, ptrdiff_t zs)
+{
+    double acc = 0.0;
+    for (ptrdiff_t k = 0; k < rows; k++) {
+        double w = k == 0 || k == rows - 1 ? 0.5 * dt : dt;
+        acc = acc + w * pair_row(Y + k * ys, Y + k * ys, Z + k * zs, n);
+    }
+    return scale * acc;
 }
 
 typedef unsigned __int128 u128;

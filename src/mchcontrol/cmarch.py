@@ -1,5 +1,6 @@
 """The compiled tridiagonal kernel, the step loops of the forward, tangent
-and backward marches and the row writer of the trajectory CSV (cmarch.c).
+and backward marches, the optimizer's pairings and the row writer of the
+trajectory CSV (cmarch.c).
 
 The source is compiled when the kernel is first needed (the first operator
 factored, or the output directory a command is about to make), never at
@@ -12,10 +13,12 @@ The shared object is cached in the package's __pycache__, named by a hash
 of the source, the flags, the compiler command and its --version output,
 and written to a temporary file that is renamed into place; a private
 directory under the system temp directory takes it when __pycache__ cannot
-be written. It is loaded once with ctypes.PyDLL, so every call holds the
-GIL: the row writer hands the floats outside its exact fast range to
-CPython's own repr formatter, which allocates with PyMem_*. A compiler that
-is missing or fails raises KernelBuildError, an OSError.
+be written. Once it is loaded, the other cmarch-*.so objects of its
+directory are removed, so the cache holds one object per directory. It is
+loaded once with ctypes.PyDLL, so every call holds the GIL: the row writer
+hands the floats outside its exact fast range to CPython's own repr
+formatter, which allocates with PyMem_*. A compiler that is missing or
+fails raises KernelBuildError, an OSError.
 """
 
 from __future__ import annotations
@@ -43,12 +46,16 @@ ARGTYPES = {"pttrf": [_I, _P, _P], "ptts2": [_I, _S, _P, _P, _P],
             "tangent_march": [_P] * 4 + [_I] + [_S] * 5 + [_D] * 4
             + [_P, _S] * 3 + [_P] * 3,
             "march_back": [_P] * 4 + [_I, _S, _S, _S] + [_D] * 5
-            + [_P, _S] * 3 + [_P, _P],
+            + [_P, _S] * 5 + [_P, _P],
+            "pair_q0": [_S, _S, _D, _P, _S, _P, _S],
+            "two_loop": [_S, _S, _D, _S, _P, _P, _D, _P, _P],
+            "track": [_S, _S, _D, _D, _P, _S, _P, _S],
             "csv_rows": [_S, _S, _S] + [_P] * 3 + [_I] + [_P] * 3 + [_S]
             + [_P] * 3}
 # CPython's repr formatter and the free of what it returns, for csv_rows
 _PYAPI = [ctypes.cast(getattr(ctypes.pythonapi, f), _P)
           for f in ("PyOS_double_to_string", "PyMem_Free")]
+RESTYPES = {"csv_rows": _S, "pair_q0": _D, "two_loop": _D, "track": _D}
 CSV_BUFFER = 1 << 16  # bytes of CSV text per write
 
 
@@ -109,19 +116,36 @@ def _build() -> Path:
 
 @functools.cache
 def library():
-    """The loaded kernel, once per process."""
-    lib = ctypes.PyDLL(str(_build()))
+    """The loaded kernel, once per process. An object that another process
+    removed between its build and its load is built once more. Once it is
+    loaded, the other cmarch-*.so objects of its directory go; one that is
+    already gone, or cannot be removed, is left alone."""
+    path = _build()
+    try:
+        lib = ctypes.PyDLL(str(path))
+    except OSError:
+        if path.exists():
+            raise
+        path = _build()
+        lib = ctypes.PyDLL(str(path))
+    for old in path.parent.glob("cmarch-*.so"):
+        if old.name != path.name:
+            try:
+                old.unlink()
+            except OSError:
+                pass
     for fname, argtypes in ARGTYPES.items():
         getattr(lib, fname).argtypes = argtypes
-        getattr(lib, fname).restype = _S if fname == "csv_rows" else None
+        getattr(lib, fname).restype = RESTYPES.get(fname)
     return lib
 
 
-def _rows(what: str, shape: tuple, arrays) -> list:
+def _rows(what: str, shape: tuple, arrays, dims: str = "(N+1, n)") -> list:
     """(a, row stride in items) for each array of shape, a C-ordered copy
-    unless its rows are float64 with unit item stride; else ValueError."""
+    unless its rows are float64 with unit item stride; else ValueError
+    naming what and dims, the shape in words."""
     if any(a.shape != shape for a in arrays):
-        raise ValueError(f"{what} that is not (N+1, n)")
+        raise ValueError(f"{what} that is not {dims}")
     arrays = [a if a.dtype == np.float64 and a.strides[1] == 8
               and not a.strides[0] % 8
               else np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
@@ -170,20 +194,60 @@ def tangent_march(ksolver, dsolver, k0: int, s1: int, i0: int, dt: float,
 
 
 def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
-               h2: float, k: float, last: float, y, u, ux, lam) -> None:
-    """march_back of cmarch.c on the base frames y, u, ux (any layout),
+               h2: float, k: float, last: float, y, u, ux, source, minus,
+               lam) -> None:
+    """march_back of cmarch.c on the base frames y, u, ux and the source
+    less minus (minus None: the source alone), all (N+1, n) of any layout,
     filling frames stop..top-1 of the C-ordered float64 (N+1, n)
     multiplier lam in place."""
     N, n = lam.shape[0] - 1, lam.shape[1]
     if not 0 <= stop < top <= N:
         raise ValueError(f"march_back: frames {stop}..{top} of 0..{N}")
     _check("march_back", (lam, (N + 1, n)))
-    bases = _rows("march_back: a base frame array", lam.shape, (y, u, ux))
+    rows = _rows("march_back: a base frame or source array", lam.shape,
+                 (y, u, ux, source) + (() if minus is None else (minus,)))
+    ptrs = [x for a, s in rows for x in (a.ctypes.data, s)]
+    if minus is None:  # a NULL minus: the source alone
+        ptrs += [None, 0]
     work = np.zeros(4 * n + 4)
     library().march_back(
         *ksolver._factors, *dsolver._factors, n, N, stop, top, dt, cc, h2, k,
-        last, *(x for a, s in bases for x in (a.ctypes.data, s)),
-        lam.ctypes.data, work.ctypes.data)
+        last, *ptrs, lam.ctypes.data, work.ctypes.data)
+
+
+def pair_q0(scale: float, p, q) -> float:
+    """pair_q0 of cmarch.c: scale times the row pairings of the 2-D arrays
+    p and q of one shape (any layout), added in row order."""
+    (p, ps), (q, qs) = _rows("pair_q0: a block", p.shape, (p, q),
+                             "of the first one's shape")
+    return library().pair_q0(*p.shape, scale, p.ctypes.data, ps,
+                             q.ctypes.data, qs)
+
+
+def track(dt: float, scale: float, y, z) -> float:
+    """track of cmarch.c: scale times the trapezoid (step dt) sum over the
+    frames of the row pairings of y - z, 2-D arrays of one shape (any
+    layout)."""
+    (y, ys), (z, zs) = _rows("track: a trajectory", y.shape, (y, z))
+    return library().track(*y.shape, dt, scale, y.ctypes.data, ys,
+                           z.ctypes.data, zs)
+
+
+def two_loop(scale: float, memory, gamma: float, g):
+    """(d, <g, d>): d = -H g by two_loop of cmarch.c, over memory, the
+    (s, y, rho, address of s, address of y) entries of the L-BFGS pairs,
+    oldest first, whose s and y are C-ordered float64 blocks of g's shape;
+    pairings are pair_q0's with scale. The addresses and rho go in numpy
+    arrays: a ctypes array type of each new length would stay cached."""
+    m = len(memory)
+    _check("two_loop", (g, g.shape))
+    d = np.empty_like(g)
+    sy = np.array([e[k] for k in (3, 4) for e in memory], dtype=np.uintp)
+    rho = np.array([e[2] for e in memory] + [0.0] * m)
+    slope = library().two_loop(*g.shape, scale, m, sy.ctypes.data,
+                               rho.ctypes.data, gamma, g.ctypes.data,
+                               d.ctypes.data)
+    return d, slope
 
 
 def write_csv(f, t, x, cols) -> None:

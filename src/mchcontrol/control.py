@@ -18,13 +18,14 @@ from functools import partial
 
 import numpy as np
 
+from . import cmarch
 from .analysis import growth
 from .errors import NumericsError
 from .forward import (ControlWindow, ForwardTrajectory, ModelParams,
                       _on_grid, as_control, inner_q0, norm_q0, solve_forward,
                       transport_terms)
 from .grid import (Domain1D, TimeGrid, _shaped, as_trajectory, d1, d2,
-                   inner_h, norm_h_sq, norm_l2h, norm_ct_h, norm_l2v,
+                   inner_h, norm_h_sq, norm_ct_h, norm_l2v,
                    norm_vstar_sq, norm_wv, measure_embedding_constant,
                    velocity)
 from .tangent_adjoint import (AdjointState, adjoint_equation_residual,
@@ -84,9 +85,13 @@ class TrackingProblem:
 
 
 def misfit(problem: TrackingProblem, Y) -> float:
-    """0.5 * ||Y - z_d||^2 in L2(0,T;H)."""
-    diff = as_trajectory(problem.domain, problem.tg, Y) - problem.z_d
-    return 0.5 * norm_l2h(problem.domain, problem.tg, diff) ** 2
+    """0.5 * ||Y - z_d||^2 in L2(0,T;H): 0.5 h sum_k w_k sum_i (Y - z_d)^2
+    with the trapezoid weights w_k, by the compiled pairing of inner_q0
+    (cmarch.track), which reads the rows of Y and z_d and makes no
+    difference lattice."""
+    Y = as_trajectory(problem.domain, problem.tg, Y)
+    return cmarch.track(problem.tg.dt, 0.5 * problem.domain.h, Y,
+                        problem.z_d)
 
 
 def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
@@ -212,12 +217,14 @@ def optimize(problem: TrackingProblem, omega0,
     re-solve. Every iterate is a forward solve, so the log holds no state
     residual: it is roundoff by construction.
 
-    The control, the gradient, the search direction and the memory of
-    (s, y, rho) triples are window blocks, and each iteration's trials are
-    marched from one trial block. The gradient reads no multiplier frame
-    below the window's first step k0, so each iteration's adjoint stops at
-    k0, and the returned state's adjoint is finished once from there
-    (finish_adjoint): bit for bit the full march.
+    The control, the gradient, the search direction and the s and y of
+    the memory's (s, y, rho) pairs are window blocks, and each iteration's
+    trials are marched from one trial block. The direction and its slope come from
+    one compiled two-loop call (cmarch.two_loop) on the pairing of
+    inner_q0. The gradient reads no multiplier frame below the window's
+    first step k0, so each iteration's adjoint stops at k0, and the
+    returned state's adjoint is finished once from there (finish_adjoint):
+    bit for bit the full march.
 
     Only live arrays are held: while the line search marches, the iterate
     lives on only as its control and gradient; its trajectory and
@@ -235,6 +242,7 @@ def optimize(problem: TrackingProblem, omega0,
     ftraj = problem.solve(omega)
     J, _ = cost(problem, omega, ftraj)
     pair = partial(inner_q0, win)
+    scale = problem.tg.dt * problem.domain.h  # inner_q0's
     gb, info = reduced_gradient(problem, omega, ftraj, k0)
     gnorm = math.sqrt(pair(gb, gb))
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
@@ -247,21 +255,13 @@ def optimize(problem: TrackingProblem, omega0,
         state.message = "already optimal at the starting point"
         return _finished(problem, state, omega, gb, info)
 
-    memory = deque(maxlen=opts.memory)  # (s, y, rho) block arrays
+    # (s, y, rho) block arrays, with the addresses of s and y for two_loop
+    memory = deque(maxlen=opts.memory)
+    gamma = 1.0  # the newest pair's s.y / y.y, read once there is a pair
     step_prev = 1.0
     for it in range(1, opts.max_iters + 1):
         del ftraj, info  # the iterate lives on as omega and gb
-        d = -gb
-        if memory:
-            alpha_hist = []
-            for s, yv, rho in reversed(memory):
-                a = rho * pair(s, d)
-                alpha_hist.append(a)
-                d -= a * yv
-            d *= gamma  # the newest pair's s.y / y.y
-            for (s, yv, rho), a in zip(memory, reversed(alpha_hist)):
-                d += (a - rho * pair(yv, d)) * s
-        slope = pair(gb, d)
+        d, slope = cmarch.two_loop(scale, memory, gamma, gb)
         if slope >= 0:
             d = -gb
             slope = -gnorm ** 2
@@ -295,7 +295,8 @@ def optimize(problem: TrackingProblem, omega0,
         yv = gb - yv
         curv, yy = pair(s, yv), pair(yv, yv)
         if curv > 1e-14 * math.sqrt(pair(s, s)) * math.sqrt(yy):
-            memory.append((s, yv, 1.0 / curv))
+            memory.append((s, yv, 1.0 / curv, s.ctypes.data,
+                           yv.ctypes.data))
             gamma = curv / max(yy, 1e-300)
         gnorm = math.sqrt(pair(gb, gb))
         step_prev = min(4.0 * alpha, 1e3)
@@ -318,8 +319,8 @@ def _finished(problem: TrackingProblem, state: OptimState, omega, g,
     """The state with its final iterate, and the iterate's adjoint resumed
     below the frame its march stopped at."""
     ftraj = info["ftraj"]
-    state.adjoint = finish_adjoint(ftraj, info["adjoint"],
-                                   problem.z_d - ftraj.y, problem.model)
+    state.adjoint = finish_adjoint(ftraj, info["adjoint"], problem.z_d,
+                                   problem.model, minus=ftraj.y)
     state.omega, state.ftraj, state.grad = omega, ftraj, g
     return state
 
@@ -442,7 +443,7 @@ def coercivity_check(problem: TrackingProblem, state: OptimState, rng,
     c_embed = measure_embedding_constant(domain, tg, rng, n_embed_samples)
     C = c_embed ** 2
     C1 = 9.0 * C
-    r = norm_l2h(domain, tg, state.ftraj.y - problem.z_d)
+    r = math.sqrt(2.0 * misfit(problem, state.ftraj.y))
     lhs = M * r
     cond1_rhs = 3.0 * eps / (4.0 * C1) * math.exp(-c0 * T) if C1 > 0 else math.inf
     cond2_rhs = (3.0 * sigma * eps / (8.0 * C * c1) * math.exp(-c0 * T)

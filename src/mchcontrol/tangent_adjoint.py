@@ -113,19 +113,20 @@ def transposed_transport(domain: Domain1D, coeffs, phi) -> np.ndarray:
 
 
 def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
-                stop: int, top: int):
+                stop: int, top: int, source, minus=None):
     """lam[N] = 0, lam[N-1] = M^-1(last dt source[N]) and, for k < N,
     lam[k-1] = M^-1((I - dt T_k) lam[k] + dt source[k]), with M = I - dt eps
     D2 and T_k the transposed tangent term about base frame k.
 
     Fills frames stop..top-1 of lam in place from its frame top (the zero
-    final frame for top = N). On entry each of them holds the source of the
-    step that writes it (frame k-1 holds source[k]), and one multiply scales
-    them all by dt, so no source lattice is read. The steps are compiled C
-    (cmarch) that forms the coefficients of T_k from base frame k inside
-    the step, as the tangent march does, so the march works in O(n) memory
-    beside lam, which must be C-ordered. The discrete adjoint is last =
-    1/2, the continuous one last = 1. Raises NumericsError naming the first
+    final frame for top = N); what they held before is not read. source,
+    less minus when given (each a trajectory of any layout), is read row
+    by row: the step that writes frame k-1 forms dt*(source[k] - minus[k])
+    itself, so no source lattice is made. The steps are compiled C (cmarch)
+    that forms the coefficients of T_k from base frame k inside the step,
+    as the tangent march does, so the march works in O(n) memory beside
+    lam, which must be C-ordered. The discrete adjoint is last = 1/2, the
+    continuous one last = 1. Raises NumericsError naming the first
     non-finite frame.
     """
     domain, tg = ftraj.domain, ftraj.tg
@@ -133,7 +134,7 @@ def _march_back(ftraj: ForwardTrajectory, p: ModelParams, lam, last: float,
     cmarch.march_back(get_operator(domain),
                       get_operator(domain, tg.dt * p.epsilon), stop, top,
                       tg.dt, tg.dt / h2, h2, p.k, last, ftraj.y, ftraj.u,
-                      ftraj.ux, lam)
+                      ftraj.ux, source, minus, lam)
     bad = _first_nonfinite(lam[stop:top], backward=True)
     if bad is not None:
         raise NumericsError(
@@ -152,9 +153,9 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
     delta*omega - lambda|_Q0 and gives lambda = delta*omega at optima.
     Raises NumericsError with the frame index on NaN/Inf.
 
-    minus, a trajectory, is subtracted from the source as it is written
-    into the multiplier's frames: source z_d with minus y is the tracking
-    source bit for bit, with no lattice of its own.
+    minus, a trajectory, is subtracted from the source as each step reads
+    it: source z_d with minus y is the tracking source bit for bit, with no
+    lattice of its own.
 
     stop in 1..N-1 marches frames stop..N only, which is all the pairing
     needs for directions that vanish on steps before stop (a window whose
@@ -167,24 +168,19 @@ def solve_adjoint_discrete(ftraj: ForwardTrajectory, source,
         raise ValueError(f"stop={stop} is outside 0..N-1 for N={N}")
     source = as_trajectory(ftraj.domain, ftraj.tg, source)
     lam = np.zeros(source.shape)
-    if minus is None:
-        lam[stop:N] = source[stop + 1:]
-    else:
-        np.subtract(source[stop + 1:], minus[stop + 1:], out=lam[stop:N])
-    _march_back(ftraj, p, lam, 0.5, stop, N)
+    _march_back(ftraj, p, lam, 0.5, stop, N, source, minus)
     return AdjointState(lam, stop)
 
 
 def finish_adjoint(ftraj: ForwardTrajectory, adj: AdjointState, source,
-                   p: ModelParams) -> AdjointState:
+                   p: ModelParams, minus=None) -> AdjointState:
     """The full multiplier of a march that stopped above frame 0, on the
-    same trajectory and source: adj, with its frames below stop filled in
-    place and stop = 0; a full one is returned as it is. Raises
+    same trajectory, source and minus: adj, with its frames below stop
+    filled in place and stop = 0; a full one is returned as it is. Raises
     NumericsError like solve_adjoint_discrete for a NaN/Inf below stop."""
     if adj.stop:
         source = as_trajectory(ftraj.domain, ftraj.tg, source)
-        adj.lam[:adj.stop] = source[1:adj.stop + 1]
-        _march_back(ftraj, p, adj.lam, 0.5, 0, adj.stop)
+        _march_back(ftraj, p, adj.lam, 0.5, 0, adj.stop, source, minus)
         adj.stop = 0
     return adj
 
@@ -202,9 +198,8 @@ def solve_adjoint_continuous(ftraj: ForwardTrajectory, source,
     source = as_trajectory(domain, tg, source)
     N = tg.n_steps
     lam = np.zeros(source.shape)
-    lam[:-1] = source[1:]
     try:
-        _march_back(ftraj, p, lam, 1.0, 0, N)
+        _march_back(ftraj, p, lam, 1.0, 0, N, source)
     except NumericsError as err:  # renumbered in steps of reversed time
         step = N - err.time_index
         raise NumericsError(f"adjoint state lost finiteness at step {step}",

@@ -166,6 +166,75 @@ def test_object_appears_only_when_complete(unloaded, tmp_path, monkeypatch):
     assert os.access(tmp_path / "cache" / name, os.R_OK)
 
 
+def test_load_prunes_the_other_objects(unloaded, tmp_path, monkeypatch):
+    """A cache directory that holds the objects of two sources keeps only
+    the one loaded: loading the kernel of the second source removes the
+    first one's object and any other cmarch-*.so, and a file that another
+    process removes first is passed over. The march is the same."""
+    want = march()
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cmarch, "cache_dirs", lambda: [cache])
+    first = cmarch._build()
+    second = tmp_path / "cmarch.c"
+    second.write_bytes(cmarch.SOURCE.read_bytes() + b"/* another */\n")
+    monkeypatch.setattr(cmarch, "SOURCE", second)
+    (cache / "cmarch-gone.so").write_bytes(b"")
+    (cache / "other.so").write_bytes(b"")
+    unlink = Path.unlink
+
+    def raced(path, *args):
+        if path.name == "cmarch-gone.so":  # removed by another process
+            unlink(path)
+        unlink(path, *args)
+
+    monkeypatch.setattr(Path, "unlink", raced)
+    cmarch.library.cache_clear()
+    assert march().tobytes() == want.tobytes()
+    [kept] = [name for name in objects(cache) if name != "other.so"]
+    assert kept.startswith("cmarch-") and kept != first.name
+    assert objects(cache) == sorted([kept, "other.so"])
+
+
+def test_object_gone_before_its_load_is_built_again(unloaded, tmp_path,
+                                                      monkeypatch):
+    """An object that another process prunes between its build and its
+    load is built once more and loaded; a load that fails with the object
+    still in place is the loader's OSError, with no rebuild. (The loader
+    reuses an object already loaded from the same path, so the cache
+    directory is a fresh one.)"""
+    want = march()
+    monkeypatch.setattr(cmarch, "cache_dirs", lambda: [tmp_path / "cache"])
+    runs = []
+    run = cmarch._run
+    monkeypatch.setattr(cmarch, "_run",
+                        lambda cc, args: runs.append(args) or run(cc, args))
+    load = cmarch.ctypes.PyDLL
+    loads = []
+
+    def pruned_first(name):
+        loads.append(name)
+        if len(loads) == 1:
+            os.unlink(name)
+        return load(name)
+
+    monkeypatch.setattr(cmarch.ctypes, "PyDLL", pruned_first)
+    cmarch.library.cache_clear()
+    assert march().tobytes() == want.tobytes()
+    assert len(loads) == 2 and sum("-o" in a for a in runs) == 2
+    [name] = objects(tmp_path / "cache")
+    assert loads == [str(tmp_path / "cache" / name)] * 2
+
+    def broken(name):
+        raise OSError(f"{name}: invalid ELF header")
+
+    monkeypatch.setattr(cmarch.ctypes, "PyDLL", broken)
+    runs.clear()
+    cmarch.library.cache_clear()
+    with pytest.raises(OSError, match="invalid ELF header"):
+        cmarch.library()
+    assert runs == [["--version"]] and objects(tmp_path / "cache") == [name]
+
+
 @pytest.mark.parametrize("stop,top", [(3, 3), (-1, 4), (0, 5), (4, 4)])
 def test_march_back_refuses_a_frame_range_outside_the_march(stop, top):
     """Frames stop..top-1 must be a nonempty range of 0..N-1 (here N = 4):
@@ -175,19 +244,26 @@ def test_march_back_refuses_a_frame_range_outside_the_march(stop, top):
     ft = solve_forward(dom, tg, p, np.sin(dom.x))
     lam = np.zeros_like(ft.y)
     with pytest.raises(ValueError, match="march_back: frames"):
-        _march_back(ft, p, lam, 0.5, stop, top)
+        _march_back(ft, p, lam, 0.5, stop, top, ft.y)
     assert not lam.any()
 
 
 def test_march_back_refuses_a_multiplier_that_is_not_c_ordered():
     """The multiplier is filled in place, so it must be a C-ordered float64
-    (N+1, n) array; another layout is a ValueError and stays untouched."""
+    (N+1, n) array; another layout is a ValueError and stays untouched. A
+    source or minus that is not (N+1, n) is a ValueError too."""
     dom, tg, p = Domain1D(2.0, 8), TimeGrid(0.5, 4), ModelParams(0.1)
     ft = solve_forward(dom, tg, p, np.sin(dom.x))
     for lam in (np.ones_like(ft.y, order="F"), np.ones((5, 16))[:, ::2],
                 np.ones(ft.y.shape, np.float32)):
         with pytest.raises(ValueError, match="march_back: an array of"):
-            _march_back(ft, p, lam, 0.5, 0, 4)
+            _march_back(ft, p, lam, 0.5, 0, 4, ft.y)
+        assert (lam == 1.0).all()
+    lam = np.ones_like(ft.y)
+    for source, minus in ((np.ones((5, 7)), None), (ft.y, np.ones((4, 8)))):
+        with pytest.raises(ValueError, match="march_back: a base frame or "
+                           "source array"):
+            _march_back(ft, p, lam, 0.5, 0, 4, source, minus)
         assert (lam == 1.0).all()
 
 

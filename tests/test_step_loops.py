@@ -2,7 +2,9 @@
 copies of numpy loops, which index rows per step and solve into new arrays
 with the same kernel: the twisted solve, which test_helmholtz holds byte for
 byte to its scalar recurrences, its factors to LAPACK's dpttrf, and its
-backward error to a derived bound.
+backward error to a derived bound. The optimizer's compiled pairings (the
+L2(Q0) product, the tracking misfit and the L-BFGS two-loop) against
+indexed loops that add the same terms in the same order.
 
 Both compute the same expression trees, so every frame must agree byte for
 byte, not to a tolerance: on fixed grids, and as properties over random
@@ -20,11 +22,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mchcontrol import forward, tangent_adjoint
+from mchcontrol import cmarch, forward, tangent_adjoint
+from mchcontrol.control import TrackingProblem, misfit
 from mchcontrol.errors import NumericsError, StabilityWarning
 from mchcontrol.forward import (CFL_SAFETY, ControlWindow, ForwardTrajectory,
                                 ModelParams, _first_nonfinite, apply_B,
-                                solve_forward)
+                                inner_q0, solve_forward)
 from mchcontrol.grid import Domain1D, TimeGrid
 from mchcontrol.helmholtz import get_operator
 from mchcontrol.tangent_adjoint import (_march_back, _transport_coefficients,
@@ -225,11 +228,12 @@ def test_adjoint_matches_reference_loop(n, N, rng):
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng):
     """Every adjoint march equals the reference loop byte for byte: the
-    discrete, continuous, stopped, finished and tracking (z_d with minus y)
-    multipliers, for C- and F-ordered sources. The stops are the window's
-    first step k0 and the steps next to it that were chunk edges when the
-    numpy march built its coefficients frames at a time: a chunk edge on
-    stop, one just above stop, and one just below it."""
+    discrete, continuous, stopped, finished and tracking (z_d with minus y,
+    stopped and finished) multipliers, for C- and F-ordered sources. The
+    stops are the window's first step k0 and the steps next to it that
+    were chunk edges when the numpy march built its coefficients frames at
+    a time: a chunk edge on stop, one just above stop, and one just below
+    it."""
     dom, tg, p, w, y0, omega = pieces(n, N, rng)
     ft = solve_forward(dom, tg, p, y0, w, omega)
     source = rng.standard_normal(ft.y.shape)
@@ -259,6 +263,11 @@ def test_adjoint_chunk_edges_match_reference_loop(n, N, order, frames, rng):
                                     np.zeros_like(source), 0.5, stop, N)
         got = solve_adjoint_discrete(ft, z_d, p, stop, minus=ft.y)
         assert same_bytes(got.lam, want)
+        # and finished with the same source and minus
+        want = reference_march_back(ft, z_d - ft.y, p,
+                                    np.zeros_like(source), 0.5, 0, N)
+        assert same_bytes(finish_adjoint(ft, got, z_d, p, minus=ft.y).lam,
+                          want)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
@@ -406,9 +415,12 @@ def test_forward_march_matches_reference_loop_property(data):
 def test_adjoint_march_matches_reference_loop_property(data):
     """_march_back against the reference recursion, byte for byte up to NaN
     payloads (same_bits), for every stop and top (top = N with the final
-    weight 1/2 or 1, or a resume from a given frame top), base frames in C,
-    F, row- and item-strided layouts, and NaN or Inf in the source; and
-    with the reference's first non-finite frame."""
+    weight 1/2 or 1, or a resume from a given frame top), base frames and
+    the source in C, F, row- and item-strided layouts, with or without a
+    minus, which the march subtracts from the source as the reference's
+    numpy subtract does, NaN or Inf in the source, and frames stop..top-1
+    that hold NaN on entry, which the march must not read; and with the
+    reference's first non-finite frame."""
     draw = data.draw
     w = draw(windows())
     dom, tg, p = w.domain, w.tg, draw(models())
@@ -419,18 +431,22 @@ def test_adjoint_march_matches_reference_loop_property(data):
     layout = draw(LAYOUTS)
     ft = ForwardTrajectory(dom, tg, *(laid_out(a, layout) for a in base))
     source = poked(draw, draw(lattices(w, SMALL)))
+    minus = draw(st.none() | lattices(w, SMALL))
     stop = draw(st.integers(0, N - 1))
     top = draw(st.integers(stop + 1, N))
     last = draw(st.sampled_from([0.5, 1.0]))
     lam0 = np.zeros_like(source)
-    lam0[stop:top] = source[stop + 1:top + 1]
+    lam0[stop:top] = math.nan
     if top < N:  # the frame a resumed march starts from
         lam0[top] = draw(hnp.arrays(np.float64, dom.n_interior,
                                     elements=SMALL))
-    want = reference_march_back(ft, source, p, lam0.copy(), last, stop, top)
+    net = source if minus is None else source - minus
+    want = reference_march_back(ft, net, p, lam0.copy(), last, stop, top)
     lam = lam0
+    src_layout = draw(LAYOUTS)
     try:
-        _march_back(ft, p, lam, last, stop, top)
+        _march_back(ft, p, lam, last, stop, top, laid_out(source, src_layout),
+                    None if minus is None else laid_out(minus, src_layout))
         failed = None
     except NumericsError as exc:
         failed = exc.time_index
@@ -475,3 +491,161 @@ def test_tangent_march_matches_reference_loop_property(data):
     except NumericsError as exc:
         failed = exc.time_index
     assert failed == (None if bad is None else bad + 1)
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's pairings: reference loops and properties
+
+
+def reference_pair_row(p, q, z=None):
+    """pair_row of cmarch.c as an indexed loop: the terms p[i]*q[i], or
+    (p[i] - z[i])*(q[i] - z[i]), into four partial sums from 0.0, s_j taking
+    i = j mod 4 in order of i, combined as (s0 + s1) + (s2 + s3)."""
+    s = [np.float64(0.0)] * 4
+    for i in range(len(p)):
+        a, b = (p[i], q[i]) if z is None else (p[i] - z[i], q[i] - z[i])
+        s[i % 4] = s[i % 4] + a * b
+    return (s[0] + s[1]) + (s[2] + s[3])
+
+
+def reference_pair_q0(scale, p, q):
+    """scale times the row sums of p*q, added in row order from 0.0."""
+    acc = np.float64(0.0)
+    with np.errstate(all="ignore"):
+        for k in range(len(p)):
+            acc = acc + reference_pair_row(p[k], q[k])
+        return scale * acc
+
+
+def reference_track(dt, scale, y, z):
+    """scale times sum_k w_k sum_i (y - z)^2, w_k the trapezoid weight dt
+    (dt/2 on the first and last frame), added in frame order from 0.0."""
+    acc = np.float64(0.0)
+    with np.errstate(all="ignore"):
+        for k in range(len(y)):
+            w = 0.5 * dt if k in (0, len(y) - 1) else dt
+            acc = acc + w * reference_pair_row(y[k], y[k], z[k])
+        return scale * acc
+
+
+def reference_two_loop(scale, memory, gamma, g):
+    """(d, <g, d>) of the two-loop recursion as optimize wrote it in numpy,
+    on the reference pairing: d = -g; newest pair first, a = rho <s, d>
+    and d -= a y; d *= gamma; oldest first, d += (a - rho <y, d>) s."""
+    def pair(p, q):
+        return reference_pair_q0(scale, p, q)
+
+    d = -g
+    with np.errstate(all="ignore"):
+        if memory:
+            alphas = []
+            for s, y, rho in reversed(memory):
+                a = rho * pair(s, d)
+                alphas.append(a)
+                d = d - a * y
+            d = d * gamma
+            for (s, y, rho), a in zip(memory, reversed(alphas)):
+                d = d + (a - rho * pair(y, d)) * s
+    return d, pair(g, d)
+
+
+def same_value(a, b):
+    """same_bits on two floats: equal bytes, or both NaN."""
+    return same_bits(np.float64(a), np.float64(b))
+
+
+@st.composite
+def blocks(draw, shape=None, count=2):
+    """count float64 arrays of one shape (1..9 rows of 1..17 nodes unless
+    given): entries in [-2, 2], each array with some entries set to -0.0,
+    and in one draw of four one entry of one array set to NaN or +-Inf (a
+    NaN or Inf spreads to the result, so most draws have none)."""
+    if shape is None:
+        shape = (draw(st.integers(1, 9)), draw(st.integers(1, 17)))
+    out = []
+    for _ in range(count):
+        a = draw(hnp.arrays(np.float64, shape, elements=SMALL))
+        a[draw(hnp.arrays(np.bool_, shape))] = -0.0
+        out.append(a)
+    if not draw(st.integers(0, 3)):
+        poked(draw, out[draw(st.integers(0, count - 1))])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 4), (3, 5),
+                                   (16, 9), (16, 10), (16, 11), (16, 12)])
+def test_pairings_on_small_blocks(shape, rng):
+    """pair_q0 and track on blocks from 1 x 1, narrower than the four
+    partial sums, and 16 rows long with every remainder of n mod 4, where
+    another order of the partial sums rounds some row differently; and one
+    row of -0.0 products, which the sums from 0.0 turn into +0.0."""
+    p, q, z = (rng.standard_normal(shape) for _ in range(3))
+    assert same_value(cmarch.pair_q0(0.3, p, q),
+                      reference_pair_q0(0.3, p, q))
+    assert same_value(cmarch.track(0.1, 0.5, p, z),
+                      reference_track(0.1, 0.5, p, z))
+    neg = np.full(shape, -0.0)
+    got = cmarch.pair_q0(1.0, neg, np.ones(shape))
+    assert got == 0.0 and not np.signbit(got)
+    assert same_value(got, reference_pair_q0(1.0, neg, np.ones(shape)))
+
+
+@PROPERTY
+@given(st.data())
+def test_pair_q0_matches_reference_loop_property(data):
+    """The compiled L2(Q0) pairing equals the reference loop byte for byte
+    (a NaN matches any NaN) on blocks from 1 x 1, in C, F, row- and
+    item-strided layouts, with -0.0, NaN and Inf entries; and inner_q0 on
+    a random window is that pairing with scale dt*h."""
+    draw = data.draw
+    p, q = draw(blocks())
+    scale = draw(st.sampled_from([1.0, 0.37, 1e-300, 1e300]))
+    lp, lq = draw(LAYOUTS), draw(LAYOUTS)
+    assert same_value(cmarch.pair_q0(scale, laid_out(p, lp), laid_out(q, lq)),
+                      reference_pair_q0(scale, p, q))
+    w = draw(windows())
+    p, q = draw(blocks(w.block_shape))
+    assert same_value(inner_q0(w, laid_out(p, lp), q),
+                      reference_pair_q0(w.tg.dt * w.domain.h, p, q))
+
+
+@PROPERTY
+@given(st.data())
+def test_track_matches_reference_loop_property(data):
+    """The compiled tracking misfit equals the reference loop byte for byte
+    (a NaN matches any NaN), read from rows in every layout with no
+    difference lattice, with -0.0, NaN and Inf entries; and misfit on a
+    random grid is that sum with dt and scale h/2."""
+    draw = data.draw
+    y, z = draw(blocks())
+    dt = draw(st.sampled_from([1.0, 0.01, 1e-300]))
+    ly, lz = draw(LAYOUTS), draw(LAYOUTS)
+    assert same_value(cmarch.track(dt, 0.5, laid_out(y, ly), laid_out(z, lz)),
+                      reference_track(dt, 0.5, y, z))
+    w = draw(windows())
+    dom, tg = w.domain, w.tg
+    y, z = draw(blocks(w.shape))
+    prob = TrackingProblem(dom, tg, ModelParams(0.1), w,
+                           np.zeros(dom.n_interior), z, 1e-3)
+    assert same_value(misfit(prob, laid_out(y, ly)),
+                      reference_track(tg.dt, 0.5 * dom.h, y, z))
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([0, 1, 16]))
+def test_two_loop_matches_reference_loop_property(data, m):
+    """The compiled two-loop recursion equals optimize's numpy two-loop on
+    the reference pairing byte for byte (a NaN matches any NaN), direction
+    and slope, over m = 0, 1 and 16 pairs of blocks from 1 x 1 with -0.0,
+    NaN and Inf entries."""
+    draw = data.draw
+    [g] = draw(blocks(count=1))
+    pairs = [draw(blocks(g.shape)) for _ in range(m)]
+    memory = [(s, y, draw(st.floats(0.1, 10.0)), s.ctypes.data,
+               y.ctypes.data) for s, y in pairs]
+    gamma = draw(st.floats(0.1, 10.0))
+    scale = draw(st.sampled_from([1.0, 0.01]))
+    d, slope = cmarch.two_loop(scale, memory, gamma, g)
+    want, want_slope = reference_two_loop(
+        scale, [e[:3] for e in memory], gamma, g)
+    assert same_bits(d, want) and same_value(slope, want_slope)

@@ -140,9 +140,9 @@ def test_window_from_t0_zero_never_stops(rng, monkeypatch):
     prob = TrackingProblem(dom, tg, p, w, ft.y[0], z_d, 1e-3)
     stops = []
 
-    def finish(ftraj, adj, source, p):
+    def finish(ftraj, adj, source, p, minus=None):
         stops.append(adj.stop)
-        return finish_adjoint(ftraj, adj, source, p)
+        return finish_adjoint(ftraj, adj, source, p, minus)
 
     monkeypatch.setattr(control, "finish_adjoint", finish)
     state = optimize(prob, w.zero_control())
