@@ -1,7 +1,7 @@
 /* The tridiagonal kernel I - c*D2 of both implicit operators, the step
    loops of the forward, tangent and backward IMEX marches, the optimizer's
-   pairings (the L2(Q0) product, the L-BFGS two-loop and the tracking
-   misfit) and the row writer of the trajectory CSV. pttrf is reference
+   weighted pairing (the L2(Q0) product and the tracking misfit) and L-BFGS
+   two-loop, and the row writer of the trajectory CSV. pttrf is reference
    LAPACK's dpttrf, operation for operation, plus the twist pivot; the
    solve is the twisted (two-ended) L D L^T solve on those factors, and
    each march expression is one numpy node of the scheme, in the same
@@ -265,14 +265,22 @@ static inline double pair_row(const double *p, const double *q,
     return (s0 + s1) + (s2 + s3);
 }
 
-/* scale times the L2(Q0) pairing of p and q, rows of width n with row
-   strides ps, qs: the row sums added in row order from 0.0 */
-double pair_q0(ptrdiff_t rows, ptrdiff_t n, double scale, const double *p,
-               ptrdiff_t ps, const double *q, ptrdiff_t qs)
+/* scale * sum_k w_k * pair_row(p_k, q_k, z_k) over rows of width n with
+   row strides ps, qs, zs (z NULL: no shift), w_k being w_end on the first
+   and last row and w_mid on the others: the weighted row sums added in row
+   order from 0.0. The row sum is inlined once with z and once with a
+   literal NULL, so neither tests z per term. */
+double pair(ptrdiff_t rows, ptrdiff_t n, double scale, double w_end,
+            double w_mid, const double *p, ptrdiff_t ps, const double *q,
+            ptrdiff_t qs, const double *z, ptrdiff_t zs)
 {
     double acc = 0.0;
-    for (ptrdiff_t k = 0; k < rows; k++)
-        acc = acc + pair_row(p + k * ps, q + k * qs, NULL, n);
+    for (ptrdiff_t k = 0; k < rows; k++) {
+        const double *pk = p + k * ps, *qk = q + k * qs;
+        double w = k == 0 || k == rows - 1 ? w_end : w_mid;
+        acc = acc + w * (z ? pair_row(pk, qk, z + k * zs, n)
+                           : pair_row(pk, qk, NULL, n));
+    }
     return scale * acc;
 }
 
@@ -280,9 +288,9 @@ double pair_q0(ptrdiff_t rows, ptrdiff_t n, double scale, const double *p,
    over the m pairs (S[j], Y[j], rho[j]), oldest first, with H0 = gamma I
    when m > 0: SY holds the m pointers S[j], then the m pointers Y[j], and
    rho the m rho[j], then m doubles of work for the alphas. S[j], Y[j], g
-   and d are C-ordered rows x n blocks, paired by pair_q0 with scale. Each
-   update is one numpy node of the reference: d - a*y, d*gamma, d + b*s.
-   Returns the slope <g, d>. */
+   and d are C-ordered rows x n blocks, paired by pair with scale and unit
+   weights. Each update is one numpy node of the reference: d - a*y,
+   d*gamma, d + b*s. Returns the slope <g, d>. */
 double two_loop(ptrdiff_t rows, ptrdiff_t n, double scale, ptrdiff_t m,
                 const double *const *SY, double *rho, double gamma,
                 const double *g, double *d)
@@ -293,33 +301,20 @@ double two_loop(ptrdiff_t rows, ptrdiff_t n, double scale, ptrdiff_t m,
     for (i = 0; i < size; i++)
         d[i] = -g[i];
     for (ptrdiff_t j = m - 1; j >= 0; j--) {
-        double a = alpha[j] = rho[j] * pair_q0(rows, n, scale, S[j], n, d, n);
+        double a = alpha[j] = rho[j] * pair(rows, n, scale, 1.0, 1.0,
+                                            S[j], n, d, n, NULL, 0);
         for (i = 0; i < size; i++)
             d[i] = d[i] - a * Y[j][i];
     }
     for (i = 0; m && i < size; i++)
         d[i] = d[i] * gamma;
     for (ptrdiff_t j = 0; j < m; j++) {
-        double b = alpha[j] - rho[j] * pair_q0(rows, n, scale, Y[j], n, d, n);
+        double b = alpha[j] - rho[j] * pair(rows, n, scale, 1.0, 1.0,
+                                            Y[j], n, d, n, NULL, 0);
         for (i = 0; i < size; i++)
             d[i] = d[i] + b * S[j][i];
     }
-    return pair_q0(rows, n, scale, g, n, d, n);
-}
-
-/* scale times the tracking misfit sum_k w_k sum_i (y - z)^2 of frames Y, Z
-   (rows of width n, strides ys, zs), w_k the trapezoid weight dt (dt/2 on
-   the first and last frame): each frame's sum is pair_row's, and the
-   weighted sums are added in frame order from 0.0 */
-double track(ptrdiff_t rows, ptrdiff_t n, double dt, double scale,
-             const double *Y, ptrdiff_t ys, const double *Z, ptrdiff_t zs)
-{
-    double acc = 0.0;
-    for (ptrdiff_t k = 0; k < rows; k++) {
-        double w = k == 0 || k == rows - 1 ? 0.5 * dt : dt;
-        acc = acc + w * pair_row(Y + k * ys, Y + k * ys, Z + k * zs, n);
-    }
-    return scale * acc;
+    return pair(rows, n, scale, 1.0, 1.0, g, n, d, n, NULL, 0);
 }
 
 typedef unsigned __int128 u128;

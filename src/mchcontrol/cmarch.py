@@ -1,6 +1,6 @@
 """The compiled tridiagonal kernel, the step loops of the forward, tangent
-and backward marches, the optimizer's pairings and the row writer of the
-trajectory CSV (cmarch.c).
+and backward marches, the optimizer's weighted pairing and two-loop, and
+the row writer of the trajectory CSV (cmarch.c).
 
 The source is compiled when the kernel is first needed (the first operator
 factored, or the output directory a command is about to make), never at
@@ -47,15 +47,14 @@ ARGTYPES = {"pttrf": [_I, _P, _P], "ptts2": [_I, _S, _P, _P, _P],
             + [_P, _S] * 3 + [_P] * 3,
             "march_back": [_P] * 4 + [_I, _S, _S, _S] + [_D] * 5
             + [_P, _S] * 5 + [_P, _P],
-            "pair_q0": [_S, _S, _D, _P, _S, _P, _S],
+            "pair": [_S, _S] + [_D] * 3 + [_P, _S] * 3,
             "two_loop": [_S, _S, _D, _S, _P, _P, _D, _P, _P],
-            "track": [_S, _S, _D, _D, _P, _S, _P, _S],
             "csv_rows": [_S, _S, _S] + [_P] * 3 + [_I] + [_P] * 3 + [_S]
             + [_P] * 3}
 # CPython's repr formatter and the free of what it returns, for csv_rows
 _PYAPI = [ctypes.cast(getattr(ctypes.pythonapi, f), _P)
           for f in ("PyOS_double_to_string", "PyMem_Free")]
-RESTYPES = {"csv_rows": _S, "pair_q0": _D, "two_loop": _D, "track": _D}
+RESTYPES = {"csv_rows": _S, "pair": _D, "two_loop": _D}
 CSV_BUFFER = 1 << 16  # bytes of CSV text per write
 
 
@@ -215,30 +214,27 @@ def march_back(ksolver, dsolver, stop: int, top: int, dt: float, cc: float,
         last, *ptrs, lam.ctypes.data, work.ctypes.data)
 
 
-def pair_q0(scale: float, p, q) -> float:
-    """pair_q0 of cmarch.c: scale times the row pairings of the 2-D arrays
-    p and q of one shape (any layout), added in row order."""
-    (p, ps), (q, qs) = _rows("pair_q0: a block", p.shape, (p, q),
-                             "of the first one's shape")
-    return library().pair_q0(*p.shape, scale, p.ctypes.data, ps,
-                             q.ctypes.data, qs)
-
-
-def track(dt: float, scale: float, y, z) -> float:
-    """track of cmarch.c: scale times the trapezoid (step dt) sum over the
-    frames of the row pairings of y - z, 2-D arrays of one shape (any
-    layout)."""
-    (y, ys), (z, zs) = _rows("track: a trajectory", y.shape, (y, z))
-    return library().track(*y.shape, dt, scale, y.ctypes.data, ys,
-                           z.ctypes.data, zs)
+def pair(scale: float, w_end: float, w_mid: float, p, q, z=None) -> float:
+    """pair of cmarch.c: scale times the weighted sum over the rows of the
+    row pairings of p - z and q - z (of p and q for z None), 2-D arrays of
+    one shape (any layout), the rows weighted w_end first and last and
+    w_mid between and added in row order."""
+    rows = _rows("pair: a block", p.shape, (p, q) if z is None else (p, q, z),
+                 "of the first one's shape")
+    ptrs = [x for a, s in rows for x in (a.ctypes.data, s)]
+    if z is None:  # a NULL z: no shift
+        ptrs += [None, 0]
+    return library().pair(*p.shape, scale, w_end, w_mid, *ptrs)
 
 
 def two_loop(scale: float, memory, gamma: float, g):
     """(d, <g, d>): d = -H g by two_loop of cmarch.c, over memory, the
     (s, y, rho, address of s, address of y) entries of the L-BFGS pairs,
     oldest first, whose s and y are C-ordered float64 blocks of g's shape;
-    pairings are pair_q0's with scale. The addresses and rho go in numpy
-    arrays: a ctypes array type of each new length would stay cached."""
+    every pairing is pair's with scale and unit weights, so with the Q0
+    weight as scale it is inner_q0's bit for bit. The addresses and rho go
+    in numpy arrays: a ctypes array type of each new length would stay
+    cached."""
     m = len(memory)
     _check("two_loop", (g, g.shape))
     d = np.empty_like(g)

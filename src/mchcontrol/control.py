@@ -86,12 +86,14 @@ class TrackingProblem:
 
 def misfit(problem: TrackingProblem, Y) -> float:
     """0.5 * ||Y - z_d||^2 in L2(0,T;H): 0.5 h sum_k w_k sum_i (Y - z_d)^2
-    with the trapezoid weights w_k, by the compiled pairing of inner_q0
-    (cmarch.track), which reads the rows of Y and z_d and makes no
-    difference lattice."""
+    with w = TimeGrid.weights (w[0] on the end frames, w[1] between), by
+    the compiled pairing of inner_q0 (cmarch.pair of Y with itself, shifted
+    by z_d), which reads the rows of Y and z_d and makes no difference
+    lattice."""
     Y = as_trajectory(problem.domain, problem.tg, Y)
-    return cmarch.track(problem.tg.dt, 0.5 * problem.domain.h, Y,
-                        problem.z_d)
+    w = problem.tg.weights
+    return cmarch.pair(0.5 * problem.domain.h, w[0], w[1], Y, Y,
+                       problem.z_d)
 
 
 def cost(problem: TrackingProblem, omega, ftraj: ForwardTrajectory = None):
@@ -242,7 +244,6 @@ def optimize(problem: TrackingProblem, omega0,
     ftraj = problem.solve(omega)
     J, _ = cost(problem, omega, ftraj)
     pair = partial(inner_q0, win)
-    scale = problem.tg.dt * problem.domain.h  # inner_q0's
     gb, info = reduced_gradient(problem, omega, ftraj, k0)
     gnorm = math.sqrt(pair(gb, gb))
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
@@ -261,7 +262,7 @@ def optimize(problem: TrackingProblem, omega0,
     step_prev = 1.0
     for it in range(1, opts.max_iters + 1):
         del ftraj, info  # the iterate lives on as omega and gb
-        d, slope = cmarch.two_loop(scale, memory, gamma, gb)
+        d, slope = cmarch.two_loop(win.weight, memory, gamma, gb)
         if slope >= 0:
             d = -gb
             slope = -gnorm ** 2

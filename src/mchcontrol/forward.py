@@ -54,7 +54,8 @@ class ControlWindow:
     """Space-time box [a, b] x [t0, t1]; on the lattice it is Q0, the window
     block: the steps that start in [t0, t1] (the final frame starts none)
     and the nodes in [a, b]. x and t are monotone, so both are slices. A
-    control is an array of block_shape; shape is that of the lattice."""
+    control is an array of block_shape; shape is that of the lattice, and
+    weight, dt*h, the L2(Q0) quadrature weight of each block entry."""
 
     def __init__(self, domain: Domain1D, tg: TimeGrid,
                  a: float, b: float, t0: float, t1: float):
@@ -76,6 +77,7 @@ class ControlWindow:
         self.block = (slice(steps[0], steps[-1] + 1),
                       slice(nodes[0], nodes[-1] + 1))
         self.block_shape = (steps.size, nodes.size)
+        self.weight = tg.dt * domain.h
 
     def zero_control(self) -> np.ndarray:
         return np.zeros(self.block_shape)
@@ -110,15 +112,15 @@ def apply_B(window: ControlWindow, q) -> np.ndarray:
 
 
 def inner_q0(window: ControlWindow, p, q) -> float:
-    """L2(Q0) inner product of two controls, left-endpoint rule in time, by
-    the compiled pairing (cmarch.pair_q0), which every L2(Q0) product of
-    the package uses: each frame's row is summed in four interleaved
-    partial sums, s_j taking the nodes i = j mod 4 in order, combined as
-    (s0 + s1) + (s2 + s3); the frame sums are added in frame order from
-    0.0 (not the compensated sum of newer Pythons), and the total is
-    scaled by dt*h."""
-    return cmarch.pair_q0(window.tg.dt * window.domain.h,
-                          as_control(window, p), as_control(window, q))
+    """L2(Q0) inner product of two controls, left-endpoint rule in time:
+    the compiled pairing (cmarch.pair) with scale window.weight = dt*h and
+    unit row weights, which every L2(Q0) product of the package uses. Each
+    frame's row is summed in four interleaved partial sums, s_j taking the
+    nodes i = j mod 4 in order, combined as (s0 + s1) + (s2 + s3); the frame
+    sums, times the exact 1.0, are added in frame order from 0.0 (not the
+    compensated sum of newer Pythons)."""
+    return cmarch.pair(window.weight, 1.0, 1.0, as_control(window, p),
+                       as_control(window, q))
 
 
 def norm_q0(window: ControlWindow, q) -> float:

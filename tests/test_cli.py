@@ -495,3 +495,17 @@ def test_unusable_out_path_exits_2(tmp_path, capsys):
     assert run("forward", cfg, taken) == 2
     assert "io error" in capsys.readouterr().err
     assert taken.read_text() == "a regular file, not a directory\n"
+
+
+def test_window_between_two_nodes_exits_2(tmp_path, capsys):
+    """A window whose [a, b] falls strictly between two nodes (0.80 and
+    0.88 at n = 24, L = 2) is a config error: every command exits 2 naming
+    it, with no traceback and no output directory."""
+    cfg = write_cfg(tmp_path, window={"a": 0.81, "b": 0.82})
+    for command in ("forward", "adjoint", "gradcheck", "optimize", "twin",
+                    "verify"):
+        out = tmp_path / command
+        assert run(command, cfg, out) == 2, command
+        assert capsys.readouterr().err == (
+            "config error: ControlWindow: no interior node inside [a, b]\n")
+        assert not out.exists(), command

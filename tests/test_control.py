@@ -18,7 +18,7 @@ from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 inner_q0, norm_q0, solve_forward,
                                 transport_terms, weak_residual)
 from mchcontrol.helmholtz import get_operator
-from mchcontrol import control, forward, tangent_adjoint
+from mchcontrol import cmarch, control, forward, tangent_adjoint
 from mchcontrol.analysis import energy_identity
 from mchcontrol.config import build_problem_pieces, resolve_config
 from mchcontrol.runners import run_twin, run_verify
@@ -399,6 +399,31 @@ def test_optimize_halves_after_a_failed_march(twin_small, monkeypatch):
     assert st.steps[1] == 0.5
     assert st.converged and st.costs[-1] <= 1.01 * ref.costs[-1]
     assert_state_is_solved(prob, st)
+
+
+def test_optimize_falls_back_to_steepest_descent(twin_small, monkeypatch):
+    """A two-loop direction that is not one of descent (slope >= 0) is
+    replaced by -g: with every direction an ascent one, the first trial is
+    omega - alpha*g bit for bit at the first step alpha = 1, every accepted
+    step lowers the cost, and the run ends by its iteration limit, not in
+    a stalled search."""
+    prob, om_true = twin_small
+    omega0 = 0.3 * om_true
+    g0, _ = reduced_gradient(prob, omega0)
+    calls = []
+
+    def ascent(scale, memory, gamma, g):
+        calls.append(len(memory))
+        return g.copy(), cmarch.pair(scale, 1.0, 1.0, g, g)
+
+    monkeypatch.setattr(cmarch, "two_loop", ascent)
+    spy = MarchSpy(monkeypatch)
+    st = optimize(prob, omega0, OptimOptions(max_iters=5))
+    assert spy.controls[1].tobytes() == (omega0 - 1.0 * g0).tobytes()
+    assert not (st.converged or st.stalled) and st.n_iters == 5
+    assert st.message.startswith("max_iters reached")
+    assert all(b < a for a, b in zip(st.costs, st.costs[1:]))
+    assert calls == [0, 1, 2, 3, 4]
 
 
 def test_optimize_holds_one_iterate_at_each_adjoint(twin48, monkeypatch):

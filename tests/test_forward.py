@@ -58,6 +58,21 @@ def test_window_invariants():
     assert w.zero_control().shape == w.block_shape
 
 
+def test_window_between_two_nodes_is_refused():
+    """A box that holds no lattice point is refused by name: at n = 24,
+    L = 2 the nodes next to [0.81, 0.82] are 0.80 and 0.88, and at N = 60,
+    T = 0.5 the steps next to [0.101, 0.104] start at 0.1 and 0.10833."""
+    dom, tg = Domain1D(2.0, 24), TimeGrid(0.5, 60)
+    with pytest.raises(ValueError,
+                       match=r"^ControlWindow: no interior node inside "
+                             r"\[a, b\]$"):
+        ControlWindow(dom, tg, 0.81, 0.82, 0.1, 0.4)
+    with pytest.raises(ValueError,
+                       match=r"^ControlWindow: no time step starts inside "
+                             r"\[t0, t1\]$"):
+        ControlWindow(dom, tg, 0.5, 1.5, 0.101, 0.104)
+
+
 def test_extension_restriction_adjoint(rng):
     dom = Domain1D(2.0, 16)
     tg = TimeGrid(1.0, 10)

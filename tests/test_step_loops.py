@@ -575,17 +575,18 @@ def blocks(draw, shape=None, count=2):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 4), (3, 5),
                                    (16, 9), (16, 10), (16, 11), (16, 12)])
 def test_pairings_on_small_blocks(shape, rng):
-    """pair_q0 and track on blocks from 1 x 1, narrower than the four
-    partial sums, and 16 rows long with every remainder of n mod 4, where
-    another order of the partial sums rounds some row differently; and one
-    row of -0.0 products, which the sums from 0.0 turn into +0.0."""
+    """pair, as inner_q0 and misfit call it, on blocks from 1 x 1, narrower
+    than the four partial sums, and 16 rows long with every remainder of n
+    mod 4, where another order of the partial sums rounds some row
+    differently; and one row of -0.0 products, which the sums from 0.0 turn
+    into +0.0."""
     p, q, z = (rng.standard_normal(shape) for _ in range(3))
-    assert same_value(cmarch.pair_q0(0.3, p, q),
+    assert same_value(cmarch.pair(0.3, 1.0, 1.0, p, q),
                       reference_pair_q0(0.3, p, q))
-    assert same_value(cmarch.track(0.1, 0.5, p, z),
+    assert same_value(cmarch.pair(0.5, 0.5 * 0.1, 0.1, p, p, z),
                       reference_track(0.1, 0.5, p, z))
     neg = np.full(shape, -0.0)
-    got = cmarch.pair_q0(1.0, neg, np.ones(shape))
+    got = cmarch.pair(1.0, 1.0, 1.0, neg, np.ones(shape))
     assert got == 0.0 and not np.signbit(got)
     assert same_value(got, reference_pair_q0(1.0, neg, np.ones(shape)))
 
@@ -593,40 +594,44 @@ def test_pairings_on_small_blocks(shape, rng):
 @PROPERTY
 @given(st.data())
 def test_pair_q0_matches_reference_loop_property(data):
-    """The compiled L2(Q0) pairing equals the reference loop byte for byte
-    (a NaN matches any NaN) on blocks from 1 x 1, in C, F, row- and
-    item-strided layouts, with -0.0, NaN and Inf entries; and inner_q0 on
-    a random window is that pairing with scale dt*h."""
+    """The compiled pairing with unit row weights equals the L2(Q0)
+    reference loop byte for byte (a NaN matches any NaN) on blocks from
+    1 x 1, in C, F, row- and item-strided layouts, with -0.0, NaN and Inf
+    entries; and inner_q0 on a random window is that pairing with scale
+    dt*h."""
     draw = data.draw
     p, q = draw(blocks())
     scale = draw(st.sampled_from([1.0, 0.37, 1e-300, 1e300]))
     lp, lq = draw(LAYOUTS), draw(LAYOUTS)
-    assert same_value(cmarch.pair_q0(scale, laid_out(p, lp), laid_out(q, lq)),
+    assert same_value(cmarch.pair(scale, 1.0, 1.0, laid_out(p, lp),
+                                  laid_out(q, lq)),
                       reference_pair_q0(scale, p, q))
     w = draw(windows())
     p, q = draw(blocks(w.block_shape))
-    assert same_value(inner_q0(w, laid_out(p, lp), q),
+    assert same_value(inner_q0(w, laid_out(p, lp), laid_out(q, lq)),
                       reference_pair_q0(w.tg.dt * w.domain.h, p, q))
 
 
 @PROPERTY
 @given(st.data())
 def test_track_matches_reference_loop_property(data):
-    """The compiled tracking misfit equals the reference loop byte for byte
-    (a NaN matches any NaN), read from rows in every layout with no
-    difference lattice, with -0.0, NaN and Inf entries; and misfit on a
-    random grid is that sum with dt and scale h/2."""
+    """The compiled pairing of y with itself shifted by z, with the
+    trapezoid row weights dt/2 and dt, equals the tracking reference loop
+    byte for byte (a NaN matches any NaN), read from rows in every layout
+    with no difference lattice, with -0.0, NaN and Inf entries; and misfit
+    on a random grid is that sum with dt and scale h/2."""
     draw = data.draw
     y, z = draw(blocks())
     dt = draw(st.sampled_from([1.0, 0.01, 1e-300]))
     ly, lz = draw(LAYOUTS), draw(LAYOUTS)
-    assert same_value(cmarch.track(dt, 0.5, laid_out(y, ly), laid_out(z, lz)),
+    yl = laid_out(y, ly)
+    assert same_value(cmarch.pair(0.5, 0.5 * dt, dt, yl, yl, laid_out(z, lz)),
                       reference_track(dt, 0.5, y, z))
     w = draw(windows())
     dom, tg = w.domain, w.tg
     y, z = draw(blocks(w.shape))
     prob = TrackingProblem(dom, tg, ModelParams(0.1), w,
-                           np.zeros(dom.n_interior), z, 1e-3)
+                           np.zeros(dom.n_interior), laid_out(z, lz), 1e-3)
     assert same_value(misfit(prob, laid_out(y, ly)),
                       reference_track(tg.dt, 0.5 * dom.h, y, z))
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import bump_control
 from mchcontrol.errors import DomainMismatchError, NumericsError
-from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, norm_l2h
+from mchcontrol.grid import Domain1D, TimeGrid, d1, d2, norm_ct_h, norm_l2h
 from mchcontrol.helmholtz import ShiftedLaplacianSolver, get_operator
 from mchcontrol.forward import (ModelParams, ControlWindow, apply_B,
                                 solve_forward, norm_q0,
@@ -287,6 +287,48 @@ def test_adjoint_residual_refines(rng):
         assert set(eq) == {"max_h", "max_h_rel", "scale"}
         res.append(eq["max_h"])
     assert math.log2(res[0] / res[1]) >= 0.9
+
+
+def manufactured_multiplier(dom, tg, eps, k):
+    """Exact frames lambda* = sin(T - t) sin(beta x), beta = pi/L, which
+    vanish at T, and the source s they solve on the zero base state, where
+    the transposed tangent term is -k K D1 (A = B = C = 0, E = -k):
+    s = -lambda*_t - eps lambda*_xx - k K lambda*_x, with K cos(beta x) =
+    cos(beta x)/(1 + beta^2) + c1 e^x + c2 e^-x, zero at 0 and L."""
+    beta, L, x = math.pi / dom.L, dom.L, dom.x
+    g = 1.0 + beta * beta
+    c1 = (1.0 + math.exp(-L)) / (g * (math.exp(L) - math.exp(-L)))
+    kcos = np.cos(beta * x) / g + c1 * np.exp(x) - (1.0 / g + c1) * np.exp(-x)
+    sin_t, cos_t = np.sin(tg.T - tg.t)[:, None], np.cos(tg.T - tg.t)[:, None]
+    lam = sin_t * np.sin(beta * x)
+    return lam, ((cos_t + eps * beta * beta * sin_t) * np.sin(beta * x)
+                 - k * beta * sin_t * kcos)
+
+
+def manufactured_multiplier_errors(n, N):
+    """C(H) errors of the continuous and discrete backward marches under
+    the manufactured source about y0 = 0 with no control (so y = u = u_x
+    = 0), the C(H) norm of adjoint_equation_residual on lambda*, and
+    dt + h^2."""
+    dom, tg, p = Domain1D(2.0, n), TimeGrid(0.8, N), ModelParams(0.08, 0.6)
+    ft = solve_forward(dom, tg, p, np.zeros(n))
+    assert not (ft.y.any() or ft.u.any() or ft.ux.any())
+    lam, s = manufactured_multiplier(dom, tg, p.epsilon, p.k)
+    return (norm_ct_h(dom, tg, solve_adjoint_continuous(ft, s, p) - lam),
+            norm_ct_h(dom, tg, solve_adjoint_discrete(ft, s, p).lam - lam),
+            adjoint_equation_residual(ft, lam, s, p)["max_h"],
+            tg.dt + dom.h ** 2)
+
+
+def test_adjoint_manufactured_multiplier_first_order():
+    """Both backward marches converge to lambda* at order 1 in dt + h^2,
+    and the residual of the backward equation on lambda* shrinks alike."""
+    levels = [manufactured_multiplier_errors(n, N)
+              for n, N in ((24, 60), (48, 240), (96, 960))]
+    for coarse, fine in zip(levels, levels[1:]):
+        rate = math.log(coarse[-1] / fine[-1])
+        for e1, e2 in zip(coarse[:-1], fine[:-1]):
+            assert math.log(e1 / e2) / rate >= 0.9
 
 
 # ---------------------------------------------------------------------------
