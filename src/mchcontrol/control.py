@@ -211,13 +211,14 @@ def optimize(problem: TrackingProblem, omega0,
              opts: OptimOptions = None) -> OptimState:
     """Two-loop L-BFGS with Armijo backtracking by quadratic interpolation.
 
-    All inner products are L2(Q0). Stops when ||g|| <= tol_g*(1 + ||g0||)
-    (plus the optional absolute floor) or when max_iters is reached; a line
-    search still rejected after MAX_TRIALS backtracks marks the state stalled
-    and reports diagnostics in the message. The returned state carries the
-    trajectory, gradient and adjoint at its omega, so callers need not
-    re-solve. Every iterate is a forward solve, so the log holds no state
-    residual: it is roundoff by construction.
+    All inner products are L2(Q0). Iterate 0 is the starting point, logged
+    with step 0.0. Stops at the first iterate with ||g|| <= tol_g*(1 +
+    ||g0||) (plus the optional absolute floor) or after max_iters accepted
+    steps; a line search still rejected after MAX_TRIALS backtracks marks
+    the state stalled and reports diagnostics in the message. The returned
+    state carries the trajectory, gradient and adjoint at its omega, so
+    callers need not re-solve. Every iterate is a forward solve, so the log
+    holds no state residual: it is roundoff by construction.
 
     The control, the gradient, the search direction and the s and y of
     the memory's (s, y, rho) pairs are window blocks, and each iteration's
@@ -248,19 +249,23 @@ def optimize(problem: TrackingProblem, omega0,
     gnorm = math.sqrt(pair(gb, gb))
     threshold = opts.tol_g * (1.0 + gnorm) + opts.tol_g_abs
     state = OptimState()
-    state.costs.append(J)
-    state.grad_norms.append(gnorm)
-    state.steps.append(0.0)
-    if gnorm <= threshold:
-        state.converged = True
-        state.message = "already optimal at the starting point"
-        return _finished(problem, state, omega, gb, info)
-
     # (s, y, rho) block arrays, with the addresses of s and y for two_loop
     memory = deque(maxlen=opts.memory)
     gamma = 1.0  # the newest pair's s.y / y.y, read once there is a pair
-    step_prev = 1.0
-    for it in range(1, opts.max_iters + 1):
+    step_prev, alpha = 1.0, 0.0  # row 0, the starting point, has step 0.0
+    for it in range(opts.max_iters + 1):
+        state.costs.append(J)
+        state.grad_norms.append(gnorm)
+        state.steps.append(alpha)
+        state.n_iters = it
+        if gnorm <= threshold:
+            state.converged = True
+            state.message = (f"converged: ||g||={gnorm:.3e} <= {threshold:.3e}"
+                             if it else "already optimal at the starting point")
+            break
+        if it == opts.max_iters:
+            state.message = f"max_iters reached with ||g||={gnorm:.3e}"
+            break
         del ftraj, info  # the iterate lives on as omega and gb
         d, slope = cmarch.two_loop(win.weight, memory, gamma, gb)
         if slope >= 0:
@@ -281,7 +286,7 @@ def optimize(problem: TrackingProblem, omega0,
             alpha = backtrack_step(alpha, J, slope, Jt)
         else:
             state.stalled = True
-            state.message = (f"line search stalled at iter {it}: "
+            state.message = (f"line search stalled at iter {it + 1}: "
                              f"J={J:.6e}, ||g||={gnorm:.3e}, "
                              f"slope={slope:.3e}, last alpha={alpha:.3e}")
             ftrial = None
@@ -301,28 +306,11 @@ def optimize(problem: TrackingProblem, omega0,
             gamma = curv / max(yy, 1e-300)
         gnorm = math.sqrt(pair(gb, gb))
         step_prev = min(4.0 * alpha, 1e3)
-        state.costs.append(J)
-        state.grad_norms.append(gnorm)
-        state.steps.append(alpha)
-        state.n_iters = it
-        if gnorm <= threshold:
-            state.converged = True
-            state.message = f"converged: ||g||={gnorm:.3e} <= {threshold:.3e}"
-            break
-    if not state.converged and not state.stalled:
-        state.message = f"max_iters reached with ||g||={gnorm:.3e}"
     memory.clear()
-    return _finished(problem, state, omega, gb, info)
-
-
-def _finished(problem: TrackingProblem, state: OptimState, omega, g,
-              info) -> OptimState:
-    """The state with its final iterate, and the iterate's adjoint resumed
-    below the frame its march stopped at."""
-    ftraj = info["ftraj"]
+    # the iterate's adjoint, resumed below the frame its march stopped at
     state.adjoint = finish_adjoint(ftraj, info["adjoint"], problem.z_d,
                                    problem.model, minus=ftraj.y)
-    state.omega, state.ftraj, state.grad = omega, ftraj, g
+    state.omega, state.ftraj, state.grad = omega, ftraj, gb
     return state
 
 

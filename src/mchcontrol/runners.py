@@ -38,24 +38,14 @@ SCHEMA_VERSION = 1
 
 
 def _jsonable(obj):
-    """Recursively coerce numpy scalars/arrays; spell non-finite floats out."""
+    """A report with its dicts, lists and tuples walked and its non-finite
+    floats spelled out ("nan", "inf", "-inf"); anything else as it is."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 

@@ -9,7 +9,7 @@ from mchcontrol import cli
 from mchcontrol.analysis import make_report
 from mchcontrol.cli import main
 from mchcontrol.config import config_hash, load_config
-from mchcontrol.runners import format_verify_table
+from mchcontrol.runners import _jsonable, format_verify_table
 
 BASE = {
     "domain": {"L": 2.0, "n_interior": 24},
@@ -272,6 +272,18 @@ def test_verify_passes_and_prints_table(tmp_path, capsys):
     assert all(c["passed"] for c in report["hard"])
     so = report["second_order"]
     assert report["soft"][1]["lhs"] == so["kernel_bound_ratio"]
+
+
+def test_jsonable_spells_non_finite_floats():
+    """Non-finite floats, nested in dicts, lists and tuples, are spelled
+    out; bools, ints, finite floats and strings pass through unchanged."""
+    nan, inf = float("nan"), float("inf")
+    report = {"a": nan, "b": [inf, {"c": -inf, "d": (1.5, -0.0)}],
+              "e": True, "f": False, "g": 3, "h": 2.5, "i": "nan"}
+    got = _jsonable(report)
+    assert got == {"a": "nan", "b": ["inf", {"c": "-inf", "d": [1.5, -0.0]}],
+                   "e": True, "f": False, "g": 3, "h": 2.5, "i": "nan"}
+    assert [type(got[k]) for k in "efgh"] == [bool, bool, int, float]
 
 
 def test_format_verify_table_lines():

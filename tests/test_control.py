@@ -218,11 +218,37 @@ def test_final_cost_is_the_cost_of_the_final_state(twin_small):
         assert np.float64(J).tobytes() == np.float64(st.costs[-1]).tobytes()
 
 
+def assert_start_point_finished(prob, st):
+    """The run took no step: one log row, the starting point with step 0.0,
+    and its adjoint finished down to frame 0, byte for byte the full march
+    at the starting control."""
+    assert st.n_iters == 0
+    assert [row[0] for row in st.log_rows()] == [0] and st.steps == [0.0]
+    ft = prob.solve(st.omega)
+    adj = solve_adjoint_discrete(ft, prob.z_d, prob.model, minus=ft.y)
+    assert st.adjoint.stop == 0
+    assert st.adjoint.lam.tobytes() == adj.lam.tobytes()
+    assert_state_is_solved(prob, st)
+
+
 def test_optimize_immediate_when_optimal():
+    """The zero control on its own uncontrolled target is an exact
+    stationary point: the starting point is within the threshold."""
     prob, _ = twin_problem(n=24, n_steps=60, amplitude=0.0)
     st = optimize(prob, prob.window.zero_control())
-    assert st.converged and st.n_iters == 0
-    assert_state_is_solved(prob, st)
+    assert st.converged and not st.stalled
+    assert st.message == "already optimal at the starting point"
+    assert_start_point_finished(prob, st)
+
+
+def test_optimize_stops_at_max_iters_zero(twin_small):
+    """max_iters 0 from a start that is not optimal stops at the starting
+    point, neither converged nor stalled."""
+    prob, _ = twin_small
+    st = optimize(prob, prob.window.zero_control(), OptimOptions(max_iters=0))
+    assert not st.converged and not st.stalled
+    assert st.message.startswith("max_iters reached with ||g||=")
+    assert_start_point_finished(prob, st)
 
 
 def window_to_T_problem():

@@ -1,10 +1,12 @@
 """Property tests of the extension operator B on random small grids and
 windows (windows that end at T and windows that span [0, L] are drawn too),
 of resolve_config on boundary values in random schema fields, and of the
-command-line exit contract on small configs with boundary floats."""
+command-line exit contract on small configs with boundary floats and small
+counts."""
 
 import json
 import math
+import os
 import tempfile
 import warnings
 
@@ -151,10 +153,17 @@ FLOAT_FIELDS = [("domain", "L"), ("time", "T"), ("model", "epsilon"),
                 ("gradcheck", "fd_step"), ("window", "a"), ("window", "b"),
                 ("window", "t0"), ("window", "t1")]
 
+TAYLOR_STEPS = [[1e-2, 1e-3], [1e-4, 1e-2, 1e-6], [0.5, 0.25, 0.125, 0.0625]]
+# optimize's stop messages: the starting point within the threshold, a later
+# iterate within it, max_iters accepted steps, a stalled line search
+STOP_TEXTS = ("already optimal at the starting point", "converged: ",
+              "max_iters reached", "line search stalled at iter ")
+
 
 @st.composite
 def small_configs(draw):
-    """A config on n <= 12 interior nodes and N <= 12 steps."""
+    """A config on n <= 12 interior nodes and N <= 12 steps, with the
+    optimizer, gradcheck and verify counts drawn small."""
     raw = json.loads(json.dumps(SMALL_CONFIG))
     raw["domain"]["n_interior"] = draw(st.integers(3, 12))
     raw["time"]["n_steps"] = draw(st.integers(1, 12))
@@ -164,6 +173,13 @@ def small_configs(draw):
                                                     "random"]))}
     raw["cost"] = {"z_d": draw(st.sampled_from(["zero", "uncontrolled",
                                                 "twin"]))}
+    raw["optimizer"] = {"max_iters": draw(st.sampled_from([0, 1, 3])),
+                        "memory": draw(st.sampled_from([1, 2, 16])),
+                        "tol_g": draw(st.sampled_from([0.0, 1e-6, 1.0]))}
+    raw["gradcheck"] = {"n_directions": draw(st.sampled_from([1, 2])),
+                        "taylor_steps": draw(st.sampled_from(TAYLOR_STEPS))}
+    raw["verify"] = {key: draw(st.sampled_from([1, 2]))
+                     for key in ("n_hessian_samples", "n_embed_samples")}
     fields = draw(st.dictionaries(st.sampled_from(FLOAT_FIELDS),
                                   st.sampled_from(EDGE_FLOATS), max_size=3))
     for (section, key), value in fields.items():
@@ -176,9 +192,18 @@ def small_configs(draw):
 # each of these left verify with an OverflowError traceback
 @example("verify", HUGE_STATES["weak_residual"])
 @example("verify", HUGE_STATES["energy_identity"])
+# one report with each stop text: already optimal, max_iters, converged and
+# stalled (no trial gives the decrease at delta 1e300)
+@example("twin", dict(SMALL_CONFIG, control={"kind": "zero"}))
+@example("optimize", dict(SMALL_CONFIG, control={"kind": "bump"},
+                          optimizer={"max_iters": 0}))
+@example("twin", dict(SMALL_CONFIG, control={"kind": "bump"}))
+@example("twin", dict(SMALL_CONFIG, control={"kind": "bump"},
+                      cost={"delta": 1e300}))
 def test_cli_exits_by_its_contract(command, raw):
     """Every command on a small config with boundary floats returns an
-    exit code in 0-3 and raises nothing."""
+    exit code in 0-3 and raises nothing. An optimize or twin report names
+    one of the stop texts, and its log has a row per iterate: n_iters + 1."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/cfg.json"
         with open(path, "w") as f:
@@ -186,4 +211,12 @@ def test_cli_exits_by_its_contract(command, raw):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = cli.main([command, "--config", path, "--out", f"{tmp}/o"])
+        report = {"optimize": "run.json", "twin": "twin.json"}.get(command)
+        if report and os.path.exists(f"{tmp}/o/{report}"):
+            with open(f"{tmp}/o/{report}") as f:
+                r = json.load(f)
+            with open(f"{tmp}/o/optimize_log.csv") as f:
+                rows = f.read().splitlines()[1:]
+            assert len(rows) == r["n_iters"] + 1
+            assert r["message"].startswith(STOP_TEXTS)
     assert code in (0, 1, 2, 3)
