@@ -2,14 +2,15 @@
    loops of the forward, tangent and backward IMEX marches, the optimizer's
    weighted pairing (the L2(Q0) product and the tracking misfit) and L-BFGS
    two-loop, and the row writer of the trajectory CSV. pttrf is reference
-   LAPACK's dpttrf, operation for operation, plus the twist pivot; the
-   solve is the twisted (two-ended) L D L^T solve on those factors, and
-   each march expression is one numpy node of the scheme, in the same
-   order, so every frame is bit for bit that of the numpy reference loops
-   of the tests, which solve with the same kernel; the pairings add their
-   terms in the one documented order of pair_row, as do the tests'
-   reference loops. Build with -ffp-contract=off and without -ffast-math: a
-   fused multiply-add or a reassociated sum would change the bits. Rows are
+   LAPACK's dpttrf, operation for operation, plus the twist pivot and the
+   pivots' reciprocals; the solve is the twisted (two-ended) L D L^T solve
+   on those factors, two nodes a chain step by look-ahead, and each march
+   expression is one numpy node of the scheme, in the same order, so every
+   frame is bit for bit that of the numpy reference loops of the tests,
+   which solve with the same kernel; the pairings add their terms in the
+   one documented order of pair_row, as do the tests' reference loops.
+   Build with -ffp-contract=off and without -ffast-math: a fused
+   multiply-add or a reassociated sum would change the bits. Rows are
    indexed with ptrdiff_t; n is a C int in the marches.
 
    csv_rows formats every float as Python's repr does. Values outside its
@@ -22,13 +23,13 @@
 #include <stdint.h>
 #include <string.h>
 
-/* L D L^T of the SPD tridiagonal matrix with diagonal d (n entries) and
-   off-diagonal e (n - 1, and one slot more), in place: d becomes D and e
-   the subdiagonal of the unit bidiagonal L (dpttrf; no pivot is
-   nonpositive for c >= 0). e[n - 1] gets solve's twist pivot: the pivot
-   d[p] of row p = n/2 less the term e[m-1]*E of the m = n-1-p rows below
-   it, E the off-diagonal, read from the bottom (the matrix is
-   persymmetric). */
+/* L D L^T of the SPD tridiagonal matrix with diagonal d (n entries, and n
+   slots more) and off-diagonal e (n - 1, and one slot more), in place: d
+   becomes D and e the subdiagonal of the unit bidiagonal L (dpttrf; no
+   pivot is nonpositive for c >= 0), and d[n..2n-1] gets the reciprocals
+   1/D of the pivots. e[n - 1] gets solve's twist pivot: the pivot d[p] of
+   row p = n/2 less the term e[m-1]*E of the m = n-1-p rows below it, E the
+   off-diagonal, read from the bottom (the matrix is persymmetric). */
 void pttrf(int n, double *d, double *e)
 {
     ptrdiff_t p = n / 2, m = n - 1 - p;
@@ -39,6 +40,8 @@ void pttrf(int n, double *d, double *e)
         d[i + 1] = d[i + 1] - e[i] * ei;
     }
     e[n - 1] = m ? d[p] - e[m - 1] * ep : d[p];
+    for (ptrdiff_t i = 0; i < n; i++)
+        d[n + i] = 1.0 / d[i];
 }
 
 /* solve L D L^T x = b in place on the n entries of b, twisted at p
@@ -46,20 +49,30 @@ void pttrf(int n, double *d, double *e)
    eliminated downwards as dptts2 does, and at once the bottom rows
    n-1..p+1 upwards with the same factors, node n-1-i reading d[i] and e[i]
    as node i does; row p takes both and divides by the twist pivot, and
-   the back substitution runs outward from p. Each sweep is two independent
-   chains of at most p nodes. The last entry of each chain is carried in x
-   and y: b may alias d and e for all the compiler knows, so re-reading it
-   would be a load per node. */
+   the back substitution runs outward from p on q[i] = b[i]*r[i], r = d + n.
+   Each chain steps two nodes by look-ahead (Kogge and Stone, IEEE Trans.
+   Comput. C-22, 1973), x[i] = b[i] - x[i-1]*e[i-1] and x[i+1] =
+   (b[i+1] - b[i]*e[i]) + (e[i]*e[i-1])*x[i-1], so one multiply and one add
+   per two nodes wait on it, then one node a step. The chains' last entries
+   are carried in x and y: b may alias d and e for all the compiler knows,
+   so re-reading them would be a load per node. */
 static void solve(const double *d, const double *e, double *b, int n)
 {
+    const double *r = d + n;
     ptrdiff_t p = n / 2, m = n - 1 - p, i;
     double x = b[0], y = b[n - 1];
-    for (i = 1; i < m; i++) {
-        b[i] = x = b[i] - x * e[i - 1];
-        b[n - 1 - i] = y = b[n - 1 - i] - y * e[i - 1];
+    for (i = 1; i + 1 < m; i += 2) {
+        double f = e[i] * e[i - 1], bi = b[i], bj = b[n - 1 - i];
+        b[i] = bi - x * e[i - 1];
+        b[n - 1 - i] = bj - y * e[i - 1];
+        b[i + 1] = x = (b[i + 1] - bi * e[i]) + f * x;
+        b[n - 2 - i] = y = (b[n - 2 - i] - bj * e[i]) + f * y;
     }
-    if (i < p)
+    for (; i < p; i++) {
         b[i] = x = b[i] - x * e[i - 1];
+        if (i < m)
+            b[n - 1 - i] = y = b[n - 1 - i] - y * e[i - 1];
+    }
     double z = b[p];
     if (p)
         z = z - x * e[p - 1];
@@ -67,10 +80,17 @@ static void solve(const double *d, const double *e, double *b, int n)
         z = z - y * e[m - 1];
     b[p] = x = y = z / e[n - 1];
     if (m < p)
-        b[m] = x = b[m] / d[m] - x * e[m];
-    for (i = m - 1; i >= 0; i--) {
-        b[i] = x = b[i] / d[i] - x * e[i];
-        b[n - 1 - i] = y = b[n - 1 - i] / d[i] - y * e[i];
+        b[m] = x = b[m] * r[m] - x * e[m];
+    for (i = m - 1; i > 0; i -= 2) {
+        double f = e[i] * e[i - 1], qi = b[i] * r[i], qj = b[n - 1 - i] * r[i];
+        b[i] = qi - x * e[i];
+        b[n - 1 - i] = qj - y * e[i];
+        b[i - 1] = x = (b[i - 1] * r[i - 1] - qi * e[i - 1]) + f * x;
+        b[n - i] = y = (b[n - i] * r[i - 1] - qj * e[i - 1]) + f * y;
+    }
+    if (i == 0) {
+        b[0] = b[0] * r[0] - x * e[0];
+        b[n - 1] = b[n - 1] * r[0] - y * e[0];
     }
 }
 

@@ -7,8 +7,9 @@ factored, or the output directory a command is about to make), never at
 import, by the compiler that CC names, or else sysconfig's CC, with FLAGS:
 -ffp-contract=off and no -ffast-math or -march=native, so no multiply-add is
 fused and at every optimization level the factor is reference LAPACK's
-dpttrf bit for bit, the twisted solve the recurrences tests/test_helmholtz.py
-writes out, and every frame the numpy expressions the loops mirror.
+dpttrf bit for bit, the twisted solve the two-node look-ahead recurrences on
+the stored reciprocals that tests/test_helmholtz.py writes out, and every
+frame the numpy expressions the loops mirror.
 The shared object is cached in the package's __pycache__, named by a hash
 of the source, the flags, the compiler command and its --version output,
 and written to a temporary file that is renamed into place; a private
@@ -218,10 +219,14 @@ def pair(scale: float, w_end: float, w_mid: float, p, q, z=None) -> float:
     """pair of cmarch.c: scale times the weighted sum over the rows of the
     row pairings of p - z and q - z (of p and q for z None), 2-D arrays of
     one shape (any layout), the rows weighted w_end first and last and
-    w_mid between and added in row order."""
-    rows = _rows("pair: a block", p.shape, (p, q) if z is None else (p, q, z),
+    w_mid between and added in row order. A q that is p is checked and
+    read once."""
+    args = (p, q) if z is None else (p, q, z)
+    rows = _rows("pair: a block", p.shape, args[q is p:],
                  "of the first one's shape")
     ptrs = [x for a, s in rows for x in (a.ctypes.data, s)]
+    if q is p:  # p's pointer and stride, read once as q's
+        ptrs[:0] = ptrs[:2]
     if z is None:  # a NULL z: no shift
         ptrs += [None, 0]
     return library().pair(*p.shape, scale, w_end, w_mid, *ptrs)

@@ -14,6 +14,7 @@ squares over frames. The trajectory norms take one trajectory (N+1, n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,11 +72,13 @@ class TimeGrid:
     def t(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Trapezoid weights over frames, summing to T."""
+        """Trapezoid weights over frames, summing to T; built once per grid,
+        read-only."""
         w = np.full(self.n_steps + 1, self.dt)
         w[0] = w[-1] = 0.5 * self.dt
+        w.flags.writeable = False
         return w
 
 

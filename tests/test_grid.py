@@ -36,6 +36,10 @@ def test_time_grid_weights():
     assert np.allclose(tg.t, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert np.allclose(tg.weights, [0.125, 0.25, 0.25, 0.25, 0.125])
     assert tg.weights.sum() == pytest.approx(tg.T)
+    # built once per grid, and read-only, so no caller can change them
+    assert tg.weights is tg.weights and not tg.weights.flags.writeable
+    with pytest.raises(ValueError):
+        tg.weights[0] = 1.0
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
 

@@ -591,6 +591,28 @@ def test_pairings_on_small_blocks(shape, rng):
     assert same_value(got, reference_pair_q0(1.0, neg, np.ones(shape)))
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "rows", "items"])
+def test_pair_of_a_block_with_itself_reads_it_once(layout, rng, monkeypatch):
+    """pair(p, p), with or without a shift z, is pair(p, p.copy()) to the
+    byte in every layout, and checks and reads p once: _rows sees one
+    array fewer."""
+    p = laid_out(rng.standard_normal((7, 13)), layout)
+    z = rng.standard_normal((7, 13))
+    seen = []
+    rows = cmarch._rows
+
+    def counted(what, shape, arrays, dims="(N+1, n)"):
+        seen.append(len(arrays))
+        return rows(what, shape, arrays, dims)
+
+    monkeypatch.setattr(cmarch, "_rows", counted)
+    for shift in (None, z):
+        got = cmarch.pair(0.3, 0.5, 1.0, p, p, shift)
+        assert same_value(got, cmarch.pair(0.3, 0.5, 1.0, p, p.copy(), shift))
+        assert same_value(got, cmarch.pair(0.3, 0.5, 1.0, p.copy(), p, shift))
+    assert seen == [1, 2, 2, 2, 3, 3]
+
+
 @PROPERTY
 @given(st.data())
 def test_pair_q0_matches_reference_loop_property(data):
